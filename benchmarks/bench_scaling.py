@@ -1,19 +1,11 @@
-"""APSP scaling sweep: cold methods, warm-tick incremental repair, landmark quality.
+"""APSP scaling sweep: every method's wall-clock, then landmark quality.
 
-Three sections, one JSON report (``benchmarks/results/scaling.json``):
+Two sections, one JSON report (``benchmarks/results/scaling.json``):
 
 * **cold** — per graph size, wall-clock of every APSP method on the TMFG
   distance graph (``dijkstra`` numpy/python kernels, ``scipy``, ``floyd``;
   the cubic/interpreted ones are capped at small sizes), plus ``landmark``
   at the default count.
-* **warm ticks** — the incremental engine against cold recomputes over a
-  sequence of sparse weight perturbations.  Each tick jitters
-  ``--delta-edges`` low-traffic edges (the edges tight for the fewest
-  sources, measured on the first tick's matrix — the TMFG's redundant
-  tail; hub edges barely move between real warm ticks).  Byte identity
-  versus the cold recompute is asserted on every tick, and the per-tick
-  affected-row counts are reported so the speedup's provenance is visible.
-  The largest size's aggregate speedup gates on ``--min-warm-speedup``.
 * **landmark quality** — the Fig-1-style quality-vs-time curve at the
   largest size: ARI of the DBHT cut under ``apsp_method="landmark"``
   against the exact cut, over the ``--landmark-grid``, with the APSP
@@ -24,8 +16,8 @@ Standalone::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py --sizes 500,1000,2000,5000
 
-CI smoke (see ``.github/workflows/ci.yml``) runs ``--sizes 200,500`` with a
-relaxed gate.  The pytest entry point at the bottom keeps the original
+CI smoke (see ``.github/workflows/ci.yml``) runs ``--sizes 200,500``.  The
+pytest entry point at the bottom keeps the original
 Section VII-A figure benchmark.
 """
 
@@ -39,7 +31,6 @@ from repro.core.tmfg import construct_tmfg
 from repro.datasets.synthetic import make_time_series_dataset
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.graph.csr import CSRGraph
-from repro.graph.incremental_apsp import IncrementalAPSP
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.metrics.ari import adjusted_rand_index
 
@@ -112,77 +103,6 @@ def cold_section(csr: CSRGraph, size: int) -> list:
     return rows
 
 
-def _undirected_edges(csr: CSRGraph):
-    heads = np.repeat(np.arange(csr.num_vertices, dtype=np.int64), csr.degrees())
-    upper = heads < csr.indices
-    return heads, heads[upper], csr.indices[upper], csr.weights[upper]
-
-
-def _tight_counts(distances: np.ndarray, uu, vv, ww) -> np.ndarray:
-    """Per undirected edge: sources whose shortest-path forest uses it."""
-    counts = np.zeros(uu.size, dtype=np.int64)
-    chunk = 512
-    for begin in range(0, uu.size, chunk):
-        u = uu[begin : begin + chunk]
-        v = vv[begin : begin + chunk]
-        w = ww[begin : begin + chunk]
-        du = distances[:, u]
-        dv = distances[:, v]
-        counts[begin : begin + chunk] = ((du + w == dv) | (dv + w == du)).sum(axis=0)
-    return counts
-
-
-def warm_tick_section(csr: CSRGraph, size: int, args, rng) -> dict:
-    """Incremental repair vs cold recompute over sparse weight jitters."""
-    n = csr.num_vertices
-    engine = IncrementalAPSP()
-    first, first_seconds = _timed(lambda: engine.update(csr, kernel="numpy"))
-
-    heads, uu, vv, ww = _undirected_edges(csr)
-    counts = _tight_counts(first, uu, vv, ww)
-    pool_size = min(max(10 * args.delta_edges, 50), uu.size)
-    quiet_pool = np.argsort(counts, kind="stable")[:pool_size]
-    # Arc -> undirected-edge id, so per-tick weights rebuild in one gather.
-    keys = np.minimum(heads, csr.indices) * np.int64(n) + np.maximum(heads, csr.indices)
-    arc_edge = np.searchsorted(uu * np.int64(n) + vv, keys)
-
-    ticks = []
-    incremental_total = cold_total = 0.0
-    for tick in range(args.ticks):
-        picked = rng.choice(quiet_pool, size=min(args.delta_edges, quiet_pool.size), replace=False)
-        edge_weights = ww.copy()
-        edge_weights[picked] *= rng.uniform(0.98, 1.02, size=picked.size)
-        perturbed = CSRGraph(csr.indptr, csr.indices, edge_weights[arc_edge])
-        repaired, inc_seconds = _timed(lambda: engine.update(perturbed, kernel="numpy"))
-        cold, cold_seconds = _timed(
-            lambda: all_pairs_shortest_paths(perturbed, kernel="numpy")
-        )
-        assert np.array_equal(repaired, cold), (
-            f"incremental repair diverged from cold dijkstra at size {size}, tick {tick}"
-        )
-        incremental_total += inc_seconds
-        cold_total += cold_seconds
-        ticks.append(
-            {
-                "tick": tick,
-                "incremental_seconds": round(inc_seconds, 4),
-                "cold_seconds": round(cold_seconds, 4),
-                "speedup": round(cold_seconds / inc_seconds, 2),
-                "changed_edges": engine.stats.last_changed_edges,
-                "affected_rows": engine.stats.last_recomputed_rows,
-            }
-        )
-    return {
-        "num_vertices": n,
-        "delta_edges": args.delta_edges,
-        "first_tick_seconds": round(first_seconds, 4),
-        "ticks": ticks,
-        "byte_identical_every_tick": True,
-        "aggregate_speedup": round(cold_total / incremental_total, 2),
-        "engine_stats": engine.stats.as_dict(),
-    }
-
-
 def landmark_quality_section(similarity, dissimilarity, tmfg, args) -> dict:
     """ARI-vs-time curve of the landmark mode against the exact DBHT cut."""
     exact = dbht(tmfg, similarity, dissimilarity, apsp_method="dijkstra", kernel="numpy")
@@ -232,21 +152,11 @@ def main(argv=None) -> dict:
         default="500,1000,2000,5000",
         help="comma-separated vertex counts to sweep",
     )
-    parser.add_argument("--ticks", type=int, default=5, help="warm ticks per size")
-    parser.add_argument(
-        "--delta-edges", type=int, default=20, help="edges perturbed per warm tick"
-    )
     parser.add_argument(
         "--landmark-grid",
         default="4,8,16,32",
         help="landmark counts for the quality-vs-time curve (up to the "
         "default landmark count; single-cut ARI gets noisy past it)",
-    )
-    parser.add_argument(
-        "--min-warm-speedup",
-        type=float,
-        default=3.0,
-        help="required aggregate warm-tick speedup at the largest size",
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--json", default=None, help="override the report path")
@@ -254,20 +164,17 @@ def main(argv=None) -> dict:
     args.landmark_grid = [int(part) for part in str(args.landmark_grid).split(",")]
     sizes = [int(part) for part in str(args.sizes).split(",")]
 
-    rng = np.random.default_rng(args.seed)
     report = {
         "benchmark": "apsp_scaling",
         "prefix": PREFIX,
         "sizes": sizes,
         "cold": [],
-        "warm_ticks": [],
     }
     largest_artifacts = None
     for size in sizes:
         similarity, dissimilarity, tmfg, csr = _build(size, args.seed)
         print(f"-- size {size}: graph built ({csr.num_edges} edges)", flush=True)
         report["cold"].append({"num_vertices": size, "methods": cold_section(csr, size)})
-        report["warm_ticks"].append(warm_tick_section(csr, size, args, rng))
         if size == max(sizes):
             largest_artifacts = (similarity, dissimilarity, tmfg)
 
@@ -279,11 +186,6 @@ def main(argv=None) -> dict:
     import benchlib
 
     benchlib.write_report("scaling.json", report, override=args.json)
-    gate = report["warm_ticks"][-1]
-    assert gate["aggregate_speedup"] >= args.min_warm_speedup, (
-        f"warm-tick incremental APSP is only {gate['aggregate_speedup']}x over cold "
-        f"at {gate['num_vertices']} vertices (required {args.min_warm_speedup}x)"
-    )
     return report
 
 

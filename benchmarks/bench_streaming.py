@@ -1,13 +1,13 @@
-"""Streaming per-tick timings: warm-started vs cold rebuilds.
+"""Streaming per-tick timings on a regime-switching stream.
 
-The streaming subsystem's acceptance bar: at 200 assets, a warm tick
-(incremental rolling-correlation update + warm-started TMFG + DBHT) must
-take at most 0.7x the wall-clock of a cold tick (from-scratch correlation
-recomputation + cold TMFG + DBHT).  Both paths produce identical flat cuts
-— warm starts are verified per round — which this module asserts per tick
-before timing anything.
+Every tick takes its window from a ring buffer, computes the window's
+correlation matrix from scratch and runs the same ``TMFGClusterer`` fit a
+batch call makes.  This script records that one path's per-tick wall-clock
+and per-phase means at 200 assets (window 250, hop 5, 12 ticks).  It gates
+nothing; before timing it checks that every tick's labels equal a batch fit
+of that tick's window.
 
-Run standalone to print one JSON document with the per-tick timings::
+Run standalone to write ``benchmarks/results/streaming.json``::
 
     PYTHONPATH=src python benchmarks/bench_streaming.py
 
@@ -16,12 +16,12 @@ or under pytest-benchmark like the other ``bench_*`` scripts::
     pytest benchmarks/bench_streaming.py --benchmark-only
 """
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.datasets.similarity import detrended_log_returns
+from repro.api.config import ClusteringConfig
+from repro.api.estimators import TMFGClusterer
+from repro.datasets.similarity import correlation_matrix
 from repro.datasets.stocks import generate_regime_switching_stream
 from repro.streaming.runner import StreamingPipeline
 
@@ -44,51 +44,41 @@ def _stream_returns(seed: int = 31) -> np.ndarray:
     return stream.returns
 
 
-def _run(returns: np.ndarray, warm: bool) -> "StreamingPipeline":
+def _run(returns: np.ndarray):
     pipeline = StreamingPipeline(
         returns,
         window=WINDOW,
         hop=HOP,
         num_clusters=NUM_CLUSTERS,
-        warm_start=warm,
         max_ticks=NUM_TICKS,
     )
     return pipeline.run()
 
 
 def streaming_report(seed: int = 31) -> dict:
-    """Warm-vs-cold per-tick timings plus the equivalence check."""
+    """Per-tick timings and phase means, after the batch-equivalence check."""
     returns = _stream_returns(seed)
-    warm = _run(returns, warm=True)
-    cold = _run(returns, warm=False)
-    assert warm.num_ticks == cold.num_ticks == NUM_TICKS
-    for warm_tick, cold_tick in zip(warm.ticks, cold.ticks):
-        assert np.array_equal(warm_tick.labels, cold_tick.labels), (
-            f"warm/cold cuts diverge at tick {warm_tick.tick}"
+    result = _run(returns)
+    assert result.num_ticks == NUM_TICKS
+    batch = TMFGClusterer(ClusteringConfig(num_clusters=NUM_CLUSTERS, precomputed=True))
+    for tick in result.ticks:
+        window = returns[:, tick.start : tick.stop]
+        expected = batch.fit(correlation_matrix(window)).labels_
+        assert np.array_equal(tick.labels, expected), (
+            f"tick {tick.tick} diverges from a batch fit of its window"
         )
-    # The first tick fills the whole window and builds without hints on
-    # both paths; the steady-state comparison starts at tick 1.
-    warm_seconds = [t.seconds for t in warm.ticks[1:]]
-    cold_seconds = [t.seconds for t in cold.ticks[1:]]
-    warm_mean = float(np.mean(warm_seconds))
-    cold_mean = float(np.mean(cold_seconds))
+    # The first tick fills the whole window; the steady state starts at 1.
+    tick_seconds = [tick.seconds for tick in result.ticks[1:]]
     return {
         "assets": NUM_ASSETS,
         "window": WINDOW,
         "hop": HOP,
         "ticks": NUM_TICKS,
         "clusters": NUM_CLUSTERS,
-        "cuts_identical": True,
-        "warm_tick_seconds": warm_seconds,
-        "cold_tick_seconds": cold_seconds,
-        "warm_mean_tick_seconds": warm_mean,
-        "cold_mean_tick_seconds": cold_mean,
-        "warm_over_cold_ratio": warm_mean / cold_mean,
-        "meets_0.7x_target": warm_mean <= 0.7 * cold_mean,
-        "warm_round_replay_rate": warm.warm_stats.round_replay_rate,
-        "warm_full_replay_rate": warm.warm_stats.full_replay_rate,
-        "warm_mean_step_seconds": warm.mean_step_seconds(),
-        "cold_mean_step_seconds": cold.mean_step_seconds(),
+        "ticks_equal_batch_fits": True,
+        "tick_seconds": tick_seconds,
+        "mean_tick_seconds": float(np.mean(tick_seconds)),
+        "mean_step_seconds": result.mean_step_seconds(),
     }
 
 
@@ -98,13 +88,8 @@ def returns():
 
 
 @pytest.mark.benchmark(group="streaming")
-def test_warm_streaming(benchmark, returns):
-    benchmark.pedantic(lambda: _run(returns, warm=True), rounds=1, iterations=1)
-
-
-@pytest.mark.benchmark(group="streaming")
-def test_cold_streaming(benchmark, returns):
-    benchmark.pedantic(lambda: _run(returns, warm=False), rounds=1, iterations=1)
+def test_streaming(benchmark, returns):
+    benchmark.pedantic(lambda: _run(returns), rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ runner's parameter copies:
 * ``method`` — a registry id resolved by
   :func:`repro.api.estimators.make_estimator` (``"tmfg-dbht"``,
   ``"pmfg-dbht"``, ``"hac"``, ``"kmeans"``, ...);
-* the TMFG/DBHT knobs ``prefix``, ``apsp_method``, ``kernel``,
-  ``warm_start``;
+* the TMFG/DBHT knobs ``prefix``, ``apsp_method``, ``landmarks``,
+  ``kernel``;
 * the execution knobs ``backend`` (a *name*, so the config stays
   serializable; pools are opened with :meth:`ClusteringConfig.open_backend`
   and owned by the caller) and ``workers``;
@@ -37,7 +37,7 @@ from repro.parallel.scheduler import BACKEND_NAMES, ParallelBackend, make_backen
 #: compatibility.  Validation resolves against the *live* registry
 #: (:func:`repro.graph.shortest_paths.available_apsp_methods`), so custom
 #: methods registered with ``register_apsp_method`` are accepted too.
-APSP_METHODS = ("dijkstra", "floyd", "scipy", "incremental", "landmark")
+APSP_METHODS = ("dijkstra", "floyd", "scipy", "landmark")
 LINKAGE_NAMES = ("single", "complete", "average", "weighted")
 
 DEFAULT_METHOD = "tmfg-dbht"
@@ -65,7 +65,6 @@ class ClusteringConfig:
         APSP implementation for the DBHT, resolved against the live method
         registry (:func:`repro.graph.shortest_paths.available_apsp_methods`).
         ``"dijkstra"``/``"floyd"``/``"scipy"`` give identical distances;
-        ``"incremental"`` is exact and reuses state across streaming ticks;
         ``"landmark"`` is the opt-in approximate mode — it never engages
         unless selected here.
     landmarks:
@@ -83,9 +82,6 @@ class ClusteringConfig:
     workers:
         Worker count for the thread/process backend; requires such a
         backend to be selected.
-    warm_start:
-        Whether streaming runs replay the previous tick's TMFG decisions
-        (verified per round, so results never change).
     precomputed:
         Treat the fitted matrix as a precomputed similarity matrix instead
         of raw series (one object per row).
@@ -119,7 +115,6 @@ class ClusteringConfig:
     kernel: Optional[str] = None
     backend: Optional[str] = None
     workers: Optional[int] = None
-    warm_start: bool = False
     precomputed: bool = False
     cache: bool = False
     cache_dir: Optional[str] = None

@@ -110,23 +110,14 @@ class ClusteringEstimator:
         With ``config.cache``, the content-addressed result cache is
         consulted first (keyed on the config's computation-relevant fields
         plus the input bytes); a hit stores a clone of the cached cold fit
-        on ``result_`` and skips the computation entirely.  Fits carrying
-        warm-start hints bypass the cache: their outputs are identical by
-        construction, but their replay telemetry is tick-specific and must
-        not be served for unrelated inputs.  Fits carrying an incremental
-        APSP engine (``apsp_state``) bypass it too — serving a stored
-        result would leave the carried engine stale for the next tick.
+        on ``result_`` and skips the computation entirely.
         """
         # Drop the previous fit up front so a failed refit can never serve
         # stale labels.
         self.result_ = None
         with trace_span("estimator.fit", method=self.method_id) as probe:
             cache = cache_key = None
-            if (
-                self.config.cache
-                and fit_params.get("warm_start") is None
-                and fit_params.get("apsp_state") is None
-            ):
+            if self.config.cache:
                 from repro.cache import get_result_cache, result_cache_key
 
                 # Key on the same float view the pipeline will cluster, so
@@ -141,8 +132,6 @@ class ClusteringEstimator:
                     probe.set_attribute("cache", "hit")
                     self.result_ = cached.clone()
                     return self
-            elif self.config.cache:
-                probe.set_attribute("cache", "bypass")  # warm-start / apsp_state
             else:
                 probe.set_attribute("cache", "off")
             start = time.perf_counter()
@@ -222,16 +211,12 @@ class TMFGClusterer(ClusteringEstimator):
 
     A thin estimator shell over :func:`repro.core.pipeline.tmfg_dbht` — the
     constructed graph, dendrogram, and labels are byte-identical to a
-    direct call with the same knobs.  ``fit`` accepts an optional
-    ``warm_start`` keyword carrying
-    :class:`~repro.core.tmfg.WarmStartHints` from a previous build (the
-    streaming runner's path); hints are verified per round, so they never
-    change the output.
+    direct call with the same knobs.
     """
 
     method_id = "tmfg-dbht"
 
-    def _fit(self, data, similarity, dissimilarity, backend, warm_start=None, apsp_state=None):
+    def _fit(self, data, similarity, dissimilarity, backend):
         from repro.core.pipeline import tmfg_dbht
 
         pipeline = tmfg_dbht(
@@ -241,8 +226,6 @@ class TMFGClusterer(ClusteringEstimator):
             backend=backend,
             apsp_method=self.config.apsp_method,
             kernel=self.config.kernel,
-            warm_start=warm_start,
-            apsp_state=apsp_state,
             landmarks=self.config.landmarks,
         )
         result = ClusterResult(
@@ -254,8 +237,6 @@ class TMFGClusterer(ClusteringEstimator):
             extras={
                 "edge_weight_sum": pipeline.tmfg.edge_weight_sum(),
                 "rounds": pipeline.tmfg.rounds,
-                "warm_started": pipeline.tmfg.warm_started,
-                "warm_rounds": pipeline.tmfg.warm_rounds,
                 "tracker": pipeline.tracker,
             },
         )

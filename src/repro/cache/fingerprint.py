@@ -51,7 +51,6 @@ FINGERPRINT_FIELDS = (
     "kernel",
     "backend",
     "workers",
-    "warm_start",
     "precomputed",
     "linkage",
     "seed",

@@ -12,8 +12,9 @@ Three subcommands cover the library's main workflows without writing Python:
 
 ``stream``
     Slide a rolling correlation window across a return stream (one asset
-    per row), re-clustering every ``--hop`` observations with warm-started
-    TMFG rebuilds, and report per-tick timings and cluster drift.
+    per row), re-clustering every ``--hop`` observations with the same
+    TMFG+DBHT fit ``cluster`` runs, and report per-tick timings and cluster
+    drift.
 
 ``serve``
     Run the micro-batching HTTP/JSON clustering daemon (``POST /cluster``,
@@ -182,12 +183,6 @@ def _config_from_args(args: argparse.Namespace, default: ClusteringConfig) -> Cl
         changes["cache_dir"] = None
     if getattr(args, "cache_dir", None) is not None:
         changes["cache_dir"] = args.cache_dir
-    if getattr(args, "cold", False) and getattr(args, "warm", False):
-        raise ValueError("--cold and --warm are mutually exclusive")
-    if getattr(args, "cold", False):
-        changes["warm_start"] = False
-    if getattr(args, "warm", False):
-        changes["warm_start"] = True
     return base.replace(**changes)
 
 
@@ -250,7 +245,7 @@ def _command_cluster(args: argparse.Namespace) -> int:
 
 def _command_stream(args: argparse.Namespace) -> int:
     try:
-        config = _config_from_args(args, ClusteringConfig(warm_start=True, cache=True))
+        config = _config_from_args(args, ClusteringConfig(cache=True))
     except (ValueError, OSError) as error:
         _print_cli_error(error)
         return 2
@@ -270,24 +265,15 @@ def _command_stream(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(_flagged_message(error), file=sys.stderr)
         return 2
-    mode = "warm" if config.warm_start else "cold"
     print(
         format_stream_ticks(
             result.ticks,
-            title=f"Streaming TMFG+DBHT ({mode}, window={args.window}, hop={args.hop})",
+            title=f"Streaming TMFG+DBHT (window={args.window}, hop={args.hop})",
         )
     )
-    stats = result.warm_stats
     summary = f"ticks: {result.num_ticks}  mean tick: {result.mean_tick_seconds():.4f}s"
     if result.reused_ticks:
         summary += f"  reused (unchanged window): {result.reused_ticks}"
-    if result.apsp_stats is not None:
-        summary += f"  apsp row reuse: {result.apsp_stats['reuse_rate']:.1%}"
-    if config.warm_start:
-        summary += (
-            f"  warm replay: {stats.round_replay_rate:.1%} of rounds "
-            f"({stats.full_replays}/{stats.warm_attempts} full)"
-        )
     print(summary)
     drift = result.mean_drift_ari()
     if drift is not None:
@@ -300,7 +286,6 @@ def _command_stream(args: argparse.Namespace) -> int:
             "window": args.window,
             "hop": args.hop,
             "clusters": config.num_clusters,
-            "warm": config.warm_start,
             "config": config.to_dict(),
             "ticks": [
                 {
@@ -308,8 +293,6 @@ def _command_stream(args: argparse.Namespace) -> int:
                     "start": tick.start,
                     "stop": tick.stop,
                     "num_clusters": tick.num_clusters,
-                    "warm_started": tick.warm_started,
-                    "warm_rounds": tick.warm_rounds,
                     "rounds": tick.rounds,
                     "step_seconds": tick.step_seconds,
                     "drift_ari": tick.drift_ari,
@@ -319,9 +302,6 @@ def _command_stream(args: argparse.Namespace) -> int:
                 for tick in result.ticks
             ],
             "mean_step_seconds": result.mean_step_seconds(),
-            "warm_full_replay_rate": stats.full_replay_rate,
-            "warm_round_replay_rate": stats.round_replay_rate,
-            "apsp_stats": result.apsp_stats,
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
@@ -675,16 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--window", type=int, required=True, help="observations per window")
     stream.add_argument("--hop", type=int, default=1, help="observations per tick (default 1)")
     stream.add_argument("--prefix", type=int, default=None, help="TMFG prefix size (default 1 = exact)")
-    stream.add_argument(
-        "--cold",
-        action="store_true",
-        help="disable TMFG warm starts (identical labels; cold-rebuild timing)",
-    )
-    stream.add_argument(
-        "--warm",
-        action="store_true",
-        help="force TMFG warm starts on (overrides warm_start=false in --config)",
-    )
     stream.add_argument("--max-ticks", type=int, default=None, help="stop after this many ticks")
     stream.add_argument("--out", help="write the final tick's labels to this file")
     stream.add_argument("--json", help="write the per-tick report as JSON to this file")

@@ -64,7 +64,6 @@ def dbht(
     backend: Optional[ParallelBackend] = None,
     apsp_method: str = "dijkstra",
     kernel: Optional[str] = None,
-    apsp_state=None,
     landmarks: Optional[int] = None,
 ) -> DBHTResult:
     """Run the parallel DBHT on a TMFG (Algorithm 4).
@@ -86,20 +85,15 @@ def dbht(
         ``"dijkstra"`` (the paper's per-source algorithm run as batched CSR
         kernels, optionally over a thread/process backend), ``"floyd"``
         (vectorised Floyd-Warshall), ``"scipy"`` (SciPy's C
-        implementation), ``"incremental"`` (exact, repaired from
-        ``apsp_state`` across streaming ticks), or ``"landmark"`` (opt-in
-        approximation).  APSP is the remaining bottleneck of the pipeline
-        (Fig. 5), so the faster implementations are exposed here; all but
+        implementation), or ``"landmark"`` (opt-in approximation).  APSP
+        is the remaining bottleneck of the pipeline (Fig. 5), so the
+        faster implementations are exposed here; all but
         ``"landmark"`` give identical distances (Floyd-Warshall up to the
         last float ulp).
     kernel:
         APSP kernel for the ``"dijkstra"`` method: ``"python"`` (array-heap
         Dijkstra per source) or ``"numpy"`` (batched relaxation), both with
         byte-identical distances.  ``None`` uses the process-wide default.
-    apsp_state:
-        Carried :class:`~repro.graph.incremental_apsp.IncrementalAPSP`
-        engine; only meaningful (and only forwarded) with
-        ``apsp_method="incremental"``.
     landmarks:
         Landmark count; only meaningful with ``apsp_method="landmark"``.
     """
@@ -114,24 +108,18 @@ def dbht(
     graph: WeightedGraph = tmfg.graph
     step_seconds: Dict[str, float] = {}
 
-    # Shortest paths use the dissimilarity weights on the TMFG topology:
-    # freeze the TMFG into CSR form once and swap in the dissimilarity
-    # weights with a single fancy index (no per-edge rebuild).
-    if apsp_state is not None and apsp_method != "incremental":
-        raise ValueError(
-            f"apsp_state only applies to apsp_method='incremental', got {apsp_method!r}"
-        )
     if landmarks is not None and apsp_method != "landmark":
         raise ValueError(
             f"landmarks only applies to apsp_method='landmark', got {apsp_method!r}"
         )
     apsp_options = {}
-    if apsp_state is not None:
-        apsp_options["state"] = apsp_state
     if landmarks is not None:
         apsp_options["landmarks"] = landmarks
 
     start = time.perf_counter()
+    # Shortest paths use the dissimilarity weights on the TMFG topology:
+    # freeze the TMFG into CSR form once and swap in the dissimilarity
+    # weights with a single fancy index (no per-edge rebuild).
     distance_graph = tmfg.csr().reweighted(dissimilarity)
     shortest_paths = all_pairs_shortest_paths(
         distance_graph, backend=backend, method=apsp_method, kernel=kernel, **apsp_options

@@ -91,10 +91,10 @@ class GainTable:
         Equivalent to ``max(self.best_pairs(), key=sort_key)`` but runs as
         one scan over the per-face bests with plain float comparisons — the
         tie-break keys are only evaluated on exact gain ties, which are rare
-        with real-valued similarities.  This is the per-round gain check of
-        the TMFG warm-start replay, where it replaces building and sorting
-        the full candidate list.  Returns ``None`` when no face has a
-        remaining candidate.
+        with real-valued similarities.  This is the ``prefix=1`` round
+        selection of TMFG construction, where it replaces building and
+        sorting the full candidate list.  Returns ``None`` when no face has
+        a remaining candidate.
         """
         best_gain = float("-inf")
         best_vertex: Optional[int] = None

@@ -2,7 +2,10 @@
 
 ``tmfg_dbht`` runs the whole pipeline of the paper — build the (prefix-
 batched) TMFG from a similarity matrix, then the DBHT on top of it — and
-returns the dendrogram together with all intermediate artefacts.
+returns the dendrogram together with all intermediate artefacts.  Every
+call is a cold fit: nothing is carried between calls, so a streaming tick
+and a batch fit of the same matrix run the same code and agree byte for
+byte.
 
 .. note::
    New code should prefer the estimator layer in :mod:`repro.api`
@@ -22,7 +25,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.dbht import DBHTResult, dbht
-from repro.core.tmfg import TMFGResult, WarmStartHints, construct_tmfg
+from repro.core.tmfg import TMFGResult, construct_tmfg
 from repro.datasets.similarity import default_dissimilarity
 from repro.dendrogram.node import Dendrogram
 from repro.graph.matrix import validate_similarity_matrix
@@ -59,8 +62,6 @@ def tmfg_dbht(
     tracker: Optional[WorkSpanTracker] = None,
     apsp_method: str = "dijkstra",
     kernel: Optional[str] = None,
-    warm_start: Optional[WarmStartHints] = None,
-    apsp_state=None,
     landmarks: Optional[int] = None,
 ) -> PipelineResult:
     """Hierarchical clustering with a TMFG filtered graph and the DBHT.
@@ -82,22 +83,13 @@ def tmfg_dbht(
         Optional :class:`WorkSpanTracker` collecting work/span per phase.
     apsp_method:
         APSP implementation used by the DBHT: any registered method id
-        (``"dijkstra"`` default, ``"floyd"``, ``"scipy"``,
-        ``"incremental"``, ``"landmark"``); see
+        (``"dijkstra"`` default, ``"floyd"``, ``"scipy"``, ``"landmark"``);
+        see
         :func:`repro.graph.shortest_paths.all_pairs_shortest_paths`.
     kernel:
         ``"python"`` or ``"numpy"`` hot-loop kernels for the gain updates
         and the APSP (see :mod:`repro.parallel.kernels`); ``None`` uses the
         process-wide default.  All kernels produce identical results.
-    warm_start:
-        Optional :class:`~repro.core.tmfg.WarmStartHints` from a previous
-        build on a similar matrix (the streaming workload's previous tick).
-        Every replayed insertion is verified, so the result is identical to
-        a cold run; rejected hints fall back to a cold build.
-    apsp_state:
-        Carried :class:`~repro.graph.incremental_apsp.IncrementalAPSP`
-        engine for ``apsp_method="incremental"`` (the streaming runner owns
-        one per stream).
     landmarks:
         Landmark count for ``apsp_method="landmark"``.
 
@@ -121,7 +113,6 @@ def tmfg_dbht(
         tracker=tracker,
         backend=backend,
         kernel=kernel,
-        warm_start=warm_start,
     )
     tmfg_seconds = time.perf_counter() - start
 
@@ -133,7 +124,6 @@ def tmfg_dbht(
         backend=backend,
         apsp_method=apsp_method,
         kernel=kernel,
-        apsp_state=apsp_state,
         landmarks=landmarks,
     )
     step_seconds = {"tmfg": tmfg_seconds}

@@ -13,17 +13,15 @@ which is what the tests check; larger prefixes trade a small amount of kept
 edge weight for many fewer rounds (more parallelism), which is what Figs. 4,
 6, and 7 evaluate.
 
-Warm starts
------------
-The streaming workload (:mod:`repro.streaming`) rebuilds a TMFG per rolling
-window, and consecutive windows share most of their data, so consecutive
-TMFGs usually make the same insertion decisions.  ``construct_tmfg`` accepts
-:class:`WarmStartHints` — the previous build's initial tetrahedron and
-per-round insertion batches — and *replays* them, verifying each round
-against the gain table (the replayed batch must be exactly what cold
-selection would pick).  A verified replay skips the expensive candidate
-sort, which dominates cold construction; any rejected check falls back to a
-cold build, so the output is always identical to a cold run.
+Selection
+---------
+The construction path is chosen by ``prefix`` alone.  ``prefix=1`` selects
+each round with :meth:`~repro.core.gains.GainTable.argmax_pair`, one scan
+over the per-face bests that returns exactly the pair the reference batched
+selection (:func:`_select_batch`) would; ``prefix>1`` runs the reference
+selection: sort every face's best pair, take the top ``prefix``, keep each
+vertex's highest-gain face.  Construction keeps no state between calls, so
+the same similarity matrix always yields the same graph.
 """
 
 from __future__ import annotations
@@ -52,12 +50,7 @@ class TMFGResult:
     ``bubble_tree`` is the tree built on the fly (Algorithm 2) when
     ``build_bubble_tree=True``; ``insertion_order`` records, per inserted
     vertex, the face it went into; ``rounds`` is the number of batched rounds
-    (the quantity ``rho`` in the paper's analysis); ``round_sizes`` the
-    number of vertices each round inserted (used to rebuild warm-start
-    hints); ``warm_rounds`` how many leading rounds were verified replays of
-    :class:`WarmStartHints` and ``warm_started`` whether *every* round was
-    (a full replay; partial replays hand over to cold selection at the
-    first diverging round).
+    (the quantity ``rho`` in the paper's analysis).
     """
 
     graph: WeightedGraph
@@ -68,9 +61,6 @@ class TMFGResult:
     prefix: int
     rounds: int
     tracker: WorkSpanTracker = field(default_factory=WorkSpanTracker)
-    round_sizes: List[int] = field(default_factory=list)
-    warm_started: bool = False
-    warm_rounds: int = 0
 
     @property
     def num_vertices(self) -> int:
@@ -79,46 +69,18 @@ class TMFGResult:
     def edge_weight_sum(self) -> float:
         return self.graph.edge_weight_sum()
 
-    def warm_start_hints(self) -> "WarmStartHints":
-        """Hints that let the next build replay this one (see ``construct_tmfg``)."""
-        return WarmStartHints(
-            initial_clique=self.initial_clique,
-            insertion_order=tuple(self.insertion_order),
-            round_sizes=tuple(self.round_sizes),
-        )
-
     def csr(self):
         """The filtered graph frozen to CSR form, built once and memoized.
 
-        DBHT reweights this topology with dissimilarities for the APSP; the
-        incremental engine diffs consecutive ticks' reweighted CSRs, so
-        freezing here keeps the per-tick cost at one fancy index instead of
-        a full rebuild.
+        DBHT reweights this topology with dissimilarities for the APSP, so
+        freezing here keeps that at one fancy index instead of a full
+        rebuild.
         """
         cached = getattr(self, "_csr_cache", None)
         if cached is None:
             cached = self.graph.to_csr()
             self._csr_cache = cached
         return cached
-
-
-@dataclass(frozen=True)
-class WarmStartHints:
-    """A previous TMFG build's decisions, offered as candidates for replay.
-
-    ``insertion_order`` holds the (vertex, face) insertions in order and
-    ``round_sizes`` partitions them into the original rounds, so the replay
-    can verify each round's batch against what cold selection would pick on
-    the *new* similarity matrix.
-    """
-
-    initial_clique: Tuple[int, int, int, int]
-    insertion_order: Tuple[Tuple[int, Triangle], ...]
-    round_sizes: Tuple[int, ...]
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.insertion_order) + 4
 
 
 def _initial_clique(similarity: np.ndarray) -> List[int]:
@@ -131,7 +93,11 @@ def _initial_clique(similarity: np.ndarray) -> List[int]:
 
 
 class _TMFGBuilder:
-    """Shared construction state for the cold and warm-replay paths."""
+    """Construction state: the graph, faces, gain table and bubble tree.
+
+    :func:`construct_tmfg` drives it one selected batch per round; the
+    tests drive it with the reference selection as an oracle.
+    """
 
     def __init__(
         self,
@@ -169,7 +135,7 @@ class _TMFGBuilder:
         )
         self.bubble_tree = BubbleTree(self.clique, self.faces) if build_bubble_tree else None
         self.insertion_order: List[Tuple[int, Triangle]] = []
-        self.round_sizes: List[int] = []
+        self.rounds = 0
 
     def insert_round(self, batch: Sequence[Tuple[int, Triangle]]) -> None:
         """Insert one round's (vertex, face) batch and refresh the gain table."""
@@ -200,7 +166,7 @@ class _TMFGBuilder:
                 round_new_faces.append(new_face)
             self.insertion_order.append((vertex, face))
         self.gain_table.add_faces(round_new_faces)
-        self.round_sizes.append(len(batch))
+        self.rounds += 1
         # Work: sorting the per-face gains plus recomputing gains for the
         # affected and newly-created faces (each a vectorised O(|V|) scan).
         affected = 3 * len(batch)
@@ -211,7 +177,7 @@ class _TMFGBuilder:
         round_span = math.log2(max(num_faces, 2)) + math.log2(max(len(batch), 2)) + 1.0
         self.tracker.add("tmfg", work=round_work, span=round_span)
 
-    def result(self, prefix: int, warm_rounds: int = 0) -> TMFGResult:
+    def result(self, prefix: int) -> TMFGResult:
         return TMFGResult(
             graph=self.graph,
             edges=self.edges,
@@ -219,11 +185,8 @@ class _TMFGBuilder:
             bubble_tree=self.bubble_tree,
             insertion_order=self.insertion_order,
             prefix=prefix,
-            rounds=len(self.round_sizes),
+            rounds=self.rounds,
             tracker=self.tracker,
-            round_sizes=self.round_sizes,
-            warm_started=warm_rounds > 0 and warm_rounds == len(self.round_sizes),
-            warm_rounds=warm_rounds,
         )
 
 
@@ -234,7 +197,6 @@ def construct_tmfg(
     tracker: Optional[WorkSpanTracker] = None,
     backend: Optional[ParallelBackend] = None,
     kernel: Optional[str] = None,
-    warm_start: Optional[WarmStartHints] = None,
 ) -> TMFGResult:
     """Build a TMFG (or its prefix-batched variant) from a similarity matrix.
 
@@ -258,103 +220,28 @@ def construct_tmfg(
         Gain-update kernel (``"python"`` per-face loop or ``"numpy"`` bulk
         matrix argmax; see :mod:`repro.parallel.kernels`).  ``None`` uses
         the process-wide default.  Both produce identical graphs.
-    warm_start:
-        Optional :class:`WarmStartHints` from a previous build on a similar
-        matrix.  Every replayed round is verified against the gain table —
-        the batch must equal what cold selection would choose — so the
-        result is always identical to a cold build.  For ``prefix=1`` (the
-        streaming default) the gain check computes the round's true argmax,
-        so a diverging hint costs nothing: the verified argmax is inserted
-        directly, and the whole warm build runs on single-scan selection
-        instead of the reference sort.  Larger prefixes verify each round
-        by running the reference batched selection and comparing, which
-        keeps the output guarantee but adds no speedup — the warm-start
-        win is the ``prefix=1`` path.  The result's
-        ``warm_started``/``warm_rounds`` fields record how far the replay
-        carried.
     """
     if prefix < 1:
         raise ValueError("prefix must be at least 1")
     similarity = validate_similarity_matrix(similarity)
-    n = similarity.shape[0]
     tracker = tracker if tracker is not None else WorkSpanTracker()
     clique = _initial_clique(similarity)
 
-    fast_select = warm_start is not None and prefix == 1
-    hint_batches = _usable_hint_batches(warm_start, clique, n, prefix)
     builder = _TMFGBuilder(similarity, clique, build_bubble_tree, kernel, tracker)
-    warm_rounds = 0
     while builder.gain_table.num_remaining > 0:
-        expected: Optional[Tuple[Tuple[int, Triangle], ...]] = None
-        if hint_batches is not None and warm_rounds < len(hint_batches):
-            expected = hint_batches[warm_rounds]
-        batch: Optional[Sequence[Tuple[int, Triangle]]] = None
-        if fast_select:
-            # Single-scan exact selection: ``argmax_pair`` is the pair
-            # ``_select_batch`` would return for prefix 1 (same tie-break),
-            # so verification and selection are the same scan.
+        if prefix == 1:
+            # One scan instead of the reference sort: ``argmax_pair`` is the
+            # pair ``_select_batch(table, 1)`` returns, same tie-break.
             best = builder.gain_table.argmax_pair()
-            if best is None:
-                raise RuntimeError(
-                    "no insertable vertex-face pair found; inconsistent gain table"
-                )
-            batch = ((best.vertex, best.face),)
-            if expected is not None:
-                if len(expected) == 1 and expected[0] == batch[0]:
-                    warm_rounds += 1
-                else:
-                    hint_batches = None
+            pairs = [] if best is None else [best]
         else:
-            if expected is not None:
-                cold_batch = _select_batch(builder.gain_table, prefix)
-                if [(pair.vertex, pair.face) for pair in cold_batch] == list(expected):
-                    warm_rounds += 1
-                    batch = expected
-                else:
-                    # Diverged: the remaining hints describe a different
-                    # construction, so stop consulting them.
-                    hint_batches = None
-                    batch = [(pair.vertex, pair.face) for pair in cold_batch]
-            if batch is None:
-                pairs = _select_batch(builder.gain_table, prefix)
-                if not pairs:
-                    raise RuntimeError(
-                        "no insertable vertex-face pair found; inconsistent gain table"
-                    )
-                batch = [(pair.vertex, pair.face) for pair in pairs]
-        builder.insert_round(batch)
-    return builder.result(prefix, warm_rounds=warm_rounds)
-
-
-def _usable_hint_batches(
-    hints: Optional[WarmStartHints],
-    clique: Sequence[int],
-    num_vertices: int,
-    prefix: int,
-) -> Optional[List[Tuple[Tuple[int, Triangle], ...]]]:
-    """Hints split into per-round batches, or ``None`` when unusable.
-
-    Hints are unusable when they describe a different vertex count, a
-    different initial tetrahedron (every later decision would differ), an
-    inconsistent round partition, or rounds larger than this build's
-    ``prefix``.
-    """
-    if hints is None:
-        return None
-    if hints.num_vertices != num_vertices:
-        return None
-    if tuple(clique) != tuple(hints.initial_clique):
-        return None
-    if sum(hints.round_sizes) != len(hints.insertion_order):
-        return None
-    batches: List[Tuple[Tuple[int, Triangle], ...]] = []
-    position = 0
-    for size in hints.round_sizes:
-        if size < 1 or size > prefix:
-            return None
-        batches.append(hints.insertion_order[position : position + size])
-        position += size
-    return batches
+            pairs = _select_batch(builder.gain_table, prefix)
+        if not pairs:
+            raise RuntimeError(
+                "no insertable vertex-face pair found; inconsistent gain table"
+            )
+        builder.insert_round([(pair.vertex, pair.face) for pair in pairs])
+    return builder.result(prefix)
 
 
 def _select_batch(gain_table: GainTable, prefix: int) -> List[VertexFacePair]:

@@ -47,7 +47,7 @@ class MethodRun:
 
 
 _PAR_TDBHT_PATTERN = re.compile(r"^PAR-TDBHT-(\d+)$", re.IGNORECASE)
-_STREAM_TDBHT_PATTERN = re.compile(r"^STREAM-TDBHT-(\d+)(-COLD)?$", re.IGNORECASE)
+_STREAM_TDBHT_PATTERN = re.compile(r"^STREAM-TDBHT-(\d+)$", re.IGNORECASE)
 
 # Paper name -> estimator-registry id for the fixed (non-parameterised) names.
 _METHOD_IDS = {
@@ -68,7 +68,6 @@ def available_methods() -> List[str]:
         "PAR-TDBHT-<prefix>",
         "SEQ-TDBHT",
         "STREAM-TDBHT-<prefix>",
-        "STREAM-TDBHT-<prefix>-COLD",
         "PMFG-DBHT",
         "COMP",
         "AVG",
@@ -112,13 +111,12 @@ def run_method(
     The ``STREAM-TDBHT-<prefix>`` family treats the data set as a return
     stream (one series per object), slides a ``stream_window``-wide
     correlation window in steps of ``stream_hop`` through
-    :class:`~repro.streaming.StreamingPipeline` (TMFG warm starts on;
-    append ``-COLD`` for the cold rebuild path — identical labels, only
-    timing differs), scores the final tick's cut against the ground truth,
-    and reports the mean per-tick timing decomposition in
-    ``step_seconds`` (keys ``"similarity"``, ``"tmfg"``, ``"apsp"``,
-    ``"bubble-tree"``, ``"hierarchy"``, ``"total"``).  The window defaults
-    to half the series length and the hop to an eighth of the remainder.
+    :class:`~repro.streaming.StreamingPipeline`, scores the final tick's
+    cut against the ground truth, and reports the mean per-tick timing
+    decomposition in ``step_seconds`` (keys ``"similarity"``, ``"tmfg"``,
+    ``"apsp"``, ``"bubble-tree"``, ``"hierarchy"``, ``"total"``).  The
+    window defaults to half the series length and the hop to an eighth of
+    the remainder.
     """
     num_clusters = dataset.num_classes if num_clusters is None else num_clusters
     name = method.upper()
@@ -129,7 +127,6 @@ def run_method(
     stream_match = _STREAM_TDBHT_PATTERN.match(name)
     if stream_match:
         prefix = int(stream_match.group(1))
-        warm = stream_match.group(2) is None
         length = dataset.data.shape[1]
         window = (
             stream_window
@@ -142,7 +139,6 @@ def run_method(
             method="tmfg-dbht",
             num_clusters=num_clusters,
             prefix=prefix,
-            warm_start=warm,
             kernel=kernel,
             backend=backend_name,
         )
@@ -160,8 +156,6 @@ def run_method(
         extras["ticks"] = stream_result.num_ticks
         extras["window"] = window
         extras["hop"] = hop
-        extras["warm_full_replay_rate"] = stream_result.warm_stats.full_replay_rate
-        extras["warm_round_replay_rate"] = stream_result.warm_stats.round_replay_rate
         extras["mean_drift_ari"] = stream_result.mean_drift_ari()
         extras["mean_drift_ami"] = stream_result.mean_drift_ami()
         seconds = time.perf_counter() - start

@@ -46,15 +46,15 @@ def stream_tick_table(ticks: Sequence[object]) -> "tuple[List[str], List[List[ob
     """Headers and rows for a per-tick streaming report.
 
     ``ticks`` are :class:`repro.streaming.TickResult` objects; the rows
-    show each tick's window, cluster count, how much of the TMFG the warm
-    start replayed, the per-tick phase decomposition, and the drift
-    against the previous tick's clustering.
+    show each tick's window, cluster count, TMFG round count, the per-tick
+    phase decomposition, and the drift against the previous tick's
+    clustering.
     """
     headers = [
         "tick",
         "window",
         "clusters",
-        "warm",
+        "rounds",
         "sim(s)",
         "tmfg(s)",
         "apsp(s)",
@@ -69,7 +69,7 @@ def stream_tick_table(ticks: Sequence[object]) -> "tuple[List[str], List[List[ob
                 tick.tick,
                 f"[{tick.start}, {tick.stop})",
                 tick.num_clusters,
-                f"{tick.warm_rounds}/{tick.rounds}",
+                tick.rounds,
                 steps.get("similarity", 0.0),
                 steps.get("tmfg", 0.0),
                 steps.get("apsp", 0.0),

@@ -10,8 +10,6 @@ system depends on:
   vectorised consumption (:mod:`repro.graph.csr`),
 * Dijkstra single-source and batched CSR all-pairs shortest paths behind a
   pluggable method registry (:mod:`repro.graph.shortest_paths`),
-* exact incremental APSP carried across streaming ticks
-  (:mod:`repro.graph.incremental_apsp`),
 * breadth-first search and connected components
   (:mod:`repro.graph.traversal`),
 * a from-scratch Left-Right planarity test used by the PMFG baseline
@@ -27,7 +25,6 @@ from repro.graph.matrix import (
     validate_dissimilarity_matrix,
     validate_similarity_matrix,
 )
-from repro.graph.incremental_apsp import IncrementalAPSP, IncrementalStats
 from repro.graph.planarity import is_planar
 from repro.graph.shortest_paths import (
     all_pairs_shortest_paths,
@@ -48,8 +45,6 @@ __all__ = [
     "validate_dissimilarity_matrix",
     "validate_similarity_matrix",
     "is_planar",
-    "IncrementalAPSP",
-    "IncrementalStats",
     "all_pairs_shortest_paths",
     "available_apsp_methods",
     "dijkstra",

@@ -147,11 +147,6 @@ def all_pairs_shortest_paths(
       becomes the bottleneck of PAR-TDBHT and that a faster APSP would
       directly improve the end-to-end time; this quantifies that head-room
       (see ``benchmarks/bench_apsp_backends.py``).
-    * ``"incremental"`` — exact distances repaired from a carried
-      :class:`~repro.graph.incremental_apsp.IncrementalAPSP` engine passed
-      as ``state=``; byte-identical to ``"dijkstra"`` on every call, cheap
-      when little changed since the previous one.  Without ``state`` it IS
-      a cold ``"dijkstra"`` run.
     * ``"landmark"`` — opt-in approximate upper bounds from ``landmarks=``
       exact SSSP rows (farthest-point-sampled pivots); see
       :func:`_landmark_apsp` for the error model.
@@ -341,12 +336,11 @@ def _scipy_apsp(graph: GraphLike) -> np.ndarray:
     from scipy.sparse.csgraph import shortest_path
 
     n = graph.num_vertices
-    # csgraph treats stored zeros as missing edges; clamp to a tiny
-    # positive value so zero-dissimilarity edges stay in the graph.
+    # Built from (data, indices, indptr), the matrix keeps explicit zeros,
+    # which csgraph treats as zero-length edges: zero-dissimilarity edges
+    # (exact-1.0 similarities) stay in the graph at their true length.
     csr = _as_csr(graph)
-    sparse = csr_matrix(
-        (np.maximum(csr.weights, 1e-12), csr.indices, csr.indptr), shape=(n, n)
-    )
+    sparse = csr_matrix((csr.weights, csr.indices, csr.indptr), shape=(n, n))
     return shortest_path(sparse, method="D", directed=False)
 
 
@@ -368,22 +362,6 @@ def _floyd_apsp(graph: GraphLike, backend=None, kernel=None) -> np.ndarray:
 
 def _scipy_apsp_method(graph: GraphLike, backend=None, kernel=None) -> np.ndarray:
     return _scipy_apsp(graph)
-
-
-def _incremental_apsp_method(
-    graph: GraphLike, backend=None, kernel=None, state=None
-) -> np.ndarray:
-    """Exact APSP repaired from a carried engine (cold dijkstra without one)."""
-    if state is None:
-        return _dijkstra_apsp(graph, backend=backend, kernel=kernel)
-    from repro.graph.incremental_apsp import IncrementalAPSP
-
-    if not isinstance(state, IncrementalAPSP):
-        raise TypeError(
-            "state for apsp_method='incremental' must be an IncrementalAPSP "
-            f"engine, got {type(state).__name__}"
-        )
-    return state.update(graph, backend=backend, kernel=kernel)
 
 
 def select_landmarks(
@@ -456,5 +434,4 @@ def _landmark_apsp(
 register_apsp_method("dijkstra", _dijkstra_apsp)
 register_apsp_method("floyd", _floyd_apsp)
 register_apsp_method("scipy", _scipy_apsp_method)
-register_apsp_method("incremental", _incremental_apsp_method)
 register_apsp_method("landmark", _landmark_apsp)

@@ -101,7 +101,6 @@ REQUEST_CONFIG_FIELDS = frozenset(
         "apsp_method",
         "landmarks",
         "kernel",
-        "warm_start",
         "precomputed",
         "linkage",
         "seed",

@@ -1,28 +1,20 @@
 """Streaming rolling-window clustering.
 
-A fourth layer over ``datasets``/``core``/``parallel``: slide a Pearson
-correlation window across a return stream with O(assets^2) incremental
-updates (:mod:`repro.streaming.rolling`), rebuild the TMFG per tick with
-verified warm starts from the previous tick
-(:mod:`repro.streaming.warm_start`), and track cluster drift between
-consecutive ticks (:mod:`repro.streaming.runner`).  Warm starts are verified per round, so
-on any given similarity matrix a warm-started build is *identical* to a
-cold build; the incremental correlation matrix itself matches a
-from-scratch recomputation to ~1e-12, which in principle can flip an
-exactly-tied TMFG decision but leaves the clustering unchanged on any
-non-degenerate stream (the slow-suite equivalence tests pin this end to
-end over 20+ ticks).
+A fourth layer over ``datasets``/``core``/``parallel``: keep a ring buffer
+of the last ``window`` observations of a return stream
+(:mod:`repro.streaming.rolling`), compute each tick's correlation matrix
+from scratch and run the same ``TMFGClusterer`` fit a batch call would,
+then track cluster drift between consecutive ticks
+(:mod:`repro.streaming.runner`).  Nothing is carried from one tick's fit to
+the next, so every tick is byte-identical to a batch fit of its window.
 """
 
 from repro.streaming.rolling import RollingCorrelation
 from repro.streaming.runner import StreamingPipeline, StreamingResult, TickResult
-from repro.streaming.warm_start import TMFGWarmStarter, WarmStartStats
 
 __all__ = [
     "RollingCorrelation",
     "StreamingPipeline",
     "StreamingResult",
     "TickResult",
-    "TMFGWarmStarter",
-    "WarmStartStats",
 ]

@@ -1,35 +1,23 @@
-"""Incremental rolling-window correlation.
+"""Rolling-window buffer for the streaming workload.
 
 The streaming workload slides a correlation window across a return stream
-and rebuilds the filtered graph per tick.  Recomputing the Pearson matrix
-from scratch costs ``O(n^2 w)`` per tick (a full ``(n, w) @ (w, n)``
-matmul); :class:`RollingCorrelation` instead maintains the windowed sums
-``S_i = sum_t x_i(t)`` and cross products ``Q_ij = sum_t x_i(t) x_j(t)``
-under per-observation add/evict updates, so a tick advancing the window by
-``hop`` columns costs ``O(hop * n^2)`` — independent of the window length.
-
-The emitted matrix follows the same conventions as
-:func:`repro.datasets.similarity.correlation_matrix` (zero-variance rows
-are uncorrelated with everything, entries clipped to ``[-1, 1]``, unit
-diagonal) and passes :func:`repro.graph.matrix.validate_similarity_matrix`.
-Because the sums are updated incrementally, entries can drift from the
-from-scratch values by floating-point rounding; the accumulator therefore
-refreshes the sums from the buffered window every ``refresh_every``
-evictions (an ``O(n^2 w)`` matmul, amortised away), keeping the difference
-within ~1e-12 of a from-scratch recomputation.
+and rebuilds the filtered graph per tick.  :class:`RollingCorrelation` is a
+plain ring buffer over the last ``window`` observations; each tick's
+similarity matrix is :func:`repro.datasets.similarity.correlation_matrix`
+of the buffered window, computed from scratch (one ``(n, w) @ (w, n)``
+matmul per tick), so every tick is byte-identical to a batch fit of its
+window.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.graph.matrix import validate_similarity_matrix
+from repro.datasets.similarity import correlation_matrix
 
 
 class RollingCorrelation:
-    """Windowed Pearson correlation with O(n^2) per-observation updates.
+    """Windowed Pearson correlation over a ring buffer of observations.
 
     Observations (one value per asset) are pushed in time order with
     :meth:`push`; once ``window`` observations have been seen, every push
@@ -38,35 +26,17 @@ class RollingCorrelation:
     observations.
     """
 
-    def __init__(
-        self,
-        num_assets: int,
-        window: int,
-        refresh_every: Optional[int] = 256,
-        track_moments: bool = True,
-    ) -> None:
+    def __init__(self, num_assets: int, window: int) -> None:
         if num_assets < 1:
             raise ValueError("num_assets must be at least 1")
         if window < 2:
             raise ValueError("window must hold at least 2 observations")
-        if refresh_every is not None and refresh_every < 1:
-            raise ValueError("refresh_every must be at least 1 (or None to disable)")
         self._window = window
         self._num_assets = num_assets
         self._buffer = np.zeros((num_assets, window), dtype=float)
         self._position = 0
         self._filled = 0
         self._total_pushed = 0
-        # ``track_moments=False`` turns the accumulator into a plain ring
-        # buffer (no O(n^2) update per observation): :meth:`window_data`
-        # still works but :meth:`correlation` is unavailable.  The cold
-        # streaming path uses this so its from-scratch baseline is not
-        # charged for incremental bookkeeping it never reads.
-        self._track_moments = track_moments
-        self._sums = np.zeros(num_assets, dtype=float) if track_moments else None
-        self._cross = np.zeros((num_assets, num_assets), dtype=float) if track_moments else None
-        self._refresh_every = refresh_every
-        self._evictions_since_refresh = 0
 
     # -- properties --------------------------------------------------------
 
@@ -85,7 +55,7 @@ class RollingCorrelation:
 
     @property
     def total_pushed(self) -> int:
-        """Observations pushed over the accumulator's lifetime."""
+        """Observations pushed over the buffer's lifetime."""
         return self._total_pushed
 
     @property
@@ -112,35 +82,10 @@ class RollingCorrelation:
         if not np.all(np.isfinite(block)):
             raise ValueError("observations must be finite")
         for column in block.T:
-            self._push_column(column)
-
-    def _push_column(self, column: np.ndarray) -> None:
-        if self._filled == self._window:
-            if self._track_moments:
-                oldest = self._buffer[:, self._position]
-                self._sums -= oldest
-                self._cross -= np.outer(oldest, oldest)
-                self._evictions_since_refresh += 1
-        else:
-            self._filled += 1
-        self._buffer[:, self._position] = column
-        if self._track_moments:
-            self._sums += column
-            self._cross += np.outer(column, column)
-        self._position = (self._position + 1) % self._window
-        self._total_pushed += 1
-        if (
-            self._refresh_every is not None
-            and self._evictions_since_refresh >= self._refresh_every
-        ):
-            self._refresh()
-
-    def _refresh(self) -> None:
-        """Recompute the sums from the buffered window, discarding drift."""
-        window = self._buffer[:, : self._filled] if self._filled < self._window else self._buffer
-        self._sums = window.sum(axis=1)
-        self._cross = window @ window.T
-        self._evictions_since_refresh = 0
+            self._buffer[:, self._position] = column
+            self._position = (self._position + 1) % self._window
+            self._filled = min(self._filled + 1, self._window)
+            self._total_pushed += 1
 
     # -- queries -----------------------------------------------------------
 
@@ -153,36 +98,13 @@ class RollingCorrelation:
     def correlation(self) -> np.ndarray:
         """Pearson correlation matrix of the current window.
 
-        Requires at least two buffered observations.  Matches
-        :func:`repro.datasets.similarity.correlation_matrix` of
-        :meth:`window_data` up to incremental-update rounding: rows whose
-        windowed variance is numerically zero are reported as uncorrelated
-        with everything (correlation 0) instead of producing NaNs.
+        Exactly ``correlation_matrix(self.window_data())``: rows with zero
+        windowed variance are reported as uncorrelated with everything
+        (correlation 0) instead of producing NaNs.  Requires at least two
+        buffered observations.
         """
-        if not self._track_moments:
+        if self._filled < 2:
             raise ValueError(
-                "correlation is unavailable with track_moments=False; "
-                "recompute from window_data() instead"
+                f"correlation needs at least 2 observations in the window, have {self._filled}"
             )
-        m = self._filled
-        if m < 2:
-            raise ValueError(
-                f"correlation needs at least 2 observations in the window, have {m}"
-            )
-        mean = self._sums / m
-        covariance = self._cross / m - np.outer(mean, mean)
-        variance = np.diag(covariance).copy()
-        # A constant series cancels to ~eps instead of exactly 0; treat a
-        # variance at rounding scale of its uncentered second moment as 0.
-        second_moment = np.diag(self._cross) / m
-        zero_variance = variance <= 1e-12 * np.maximum(second_moment, 1e-300)
-        std = np.sqrt(np.clip(variance, 0.0, None))
-        safe_std = np.where(zero_variance, 1.0, std)
-        correlation = covariance / np.outer(safe_std, safe_std)
-        correlation[zero_variance, :] = 0.0
-        correlation[:, zero_variance] = 0.0
-        np.fill_diagonal(correlation, 1.0)
-        correlation = np.clip(correlation, -1.0, 1.0)
-        if self._num_assets >= 4:
-            return validate_similarity_matrix(correlation)
-        return correlation
+        return correlation_matrix(self.window_data())

@@ -3,27 +3,26 @@
 :class:`StreamingPipeline` slides a window of ``window`` observations over
 a return stream in steps of ``hop``, and per tick
 
-1. advances the :class:`~repro.streaming.rolling.RollingCorrelation`
-   accumulator by ``hop`` observations (``O(hop * n^2)`` instead of a full
-   recomputation),
+1. pushes ``hop`` observations into a plain ring buffer
+   (:class:`~repro.streaming.rolling.RollingCorrelation`) and takes the
+   window's correlation matrix from scratch
+   (:func:`~repro.datasets.similarity.correlation_matrix`),
 2. fits a :class:`~repro.api.estimators.TMFGClusterer` (driven by one
-   :class:`~repro.api.config.ClusteringConfig`) on the window's similarity
-   matrix through the existing kernel registry and
-   :class:`~repro.parallel.scheduler.ParallelBackend`, warm-starting the
-   TMFG from the previous tick's decisions
-   (:class:`~repro.streaming.warm_start.TMFGWarmStarter`), and
+   :class:`~repro.api.config.ClusteringConfig`) on that matrix — the same
+   fit a batch call makes, through the existing kernel registry and
+   :class:`~repro.parallel.scheduler.ParallelBackend`, and
 3. cuts the dendrogram and scores cluster drift against the previous tick
    (ARI/AMI from :mod:`repro.metrics`).
 
-Warm starts are verified per round, so every tick's flat cut is identical
-to a cold ``tmfg_dbht`` run on the same similarity matrix; ``warm=False``
-runs the cold path for comparison (see ``benchmarks/bench_streaming.py``).
+No state is carried from one tick's fit to the next, so every tick's flat
+cut is byte-identical to ``TMFGClusterer(config).fit(correlation_matrix(
+window))`` on that tick's window.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -32,12 +31,10 @@ from repro.api.config import ClusteringConfig
 from repro.api.estimators import TMFGClusterer
 from repro.api.result import ClusterResult
 from repro.cache import matrix_fingerprint
-from repro.datasets.similarity import correlation_matrix
 from repro.metrics.ami import adjusted_mutual_information
 from repro.metrics.ari import adjusted_rand_index
 from repro.parallel.scheduler import ParallelBackend
 from repro.streaming.rolling import RollingCorrelation
-from repro.streaming.warm_start import TMFGWarmStarter, WarmStartStats
 
 
 @dataclass
@@ -53,10 +50,9 @@ class TickResult:
     ``reused`` marks a short-circuited tick: the window's raw bytes
     matched the previous tick's exactly (a flat market / repeated
     window), so the previous clustering was reused without a fit — an
-    exact reuse in cold mode, and within the warm path's documented
-    rounding tolerance in warm mode.
-    Reused ticks carry the originating fit's ``warm_started``/
-    ``warm_rounds``/``rounds`` telemetry and their own wall-clock.
+    exact reuse, since the correlation is a pure function of the window.
+    Reused ticks carry the originating fit's ``rounds`` and their own
+    wall-clock.
     """
 
     tick: int
@@ -64,8 +60,6 @@ class TickResult:
     stop: int
     labels: np.ndarray
     num_clusters: int
-    warm_started: bool
-    warm_rounds: int
     rounds: int
     step_seconds: Dict[str, float]
     drift_ari: Optional[float] = None
@@ -79,7 +73,7 @@ class TickResult:
     def to_cluster_result(self, config: ClusteringConfig) -> ClusterResult:
         """This tick as a unified :class:`~repro.api.result.ClusterResult`.
 
-        Carries the labels, timings, and warm-start telemetry; the heavy
+        Carries the labels, timings, and tick telemetry; the heavy
         per-tick artefacts (graph, shortest paths) are deliberately not
         retained across ticks, so ``raw`` is ``None``.
         """
@@ -92,8 +86,6 @@ class TickResult:
                 "tick": self.tick,
                 "start": self.start,
                 "stop": self.stop,
-                "warm_started": self.warm_started,
-                "warm_rounds": self.warm_rounds,
                 "rounds": self.rounds,
                 "drift_ari": self.drift_ari,
                 "drift_ami": self.drift_ami,
@@ -110,11 +102,6 @@ class StreamingResult:
     window: int
     hop: int
     num_clusters: int
-    warm: bool
-    warm_stats: WarmStartStats = field(default_factory=WarmStartStats)
-    #: Row-reuse counters of the per-stream incremental APSP engine
-    #: (``None`` unless ``config.apsp_method == "incremental"``).
-    apsp_stats: Optional[Dict[str, float]] = None
 
     @property
     def num_ticks(self) -> int:
@@ -176,26 +163,16 @@ class StreamingPipeline:
         Flat clusters cut from each tick's dendrogram.
     prefix:
         TMFG prefix size (``1`` = exact sequential TMFG, the default).
-    warm_start:
-        ``True`` (default) runs warm ticks: the similarity matrix is
-        updated incrementally and the TMFG replays the previous tick's
-        decisions under per-round verification.  ``False`` runs the cold
-        rebuild baseline: the window's correlation is recomputed from
-        scratch and the TMFG builds without hints.  Cuts agree up to the
-        incremental update's float rounding (~1e-12 on the correlations);
-        only the wall-clock differs (see ``benchmarks/bench_streaming.py``).
     kernel / backend / apsp_method:
         Forwarded to the per-tick pipeline run.
     max_ticks:
         Optional cap on the number of ticks to run.
-    refresh_every:
-        Forwarded to :class:`RollingCorrelation` (drift-guard cadence).
     config:
         Optional :class:`~repro.api.config.ClusteringConfig` supplying
-        ``num_clusters``/``prefix``/``warm_start``/``kernel``/
-        ``apsp_method`` in one serializable object (the CLI's path).  When
-        given, those individual keyword arguments are ignored; ``backend``
-        (a live pool) is still passed separately.
+        ``num_clusters``/``prefix``/``kernel``/``apsp_method`` in one
+        serializable object (the CLI's path).  When given, those
+        individual keyword arguments are ignored; ``backend`` (a live
+        pool) is still passed separately.
     """
 
     def __init__(
@@ -205,12 +182,10 @@ class StreamingPipeline:
         hop: int = 1,
         num_clusters: int = 4,
         prefix: int = 1,
-        warm_start: bool = True,
         kernel: Optional[str] = None,
         backend: Optional[ParallelBackend] = None,
         apsp_method: str = "dijkstra",
         max_ticks: Optional[int] = None,
-        refresh_every: Optional[int] = 256,
         config: Optional[ClusteringConfig] = None,
     ) -> None:
         returns = np.asarray(returns, dtype=float)
@@ -232,7 +207,6 @@ class StreamingPipeline:
                 method="tmfg-dbht",
                 num_clusters=num_clusters,
                 prefix=prefix,
-                warm_start=warm_start,
                 kernel=kernel,
                 apsp_method=apsp_method,
             )
@@ -247,7 +221,6 @@ class StreamingPipeline:
         self.hop = hop
         self.backend = backend
         self.max_ticks = max_ticks
-        self.refresh_every = refresh_every
 
     @property
     def num_clusters(self) -> int:
@@ -256,10 +229,6 @@ class StreamingPipeline:
     @property
     def prefix(self) -> int:
         return self.config.prefix
-
-    @property
-    def warm(self) -> bool:
-        return self.config.warm_start
 
     @property
     def kernel(self) -> Optional[str]:
@@ -281,24 +250,7 @@ class StreamingPipeline:
     def iter_ticks(self) -> Iterator[TickResult]:
         """Run the stream, yielding one :class:`TickResult` per tick."""
         num_assets, num_steps = self.returns.shape
-        rolling = RollingCorrelation(
-            num_assets,
-            self.window,
-            refresh_every=self.refresh_every,
-            track_moments=self.warm,
-        )
-        starter = TMFGWarmStarter(enabled=self.warm)
-        self._warm_stats = starter.stats
-        # One incremental-APSP engine per stream: each tick's DBHT repairs
-        # the previous tick's distance matrix instead of recomputing it.
-        # Exactness is unconditional (row repair is byte-identical to cold
-        # dijkstra), so this composes with warm starts and the short-circuit.
-        apsp_engine = None
-        if self.config.apsp_method == "incremental":
-            from repro.graph.incremental_apsp import IncrementalAPSP
-
-            apsp_engine = IncrementalAPSP()
-        self._apsp_engine = apsp_engine
+        rolling = RollingCorrelation(num_assets, self.window)
         # One backend for the whole stream: an injected pool is reused as-is;
         # a config-named pool is opened here once and closed when the
         # generator finishes (estimators never open per-tick pools).
@@ -312,14 +264,9 @@ class StreamingPipeline:
         # Tick short-circuit (behind config.cache): when the window's raw
         # bytes did not change since the previous tick — a flat market, a
         # repeated window — the previous clustering is reused without a
-        # fit.  The fingerprint is taken over the window *data*, not the
-        # derived correlation: in warm mode the incremental correlation is
-        # path-dependent (evicting and re-adding identical columns drifts
-        # the running sums ~1e-12), so byte-equality of the correlation
-        # essentially never holds even for identical windows.  Cold-mode
-        # reuse is exact (the correlation is a pure function of the
-        # window); warm-mode reuse agrees within the warm path's own
-        # documented rounding tolerance versus a recompute.
+        # fit.  The fingerprint is taken over the window *data*, so a
+        # reused tick also skips the correlation; the reuse is exact
+        # because the correlation is a pure function of the window.
         short_circuit = self.config.cache
         previous_fingerprint: Optional[str] = None
         previous_tick: Optional[TickResult] = None
@@ -346,31 +293,15 @@ class StreamingPipeline:
                     and previous_tick is not None
                     and fingerprint == previous_fingerprint
                 )
-                if reused:
-                    similarity = None  # skipped along with the fit
-                elif self.warm:
-                    similarity = rolling.correlation()
-                else:
-                    similarity = correlation_matrix(rolling.window_data())
-                similarity_seconds = time.perf_counter() - tick_start
+                similarity = None if reused else rolling.correlation()
+                step_seconds = {"similarity": time.perf_counter() - tick_start}
                 if reused:
                     labels = previous_tick.labels.copy()
-                    warm_started = previous_tick.warm_started
-                    warm_rounds = previous_tick.warm_rounds
                     rounds = previous_tick.rounds
-                    step_seconds = {"similarity": similarity_seconds}
                 else:
-                    fit_params = {"warm_start": starter.hints()}
-                    if apsp_engine is not None:
-                        fit_params["apsp_state"] = apsp_engine
-                    result = estimator.fit(similarity, **fit_params).result_
-                    pipeline = result.raw
-                    starter.update(pipeline.tmfg)
+                    result = estimator.fit(similarity).result_
                     labels = result.labels
-                    warm_started = pipeline.tmfg.warm_started
-                    warm_rounds = pipeline.tmfg.warm_rounds
-                    rounds = pipeline.tmfg.rounds
-                    step_seconds = {"similarity": similarity_seconds}
+                    rounds = result.raw.tmfg.rounds
                     step_seconds.update(
                         {k: v for k, v in result.step_seconds.items() if k != "total"}
                     )
@@ -385,8 +316,6 @@ class StreamingPipeline:
                     stop=consumed,
                     labels=labels,
                     num_clusters=int(len(np.unique(labels))),
-                    warm_started=warm_started,
-                    warm_rounds=warm_rounds,
                     rounds=rounds,
                     step_seconds=step_seconds,
                     drift_ari=drift_ari,
@@ -404,14 +333,9 @@ class StreamingPipeline:
 
     def run(self) -> StreamingResult:
         """Run every tick and return the collected :class:`StreamingResult`."""
-        ticks = list(self.iter_ticks())
-        engine = getattr(self, "_apsp_engine", None)
         return StreamingResult(
-            ticks=ticks,
+            ticks=list(self.iter_ticks()),
             window=self.window,
             hop=self.hop,
             num_clusters=self.num_clusters,
-            warm=self.warm,
-            warm_stats=self._warm_stats,
-            apsp_stats=engine.stats.as_dict() if engine is not None else None,
         )

@@ -60,8 +60,9 @@ class TestClusteringConfig:
 
         with pytest.raises(ValueError) as excinfo:
             ClusteringConfig(apsp_method="my-custom-apsp")
-        for name in ("dijkstra", "incremental", "landmark"):
+        for name in ("dijkstra", "floyd", "landmark", "scipy"):
             assert name in str(excinfo.value)
+        assert "incremental" not in str(excinfo.value)
         register_apsp_method("my-custom-apsp", lambda g, backend=None, kernel=None: None)
         try:
             assert ClusteringConfig(apsp_method="my-custom-apsp").apsp_method == (
@@ -95,8 +96,8 @@ class TestClusteringConfig:
             kernel="python",
             backend="thread",
             workers=3,
-            warm_start=True,
             precomputed=True,
+            cache=True,
             linkage="average",
             seed=9,
             num_restarts=2,
@@ -117,10 +118,10 @@ class TestClusteringConfig:
             ClusteringConfig.from_dict({"prefix": 2, "warp_drive": True})
 
     def test_merged_overlays_partial_payload(self):
-        base = ClusteringConfig(prefix=10, warm_start=True)
+        base = ClusteringConfig(prefix=10, precomputed=True)
         merged = base.merged({"num_clusters": 8})
         assert merged.num_clusters == 8
-        assert merged.prefix == 10 and merged.warm_start is True
+        assert merged.prefix == 10 and merged.precomputed is True
         with pytest.raises(ValueError, match="unknown ClusteringConfig keys"):
             base.merged({"warp_drive": True})
 
@@ -413,7 +414,7 @@ class TestClusterResult:
         np.testing.assert_array_equal(tick_result.labels, ticks[-1].labels)
         assert tick_result.extras["tick"] == ticks[-1].tick
         payload = json.loads(tick_result.to_json())
-        assert payload["config"]["warm_start"] is True
+        assert payload["config"]["precomputed"] is True
 
 
 class TestClusterMany:

@@ -96,7 +96,6 @@ class TestFingerprints:
             _config(),
             _config(apsp_method="floyd"),
             _config(apsp_method="scipy"),
-            _config(apsp_method="incremental"),
             _config(apsp_method="landmark"),
             _config(apsp_method="landmark", landmarks=8),
             _config(apsp_method="landmark", landmarks=16),
@@ -224,16 +223,6 @@ class TestEstimatorCacheIntegration:
         warm = make_estimator(config.method, config).fit(similarity).result_
         assert warm.to_json() == cold.to_json()
         assert get_result_cache(str(tmp_path)).stats.disk_hits == 1
-
-    def test_warm_start_fits_bypass_the_cache(self, similarity):
-        from repro.core.tmfg import construct_tmfg
-
-        config = _config()
-        hints = construct_tmfg(similarity, prefix=4).warm_start_hints()
-        estimator = make_estimator(config.method, config)
-        estimator.fit(similarity, warm_start=hints)
-        assert get_result_cache().stats.lookups == 0
-        assert get_result_cache().stats.stores == 0
 
     def test_different_matrices_do_not_collide(self, similarity):
         config = _config()
@@ -636,7 +625,6 @@ class TestFingerprintFieldAccounting:
             "kernel": "csr",
             "backend": "thread",
             "workers": 2,
-            "warm_start": True,
             "precomputed": True,
             "linkage": "average",
             "seed": 7,

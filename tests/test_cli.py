@@ -162,7 +162,7 @@ class TestCacheFlags:
         np.savetxt(data_path, np.tile(block, (1, 3)), delimiter=",")
         report = tmp_path / "ticks.json"
         args = ["stream", str(data_path), "--clusters", "3", "--window", "30",
-                "--hop", "30", "--cold", "--json", str(report)]
+                "--hop", "30", "--json", str(report)]
         assert main(args) == 0
         assert "reused (unchanged window): 2" in capsys.readouterr().out
         payload = json.loads(report.read_text())
@@ -270,6 +270,11 @@ class TestConfigFile:
         assert "warp_drive" in err
         # config-file errors keep the JSON field names, not CLI flag spellings
         assert "num_clusters" in err and "--clusters" not in err
+        # A key that is no longer a config field is the same error.
+        cfg_path.write_text('{"num_clusters": 3, "warm_start": true}')
+        assert main(["cluster", str(path), "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad --config file" in err and "warm_start" in err
 
     def test_config_field_error_keeps_json_spelling(self, data_csv, tmp_path, capsys):
         path, _ = data_csv
@@ -278,23 +283,6 @@ class TestConfigFile:
         assert main(["cluster", str(path), "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "apsp_method" in err and "--apsp" not in err
-
-    def test_stream_warm_flag_overrides_cold_config(self, tmp_path, capsys):
-        from repro.api import ClusteringConfig
-        from repro.datasets.stocks import generate_regime_switching_stream
-
-        stream = generate_regime_switching_stream(num_stocks=48, num_days=120, seed=4)
-        data_path = tmp_path / "returns.csv"
-        np.savetxt(data_path, stream.returns, delimiter=",")
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(ClusteringConfig(num_clusters=3, warm_start=False).to_json())
-        args = ["stream", str(data_path), "--config", str(cfg_path), "--window", "80", "--hop", "20"]
-        assert main(args + ["--warm"]) == 0
-        assert "(warm, window=80" in capsys.readouterr().out
-        assert main(args) == 0
-        assert "(cold, window=80" in capsys.readouterr().out
-        assert main(args + ["--warm", "--cold"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
 
 class TestMethodFlag:
@@ -361,7 +349,7 @@ class TestStreamCommand:
         )
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "Streaming TMFG+DBHT (warm, window=80, hop=20)" in out
+        assert "Streaming TMFG+DBHT (window=80, hop=20)" in out
         assert "drift-ARI" in out
         assert "mean consecutive-tick drift" in out
 
@@ -389,7 +377,7 @@ class TestStreamCommand:
         labels = np.loadtxt(out, dtype=int)
         assert labels.shape == (stream.num_stocks,)
         payload = json.loads(report.read_text())
-        assert payload["window"] == 100 and payload["warm"] is True
+        assert payload["window"] == 100 and "warm" not in payload
         assert len(payload["ticks"]) == 1 + (150 - 100) // 25
         assert {"similarity", "tmfg", "apsp", "total"} <= set(
             payload["mean_step_seconds"]
@@ -407,7 +395,6 @@ class TestStreamCommand:
                 "80",
                 "--hop",
                 "10",
-                "--cold",
                 "--kernel",
                 "python",
                 "--max-ticks",
@@ -416,7 +403,7 @@ class TestStreamCommand:
         )
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "(cold, window=80" in out
+        assert "(window=80, hop=10)" in out
         assert out.count("\n[") == 0  # table renders, no tracebacks
 
     def test_window_larger_than_stream_rejected(self, returns_csv, capsys):

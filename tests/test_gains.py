@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.gains import GainTable, RescanGainTable
 from repro.graph.faces import triangle_key
+from tests.conftest import random_similarity_matrix
 
 
 @pytest.fixture
@@ -102,6 +103,27 @@ class TestGainTable:
         assert table.num_remaining == 2
         assert not table.is_remaining(5)
         assert table.is_remaining(6)
+
+    def test_argmax_pair_matches_reference_selection(self):
+        from repro.core.tmfg import _select_batch
+
+        for seed in range(10):
+            similarity = random_similarity_matrix(14, seed=seed)
+            # Duplicate entries to force exact gain ties.
+            similarity[np.abs(similarity) < 0.3] = 0.5
+            similarity = (similarity + similarity.T) / 2.0
+            np.fill_diagonal(similarity, 1.0)
+            table = GainTable(similarity, remaining=range(4, 14))
+            table.add_faces(
+                [frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 2, 3}), frozenset({1, 2, 3})]
+            )
+            expected = _select_batch(table, prefix=1)[0]
+            scanned = table.argmax_pair()
+            assert (scanned.vertex, scanned.face, scanned.gain) == (
+                expected.vertex,
+                expected.face,
+                expected.gain,
+            )
 
 
 class TestRescanGainTable:

@@ -14,10 +14,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.direction import compute_directions, compute_directions_bfs
 from repro.core.dbht import dbht
-from repro.core.tmfg import construct_tmfg
+from repro.core.tmfg import _initial_clique, _select_batch, _TMFGBuilder, construct_tmfg
 from repro.dendrogram.cut import cut_k
+from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.planarity import is_planar
 from repro.metrics.ari import adjusted_rand_index
+from repro.parallel.cost_model import WorkSpanTracker
 from repro.parallel.kernels import KERNEL_NAMES
 
 
@@ -38,6 +40,48 @@ def similarity_matrices(min_size=5, max_size=24):
     ).map(build)
 
 
+def tie_heavy_matrices(min_size=4, max_size=20):
+    """Symmetric matrices built to force exact gain ties.
+
+    Entries are dyadic multiples of ``1/levels`` (so every gain is an exact
+    float sum and equal sums compare equal) and a few rows are duplicates
+    of others (so whole vertices tie on every face).
+    """
+
+    def build(args):
+        n, seed, levels, duplicates = args
+        rng = np.random.default_rng(seed)
+        matrix = np.triu(rng.integers(-levels, levels + 1, size=(n, n)) / levels, 1)
+        matrix = matrix + matrix.T
+        for _ in range(duplicates):
+            source, target = rng.choice(n, size=2, replace=False)
+            matrix[target, :] = matrix[source, :]
+            matrix[:, target] = matrix[:, source]
+        np.fill_diagonal(matrix, 1.0)
+        return matrix
+
+    return st.tuples(
+        st.integers(min_value=min_size, max_value=max_size),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([1, 2, 4]),
+        st.integers(min_value=0, max_value=3),
+    ).map(build)
+
+
+def _reference_prefix_one_tmfg(similarity: np.ndarray, kernel: str) -> _TMFGBuilder:
+    """The TMFG built by driving the construction state with the reference
+    batched selection at ``prefix=1`` (sort every face's best pair, take
+    the top one)."""
+    similarity = validate_similarity_matrix(similarity)
+    builder = _TMFGBuilder(
+        similarity, _initial_clique(similarity), False, kernel, WorkSpanTracker()
+    )
+    while builder.gain_table.num_remaining > 0:
+        (pair,) = _select_batch(builder.gain_table, 1)
+        builder.insert_round([(pair.vertex, pair.face)])
+    return builder
+
+
 def _dissimilarity_from(similarity: np.ndarray) -> np.ndarray:
     dissimilarity = similarity.max() - similarity
     np.fill_diagonal(dissimilarity, 0.0)
@@ -56,20 +100,18 @@ class TestTMFGProperties:
         assert result.graph.num_edges == 3 * n - 6
         assert is_planar(result.graph)
 
-    @settings(max_examples=15, deadline=None)
-    @given(similarity_matrices(min_size=6, max_size=20), st.integers(min_value=1, max_value=8))
-    def test_warm_replay_of_perturbed_matrix_matches_cold(self, similarity, prefix):
-        """Warm-started builds are identical to cold builds, hit or miss."""
-        rng = np.random.default_rng(int(similarity[0, 1] * 1e6) % (2**32))
-        noise = rng.normal(0.0, 0.05, size=similarity.shape)
-        perturbed = similarity + (noise + noise.T) / 2.0
-        np.fill_diagonal(perturbed, 1.0)
-        hints = construct_tmfg(similarity, prefix=prefix).warm_start_hints()
-        warm = construct_tmfg(perturbed, prefix=prefix, warm_start=hints)
-        cold = construct_tmfg(perturbed, prefix=prefix)
-        assert warm.insertion_order == cold.insertion_order
-        assert warm.edges == cold.edges
-        assert warm.round_sizes == cold.round_sizes
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @settings(max_examples=40, deadline=None)
+    @given(tie_heavy_matrices())
+    def test_prefix_one_selection_matches_reference_oracle(self, kernel, similarity):
+        """The single-scan ``prefix=1`` path builds what the reference
+        batched selection builds, tie-breaks included."""
+        reference = _reference_prefix_one_tmfg(similarity, kernel)
+        result = construct_tmfg(similarity, prefix=1, build_bubble_tree=False, kernel=kernel)
+        assert result.initial_clique == reference.clique
+        assert result.insertion_order == reference.insertion_order
+        assert result.edges == reference.edges
+        assert result.rounds == reference.rounds == similarity.shape[0] - 4
 
     @settings(max_examples=15, deadline=None)
     @given(similarity_matrices(min_size=6, max_size=20), st.integers(min_value=2, max_value=8))

@@ -380,6 +380,14 @@ class TestServerIntegration:
                 envelope = client.cluster(series, config={"num_clusters": 2})
                 assert envelope["result"]["num_clusters"] == 2
                 assert envelope["result"]["config"]["prefix"] == 2  # default kept
+                # Overlays naming removed streaming options are client errors.
+                from repro.serve import ServerError
+
+                for stale in ({"warm_start": True}, {"apsp_method": "incremental"}):
+                    with pytest.raises(ServerError) as excinfo:
+                        client.cluster(series, config=stale)
+                    assert excinfo.value.status == 400
+                assert client.healthz()["status"] == "ok"
         finally:
             handle.stop()
 

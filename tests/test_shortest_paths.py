@@ -14,7 +14,16 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from repro.graph.shortest_paths import all_pairs_shortest_paths, dijkstra, shortest_paths_from_sources
+from repro.core.tmfg import construct_tmfg
+from repro.datasets.similarity import correlation_matrix, default_dissimilarity
+from repro.graph.shortest_paths import (
+    all_pairs_shortest_paths,
+    available_apsp_methods,
+    dijkstra,
+    register_apsp_method,
+    select_landmarks,
+    shortest_paths_from_sources,
+)
 from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.kernels import KERNEL_NAMES
 from repro.parallel.scheduler import ThreadBackend
@@ -126,6 +135,19 @@ class TestAPSP:
         assert distances[0, 1] == pytest.approx(0.0, abs=1e-9)
         assert distances[0, 2] == pytest.approx(1.0, abs=1e-9)
 
+    def test_scipy_method_byte_identical_on_zero_dissimilarities(self):
+        """Exact-1.0 similarities give zero-length TMFG edges; scipy must
+        keep them at length 0 and agree with the heap kernel bit for bit."""
+        rng = np.random.default_rng(5)
+        similarity = correlation_matrix(rng.normal(size=(40, 60)))
+        for u, v in ((0, 1), (2, 3)):
+            similarity[u, v] = similarity[v, u] = 1.0
+        tmfg = construct_tmfg(similarity)
+        graph = tmfg.csr().reweighted(default_dissimilarity(similarity))
+        assert np.count_nonzero(graph.weights == 0.0) == 4  # both edges, both arcs
+        heap = all_pairs_shortest_paths(graph, method="dijkstra", kernel="python")
+        assert np.array_equal(all_pairs_shortest_paths(graph, method="scipy"), heap)
+
     def test_unknown_method_rejected(self):
         graph = _random_graph(5, 0.5, 1)
         with pytest.raises(ValueError):
@@ -153,3 +175,96 @@ class TestAPSP:
                 for k in range(0, n, 5):
                     if finite[i, k] and finite[k, j]:
                         assert distances[i, j] <= distances[i, k] + distances[k, j] + 1e-9
+
+
+class TestLandmarkMode:
+    def test_upper_bound_and_exact_at_full_count(self):
+        graph = _random_graph(40, 0.15, 2)
+        exact = all_pairs_shortest_paths(graph)
+        approx = all_pairs_shortest_paths(graph, method="landmark", landmarks=8)
+        assert np.all(approx >= exact - 1e-9)
+        full = all_pairs_shortest_paths(graph, method="landmark", landmarks=40)
+        assert np.array_equal(full, exact)
+
+    def test_error_is_monotone_in_landmark_count(self):
+        graph = _random_graph(45, 0.12, 6)
+        exact = all_pairs_shortest_paths(graph)
+        previous = np.inf
+        for count in (2, 4, 8, 16, 32):
+            approx = all_pairs_shortest_paths(graph, method="landmark", landmarks=count)
+            error = float(np.mean(np.abs(approx - exact)))
+            assert error <= previous + 1e-12
+            previous = error
+
+    def test_estimates_shrink_pointwise_with_more_landmarks(self):
+        """Nested landmark prefixes can only tighten the bound, entrywise."""
+        graph = _random_graph(35, 0.15, 4)
+        coarse = all_pairs_shortest_paths(graph, method="landmark", landmarks=4)
+        fine = all_pairs_shortest_paths(graph, method="landmark", landmarks=12)
+        assert np.all(fine <= coarse + 1e-12)
+
+    def test_deterministic(self):
+        graph = _random_graph(30, 0.2, 8)
+        a = all_pairs_shortest_paths(graph, method="landmark", landmarks=6)
+        b = all_pairs_shortest_paths(graph, method="landmark", landmarks=6)
+        assert np.array_equal(a, b)
+
+    def test_diagonal_zero_symmetric_and_edges_exact(self):
+        graph = _random_graph(25, 0.25, 10)
+        approx = all_pairs_shortest_paths(graph, method="landmark", landmarks=4)
+        exact = all_pairs_shortest_paths(graph)
+        assert np.all(np.diag(approx) == 0.0)
+        np.testing.assert_array_equal(approx, approx.T)
+        csr = graph.to_csr()
+        heads = np.repeat(np.arange(csr.num_vertices), csr.degrees())
+        # The direct-edge clamp: adjacent pairs are never estimated above
+        # their edge weight (the exact distance may be lower still, via a
+        # multi-hop detour, but never above it).
+        assert np.all(approx[heads, csr.indices] <= csr.weights + 1e-12)
+
+    def test_selection_is_nested(self):
+        graph = _random_graph(30, 0.2, 12)
+        few, _ = select_landmarks(graph, 4)
+        more, _ = select_landmarks(graph, 9)
+        assert more[: len(few)] == few
+
+    def test_invalid_counts_rejected(self):
+        graph = _random_graph(10, 0.5, 1)
+        with pytest.raises(ValueError):
+            all_pairs_shortest_paths(graph, method="landmark", landmarks=0)
+        with pytest.raises(ValueError):
+            select_landmarks(graph, 0)
+
+
+class TestMethodRegistry:
+    def test_builtins_registered(self):
+        assert available_apsp_methods() == ("dijkstra", "floyd", "landmark", "scipy")
+
+    def test_duplicate_registration_rejected(self):
+        with pytest.raises(ValueError):
+            register_apsp_method("dijkstra", lambda *a, **k: None)
+
+    def test_custom_method_dispatches_and_validates_in_config(self):
+        from repro.api.config import ClusteringConfig
+        from repro.graph.shortest_paths import _APSP_DISPATCH
+
+        def constant(graph, backend=None, kernel=None):
+            n = graph.num_vertices
+            return np.zeros((n, n))
+
+        register_apsp_method("test-constant", constant)
+        try:
+            graph = _random_graph(6, 0.5, 3)
+            result = all_pairs_shortest_paths(graph, method="test-constant")
+            assert np.array_equal(result, np.zeros((6, 6)))
+            # The config layer resolves against the live registry, so the
+            # custom id validates without touching APSP_METHODS.
+            config = ClusteringConfig(apsp_method="test-constant")
+            assert config.apsp_method == "test-constant"
+        finally:
+            _APSP_DISPATCH.pop("test-constant", None)
+
+    def test_unknown_method_error_lists_ids(self):
+        graph = _random_graph(5, 0.5, 1)
+        with pytest.raises(ValueError, match="'dijkstra'"):
+            all_pairs_shortest_paths(graph, method="bellman-ford-johnson")

@@ -1,16 +1,15 @@
-"""Tests for the streaming pipeline, TMFG warm starts, and drift metrics."""
+"""Tests for the streaming pipeline, its tick short-circuit, and drift metrics."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import tmfg_dbht
-from repro.core.tmfg import construct_tmfg
+from repro.api.config import ClusteringConfig
+from repro.api.estimators import TMFGClusterer
 from repro.datasets.similarity import correlation_matrix
 from repro.datasets.stocks import generate_regime_switching_stream
-from repro.streaming import StreamingPipeline, TMFGWarmStarter
-from tests.conftest import random_similarity_matrix
+from repro.streaming import StreamingPipeline
 
 
 @pytest.fixture(scope="module")
@@ -20,111 +19,21 @@ def regime_stream():
     )
 
 
-class TestWarmStartTMFG:
-    def test_full_replay_on_identical_matrix(self):
-        similarity = random_similarity_matrix(30, seed=4)
-        cold = construct_tmfg(similarity, prefix=1)
-        warm = construct_tmfg(similarity, prefix=1, warm_start=cold.warm_start_hints())
-        assert warm.warm_started
-        assert warm.warm_rounds == warm.rounds == cold.rounds
-        assert warm.insertion_order == cold.insertion_order
-        assert warm.edges == cold.edges
-
-    @pytest.mark.parametrize("prefix", [1, 4])
-    def test_warm_build_identical_to_cold_on_shifted_window(self, prefix):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(40, 140))
-        previous = construct_tmfg(np.corrcoef(data[:, :120]), prefix=prefix)
-        shifted = np.corrcoef(data[:, 10:130])
-        warm = construct_tmfg(shifted, prefix=prefix, warm_start=previous.warm_start_hints())
-        cold = construct_tmfg(shifted, prefix=prefix)
-        assert warm.insertion_order == cold.insertion_order
-        assert warm.edges == cold.edges
-        assert warm.initial_clique == cold.initial_clique
-        assert sorted(warm.graph.edges()) == sorted(cold.graph.edges())
-
-    def test_foreign_hints_fall_back_to_cold(self):
-        hints = construct_tmfg(random_similarity_matrix(20, seed=1)).warm_start_hints()
-        similarity = random_similarity_matrix(20, seed=2)
-        warm = construct_tmfg(similarity, warm_start=hints)
-        cold = construct_tmfg(similarity)
-        assert not warm.warm_started
-        assert warm.insertion_order == cold.insertion_order
-
-    def test_hints_for_wrong_size_are_ignored(self):
-        hints = construct_tmfg(random_similarity_matrix(12, seed=3)).warm_start_hints()
-        similarity = random_similarity_matrix(18, seed=3)
-        warm = construct_tmfg(similarity, warm_start=hints)
-        cold = construct_tmfg(similarity)
-        assert warm.warm_rounds == 0
-        assert warm.insertion_order == cold.insertion_order
-
-    def test_argmax_pair_matches_reference_selection(self):
-        from repro.core.gains import GainTable
-        from repro.core.tmfg import _select_batch
-
-        for seed in range(10):
-            similarity = random_similarity_matrix(14, seed=seed)
-            # Duplicate entries to force exact gain ties.
-            similarity[np.abs(similarity) < 0.3] = 0.5
-            similarity = (similarity + similarity.T) / 2.0
-            np.fill_diagonal(similarity, 1.0)
-            table = GainTable(similarity, remaining=range(4, 14))
-            table.add_faces(
-                [frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 2, 3}), frozenset({1, 2, 3})]
-            )
-            expected = _select_batch(table, prefix=1)[0]
-            scanned = table.argmax_pair()
-            assert (scanned.vertex, scanned.face, scanned.gain) == (
-                expected.vertex,
-                expected.face,
-                expected.gain,
-            )
-
-    def test_warm_starter_aggregates_stats(self):
-        starter = TMFGWarmStarter(enabled=True)
-        similarity = random_similarity_matrix(16, seed=7)
-        assert starter.hints() is None
-        first = construct_tmfg(similarity, warm_start=starter.hints())
-        starter.update(first)
-        second = construct_tmfg(similarity, warm_start=starter.hints())
-        starter.update(second)
-        assert starter.stats.builds == 2
-        assert starter.stats.warm_attempts == 1
-        assert starter.stats.full_replays == 1
-        assert starter.stats.full_replay_rate == 1.0
-        assert starter.stats.round_replay_rate == 1.0
-        disabled = TMFGWarmStarter(enabled=False)
-        disabled.update(first)
-        assert disabled.hints() is None
-
-
 @pytest.mark.slow
 class TestStreamingEquivalence:
-    def test_warm_cut_identical_to_cold_recompute_over_20_ticks(self, regime_stream):
-        """Acceptance: every warm tick's flat cut equals a cold from-scratch run."""
-        pipeline = StreamingPipeline(
-            regime_stream.returns,
-            window=100,
-            hop=8,
-            num_clusters=5,
-            warm_start=True,
+    def test_ticks_equal_batch_fits(self, regime_stream):
+        """Acceptance: each tick is the batch fit of its window's correlation."""
+        config = ClusteringConfig(num_clusters=5)
+        ticks = list(
+            StreamingPipeline(regime_stream.returns, window=100, hop=8, config=config).iter_ticks()
         )
-        ticks = list(pipeline.iter_ticks())
         assert len(ticks) >= 20
+        batch_config = config.replace(precomputed=True)
         for tick in ticks:
             window = regime_stream.returns[:, tick.start : tick.stop]
-            cold = tmfg_dbht(correlation_matrix(window)).cut(5)
-            np.testing.assert_array_equal(tick.labels, cold)
-
-    def test_warm_and_cold_pipelines_emit_identical_cuts(self, regime_stream):
-        kwargs = dict(window=90, hop=10, num_clusters=4)
-        warm = StreamingPipeline(regime_stream.returns, warm_start=True, **kwargs).run()
-        cold = StreamingPipeline(regime_stream.returns, warm_start=False, **kwargs).run()
-        assert warm.num_ticks == cold.num_ticks >= 15
-        for warm_tick, cold_tick in zip(warm.ticks, cold.ticks):
-            np.testing.assert_array_equal(warm_tick.labels, cold_tick.labels)
-        assert cold.warm_stats.warm_attempts == 0
+            batch = TMFGClusterer(batch_config).fit(correlation_matrix(window))
+            np.testing.assert_array_equal(tick.labels, batch.labels_)
+            assert tick.rounds == batch.result_.raw.tmfg.rounds
 
 
 class TestTickShortCircuit:
@@ -139,11 +48,7 @@ class TestTickShortCircuit:
         return np.tile(block, (1, 4))
 
     def _pipeline(self, returns, cache: bool):
-        from repro.api.config import ClusteringConfig
-
-        config = ClusteringConfig(
-            num_clusters=3, warm_start=False, cache=cache
-        )
+        config = ClusteringConfig(num_clusters=3, cache=cache)
         return StreamingPipeline(returns, window=30, hop=30, config=config)
 
     def test_unchanged_windows_are_reused(self, tiled_returns):
@@ -162,25 +67,6 @@ class TestTickShortCircuit:
             # Reused ticks skip the fit: only similarity + total are timed.
             assert set(tick.step_seconds) == {"similarity", "total"}
             assert tick.to_cluster_result(pipeline.config).extras["reused"] is True
-
-    def test_warm_mode_short_circuits_identical_windows(self, tiled_returns):
-        # Regression: the fingerprint used to be taken over the derived
-        # correlation, which in warm mode is path-dependent (incremental
-        # sums drift ~1e-12), so the short-circuit never fired in the
-        # stream CLI's default warm configuration.  Keying on the window's
-        # raw bytes makes identical windows reuse in both modes.
-        from repro.api.config import ClusteringConfig
-        from repro.cache import clear_result_caches
-
-        clear_result_caches()
-        config = ClusteringConfig(num_clusters=3, warm_start=True, cache=True)
-        result = StreamingPipeline(
-            tiled_returns, window=30, hop=30, config=config
-        ).run()
-        assert result.num_ticks == 4
-        assert result.reused_ticks == 3
-        for tick in result.ticks[1:]:
-            np.testing.assert_array_equal(tick.labels, result.ticks[0].labels)
 
     def test_short_circuit_requires_cache_knob(self, tiled_returns):
         result = self._pipeline(tiled_returns, cache=False).run()
@@ -244,12 +130,13 @@ class TestStreamingPipeline:
         result = pipeline.run()
         assert result.num_ticks == pipeline.num_ticks == 3
 
-    def test_labels_property_and_warm_stats(self, regime_stream):
+    def test_labels_property_is_final_tick(self, regime_stream):
         result = StreamingPipeline(
             regime_stream.returns, window=150, hop=50, num_clusters=4
         ).run()
         np.testing.assert_array_equal(result.labels, result.ticks[-1].labels)
-        assert result.warm_stats.builds == result.num_ticks
+        # prefix=1: one insertion per round for every non-clique vertex.
+        assert all(tick.rounds == 48 - 4 for tick in result.ticks)
 
     def test_kernel_choice_does_not_change_cuts(self, regime_stream):
         kwargs = dict(window=120, hop=60, num_clusters=4)

@@ -1,4 +1,4 @@
-"""Differential tests for the incremental rolling-window correlation."""
+"""Differential tests for the rolling-window correlation buffer."""
 
 from __future__ import annotations
 
@@ -41,9 +41,7 @@ class TestRollingMatchesRecomputation:
             rolling.push(data[:, t])
             if rolling.ready:
                 expected = correlation_matrix(data[:, t - 29 : t + 1])
-                np.testing.assert_allclose(
-                    rolling.correlation(), expected, atol=1e-10, rtol=0.0
-                )
+                np.testing.assert_array_equal(rolling.correlation(), expected)
 
     def test_partial_window_matches_recomputation(self):
         data = _stream(8, 12, seed=9)
@@ -54,15 +52,6 @@ class TestRollingMatchesRecomputation:
         np.testing.assert_allclose(
             rolling.correlation(), np.corrcoef(data), atol=1e-10, rtol=0.0
         )
-
-    def test_drift_guard_refresh_keeps_long_streams_tight(self):
-        data = _stream(6, 2_000, seed=11, scale=1.0) + 5.0  # offset worsens cancellation
-        rolling = RollingCorrelation(6, 25, refresh_every=64)
-        rolling.push(data[:, :25])
-        for t in range(25, data.shape[1]):
-            rolling.push(data[:, t])
-        expected = np.corrcoef(data[:, -25:])
-        np.testing.assert_allclose(rolling.correlation(), expected, atol=1e-10, rtol=0.0)
 
 
 class TestConstantSeries:
@@ -121,12 +110,14 @@ class TestRollingBookkeeping:
         validate_similarity_matrix(rolling.correlation())
 
     def test_ring_buffer_only_mode(self):
+        """No running moments: the matrix is recomputed from the buffer."""
         data = _stream(5, 30, seed=4)
-        rolling = RollingCorrelation(5, 12, track_moments=False)
+        rolling = RollingCorrelation(5, 12)
         rolling.push(data)
         np.testing.assert_array_equal(rolling.window_data(), data[:, -12:])
-        with pytest.raises(ValueError, match="track_moments"):
-            rolling.correlation()
+        np.testing.assert_array_equal(
+            rolling.correlation(), correlation_matrix(rolling.window_data())
+        )
 
     def test_rejects_bad_inputs(self):
         rolling = RollingCorrelation(4, 8)
@@ -140,5 +131,3 @@ class TestRollingBookkeeping:
             RollingCorrelation(4, 1)
         with pytest.raises(ValueError):
             RollingCorrelation(0, 8)
-        with pytest.raises(ValueError):
-            RollingCorrelation(4, 8, refresh_every=0)
