@@ -73,7 +73,7 @@ class ClusteringConfig:
         ``apsp_method``.  Part of the cache fingerprint, so approximate
         results can never collide with exact cache entries.
     kernel:
-        Hot-loop kernel name (``"python"``/``"numpy"``/any registered
+        APSP hot-loop kernel name (``"python"``/``"numpy"``/any registered
         custom kernel); ``None`` uses the process-wide default.
     backend:
         Parallel-backend *name* (``"serial"``/``"thread"``/``"process"``)

@@ -277,9 +277,7 @@ class ClassicDBHTClusterer(ClusteringEstimator):
         if dissimilarity is None:
             dissimilarity = default_dissimilarity(similarity)
         tmfg_start = time.perf_counter()
-        tmfg = construct_tmfg(
-            similarity, prefix=1, build_bubble_tree=False, kernel=self.config.kernel
-        )
+        tmfg = construct_tmfg(similarity, prefix=1, build_bubble_tree=False)
         tmfg_seconds = time.perf_counter() - tmfg_start
         dbht_start = time.perf_counter()
         classic = classic_dbht(

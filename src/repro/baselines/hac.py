@@ -19,6 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.dendrogram.node import Dendrogram
+from repro.graph.matrix import is_symmetric
 
 _LINKAGES = ("single", "complete", "average", "weighted")
 
@@ -29,27 +30,31 @@ def _validate_distance_matrix(distances: np.ndarray) -> np.ndarray:
         raise ValueError("distance matrix must be square")
     if not np.all(np.isfinite(distances)):
         raise ValueError("distance matrix contains NaN or infinite entries")
-    if not np.allclose(distances, distances.T, atol=1e-8):
+    if not is_symmetric(distances):
         raise ValueError("distance matrix must be symmetric")
     return distances
 
 
-def _update_distance(
+def _lance_williams(
     linkage_name: str,
-    d_ik: float,
-    d_jk: float,
+    d_i: np.ndarray,
+    d_j: np.ndarray,
     size_i: int,
     size_j: int,
-) -> float:
-    """Lance-Williams update: distance from the merge of (i, j) to cluster k."""
+) -> np.ndarray:
+    """Lance-Williams update: distances from the merge of (i, j) to every
+    other cluster, given their distances ``d_i`` to ``i`` and ``d_j`` to
+    ``j``.  Elementwise IEEE operations, so each entry is exactly what the
+    scalar formula gives (``min``/``max`` keep ``d_i`` on ties, like
+    Python's builtins)."""
     if linkage_name == "single":
-        return min(d_ik, d_jk)
+        return np.where(d_j < d_i, d_j, d_i)
     if linkage_name == "complete":
-        return max(d_ik, d_jk)
+        return np.where(d_j > d_i, d_j, d_i)
     if linkage_name == "average":
-        return (size_i * d_ik + size_j * d_jk) / (size_i + size_j)
+        return (size_i * d_i + size_j * d_j) / (size_i + size_j)
     if linkage_name == "weighted":
-        return 0.5 * (d_ik + d_jk)
+        return 0.5 * (d_i + d_j)
     raise ValueError(f"unknown linkage {linkage_name!r}; expected one of {_LINKAGES}")
 
 
@@ -112,14 +117,11 @@ def linkage(distances: np.ndarray, method: str = "complete") -> np.ndarray:
         merges.append((float(labels[i]), float(labels[j]), distance, float(size_i + size_j)))
 
         # Merge j into slot i with the Lance-Williams update.
-        for k in np.flatnonzero(active):
-            if k == i or k == j:
-                continue
-            new_distance = _update_distance(
-                method, float(work[i, k]), float(work[j, k]), size_i, size_j
-            )
-            work[i, k] = new_distance
-            work[k, i] = new_distance
+        others = np.flatnonzero(active)
+        others = others[(others != i) & (others != j)]
+        updated = _lance_williams(method, work[i, others], work[j, others], size_i, size_j)
+        work[i, others] = updated
+        work[others, i] = updated
         active[j] = False
         labels[i] = next_label
         sizes[i] = size_i + size_j

@@ -549,7 +549,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser, include_workers: bool 
         "--kernel",
         choices=KERNEL_NAMES,
         default=None,
-        help="hot-loop kernel for gains/APSP (default: numpy; identical results)",
+        help="APSP hot-loop kernel (default: numpy; identical results)",
     )
     parser.add_argument(
         "--apsp-method",

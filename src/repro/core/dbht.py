@@ -11,6 +11,11 @@ DBHT dendrogram.  The phases match Fig. 5's runtime decomposition:
 * ``"hierarchy"`` — the three-level complete-linkage construction.
 
 (The ``"tmfg"`` phase is recorded by :func:`repro.core.tmfg.construct_tmfg`.)
+
+Each phase also runs under a trace span (``fit.apsp``, ``fit.bubble_tree``,
+``fit.hierarchy``; :func:`repro.core.pipeline.tmfg_dbht` opens
+``fit.tmfg``), so a traced fit shows where its time went.  With tracing
+off the spans are the shared no-op and cost nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from repro.dendrogram.node import Dendrogram
 from repro.graph.matrix import validate_dissimilarity_matrix
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.graph.weighted_graph import WeightedGraph
+from repro.obs.tracer import trace_span
 from repro.parallel.cost_model import WorkSpanTracker
 from repro.parallel.scheduler import ParallelBackend
 
@@ -92,8 +98,10 @@ def dbht(
         last float ulp).
     kernel:
         APSP kernel for the ``"dijkstra"`` method: ``"python"`` (array-heap
-        Dijkstra per source) or ``"numpy"`` (batched relaxation), both with
-        byte-identical distances.  ``None`` uses the process-wide default.
+        Dijkstra per source) or ``"numpy"`` (frontier relaxation: each round
+        relaxes only the arcs whose tail improved in the previous one),
+        both with byte-identical distances.  ``None`` uses the process-wide
+        default.
     landmarks:
         Landmark count; only meaningful with ``apsp_method="landmark"``.
     """
@@ -116,16 +124,17 @@ def dbht(
     if landmarks is not None:
         apsp_options["landmarks"] = landmarks
 
-    start = time.perf_counter()
-    # Shortest paths use the dissimilarity weights on the TMFG topology:
-    # freeze the TMFG into CSR form once and swap in the dissimilarity
-    # weights with a single fancy index (no per-edge rebuild).
-    distance_graph = tmfg.csr().reweighted(dissimilarity)
-    shortest_paths = all_pairs_shortest_paths(
-        distance_graph, backend=backend, method=apsp_method, kernel=kernel, **apsp_options
-    )
-    step_seconds["apsp"] = time.perf_counter() - start
     n = graph.num_vertices
+    start = time.perf_counter()
+    with trace_span("fit.apsp", n=int(n)):
+        # Shortest paths use the dissimilarity weights on the TMFG topology:
+        # freeze the TMFG into CSR form once and swap in the dissimilarity
+        # weights with a single fancy index (no per-edge rebuild).
+        distance_graph = tmfg.csr().reweighted(dissimilarity)
+        shortest_paths = all_pairs_shortest_paths(
+            distance_graph, backend=backend, method=apsp_method, kernel=kernel, **apsp_options
+        )
+    step_seconds["apsp"] = time.perf_counter() - start
     tracker.add(
         "apsp",
         work=float(n * n * np.log2(max(n, 2))),
@@ -133,14 +142,16 @@ def dbht(
     )
 
     start = time.perf_counter()
-    directions = compute_directions(tree, graph, tracker=tracker)
-    assignment = assign_vertices(
-        tree, directions, similarity, shortest_paths, tracker=tracker
-    )
+    with trace_span("fit.bubble_tree", n=int(n)):
+        directions = compute_directions(tree, graph, tracker=tracker)
+        assignment = assign_vertices(
+            tree, directions, similarity, shortest_paths, tracker=tracker
+        )
     step_seconds["bubble-tree"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    dendrogram = build_hierarchy(assignment, shortest_paths, tracker=tracker)
+    with trace_span("fit.hierarchy", n=int(n)):
+        dendrogram = build_hierarchy(assignment, shortest_paths, tracker=tracker)
     step_seconds["hierarchy"] = time.perf_counter() - start
 
     return DBHTResult(

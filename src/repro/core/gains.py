@@ -7,58 +7,60 @@ maximises the gain ``sum_{u in t} S[u, v]`` of inserting ``v`` into ``t``
 
 The paper maintains, for each face, a sorted list of candidate vertices so
 that the best vertex never has to be recomputed by scanning every face.
-Here we keep, per face, only the current best ``(gain, vertex)`` pair plus a
-reverse index ``vertex -> faces where it is currently best``; when a batch of
-vertices is inserted, exactly the faces that pointed at them are refreshed.
-The refresh itself goes through the ``"gain_update"`` kernel registry
-(:mod:`repro.parallel.kernels`): the ``python`` kernel recomputes the
-affected faces one at a time, while the ``numpy`` kernel stacks them into a
-single ``(faces, remaining)`` gain matrix and takes one masked argmax per
-row — the per-round cost becomes a handful of numpy calls regardless of how
-many faces a batch touched.  Both kernels produce bit-identical tables.
-This preserves the paper's key property — the update work is proportional
-to the number of affected faces, not to all faces — while vectorising the
-per-face scans away.
+Here every face is an integer id into flat arrays: an ``(F, 3)`` corner
+array plus per-face ``best gain`` and ``best vertex`` arrays (a removed
+face keeps gain ``-inf`` and vertex ``-1``).
+A TMFG on ``n`` vertices creates ``3n - 8`` faces in total, so the arrays
+are allocated once.  The table also keeps a working copy of the
+similarity matrix whose columns for inserted vertices are ``-inf``; a
+refresh of ``k`` faces is then ``M[a] + M[b] + M[c]`` over the stacked
+corner rows and one row-wise ``argmax`` (lowest vertex id on exact ties).
+When a batch of vertices is inserted, the faces to refresh are exactly
+the live faces whose best vertex was inserted (``best == v``),
+so the update work stays proportional to the affected faces, not to all
+faces, while the per-face scans run as one numpy gather per round.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.faces import Triangle, VertexFacePair, triangle_corners
-from repro.parallel.kernels import get_kernel, register_kernel
+
+_NEG_INF = float("-inf")
 
 
 class GainTable:
     """Tracks the best remaining vertex for every active face."""
 
-    def __init__(
-        self,
-        similarity: np.ndarray,
-        remaining: Iterable[int],
-        kernel: Optional[str] = None,
-    ) -> None:
-        self._similarity = np.asarray(similarity, dtype=float)
-        n = self._similarity.shape[0]
+    def __init__(self, similarity: np.ndarray, remaining: Iterable[int]) -> None:
+        masked = np.array(similarity, dtype=float)
+        n = masked.shape[0]
         self._remaining_mask = np.zeros(n, dtype=bool)
-        for vertex in remaining:
-            self._remaining_mask[vertex] = True
-        # face -> (gain, vertex); vertex is None when no remaining vertex exists
-        self._best: Dict[Triangle, Tuple[float, Optional[int]]] = {}
-        # vertex -> set of faces whose current best vertex is that vertex
-        self._best_of: Dict[int, Set[Triangle]] = {}
-        # Number of gain recomputations performed (used by the ablation bench).
+        self._remaining_mask[list(remaining)] = True
+        self._num_remaining = int(self._remaining_mask.sum())
+        # Working similarity: columns of inserted vertices can never win.
+        masked[:, ~self._remaining_mask] = _NEG_INF
+        self._masked = masked
+        # Faces ever created by a TMFG on n vertices: 4 + 3 (n - 4).
+        capacity = max(3 * n - 8, 4)
+        self._corners = np.zeros((capacity, 3), dtype=np.int64)
+        # Dead faces and faces without a candidate hold gain -inf and
+        # vertex -1, so a plain argmax over the gains never selects them.
+        self._gain = np.full(capacity, _NEG_INF)
+        self._vertex = np.full(capacity, -1, dtype=np.int64)
+        self._keys: List[Triangle] = []
+        self._ids: Dict[Triangle, int] = {}
+        # Number of per-face gain recomputations (used by the ablation bench).
         self.recompute_count = 0
-        # "python" / "numpy" bulk-update kernel; None = process-wide default.
-        self._kernel = kernel
 
     # -- queries -----------------------------------------------------------
 
     @property
     def num_remaining(self) -> int:
-        return int(self._remaining_mask.sum())
+        return self._num_remaining
 
     def remaining_vertices(self) -> np.ndarray:
         return np.flatnonzero(self._remaining_mask)
@@ -68,54 +70,63 @@ class GainTable:
 
     @property
     def num_faces(self) -> int:
-        return len(self._best)
+        return len(self._ids)
 
     def faces(self) -> List[Triangle]:
-        return list(self._best.keys())
+        return list(self._ids)
 
     def best_for_face(self, face: Triangle) -> Tuple[float, Optional[int]]:
         """Current ``(gain, vertex)`` for ``face`` (vertex None if exhausted)."""
-        return self._best[face]
+        face_id = self._ids[face]
+        vertex = int(self._vertex[face_id])
+        return float(self._gain[face_id]), (vertex if vertex >= 0 else None)
 
     def best_pairs(self) -> List[VertexFacePair]:
         """All active faces' best vertex-face pairs (faces with no candidate skipped)."""
-        pairs = []
-        for face, (gain, vertex) in self._best.items():
-            if vertex is not None:
-                pairs.append(VertexFacePair(vertex=vertex, face=face, gain=gain))
-        return pairs
+        ids = np.flatnonzero(self._vertex[: len(self._keys)] >= 0)
+        return [self._pair(int(face_id)) for face_id in ids]
 
     def argmax_pair(self) -> Optional[VertexFacePair]:
         """The single best pair under the ``VertexFacePair.sort_key`` order.
 
-        Equivalent to ``max(self.best_pairs(), key=sort_key)`` but runs as
-        one scan over the per-face bests with plain float comparisons — the
-        tie-break keys are only evaluated on exact gain ties, which are rare
-        with real-valued similarities.  This is the ``prefix=1`` round
-        selection of TMFG construction, where it replaces building and
-        sorting the full candidate list.  Returns ``None`` when no face has
-        a remaining candidate.
+        One ``np.argmax`` over the per-face gains; the tie-break keys
+        (lowest vertex, then lexicographically smallest sorted corners) are
+        only evaluated on exact gain ties.  This is the ``prefix=1`` round
+        selection.  Returns ``None`` when no face has a remaining candidate.
         """
-        best_gain = float("-inf")
-        best_vertex: Optional[int] = None
-        best_face: Optional[Triangle] = None
-        for face, (gain, vertex) in self._best.items():
-            if vertex is None:
-                continue
-            if best_vertex is None or gain > best_gain:
-                best_gain, best_vertex, best_face = gain, vertex, face
-            elif gain == best_gain:
-                # sort_key orders by (gain, -vertex, descending corner
-                # tuple); replicate it exactly on ties.
-                if vertex < best_vertex or (
-                    vertex == best_vertex
-                    and tuple(-c for c in triangle_corners(face))
-                    > tuple(-c for c in triangle_corners(best_face))
-                ):
-                    best_gain, best_vertex, best_face = gain, vertex, face
-        if best_vertex is None:
+        gains = self._gain[: len(self._keys)]
+        if gains.size == 0:
             return None
-        return VertexFacePair(vertex=best_vertex, face=best_face, gain=best_gain)
+        face_id = int(np.argmax(gains))
+        if gains[face_id] == _NEG_INF:
+            return None
+        ties = np.flatnonzero(gains == gains[face_id])
+        if ties.size > 1:
+            face_id = int(ties[self._tie_order(ties)[0]])
+        return self._pair(face_id)
+
+    def select(self, prefix: int) -> List[VertexFacePair]:
+        """Choose up to ``prefix`` vertex-face pairs to insert this round.
+
+        Lines 9–10 of Algorithm 1: the ``prefix`` largest pairs under
+        ``VertexFacePair.sort_key`` (descending), keeping only the first
+        (highest) pair of any vertex that appears with several faces, in
+        descending order.  ``argpartition`` narrows the candidates to the
+        top ``prefix`` gains plus every exact tie at the boundary, and only
+        those are fully ordered.
+        """
+        if prefix == 1:
+            best = self.argmax_pair()
+            return [] if best is None else [best]
+        gains = self._gain[: len(self._keys)]
+        candidates = np.flatnonzero(gains > _NEG_INF)
+        if candidates.size > prefix:
+            cut = candidates.size - prefix
+            kth = np.argpartition(gains[candidates], cut)[cut]
+            candidates = candidates[gains[candidates] >= gains[candidates[kth]]]
+        top = candidates[self._tie_order(candidates, by_gain=True)][:prefix]
+        _, first = np.unique(self._vertex[top], return_index=True)
+        return [self._pair(int(face_id)) for face_id in top[np.sort(first)]]
 
     # -- updates -----------------------------------------------------------
 
@@ -125,137 +136,103 @@ class GainTable:
 
     def add_faces(self, faces: Sequence[Triangle]) -> None:
         """Register a batch of new faces with one bulk gain computation."""
-        for face in faces:
-            if face in self._best:
-                raise ValueError(f"face {set(face)} already registered")
-        self._recompute_faces(list(faces))
+        self._refresh(self._register(faces))
 
     def remove_face(self, face: Triangle) -> None:
         """Remove a face (it has been split by a vertex insertion)."""
-        gain, vertex = self._best.pop(face)
-        if vertex is not None:
-            faces_of_vertex = self._best_of.get(vertex)
-            if faces_of_vertex is not None:
-                faces_of_vertex.discard(face)
+        face_id = self._ids.pop(face)
+        self._gain[face_id] = _NEG_INF
+        self._vertex[face_id] = -1
 
-    def remove_vertices(self, vertices: Sequence[int]) -> List[Triangle]:
+    def remove_vertices(
+        self, vertices: Sequence[int], new_faces: Sequence[Triangle] = ()
+    ) -> List[Triangle]:
         """Mark vertices as inserted and refresh the faces that pointed at them.
 
-        Returns the list of faces whose best vertex was recomputed, which is
-        what the paper's Line 15 iterates over.
+        ``new_faces`` are registered in the same step, so one TMFG round
+        costs a single bulk gain computation.  Returns the list of existing
+        faces whose best vertex was recomputed, which is what the paper's
+        Line 15 iterates over.
         """
-        affected: Set[Triangle] = set()
         for vertex in vertices:
             if not self._remaining_mask[vertex]:
                 raise ValueError(f"vertex {vertex} is not in the remaining set")
             self._remaining_mask[vertex] = False
-            affected.update(self._best_of.pop(vertex, set()))
-        # Only faces that still exist need a refresh.
-        refreshed = [face for face in affected if face in self._best]
-        self._recompute_faces(refreshed)
-        return refreshed
+            self._masked[:, vertex] = _NEG_INF
+        self._num_remaining -= len(vertices)
+        affected = self._affected(vertices)
+        created = self._register(new_faces)
+        self._refresh(np.concatenate([affected, created]))
+        return [self._keys[face_id] for face_id in affected.tolist()]
 
     # -- internals ---------------------------------------------------------
 
-    def _recompute_faces(self, faces: List[Triangle]) -> None:
-        """Refresh a batch of faces through the selected gain-update kernel."""
-        if not faces:
-            return
-        get_kernel("gain_update", self._kernel)(self, faces)
+    def _affected(self, vertices: Sequence[int]) -> np.ndarray:
+        """Ids of the live faces whose best vertex is one of ``vertices``."""
+        best = self._vertex[: len(self._keys)]
+        hit = np.zeros(best.size, dtype=bool)
+        for vertex in vertices:
+            hit |= best == vertex
+        return np.flatnonzero(hit)
 
-    def _recompute(self, face: Triangle) -> None:
-        """Recompute the best remaining vertex for ``face`` with a numpy argmax."""
-        self.recompute_count += 1
-        previous = self._best.get(face)
-        if previous is not None and previous[1] is not None:
-            self._best_of.get(previous[1], set()).discard(face)
-        remaining = np.flatnonzero(self._remaining_mask)
-        if remaining.size == 0:
-            self._best[face] = (float("-inf"), None)
+    def _register(self, faces: Sequence[Triangle]) -> np.ndarray:
+        start = len(self._keys)
+        for offset, face in enumerate(faces):
+            if face in self._ids:
+                raise ValueError(f"face {set(face)} already registered")
+            self._ids[face] = start + offset
+            self._keys.append(face)
+            self._corners[start + offset] = triangle_corners(face)
+        return np.arange(start, len(self._keys))
+
+    def _refresh(self, ids: np.ndarray) -> None:
+        """Recompute the best remaining vertex of faces ``ids`` in one gather.
+
+        The sum associates as ``(S[a] + S[b]) + S[c]`` and ``argmax`` takes
+        the first (lowest-id) maximum, exactly like a per-face scan over
+        the remaining vertices in increasing order.
+        """
+        if ids.size == 0:
             return
-        a, b, c = triangle_corners(face)
-        gains = (
-            self._similarity[a, remaining]
-            + self._similarity[b, remaining]
-            + self._similarity[c, remaining]
+        self.recompute_count += int(ids.size)
+        if self._num_remaining == 0:
+            self._gain[ids] = _NEG_INF
+            self._vertex[ids] = -1
+            return
+        corners = self._corners[ids]
+        gains = self._masked[corners[:, 0]] + self._masked[corners[:, 1]]
+        gains += self._masked[corners[:, 2]]
+        best = np.argmax(gains, axis=1)
+        self._vertex[ids] = best
+        self._gain[ids] = gains[np.arange(ids.size), best]
+
+    def _tie_order(self, ids: np.ndarray, by_gain: bool = False) -> np.ndarray:
+        """Positions of ``ids`` in descending ``sort_key`` order: (gain
+        descending if ``by_gain``), lowest vertex, then smallest corners."""
+        corners = self._corners[ids]
+        keys = [corners[:, 2], corners[:, 1], corners[:, 0], self._vertex[ids]]
+        if by_gain:
+            keys.append(-self._gain[ids])
+        return np.lexsort(keys)
+
+    def _pair(self, face_id: int) -> VertexFacePair:
+        return VertexFacePair(
+            vertex=int(self._vertex[face_id]),
+            face=self._keys[face_id],
+            gain=float(self._gain[face_id]),
         )
-        index = int(np.argmax(gains))
-        vertex = int(remaining[index])
-        gain = float(gains[index])
-        self._best[face] = (gain, vertex)
-        self._best_of.setdefault(vertex, set()).add(face)
 
 
 class RescanGainTable(GainTable):
-    """Gain table that rescans *every* face after each insertion.
+    """Gain table that refreshes *every* live face after each insertion.
 
-    This reproduces the behaviour of the original TMFG implementation, which
-    "loops over all of the faces to find the faces that previously had v as
-    their best vertex" (Section IV).  It is used only by the ablation
-    benchmark comparing the two update strategies; results are identical,
-    only the amount of recomputation differs.
+    This reproduces the cost profile of the original TMFG implementation,
+    which "loops over all of the faces to find the faces that previously
+    had v as their best vertex" (Section IV) instead of touching only the
+    affected ones.  It is used only by the ablation benchmark comparing the
+    two update strategies; results are identical, only the amount of
+    recomputation differs.
     """
 
-    def remove_vertices(self, vertices: Sequence[int]) -> List[Triangle]:
-        removed = set()
-        for vertex in vertices:
-            if not self._remaining_mask[vertex]:
-                raise ValueError(f"vertex {vertex} is not in the remaining set")
-            self._remaining_mask[vertex] = False
-            self._best_of.pop(vertex, None)
-            removed.add(vertex)
-        refreshed = [
-            face
-            for face, (_, vertex) in list(self._best.items())
-            if vertex in removed or vertex is None
-        ]
-        self._recompute_faces(refreshed)
-        return refreshed
-
-
-# ---------------------------------------------------------------------------
-# Gain-update kernels
-# ---------------------------------------------------------------------------
-
-
-def _gain_update_python(table: GainTable, faces: List[Triangle]) -> None:
-    """Reference kernel: recompute each affected face on its own."""
-    for face in faces:
-        table._recompute(face)
-
-
-def _gain_update_numpy(table: GainTable, faces: List[Triangle]) -> None:
-    """Bulk kernel: one gain matrix, one argmax per affected face.
-
-    Builds the ``(len(faces), len(remaining))`` gain matrix with three fancy
-    gathers and reduces it row-wise; the additions associate exactly like the
-    per-face kernel's (``(S[a] + S[b]) + S[c]``), so the resulting table is
-    bit-identical.
-    """
-    table.recompute_count += len(faces)
-    for face in faces:
-        previous = table._best.get(face)
-        if previous is not None and previous[1] is not None:
-            table._best_of.get(previous[1], set()).discard(face)
-    remaining = np.flatnonzero(table._remaining_mask)
-    if remaining.size == 0:
-        for face in faces:
-            table._best[face] = (float("-inf"), None)
-        return
-    corners = np.array([triangle_corners(face) for face in faces], dtype=np.int64)
-    similarity = table._similarity
-    gains = (
-        similarity[np.ix_(corners[:, 0], remaining)]
-        + similarity[np.ix_(corners[:, 1], remaining)]
-        + similarity[np.ix_(corners[:, 2], remaining)]
-    )
-    best_columns = np.argmax(gains, axis=1)
-    best_vertices = remaining[best_columns]
-    best_gains = gains[np.arange(len(faces)), best_columns]
-    for face, vertex, gain in zip(faces, best_vertices.tolist(), best_gains.tolist()):
-        table._best[face] = (float(gain), int(vertex))
-        table._best_of.setdefault(int(vertex), set()).add(face)
-
-
-register_kernel("gain_update", "python", _gain_update_python)
-register_kernel("gain_update", "numpy", _gain_update_numpy)
+    def _affected(self, vertices: Sequence[int]) -> np.ndarray:
+        return np.sort(np.fromiter(self._ids.values(), dtype=np.int64))

@@ -39,18 +39,48 @@ class _Cluster:
     group_count: int = 1
 
 
+#: Elements one gather in :func:`_max_linkage_matrix` may hold (256 KiB of
+#: float64).  The top level spans every vertex, where a single gather would
+#: be an ``n x n`` temporary, the largest of the fit.
+_GATHER_BUDGET = 1 << 15
+
+
 def _max_linkage_matrix(
     clusters: Sequence[_Cluster], shortest_paths: np.ndarray
 ) -> np.ndarray:
-    """Complete-linkage distances between clusters (max pairwise distance)."""
+    """Complete-linkage distances between clusters (max pairwise distance).
+
+    Gathers the concatenated clusters' rows (in runs of whole clusters
+    within :data:`_GATHER_BUDGET`; a single run for all but the largest
+    levels) against all their columns, then takes a segmented
+    ``np.maximum.reduceat`` over both axes.  The APSP matrix can differ
+    from its transpose in the last ulp, so only the upper triangle (rows of
+    cluster ``i``, columns of cluster ``j > i``) is kept and mirrored,
+    which is the block the pairwise definition reads.
+    """
     k = len(clusters)
+    sizes = [len(cluster.vertices) for cluster in clusters]
+    order = [vertex for cluster in clusters for vertex in cluster.vertices]
+    starts = np.cumsum([0] + sizes[:-1])
+    row_budget = _GATHER_BUDGET // len(order)
+    maxima = np.empty((k, k), dtype=float)
+    first = 0
+    while first < k:
+        last, rows = first + 1, sizes[first]
+        while last < k and rows + sizes[last] <= row_budget:
+            rows += sizes[last]
+            last += 1
+        block = shortest_paths[np.ix_(order[starts[first] : starts[first] + rows], order)]
+        maxima[first:last] = np.maximum.reduceat(
+            np.maximum.reduceat(block, starts[first:last] - starts[first], axis=0),
+            starts,
+            axis=1,
+        )
+        first = last
+    upper = np.triu_indices(k, 1)
     matrix = np.zeros((k, k), dtype=float)
-    for i in range(k):
-        for j in range(i + 1, k):
-            block = shortest_paths[np.ix_(clusters[i].vertices, clusters[j].vertices)]
-            value = float(block.max())
-            matrix[i, j] = value
-            matrix[j, i] = value
+    matrix[upper] = maxima[upper]
+    matrix.T[upper] = maxima[upper]
     return matrix
 
 

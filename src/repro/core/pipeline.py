@@ -29,6 +29,7 @@ from repro.core.tmfg import TMFGResult, construct_tmfg
 from repro.datasets.similarity import default_dissimilarity
 from repro.dendrogram.node import Dendrogram
 from repro.graph.matrix import validate_similarity_matrix
+from repro.obs.tracer import trace_span
 from repro.parallel.cost_model import WorkSpanTracker
 from repro.parallel.scheduler import ParallelBackend
 
@@ -87,9 +88,9 @@ def tmfg_dbht(
         see
         :func:`repro.graph.shortest_paths.all_pairs_shortest_paths`.
     kernel:
-        ``"python"`` or ``"numpy"`` hot-loop kernels for the gain updates
-        and the APSP (see :mod:`repro.parallel.kernels`); ``None`` uses the
-        process-wide default.  All kernels produce identical results.
+        ``"python"`` or ``"numpy"`` APSP kernel (see
+        :mod:`repro.parallel.kernels`); ``None`` uses the process-wide
+        default.  Both produce identical results.
     landmarks:
         Landmark count for ``apsp_method="landmark"``.
 
@@ -106,14 +107,14 @@ def tmfg_dbht(
     tracker = tracker if tracker is not None else WorkSpanTracker()
 
     start = time.perf_counter()
-    tmfg_result = construct_tmfg(
-        similarity,
-        prefix=prefix,
-        build_bubble_tree=True,
-        tracker=tracker,
-        backend=backend,
-        kernel=kernel,
-    )
+    with trace_span("fit.tmfg", n=int(similarity.shape[0]), prefix=int(prefix)):
+        tmfg_result = construct_tmfg(
+            similarity,
+            prefix=prefix,
+            build_bubble_tree=True,
+            tracker=tracker,
+            backend=backend,
+        )
     tmfg_seconds = time.perf_counter() - start
 
     dbht_result = dbht(

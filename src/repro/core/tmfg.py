@@ -15,26 +15,26 @@ edge weight for many fewer rounds (more parallelism), which is what Figs. 4,
 
 Selection
 ---------
-The construction path is chosen by ``prefix`` alone.  ``prefix=1`` selects
-each round with :meth:`~repro.core.gains.GainTable.argmax_pair`, one scan
-over the per-face bests that returns exactly the pair the reference batched
-selection (:func:`_select_batch`) would; ``prefix>1`` runs the reference
-selection: sort every face's best pair, take the top ``prefix``, keep each
-vertex's highest-gain face.  Construction keeps no state between calls, so
-the same similarity matrix always yields the same graph.
+Each round selects with :meth:`~repro.core.gains.GainTable.select`:
+``prefix=1`` is one ``argmax`` over the per-face best gains, ``prefix>1``
+an ``argpartition`` to the top ``prefix`` pairs followed by the
+keep-each-vertex's-best-face rule.  Both return exactly what sorting every
+face's best pair would, tie-breaks included (the tests keep that sort as
+the oracle).  Construction keeps no state between calls, so the same
+similarity matrix always yields the same graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.bubble_tree import BubbleTree
 from repro.core.gains import GainTable
-from repro.graph.faces import Triangle, VertexFacePair, child_faces, triangle_corners, triangle_key
+from repro.graph.faces import Triangle, child_faces, triangle_corners, triangle_key
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.cost_model import WorkSpanTracker
@@ -96,7 +96,7 @@ class _TMFGBuilder:
     """Construction state: the graph, faces, gain table and bubble tree.
 
     :func:`construct_tmfg` drives it one selected batch per round; the
-    tests drive it with the reference selection as an oracle.
+    tests drive it with a reference selection as an oracle.
     """
 
     def __init__(
@@ -104,7 +104,6 @@ class _TMFGBuilder:
         similarity: np.ndarray,
         clique: Sequence[int],
         build_bubble_tree: bool,
-        kernel: Optional[str],
         tracker: WorkSpanTracker,
     ) -> None:
         n = similarity.shape[0]
@@ -127,7 +126,7 @@ class _TMFGBuilder:
         }
         self.outer_face: Triangle = triangle_key(v1, v2, v3)
         remaining = [v for v in range(n) if v not in set(self.clique)]
-        self.gain_table = GainTable(similarity, remaining, kernel=kernel)
+        self.gain_table = GainTable(similarity, remaining)
         self.gain_table.add_faces(list(self.faces))
         # Initialisation: O(n^2) work for the row sums, O(n) for the gains.
         tracker.add(
@@ -141,12 +140,10 @@ class _TMFGBuilder:
         """Insert one round's (vertex, face) batch and refresh the gain table."""
         num_faces = self.gain_table.num_faces
         num_remaining = self.gain_table.num_remaining
-        self.gain_table.remove_vertices([vertex for vertex, _ in batch])
         # The batch's faces are distinct (one best vertex per face), so the
-        # structural updates can run per pair while the gain recomputation
-        # for all newly created faces is deferred into one bulk call — the
-        # round then costs one masked argmax over the stacked gain matrix
-        # instead of per-face Python work.
+        # structural updates run per pair while the gain table is refreshed
+        # once for the whole round: the faces whose best vertex was just
+        # inserted and every newly created face, in one stacked gather.
         round_new_faces: List[Triangle] = []
         for vertex, face in batch:
             a, b, c = triangle_corners(face)
@@ -161,11 +158,12 @@ class _TMFGBuilder:
                 self.outer_face = new_faces[0]
             self.faces.discard(face)
             self.gain_table.remove_face(face)
-            for new_face in new_faces:
-                self.faces.add(new_face)
-                round_new_faces.append(new_face)
+            self.faces.update(new_faces)
+            round_new_faces.extend(new_faces)
             self.insertion_order.append((vertex, face))
-        self.gain_table.add_faces(round_new_faces)
+        self.gain_table.remove_vertices(
+            [vertex for vertex, _ in batch], new_faces=round_new_faces
+        )
         self.rounds += 1
         # Work: sorting the per-face gains plus recomputing gains for the
         # affected and newly-created faces (each a vectorised O(|V|) scan).
@@ -196,7 +194,6 @@ def construct_tmfg(
     build_bubble_tree: bool = True,
     tracker: Optional[WorkSpanTracker] = None,
     backend: Optional[ParallelBackend] = None,
-    kernel: Optional[str] = None,
 ) -> TMFGResult:
     """Build a TMFG (or its prefix-batched variant) from a similarity matrix.
 
@@ -216,10 +213,6 @@ def construct_tmfg(
     backend:
         Reserved for the thread-pool backend; per-round insertions are
         independent and can be dispatched through it.
-    kernel:
-        Gain-update kernel (``"python"`` per-face loop or ``"numpy"`` bulk
-        matrix argmax; see :mod:`repro.parallel.kernels`).  ``None`` uses
-        the process-wide default.  Both produce identical graphs.
     """
     if prefix < 1:
         raise ValueError("prefix must be at least 1")
@@ -227,40 +220,12 @@ def construct_tmfg(
     tracker = tracker if tracker is not None else WorkSpanTracker()
     clique = _initial_clique(similarity)
 
-    builder = _TMFGBuilder(similarity, clique, build_bubble_tree, kernel, tracker)
+    builder = _TMFGBuilder(similarity, clique, build_bubble_tree, tracker)
     while builder.gain_table.num_remaining > 0:
-        if prefix == 1:
-            # One scan instead of the reference sort: ``argmax_pair`` is the
-            # pair ``_select_batch(table, 1)`` returns, same tie-break.
-            best = builder.gain_table.argmax_pair()
-            pairs = [] if best is None else [best]
-        else:
-            pairs = _select_batch(builder.gain_table, prefix)
+        pairs = builder.gain_table.select(prefix)
         if not pairs:
             raise RuntimeError(
                 "no insertable vertex-face pair found; inconsistent gain table"
             )
         builder.insert_round([(pair.vertex, pair.face) for pair in pairs])
     return builder.result(prefix)
-
-
-def _select_batch(gain_table: GainTable, prefix: int) -> List[VertexFacePair]:
-    """Choose up to ``prefix`` vertex-face pairs to insert this round.
-
-    Implements Lines 9–10 of Algorithm 1: take the ``prefix`` largest-gain
-    pairs over all faces, then, for any vertex that appears with several
-    faces, keep only its highest-gain pair so each vertex is inserted into a
-    single face.
-    """
-    pairs = gain_table.best_pairs()
-    if not pairs:
-        return []
-    pairs.sort(key=lambda pair: pair.sort_key(), reverse=True)
-    top = pairs[:prefix]
-    chosen: Dict[int, VertexFacePair] = {}
-    for pair in top:
-        current = chosen.get(pair.vertex)
-        if current is None or pair.gain > current.gain:
-            chosen[pair.vertex] = pair
-    # Preserve the descending-gain order for deterministic insertion.
-    return sorted(chosen.values(), key=lambda pair: pair.sort_key(), reverse=True)

@@ -101,7 +101,7 @@ def run_method(
 
     ``num_clusters`` defaults to the number of ground-truth classes, which
     is how the paper cuts every dendrogram.  ``kernel`` is the single switch
-    between the ``"python"`` and ``"numpy"`` hot-loop kernels of the
+    between the ``"python"`` and ``"numpy"`` APSP kernels of the
     TMFG/DBHT pipelines (identical results; see
     :mod:`repro.parallel.kernels`); ``backend`` is a
     :class:`~repro.parallel.scheduler.ParallelBackend` instance or name

@@ -30,6 +30,12 @@ def _as_square_float_array(matrix: np.ndarray, name: str) -> np.ndarray:
     return array
 
 
+def is_symmetric(array: np.ndarray, atol: float = 1e-8) -> bool:
+    """``array`` equals its transpose within ``atol``; an exactly symmetric
+    array (the common case) skips the elementwise tolerance test."""
+    return np.array_equal(array, array.T) or np.allclose(array, array.T, atol=atol)
+
+
 def validate_similarity_matrix(
     matrix: np.ndarray,
     min_size: int = 4,
@@ -48,7 +54,7 @@ def validate_similarity_matrix(
         raise MatrixValidationError(
             f"similarity matrix must have at least {min_size} rows, got {n}"
         )
-    if require_symmetric and not np.allclose(array, array.T, atol=atol):
+    if require_symmetric and not is_symmetric(array, atol):
         raise MatrixValidationError("similarity matrix must be symmetric")
     return array
 
@@ -69,7 +75,7 @@ def validate_dissimilarity_matrix(
         raise MatrixValidationError(
             f"dissimilarity matrix has {array.shape[0]} rows, expected {size}"
         )
-    if not np.allclose(array, array.T, atol=atol):
+    if not is_symmetric(array, atol):
         raise MatrixValidationError("dissimilarity matrix must be symmetric")
     if np.any(array < -atol):
         raise MatrixValidationError("dissimilarity matrix must be non-negative")

@@ -14,13 +14,16 @@ The computation runs on the frozen CSR form of the graph
   and float arithmetic as the adjacency-list reference implementation
   (:func:`dijkstra`), so the distances are byte-identical, but it runs on
   flat typed arrays instead of per-edge Python tuples.
-* ``"numpy"`` — a batched Bellman-Ford-style relaxation: all sources of a
-  chunk advance one hop per round via a single gather
-  (``dist[:, indices] + weights``) and one segmented min
-  (``np.minimum.reduceat``).  Because the CSR graph is symmetric, row ``v``
-  is exactly the set of in-arcs of ``v``, so the CSR arrays double as the
-  relaxation's group index.  Converges in hop-diameter rounds, which is
-  small on filtered graphs.
+* ``"numpy"`` — a batched Bellman-Ford-style *frontier* relaxation: a
+  block of 16 sources advances one hop per round, and a round relaxes only
+  the arcs whose tail improved in the previous round, via one gather and
+  one segmented min (``np.minimum.reduceat``) over the selected arcs'
+  heads.  Because the CSR graph is symmetric, row ``v`` is exactly the set
+  of in-arcs of ``v``, so the CSR arrays double as the relaxation's group
+  index.  Blocks are filled in breadth-first (Cuthill-McKee-like) order,
+  so a block's sources are graph neighbours and share one small frontier.
+  Converges in hop-diameter rounds, which is small on filtered graphs, to
+  the same least fixpoint as Dijkstra: the distances are byte-identical.
 
 Sources are chunked over a :class:`~repro.parallel.scheduler.ParallelBackend`;
 the chunk worker is a module-level function over picklable CSR arrays, so
@@ -268,19 +271,57 @@ def _apsp_python(
     return rows
 
 
+def _locality_order(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Vertices in breadth-first order, each layer in order of discovery.
+
+    This is Cuthill-McKee without the degree sort: each BFS starts at the
+    lowest unvisited id, and a vertex's neighbours come right after the
+    neighbours of the vertices discovered before it, so nearby positions
+    hold nearby vertices.
+    """
+    n = indptr.size - 1
+    degrees = np.diff(indptr)
+    order = np.empty(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    filled = 0
+    while filled < n:
+        frontier = np.flatnonzero(~seen)[:1]
+        seen[frontier] = True
+        while frontier.size:
+            order[filled : filled + frontier.size] = frontier
+            filled += frontier.size
+            counts = degrees[frontier]
+            offsets = np.cumsum(counts) - counts
+            arcs = np.arange(counts.sum()) + np.repeat(indptr[frontier] - offsets, counts)
+            neighbours = indices[arcs]
+            neighbours = neighbours[~seen[neighbours]]
+            found, first = np.unique(neighbours, return_index=True)
+            frontier = found[np.argsort(first, kind="stable")]
+            seen[frontier] = True
+    return order
+
+
 def _apsp_numpy(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
     sources: Sequence[int],
 ) -> np.ndarray:
-    """Batched relaxation: every source advances one hop per numpy round.
+    """Frontier relaxation: every source advances one hop per numpy round.
 
-    Distances are kept transposed (vertices x sources) so the per-round
-    gather ``dist[indices]`` reads contiguous rows, and the in-arc segments
-    of the symmetric CSR give the segmented min directly.  Converges in
-    hop-diameter rounds; the result is byte-identical to Dijkstra's because
-    every path's length is accumulated in the same source-to-target order.
+    Sources are relaxed in blocks of :data:`_RELAX_BLOCK_SOURCES`, taken in
+    :func:`_locality_order` so that a block's sources are graph neighbours
+    and their frontiers overlap.  Distances are kept transposed (vertices x
+    sources) so the per-round gather ``dist[tails]`` reads contiguous rows.
+    A round relaxes only the arcs whose tail improved in the previous round
+    (``changed[indices]``); in the symmetric CSR, row ``v`` lists the
+    in-arcs of ``v``, so the selected arcs stay grouped by head and one
+    ``np.minimum.reduceat`` over their head segments gives each head's best
+    candidate.  Every segment holds at least one selected arc, so the empty
+    segments ``reduceat`` cannot express never arise.  This reaches the same
+    least fixpoint as relaxing every arc every round, and the result is
+    byte-identical to Dijkstra's because every path's length is accumulated
+    in the same source-to-target order.
     """
     n = indptr.size - 1
     sources = np.asarray(sources, dtype=np.int64)
@@ -288,33 +329,36 @@ def _apsp_numpy(
     dist[np.arange(sources.size), sources] = 0.0
     if indices.size == 0 or sources.size == 0:
         return dist
-    # ``reduceat`` cannot express empty segments, so reduce only over the
-    # vertices that have in-arcs (their starts partition the arc array
-    # exactly) and scatter into the full rows; isolated vertices keep inf.
-    active = np.flatnonzero(np.diff(indptr) > 0)
-    segment_starts = indptr[:-1][active]
-    all_active = active.size == n
-    weight_column = weights[:, None]
+    heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    positions = np.arange(sources.size)
+    if sources.size > _RELAX_BLOCK_SOURCES:
+        rank = np.empty(n, dtype=np.int64)
+        rank[_locality_order(indptr, indices)] = np.arange(n)
+        positions = np.argsort(rank[sources], kind="stable")
     for begin in range(0, sources.size, _RELAX_BLOCK_SOURCES):
-        block_sources = sources[begin : begin + _RELAX_BLOCK_SOURCES]
-        width = block_sources.size
+        block = positions[begin : begin + _RELAX_BLOCK_SOURCES]
+        width = block.size
         transposed = np.full((n, width), np.inf, dtype=float)
-        transposed[block_sources, np.arange(width)] = 0.0
-        candidates = np.empty((indices.size, width), dtype=float)
-        for _ in range(n):
-            np.take(transposed, indices, axis=0, out=candidates)
-            candidates += weight_column
-            reduced = np.minimum.reduceat(candidates, segment_starts, axis=0)
-            if all_active:
-                relaxed = reduced
-            else:
-                relaxed = np.full((n, width), np.inf, dtype=float)
-                relaxed[active] = reduced
-            np.minimum(transposed, relaxed, out=relaxed)
-            if np.array_equal(relaxed, transposed):
+        transposed[sources[block], np.arange(width)] = 0.0
+        changed = np.zeros(n, dtype=bool)
+        changed[sources[block]] = True
+        while True:
+            arcs = np.flatnonzero(changed[indices])
+            if arcs.size == 0:
                 break
-            transposed, relaxed = relaxed, transposed
-        dist[begin : begin + width] = transposed.T
+            arc_heads = heads[arcs]
+            starts = np.flatnonzero(np.diff(arc_heads, prepend=-1))
+            targets = arc_heads[starts]
+            candidates = transposed[indices[arcs]]
+            candidates += weights[arcs, None]
+            reduced = np.minimum.reduceat(candidates, starts, axis=0)
+            current = transposed[targets]
+            improved = (reduced < current).any(axis=1)
+            targets = targets[improved]
+            transposed[targets] = np.minimum(current[improved], reduced[improved])
+            changed[:] = False
+            changed[targets] = True
+        dist[block] = transposed.T
     return dist
 
 

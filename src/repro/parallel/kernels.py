@@ -1,14 +1,10 @@
 """Kernel registry: one switch between ``python`` and ``numpy`` hot loops.
 
-Several hot paths of the pipeline have two interchangeable implementations
-with identical results:
-
-* ``"apsp"`` — per-source array-heap Dijkstra (``python``) vs the batched
-  Bellman-Ford relaxation kernel (``numpy``) in
-  :mod:`repro.graph.shortest_paths`;
-* ``"gain_update"`` — per-face gain recomputation (``python``) vs one bulk
-  masked argmax over the gain matrix (``numpy``) in
-  :mod:`repro.core.gains`.
+The APSP hot path has two interchangeable implementations with identical
+results, registered under the ``"apsp"`` kind: a per-source array-heap
+Dijkstra (``python``) and the batched frontier relaxation (``numpy``) in
+:mod:`repro.graph.shortest_paths`.  (The TMFG gain table has a single
+array-native implementation, :mod:`repro.core.gains`, and no kernel kind.)
 
 Rather than threading booleans through every layer, implementations register
 themselves here under ``(operation, kernel name)`` and consumers resolve

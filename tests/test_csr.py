@@ -2,9 +2,10 @@
 
 The refactor's contract is exact equivalence, not approximate: APSP
 distances from the CSR kernels must be *byte-identical* to the
-adjacency-list reference Dijkstra, TMFG construction must produce the same
-edge sets under either gain-update kernel, and the full ``tmfg_dbht``
-pipeline must yield identical labels and dendrogram heights either way.
+adjacency-list reference Dijkstra, the array-native TMFG construction must
+produce the same edges as the sort-based selection oracle, and the full
+``tmfg_dbht`` pipeline must yield identical labels and dendrogram heights
+under either APSP kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.graph.shortest_paths import all_pairs_shortest_paths, dijkstra
 from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.kernels import available_kernels, kernel_scope
 from repro.parallel.scheduler import ProcessBackend, ThreadBackend
+from tests.oracles import reference_tmfg
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -183,24 +185,21 @@ class TestAPSPEquivalence:
 
     def test_both_kernels_registered(self):
         assert available_kernels("apsp") == ["numpy", "python"]
-        assert available_kernels("gain_update") == ["numpy", "python"]
+        # The gain table is array-native only: no kernel pair to choose from.
+        assert available_kernels("gain_update") == []
 
 
 class TestTMFGEquivalence:
-    """Gain-update kernels: identical TMFG edge sets on random inputs."""
+    """Array-native gain table: the sort oracle's TMFG edges on random inputs."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("prefix", [1, 4, 10])
     def test_edge_sets_identical(self, seed, prefix):
         similarity = _random_similarity(30, seed)
-        python_tmfg = construct_tmfg(
-            similarity, prefix=prefix, build_bubble_tree=False, kernel="python"
-        )
-        numpy_tmfg = construct_tmfg(
-            similarity, prefix=prefix, build_bubble_tree=False, kernel="numpy"
-        )
-        assert python_tmfg.edges == numpy_tmfg.edges
-        assert python_tmfg.rounds == numpy_tmfg.rounds
+        reference = reference_tmfg(similarity, prefix)
+        result = construct_tmfg(similarity, prefix=prefix, build_bubble_tree=False)
+        assert result.edges == reference.edges
+        assert result.rounds == reference.rounds
 
 
 class TestPipelineEquivalence:

@@ -8,6 +8,7 @@ import pytest
 from repro.core.gains import GainTable, RescanGainTable
 from repro.graph.faces import triangle_key
 from tests.conftest import random_similarity_matrix
+from tests.oracles import select_batch
 
 
 @pytest.fixture
@@ -105,8 +106,6 @@ class TestGainTable:
         assert table.is_remaining(6)
 
     def test_argmax_pair_matches_reference_selection(self):
-        from repro.core.tmfg import _select_batch
-
         for seed in range(10):
             similarity = random_similarity_matrix(14, seed=seed)
             # Duplicate entries to force exact gain ties.
@@ -117,7 +116,7 @@ class TestGainTable:
             table.add_faces(
                 [frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 2, 3}), frozenset({1, 2, 3})]
             )
-            expected = _select_batch(table, prefix=1)[0]
+            expected = select_batch(table, prefix=1)[0]
             scanned = table.argmax_pair()
             assert (scanned.vertex, scanned.face, scanned.gain) == (
                 expected.vertex,

@@ -10,6 +10,7 @@ from scipy.spatial.distance import squareform
 from repro.baselines.hac import hac_dendrogram, hac_labels, linkage
 from repro.dendrogram.cut import cut_k
 from repro.metrics.ari import adjusted_rand_index
+from tests.oracles import scalar_linkage
 
 
 def random_distance_matrix(n, seed):
@@ -112,3 +113,28 @@ class TestQuality:
         distances = random_distance_matrix(12, 11)
         dendrogram = hac_dendrogram(distances, method="weighted")
         assert dendrogram.is_complete
+
+
+def tied_distance_matrix(n, seed, levels=4):
+    """Symmetric distances on a coarse grid of thirds: many exact ties,
+    and average/weighted updates that are not dyadic."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(1, levels + 1, size=(n, n)) / 3.0, 1)
+    return upper + upper.T
+
+
+class TestVectorisedUpdate:
+    """The vectorised Lance-Williams row update is the scalar loop, byte for byte."""
+
+    @pytest.mark.parametrize("method", ["single", "complete", "average", "weighted"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_merges_byte_identical_to_scalar_updates(self, monkeypatch, method, seed):
+        for n, distances in (
+            (14, tied_distance_matrix(14, seed)),
+            (25, tied_distance_matrix(25, seed, levels=2)),
+            (18, random_distance_matrix(18, seed)),
+        ):
+            expected = scalar_linkage(monkeypatch, distances, method)
+            merges = linkage(distances, method)
+            assert merges.shape == (n - 1, 4)
+            assert merges.tobytes() == expected.tobytes()

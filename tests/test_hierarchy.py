@@ -7,10 +7,12 @@ import pytest
 
 from repro.core.assignment import assign_vertices
 from repro.core.direction import compute_directions
-from repro.core.hierarchy import build_hierarchy
+from repro.core import hierarchy
+from repro.core.hierarchy import _Cluster, _max_linkage_matrix, build_hierarchy
 from repro.core.tmfg import construct_tmfg
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.graph.weighted_graph import WeightedGraph
+from tests.oracles import max_linkage_matrix
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +193,56 @@ class TestDegenerateInputs:
         dendrogram = build_hierarchy(assignment, distances)
         assert dendrogram.is_complete
         assert dendrogram.heights_monotone()
+
+
+def _partition(vertices, sizes, rng=None):
+    """Clusters of the given sizes over ``vertices`` (shuffled when ``rng``)."""
+    order = list(vertices) if rng is None else [int(v) for v in rng.permutation(vertices)]
+    clusters, start = [], 0
+    for index, size in enumerate(sizes):
+        clusters.append(_Cluster(node_id=index, vertices=order[start : start + size]))
+        start += size
+    return clusters
+
+
+class TestMaxLinkageMatrix:
+    """One gather + ``reduceat`` equals the pairwise ``np.ix_`` loop exactly."""
+
+    @pytest.mark.parametrize("budget", [None, 600, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pairwise_oracle(self, hierarchy_inputs, monkeypatch, seed, budget):
+        # A small gather budget splits the rows into runs of whole clusters
+        # (budget 1: one cluster per run), as the top level does at scale.
+        if budget is not None:
+            monkeypatch.setattr(hierarchy, "_GATHER_BUDGET", budget)
+        _, shortest_paths, _ = hierarchy_inputs
+        rng = np.random.default_rng(seed)
+        sizes = [1, 3, 7, 2, 12, 1, 20, 14]
+        clusters = _partition(range(shortest_paths.shape[0]), sizes, rng)
+        expected = max_linkage_matrix(clusters, shortest_paths)
+        assert _max_linkage_matrix(clusters, shortest_paths).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_mirrors_the_upper_triangle_of_an_asymmetric_apsp(
+        self, hierarchy_inputs, monkeypatch, shuffle, budget
+    ):
+        if budget is not None:
+            monkeypatch.setattr(hierarchy, "_GATHER_BUDGET", budget)
+        # APSP rows can differ from columns in the last ulp; the pairwise
+        # definition reads rows of cluster i and columns of cluster j > i.
+        _, shortest_paths, _ = hierarchy_inputs
+        bumped = shortest_paths.copy()
+        lower = np.tril_indices(bumped.shape[0], -1)
+        bumped[lower] = np.nextafter(bumped[lower], np.inf)
+        rng = np.random.default_rng(7) if shuffle else None
+        clusters = _partition(range(bumped.shape[0]), [5, 9, 1, 15, 30], rng)
+        expected = max_linkage_matrix(clusters, bumped)
+        # The bump must be visible, or this test would not pin the mirror.
+        assert not np.array_equal(expected, max_linkage_matrix(clusters, bumped.T))
+        assert np.array_equal(_max_linkage_matrix(clusters, bumped), expected)
+
+    def test_single_cluster(self, hierarchy_inputs):
+        _, shortest_paths, _ = hierarchy_inputs
+        clusters = _partition(range(6), [6])
+        assert np.array_equal(_max_linkage_matrix(clusters, shortest_paths), np.zeros((1, 1)))

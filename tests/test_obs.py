@@ -203,6 +203,35 @@ class TestInstrumentationSites:
         make_estimator("tmfg-dbht", ClusteringConfig(num_clusters=2)).fit(_matrix(n=12))
         assert closed == []
 
+    def test_traced_fit_emits_phase_spans_as_children(self):
+        from repro.api.estimators import make_estimator
+
+        series = _matrix(n=14)
+        config = ClusteringConfig(num_clusters=3)
+        untraced = make_estimator("tmfg-dbht", config).fit(series).result_
+        tracer, closed = _collecting_tracer()
+        with tracer.start_span("root"):
+            traced = make_estimator("tmfg-dbht", config).fit(series).result_
+        by_kind = {event["kind"]: event for event in closed}
+        fit_span = by_kind["estimator.fit"]["span_id"]
+        for kind in ("fit.tmfg", "fit.apsp", "fit.bubble_tree", "fit.hierarchy"):
+            assert by_kind[kind]["parent_id"] == fit_span, kind
+        assert by_kind["kernel.apsp"]["parent_id"] == by_kind["fit.apsp"]["span_id"]
+        # Tracing changes no output byte (the timings differ by nature).
+        def payload(result):
+            document = result.to_dict()
+            document.pop("step_seconds")
+            return json.dumps(document)
+
+        assert payload(traced) == payload(untraced)
+        assert traced.labels.tobytes() == untraced.labels.tobytes()
+        heights = [
+            [node.height for node in result.raw.dendrogram.internal_nodes()]
+            for result in (traced, untraced)
+        ]
+        assert heights[0] == heights[1]
+        assert set(traced.step_seconds) == set(untraced.step_seconds)
+
     def test_shm_share_span(self):
         from repro.parallel import shm
 

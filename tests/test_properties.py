@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) on the core data structures and invariants.
 
-The TMFG and DBHT properties are parametrized over the ``kernel``
-(``python``/``numpy`` hot loops) and, for the DBHT pipeline, over the
-serial/process ``backend`` fixture, so both the bulk-numpy gain updates and
-the picklable process-pool APSP path are covered by the invariants.
+The TMFG construction is checked against the sort-based selection and the
+per-face gain scan kept in :mod:`tests.oracles`; the DBHT properties are
+parametrized over the APSP ``kernel`` (``python``/``numpy``) and the
+serial/process ``backend`` fixture, so the picklable process-pool APSP path
+is covered by the invariants too.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.direction import compute_directions, compute_directions_bfs
 from repro.core.dbht import dbht
-from repro.core.tmfg import _initial_clique, _select_batch, _TMFGBuilder, construct_tmfg
+from repro.core.tmfg import _initial_clique, _TMFGBuilder, construct_tmfg
 from repro.dendrogram.cut import cut_k
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.planarity import is_planar
 from repro.metrics.ari import adjusted_rand_index
 from repro.parallel.cost_model import WorkSpanTracker
 from repro.parallel.kernels import KERNEL_NAMES
+from tests.oracles import per_face_best, reference_tmfg
 
 
 def similarity_matrices(min_size=5, max_size=24):
@@ -40,7 +42,7 @@ def similarity_matrices(min_size=5, max_size=24):
     ).map(build)
 
 
-def tie_heavy_matrices(min_size=4, max_size=20):
+def tie_heavy_matrices(min_size=4, max_size=24):
     """Symmetric matrices built to force exact gain ties.
 
     Entries are dyadic multiples of ``1/levels`` (so every gain is an exact
@@ -68,18 +70,13 @@ def tie_heavy_matrices(min_size=4, max_size=20):
     ).map(build)
 
 
-def _reference_prefix_one_tmfg(similarity: np.ndarray, kernel: str) -> _TMFGBuilder:
-    """The TMFG built by driving the construction state with the reference
-    batched selection at ``prefix=1`` (sort every face's best pair, take
-    the top one)."""
-    similarity = validate_similarity_matrix(similarity)
-    builder = _TMFGBuilder(
-        similarity, _initial_clique(similarity), False, kernel, WorkSpanTracker()
-    )
-    while builder.gain_table.num_remaining > 0:
-        (pair,) = _select_batch(builder.gain_table, 1)
-        builder.insert_round([(pair.vertex, pair.face)])
-    return builder
+#: Round sizes the selection properties run at; ``"n"`` is the matrix size
+#: (every face's best pair competes in a single round).
+PREFIXES = [1, 2, 3, 7, "n"]
+
+
+def _prefix_for(prefix, similarity: np.ndarray) -> int:
+    return similarity.shape[0] if prefix == "n" else prefix
 
 
 def _dissimilarity_from(similarity: np.ndarray) -> np.ndarray:
@@ -89,29 +86,52 @@ def _dissimilarity_from(similarity: np.ndarray) -> np.ndarray:
 
 
 class TestTMFGProperties:
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     @settings(max_examples=25, deadline=None)
     @given(similarity_matrices(), st.integers(min_value=1, max_value=12))
-    def test_tmfg_is_always_maximal_planar(self, kernel, similarity, prefix):
+    def test_tmfg_is_always_maximal_planar(self, similarity, prefix):
         n = similarity.shape[0]
-        result = construct_tmfg(
-            similarity, prefix=prefix, build_bubble_tree=False, kernel=kernel
-        )
+        result = construct_tmfg(similarity, prefix=prefix, build_bubble_tree=False)
         assert result.graph.num_edges == 3 * n - 6
         assert is_planar(result.graph)
 
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("prefix", PREFIXES)
     @settings(max_examples=40, deadline=None)
     @given(tie_heavy_matrices())
-    def test_prefix_one_selection_matches_reference_oracle(self, kernel, similarity):
-        """The single-scan ``prefix=1`` path builds what the reference
-        batched selection builds, tie-breaks included."""
-        reference = _reference_prefix_one_tmfg(similarity, kernel)
-        result = construct_tmfg(similarity, prefix=1, build_bubble_tree=False, kernel=kernel)
+    def test_selection_matches_sort_oracle(self, prefix, similarity):
+        """The argmax (``prefix=1``) and argpartition (``prefix>1``) round
+        selections build what sorting every face's best pair builds,
+        tie-breaks included."""
+        prefix = _prefix_for(prefix, similarity)
+        reference = reference_tmfg(similarity, prefix)
+        result = construct_tmfg(similarity, prefix=prefix, build_bubble_tree=False)
         assert result.initial_clique == reference.clique
         assert result.insertion_order == reference.insertion_order
         assert result.edges == reference.edges
-        assert result.rounds == reference.rounds == similarity.shape[0] - 4
+        assert result.rounds == reference.rounds
+        if prefix == 1:
+            assert result.rounds == similarity.shape[0] - 4
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(tie_heavy_matrices(), similarity_matrices(min_size=4)))
+    def test_gain_table_matches_per_face_recompute_every_round(self, prefix, similarity):
+        """After every round, each live face's ``(gain, vertex)`` equals a
+        fresh per-face scan over the remaining vertices, bit for bit."""
+        prefix = _prefix_for(prefix, similarity)
+        similarity = validate_similarity_matrix(similarity)
+        builder = _TMFGBuilder(
+            similarity, _initial_clique(similarity), False, WorkSpanTracker()
+        )
+        table = builder.gain_table
+        while True:
+            remaining = table.remaining_vertices()
+            assert set(table.faces()) == builder.faces
+            for face in table.faces():
+                assert table.best_for_face(face) == per_face_best(similarity, face, remaining)
+            if table.num_remaining == 0:
+                break
+            pairs = table.select(prefix)
+            builder.insert_round([(pair.vertex, pair.face) for pair in pairs])
 
     @settings(max_examples=15, deadline=None)
     @given(similarity_matrices(min_size=6, max_size=20), st.integers(min_value=2, max_value=8))
@@ -157,7 +177,7 @@ class TestDBHTProperties:
     @given(similarity_matrices(min_size=8, max_size=20), st.integers(min_value=1, max_value=6))
     def test_dendrogram_is_complete_and_monotone(self, kernel, backend, similarity, prefix):
         dissimilarity = _dissimilarity_from(similarity)
-        tmfg = construct_tmfg(similarity, prefix=prefix, kernel=kernel)
+        tmfg = construct_tmfg(similarity, prefix=prefix)
         result = dbht(tmfg, similarity, dissimilarity, backend=backend, kernel=kernel)
         assert result.dendrogram.is_complete
         assert result.dendrogram.heights_monotone()

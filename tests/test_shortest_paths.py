@@ -17,6 +17,7 @@ from scipy.sparse.csgraph import shortest_path
 from repro.core.tmfg import construct_tmfg
 from repro.datasets.similarity import correlation_matrix, default_dissimilarity
 from repro.graph.shortest_paths import (
+    _locality_order,
     all_pairs_shortest_paths,
     available_apsp_methods,
     dijkstra,
@@ -175,6 +176,108 @@ class TestAPSP:
                 for k in range(0, n, 5):
                     if finite[i, k] and finite[k, j]:
                         assert distances[i, j] <= distances[i, k] + distances[k, j] + 1e-9
+
+
+def _heap_and_frontier(graph, sources=None, backend=None):
+    """Distances from the python heap kernel and the numpy frontier kernel."""
+    if sources is None:
+        return (
+            all_pairs_shortest_paths(graph, kernel="python"),
+            all_pairs_shortest_paths(graph, kernel="numpy", backend=backend),
+        )
+    return (
+        shortest_paths_from_sources(graph, sources, kernel="python"),
+        shortest_paths_from_sources(graph, sources, kernel="numpy", backend=backend),
+    )
+
+
+class TestFrontierKernelEdgeCases:
+    """The numpy frontier relaxation equals the heap kernel bit for bit."""
+
+    def test_zero_weight_edges_from_exact_one_similarities(self):
+        rng = np.random.default_rng(8)
+        similarity = correlation_matrix(rng.normal(size=(40, 60)))
+        for u, v in ((0, 1), (1, 5), (2, 3)):
+            similarity[u, v] = similarity[v, u] = 1.0
+        tmfg = construct_tmfg(similarity)
+        graph = tmfg.csr().reweighted(default_dissimilarity(similarity))
+        assert np.count_nonzero(graph.weights == 0.0) >= 4
+        heap, frontier = _heap_and_frontier(graph)
+        assert np.array_equal(frontier, heap)
+
+    def test_zero_weight_cycle(self):
+        graph = WeightedGraph(5)
+        for u, v in ((0, 1), (1, 2), (2, 0)):
+            graph.add_edge(u, v, 0.0)
+        graph.add_edge(2, 3, 1.5)
+        graph.add_edge(3, 4, 0.0)
+        heap, frontier = _heap_and_frontier(graph)
+        assert np.array_equal(frontier, heap)
+        assert frontier[0, 4] == 1.5
+
+    def test_isolated_vertices_first_middle_and_last(self):
+        # Vertices 0, 3 and 6 have no arcs: empty CSR segments, which
+        # ``reduceat`` cannot express.
+        graph = WeightedGraph(7)
+        for u, v, w in ((1, 2, 1.0), (2, 4, 0.5), (4, 5, 2.0), (1, 5, 4.0)):
+            graph.add_edge(u, v, w)
+        heap, frontier = _heap_and_frontier(graph)
+        assert np.array_equal(frontier, heap)
+        for isolated in (0, 3, 6):
+            assert frontier[isolated, isolated] == 0.0
+            assert np.isinf(np.delete(frontier[isolated], isolated)).all()
+
+    def test_two_components(self):
+        graph = WeightedGraph(24)
+        rng = np.random.default_rng(4)
+        for offset in (0, 12):
+            for u in range(offset, offset + 12):
+                for v in range(u + 1, offset + 12):
+                    if rng.random() < 0.3:
+                        graph.add_edge(u, v, float(rng.uniform(0.1, 2.0)))
+        heap, frontier = _heap_and_frontier(graph)
+        assert np.array_equal(frontier, heap)
+        assert np.isinf(frontier[:12, 12:]).all()
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_smallest_graphs(self, n):
+        graph = WeightedGraph(n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                graph.add_edge(u, v, float(u + v) / 3.0)
+        heap, frontier = _heap_and_frontier(graph)
+        assert frontier.shape == (n, n)
+        assert np.array_equal(frontier, heap)
+
+    def test_sources_out_of_order_and_duplicated(self):
+        graph = _random_graph(40, 0.15, 21)
+        sources = [17, 3, 17, 39, 0, 3, 25, 25]
+        heap, frontier = _heap_and_frontier(graph, sources)
+        assert np.array_equal(frontier, heap)
+        full = all_pairs_shortest_paths(graph, kernel="python")
+        assert np.array_equal(frontier, full[sources])
+
+    def test_locality_blocks_over_components_and_isolated_vertices(self):
+        # More sources than one block, so they are relaxed in locality
+        # order: three components plus isolated vertices 0, 20 and 39.
+        graph = WeightedGraph(40)
+        rng = np.random.default_rng(9)
+        for low, high in ((1, 20), (21, 30), (30, 39)):
+            for u in range(low, high):
+                for v in range(u + 1, high):
+                    if rng.random() < 0.3:
+                        graph.add_edge(u, v, float(rng.integers(1, 4)) / 4.0)
+        csr = graph.to_csr()
+        order = _locality_order(csr.indptr, csr.indices)
+        assert sorted(order.tolist()) == list(range(40))
+        heap, frontier = _heap_and_frontier(graph)
+        assert np.array_equal(frontier, heap)
+
+    def test_process_backend(self):
+        # More than one 16-source block per worker chunk.
+        graph = _random_graph(50, 0.1, 22)
+        heap, frontier = _heap_and_frontier(graph, backend="process")
+        assert np.array_equal(frontier, heap)
 
 
 class TestLandmarkMode:
