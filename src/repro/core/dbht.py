@@ -14,8 +14,11 @@ DBHT dendrogram.  The phases match Fig. 5's runtime decomposition:
 
 Each phase also runs under a trace span (``fit.apsp``, ``fit.bubble_tree``,
 ``fit.hierarchy``; :func:`repro.core.pipeline.tmfg_dbht` opens
-``fit.tmfg``), so a traced fit shows where its time went.  With tracing
-off the spans are the shared no-op and cost nothing.
+``fit.tmfg``), and ``fit.bubble_tree`` holds one child span per half
+(``fit.direction``, ``fit.assignment``), so a traced fit shows where its
+time went.  The two halves have no ``step_seconds`` key of their own:
+``"bubble-tree"`` covers both.  With tracing off the spans are the shared
+no-op and cost nothing.
 """
 
 from __future__ import annotations
@@ -143,10 +146,12 @@ def dbht(
 
     start = time.perf_counter()
     with trace_span("fit.bubble_tree", n=int(n)):
-        directions = compute_directions(tree, graph, tracker=tracker)
-        assignment = assign_vertices(
-            tree, directions, similarity, shortest_paths, tracker=tracker
-        )
+        with trace_span("fit.direction", n=int(n)):
+            directions = compute_directions(tree, graph, tracker=tracker)
+        with trace_span("fit.assignment", n=int(n)):
+            assignment = assign_vertices(
+                tree, directions, similarity, shortest_paths, tracker=tracker
+            )
     step_seconds["bubble-tree"] = time.perf_counter() - start
 
     start = time.perf_counter()

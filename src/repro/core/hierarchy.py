@@ -15,6 +15,19 @@ bubbles among their descendants, and the ``n_b - 1`` nodes inside a group of
 sorted order (intra-bubble nodes first, ordered by bubble and merge
 distance, then inter-bubble nodes ordered by merge distance), which keeps
 the hierarchy monotone and places every group root at height 1.
+
+The construction is array-native where it is hot:
+
+* each group's vertices are gathered from the APSP matrix once; its
+  subgroups' own blocks are the intra-bubble distances and their segmented
+  maxima the inter-bubble ones (:func:`_linkage_blocks`);
+* a level of two clusters emits the single merge ``(0, 1, d)`` that
+  :func:`~repro.baselines.hac.linkage` returns for a 2 x 2 matrix,
+  including its ``ValueError`` on a non-finite ``d``, without building the
+  matrix (most subgroups hold one or two vertices);
+* every cluster counts the groups under it as clusters merge, so an
+  inter-group node's height is read off the merged cluster instead of
+  scanning its leaves.
 """
 
 from __future__ import annotations
@@ -32,75 +45,92 @@ from repro.parallel.cost_model import WorkSpanTracker
 
 @dataclass
 class _Cluster:
-    """A partially built cluster: its dendrogram node id and its leaves."""
+    """A partially built cluster: its dendrogram node id and the number of
+    groups (converging bubbles) among its leaves."""
 
     node_id: int
-    vertices: List[int]
     group_count: int = 1
 
 
-#: Elements one gather in :func:`_max_linkage_matrix` may hold (256 KiB of
+#: Elements one gather in :func:`_linkage_blocks` may hold (256 KiB of
 #: float64).  The top level spans every vertex, where a single gather would
 #: be an ``n x n`` temporary, the largest of the fit.
 _GATHER_BUDGET = 1 << 15
 
 
-def _max_linkage_matrix(
-    clusters: Sequence[_Cluster], shortest_paths: np.ndarray
-) -> np.ndarray:
-    """Complete-linkage distances between clusters (max pairwise distance).
+def _linkage_blocks(
+    members: Sequence[Sequence[int]], shortest_paths: np.ndarray
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Complete-linkage distances between vertex sets, and each set's own block.
 
-    Gathers the concatenated clusters' rows (in runs of whole clusters
-    within :data:`_GATHER_BUDGET`; a single run for all but the largest
-    levels) against all their columns, then takes a segmented
-    ``np.maximum.reduceat`` over both axes.  The APSP matrix can differ
-    from its transpose in the last ulp, so only the upper triangle (rows of
-    cluster ``i``, columns of cluster ``j > i``) is kept and mirrored,
-    which is the block the pairwise definition reads.
+    Gathers the concatenated sets' rows (in runs of whole sets within
+    :data:`_GATHER_BUDGET`; a single run for all but the largest levels)
+    against all their columns.  Returns ``(maxima, own)``: ``maxima[i, j]``
+    is the largest distance from a row of set ``i`` to a column of set
+    ``j``, by a segmented ``np.maximum.reduceat`` over both axes, and
+    ``own[i]`` is set ``i``'s rows against its own columns (a copy, so no
+    run outlives its turn).  The APSP matrix can differ from its transpose in the last ulp,
+    so only the upper triangles (``i < j``) are the pairwise definition's
+    distances; :func:`_mirror_upper` makes the symmetric matrix.
     """
-    k = len(clusters)
-    sizes = [len(cluster.vertices) for cluster in clusters]
-    order = [vertex for cluster in clusters for vertex in cluster.vertices]
+    k = len(members)
+    sizes = [len(vertices) for vertices in members]
+    order = [vertex for vertices in members for vertex in vertices]
     starts = np.cumsum([0] + sizes[:-1])
     row_budget = _GATHER_BUDGET // len(order)
     maxima = np.empty((k, k), dtype=float)
+    own: List[np.ndarray] = []
     first = 0
     while first < k:
         last, rows = first + 1, sizes[first]
         while last < k and rows + sizes[last] <= row_budget:
             rows += sizes[last]
             last += 1
-        block = shortest_paths[np.ix_(order[starts[first] : starts[first] + rows], order)]
+        offset = int(starts[first])
+        block = shortest_paths[np.ix_(order[offset : offset + rows], order)]
         maxima[first:last] = np.maximum.reduceat(
-            np.maximum.reduceat(block, starts[first:last] - starts[first], axis=0),
+            np.maximum.reduceat(block, starts[first:last] - offset, axis=0),
             starts,
             axis=1,
         )
+        for index in range(first, last):
+            begin, end = int(starts[index]), int(starts[index]) + sizes[index]
+            own.append(block[begin - offset : end - offset, begin:end].copy())
         first = last
-    upper = np.triu_indices(k, 1)
-    matrix = np.zeros((k, k), dtype=float)
-    matrix[upper] = maxima[upper]
-    matrix.T[upper] = maxima[upper]
-    return matrix
+    return maxima, own
+
+
+def _mirror_upper(maxima: np.ndarray) -> np.ndarray:
+    """The symmetric matrix with the upper triangle of ``maxima`` and a zero
+    diagonal (exact: every entry adds 0.0 to the value it keeps)."""
+    upper = np.triu(maxima, 1)
+    return upper + upper.T
 
 
 def _run_level(
     dendrogram: Dendrogram,
     clusters: List[_Cluster],
-    shortest_paths: np.ndarray,
+    maxima: np.ndarray,
     level: str,
     **metadata: object,
-) -> Tuple[_Cluster, List[Tuple[float, int]]]:
-    """Complete-linkage over ``clusters``; returns the root cluster and the
-    ``(merge distance, node id)`` pairs of the internal nodes created."""
-    if len(clusters) == 1:
+) -> Tuple[_Cluster, List[Tuple[float, _Cluster]]]:
+    """Complete-linkage over ``clusters``, whose distances are the upper
+    triangle of ``maxima``; returns the root cluster and the ``(merge
+    distance, merged cluster)`` pairs of the internal nodes created."""
+    k = len(clusters)
+    if k == 1:
         return clusters[0], []
-    distance_matrix = _max_linkage_matrix(clusters, shortest_paths)
-    merges = linkage(distance_matrix, method="complete")
+    if k == 2:
+        # The one merge ``linkage`` returns for a 2 x 2 matrix, and its error.
+        distance = maxima[0, 1]
+        if not np.isfinite(distance):
+            raise ValueError("distance matrix contains NaN or infinite entries")
+        merges = [(0, 1, distance, 2)]
+    else:
+        merges = linkage(_mirror_upper(maxima), method="complete")
     # Local cluster ids: 0..k-1 are the input clusters, k+i is the i-th merge.
     local: Dict[int, _Cluster] = {i: cluster for i, cluster in enumerate(clusters)}
-    created: List[Tuple[float, int]] = []
-    k = len(clusters)
+    created: List[Tuple[float, _Cluster]] = []
     for index, (a, b, distance, _) in enumerate(merges):
         left = local[int(a)]
         right = local[int(b)]
@@ -112,15 +142,10 @@ def _run_level(
             level=level,
             **metadata,
         )
-        merged = _Cluster(
-            node_id=node_id,
-            vertices=left.vertices + right.vertices,
-            group_count=left.group_count + right.group_count,
-        )
+        merged = _Cluster(node_id, left.group_count + right.group_count)
         local[k + index] = merged
-        created.append((float(distance), node_id))
-    root = local[k + len(merges) - 1]
-    return root, created
+        created.append((float(distance), merged))
+    return local[k + len(merges) - 1], created
 
 
 def build_hierarchy(
@@ -152,41 +177,41 @@ def build_hierarchy(
         bubbles_in_group = sorted(
             {bubble for (g, bubble) in subgroups if g == group_id}
         )
-        for bubble_id in bubbles_in_group:
-            vertices = subgroups[(group_id, bubble_id)]
-            leaf_clusters = [_Cluster(node_id=v, vertices=[v]) for v in vertices]
+        members = [subgroups[(group_id, bubble_id)] for bubble_id in bubbles_in_group]
+        # One gather per group: its subgroups' own blocks are the intra
+        # level's distances, and their maxima the inter-bubble level's.
+        maxima, own = _linkage_blocks(members, shortest_paths)
+        for bubble_id, vertices, block in zip(bubbles_in_group, members, own):
             root, created = _run_level(
                 dendrogram,
-                leaf_clusters,
-                shortest_paths,
+                [_Cluster(vertex) for vertex in vertices],
+                block,
                 level="intra",
                 group=group_id,
                 bubble=bubble_id,
             )
             work += float(len(vertices) ** 2)
-            for distance, node_id in created:
-                intra_records.append((bubble_id, distance, node_id))
-            subgroup_clusters.append(
-                _Cluster(node_id=root.node_id, vertices=list(root.vertices))
-            )
+            for distance, merged in created:
+                intra_records.append((bubble_id, distance, merged.node_id))
+            subgroup_clusters.append(_Cluster(root.node_id))
         group_root, inter_created = _run_level(
             dendrogram,
             subgroup_clusters,
-            shortest_paths,
+            maxima,
             level="inter_bubble",
             group=group_id,
         )
         work += float(len(subgroup_clusters) ** 2)
         per_group_intra[group_id] = intra_records
-        per_group_inter[group_id] = inter_created
-        group_clusters.append(
-            _Cluster(node_id=group_root.node_id, vertices=list(group_root.vertices))
-        )
+        per_group_inter[group_id] = [
+            (distance, merged.node_id) for distance, merged in inter_created
+        ]
+        group_clusters.append(_Cluster(group_root.node_id))
 
     final_root, inter_group_created = _run_level(
         dendrogram,
         group_clusters,
-        shortest_paths,
+        _linkage_blocks([groups[group_id] for group_id in sorted(groups)], shortest_paths)[0],
         level="inter_group",
     )
     work += float(len(group_clusters) ** 2)
@@ -211,7 +236,7 @@ def _assign_heights(
     groups: Dict[int, List[int]],
     per_group_intra: Dict[int, List[Tuple[int, float, int]]],
     per_group_inter: Dict[int, List[Tuple[float, int]]],
-    inter_group_created: List[Tuple[float, int]],
+    inter_group_created: List[Tuple[float, _Cluster]],
 ) -> None:
     """Re-assign dendrogram heights as described in Section V-D."""
     # Nodes inside each group: intra nodes first (by bubble, then merge
@@ -241,23 +266,6 @@ def _assign_heights(
             dendrogram.set_height(node_id, height)
 
     # Inter-group nodes: height = number of converging bubbles (groups) in
-    # the node's descendants.
-    for _, node_id in inter_group_created:
-        node = dendrogram.node(node_id)
-        group_count = _count_group_roots(dendrogram, node_id, per_group_inter, groups)
-        dendrogram.set_height(node_id, float(group_count))
-
-
-def _count_group_roots(
-    dendrogram: Dendrogram,
-    node_id: int,
-    per_group_inter: Dict[int, List[Tuple[float, int]]],
-    groups: Dict[int, List[int]],
-) -> int:
-    """Number of groups whose vertices appear under ``node_id``."""
-    leaves = set(dendrogram.leaves_under(node_id))
-    count = 0
-    for group_id, vertices in groups.items():
-        if leaves & set(vertices):
-            count += 1
-    return count
+    # the node's descendants, which the merged clusters count.
+    for _, merged in inter_group_created:
+        dendrogram.set_height(merged.node_id, float(merged.group_count))

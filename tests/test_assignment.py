@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.assignment import assign_vertices
-from repro.core.direction import compute_directions
+from repro.core.assignment import _attachment_scores, _mean_distances, assign_vertices
+from repro.core.direction import DirectionResult, compute_directions
 from repro.core.tmfg import construct_tmfg
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.graph.weighted_graph import WeightedGraph
 
+from tests import oracles
 from tests.conftest import random_similarity_matrix
 
 
@@ -137,3 +138,61 @@ class TestSmallCases:
         tmfg, directions, _, assignment = _prepare(similarity, dissimilarity)
         assert tmfg.bubble_tree.num_bubbles == 2
         assert np.all(assignment.group >= 0)
+
+
+class TestBatchedScores:
+    def test_mean_distances_match_a_1d_mean_per_vertex(self):
+        # From eight members on, numpy's 1-D mean sums pairwise, and only a
+        # last-axis reduction of a contiguous block keeps its order.
+        rng = np.random.default_rng(0)
+        paths = rng.uniform(0.0, 3.0, size=(16, 16))
+        for _ in range(300):
+            members = rng.choice(16, size=int(rng.integers(1, 13)), replace=False).tolist()
+            vertices = rng.choice(16, size=int(rng.integers(1, 7)), replace=False).tolist()
+            expected = np.array([np.mean(paths[np.asarray(members), v]) for v in vertices])
+            assert _mean_distances(paths, members, vertices).tobytes() == expected.tobytes()
+
+    def test_attachment_scores_add_in_member_order(self):
+        rng = np.random.default_rng(1)
+        similarity = rng.uniform(-1.0, 1.0, size=(12, 12))
+        orders = np.array([rng.permutation(12)[:4] for _ in range(50)])
+        expected = [
+            [float(sum(similarity[v, u] for u in order if u != v)) for v in order]
+            for order in orders.tolist()
+        ]
+        assert _attachment_scores(similarity, orders).tolist() == expected
+
+
+class _NothingReachable(DirectionResult):
+    """Directions under which no bubble reaches a converging bubble."""
+
+    def reachable_converging_bubbles(self, tree):
+        return {bubble.id: set() for bubble in tree.bubbles}
+
+
+class TestFallback:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unreachable_vertices_go_to_the_closest_converging_bubble(self, seed):
+        # Dyadic entries with a duplicated row make exact mean-distance
+        # ties, so the lower-bubble-id rule is exercised too.
+        rng = np.random.default_rng(seed)
+        n = 24
+        similarity = np.triu(rng.integers(-2, 3, size=(n, n)) / 2, 1)
+        similarity = similarity + similarity.T
+        similarity[5, :] = similarity[3, :]
+        similarity[:, 5] = similarity[:, 3]
+        np.fill_diagonal(similarity, 1.0)
+        dissimilarity = similarity.max() - similarity
+        np.fill_diagonal(dissimilarity, 0.0)
+        tmfg, directions, paths, _ = _prepare(similarity, dissimilarity)
+        tree = tmfg.bubble_tree
+        stub = _NothingReachable(
+            directions.towards_child, directions.in_values, directions.out_values
+        )
+        result = assign_vertices(tree, stub, similarity, paths)
+        expected = oracles.assign_vertices(tree, stub, similarity, paths)
+        assert not result.assigned_directly.all(), "no vertex took the fallback"
+        assert np.array_equal(result.group, expected.group)
+        assert np.array_equal(result.bubble, expected.bubble)
+        assert np.array_equal(result.assigned_directly, expected.assigned_directly)
+        assert set(result.group[~result.assigned_directly]) <= set(result.converging_bubbles)

@@ -8,11 +8,19 @@ import pytest
 from repro.core.assignment import assign_vertices
 from repro.core.direction import compute_directions
 from repro.core import hierarchy
-from repro.core.hierarchy import _Cluster, _max_linkage_matrix, build_hierarchy
+from repro.baselines.hac import linkage
+from repro.core.hierarchy import (
+    _Cluster,
+    _linkage_blocks,
+    _mirror_upper,
+    _run_level,
+    build_hierarchy,
+)
 from repro.core.tmfg import construct_tmfg
+from repro.dendrogram.node import Dendrogram
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.graph.weighted_graph import WeightedGraph
-from tests.oracles import max_linkage_matrix
+from tests.oracles import count_group_roots, max_linkage_matrix
 
 
 @pytest.fixture(scope="module")
@@ -196,13 +204,17 @@ class TestDegenerateInputs:
 
 
 def _partition(vertices, sizes, rng=None):
-    """Clusters of the given sizes over ``vertices`` (shuffled when ``rng``)."""
+    """Vertex sets of the given sizes over ``vertices`` (shuffled when ``rng``)."""
     order = list(vertices) if rng is None else [int(v) for v in rng.permutation(vertices)]
-    clusters, start = [], 0
-    for index, size in enumerate(sizes):
-        clusters.append(_Cluster(node_id=index, vertices=order[start : start + size]))
+    members, start = [], 0
+    for size in sizes:
+        members.append(order[start : start + size])
         start += size
-    return clusters
+    return members
+
+
+def _max_linkage_matrix(members, shortest_paths):
+    return _mirror_upper(_linkage_blocks(members, shortest_paths)[0])
 
 
 class TestMaxLinkageMatrix:
@@ -211,16 +223,30 @@ class TestMaxLinkageMatrix:
     @pytest.mark.parametrize("budget", [None, 600, 1])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_pairwise_oracle(self, hierarchy_inputs, monkeypatch, seed, budget):
-        # A small gather budget splits the rows into runs of whole clusters
-        # (budget 1: one cluster per run), as the top level does at scale.
+        # A small gather budget splits the rows into runs of whole sets
+        # (budget 1: one set per run), as the top level does at scale.
         if budget is not None:
             monkeypatch.setattr(hierarchy, "_GATHER_BUDGET", budget)
         _, shortest_paths, _ = hierarchy_inputs
         rng = np.random.default_rng(seed)
         sizes = [1, 3, 7, 2, 12, 1, 20, 14]
-        clusters = _partition(range(shortest_paths.shape[0]), sizes, rng)
-        expected = max_linkage_matrix(clusters, shortest_paths)
-        assert _max_linkage_matrix(clusters, shortest_paths).tobytes() == expected.tobytes()
+        members = _partition(range(shortest_paths.shape[0]), sizes, rng)
+        expected = max_linkage_matrix(members, shortest_paths)
+        assert _max_linkage_matrix(members, shortest_paths).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("budget", [None, 600, 1])
+    def test_own_blocks_are_each_sets_distances(self, hierarchy_inputs, monkeypatch, budget):
+        # The intra-bubble level reads each subgroup's own block out of its
+        # group's gather; it must be that subgroup's rows against its columns.
+        if budget is not None:
+            monkeypatch.setattr(hierarchy, "_GATHER_BUDGET", budget)
+        _, shortest_paths, _ = hierarchy_inputs
+        sizes = [4, 1, 3, 2, 25, 4]
+        members = _partition(range(shortest_paths.shape[0]), sizes, np.random.default_rng(3))
+        _, own = _linkage_blocks(members, shortest_paths)
+        assert len(own) == len(members)
+        for vertices, block in zip(members, own):
+            assert block.tobytes() == shortest_paths[np.ix_(vertices, vertices)].tobytes()
 
     @pytest.mark.parametrize("budget", [None, 1])
     @pytest.mark.parametrize("shuffle", [False, True])
@@ -230,19 +256,89 @@ class TestMaxLinkageMatrix:
         if budget is not None:
             monkeypatch.setattr(hierarchy, "_GATHER_BUDGET", budget)
         # APSP rows can differ from columns in the last ulp; the pairwise
-        # definition reads rows of cluster i and columns of cluster j > i.
+        # definition reads rows of set i and columns of set j > i.
         _, shortest_paths, _ = hierarchy_inputs
         bumped = shortest_paths.copy()
         lower = np.tril_indices(bumped.shape[0], -1)
         bumped[lower] = np.nextafter(bumped[lower], np.inf)
         rng = np.random.default_rng(7) if shuffle else None
-        clusters = _partition(range(bumped.shape[0]), [5, 9, 1, 15, 30], rng)
-        expected = max_linkage_matrix(clusters, bumped)
+        members = _partition(range(bumped.shape[0]), [5, 9, 1, 15, 30], rng)
+        expected = max_linkage_matrix(members, bumped)
         # The bump must be visible, or this test would not pin the mirror.
-        assert not np.array_equal(expected, max_linkage_matrix(clusters, bumped.T))
-        assert np.array_equal(_max_linkage_matrix(clusters, bumped), expected)
+        assert not np.array_equal(expected, max_linkage_matrix(members, bumped.T))
+        assert np.array_equal(_max_linkage_matrix(members, bumped), expected)
 
     def test_single_cluster(self, hierarchy_inputs):
         _, shortest_paths, _ = hierarchy_inputs
-        clusters = _partition(range(6), [6])
-        assert np.array_equal(_max_linkage_matrix(clusters, shortest_paths), np.zeros((1, 1)))
+        members = _partition(range(6), [6])
+        assert np.array_equal(_max_linkage_matrix(members, shortest_paths), np.zeros((1, 1)))
+
+
+class TestTwoClusterLevel:
+    """A level of two clusters emits the merge ``linkage`` would."""
+
+    @pytest.mark.parametrize("distance", [0.0, 0.75, 3.0])
+    def test_matches_linkage_merge(self, distance):
+        # The lower triangle is ignored, as in the linkage matrix.
+        maxima = np.array([[0.0, distance], [np.nextafter(distance, np.inf), 0.0]])
+        dendrogram = Dendrogram(2)
+        root, created = _run_level(
+            dendrogram, [_Cluster(1), _Cluster(0, group_count=2)], maxima, level="intra", group=5
+        )
+        expected = linkage(_mirror_upper(maxima), method="complete")
+        assert expected.tolist() == [[0.0, 1.0, distance, 2.0]]
+        node = dendrogram.node(2)
+        assert (node.left, node.right) == (1, 0)
+        assert node.distance == node.height == expected[0, 2]
+        assert node.metadata == {"level": "intra", "group": 5}
+        assert created == [(expected[0, 2], root)]
+        assert (root.node_id, root.group_count) == (2, 3)
+
+    @pytest.mark.parametrize("distance", [np.inf, np.nan])
+    def test_non_finite_distance_raises_like_linkage(self, distance):
+        maxima = np.array([[0.0, distance], [0.0, 0.0]])
+        with pytest.raises(ValueError) as expected:
+            linkage(_mirror_upper(maxima), method="complete")
+        with pytest.raises(ValueError) as raised:
+            _run_level(Dendrogram(2), [_Cluster(0), _Cluster(1)], maxima, level="intra")
+        assert str(raised.value) == str(expected.value)
+
+
+def test_inter_group_heights_add_the_groups_of_both_subtrees():
+    # Four groups of two that pair up before the root merge: the root joins
+    # two clusters of two groups each, so its height is 4.
+    from repro.core.assignment import AssignmentResult
+
+    labels = np.repeat(np.arange(4), 2)
+    assignment = AssignmentResult(
+        group=labels,
+        bubble=labels,
+        converging_bubbles=[0, 1, 2, 3],
+        assigned_directly=np.ones(8, dtype=bool),
+    )
+    pair = labels // 2
+    distances = np.where(pair[:, None] == pair[None, :], 2.0, 9.0)
+    distances[labels[:, None] == labels[None, :]] = 1.0
+    np.fill_diagonal(distances, 0.0)
+    dendrogram = build_hierarchy(assignment, distances)
+    groups = assignment.groups()
+    heights = {
+        node.id: node.height
+        for node in dendrogram.internal_nodes()
+        if node.metadata.get("level") == "inter_group"
+    }
+    assert sorted(heights.values()) == [2.0, 2.0, 4.0]
+    for node_id, height in heights.items():
+        assert height == float(count_group_roots(dendrogram, node_id, groups))
+
+
+def test_inter_group_heights_match_leaf_scan(hierarchy_inputs):
+    """Each inter-group node's height is the number of groups under it."""
+    assignment, _, dendrogram = hierarchy_inputs
+    groups = assignment.groups()
+    inter_group = [
+        node for node in dendrogram.internal_nodes() if node.metadata.get("level") == "inter_group"
+    ]
+    assert inter_group
+    for node in inter_group:
+        assert node.height == float(count_group_roots(dendrogram, node.id, groups))

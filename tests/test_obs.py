@@ -217,6 +217,9 @@ class TestInstrumentationSites:
         for kind in ("fit.tmfg", "fit.apsp", "fit.bubble_tree", "fit.hierarchy"):
             assert by_kind[kind]["parent_id"] == fit_span, kind
         assert by_kind["kernel.apsp"]["parent_id"] == by_kind["fit.apsp"]["span_id"]
+        for kind in ("fit.direction", "fit.assignment"):
+            assert by_kind[kind]["parent_id"] == by_kind["fit.bubble_tree"]["span_id"], kind
+        assert [event["kind"] for event in closed].count("fit.assignment") == 1
         # Tracing changes no output byte (the timings differ by nature).
         def payload(result):
             document = result.to_dict()
@@ -230,7 +233,14 @@ class TestInstrumentationSites:
             for result in (traced, untraced)
         ]
         assert heights[0] == heights[1]
+        for field in ("group", "bubble", "assigned_directly"):
+            arrays = [getattr(result.raw.dbht.assignment, field) for result in (traced, untraced)]
+            assert arrays[0].tobytes() == arrays[1].tobytes(), field
+        # Direction and assignment have spans but no step_seconds key of
+        # their own: "bubble-tree" covers both.
         assert set(traced.step_seconds) == set(untraced.step_seconds)
+        assert {"tmfg", "apsp", "bubble-tree", "hierarchy"} <= set(untraced.step_seconds)
+        assert not {"direction", "assignment"} & set(untraced.step_seconds)
 
     def test_shm_share_span(self):
         from repro.parallel import shm

@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) on the core data structures and invariants.
 
 The TMFG construction is checked against the sort-based selection and the
-per-face gain scan kept in :mod:`tests.oracles`; the DBHT properties are
+per-face gain scan kept in :mod:`tests.oracles`, and the DBHT assignment
+and inter-group heights against the per-vertex loop and leaf scan kept
+there; the DBHT properties are
 parametrized over the APSP ``kernel`` (``python``/``numpy``) and the
 serial/process ``backend`` fixture, so the picklable process-pool APSP path
 is covered by the invariants too.
@@ -13,15 +15,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.direction import compute_directions, compute_directions_bfs
+from repro.core.assignment import assign_vertices
+from repro.core.direction import DirectionResult, compute_directions, compute_directions_bfs
 from repro.core.dbht import dbht
+from repro.core.hierarchy import build_hierarchy
 from repro.core.tmfg import _initial_clique, _TMFGBuilder, construct_tmfg
 from repro.dendrogram.cut import cut_k
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.planarity import is_planar
+from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.metrics.ari import adjusted_rand_index
 from repro.parallel.cost_model import WorkSpanTracker
 from repro.parallel.kernels import KERNEL_NAMES
+from tests import oracles
 from tests.oracles import per_face_best, reference_tmfg
 
 
@@ -68,6 +74,39 @@ def tie_heavy_matrices(min_size=4, max_size=24):
         st.sampled_from([1, 2, 4]),
         st.integers(min_value=0, max_value=3),
     ).map(build)
+
+
+def decimal_tie_matrices(min_size=8, max_size=28):
+    """Symmetric matrices over a few decimal fractions (0.1, 0.2, 0.3, 0.6,
+    0.7) that binary floats cannot hold exactly: attachment sums tie often,
+    and whether two of them tie depends on the order their terms are added.
+    """
+
+    def build(args):
+        n, seed = args
+        rng = np.random.default_rng(seed)
+        values = np.array([0.1, 0.2, 0.3, 0.6, 0.7])
+        matrix = np.triu(rng.choice(values, size=(n, n)), 1)
+        matrix = matrix + matrix.T
+        np.fill_diagonal(matrix, 1.0)
+        return matrix
+
+    return st.tuples(
+        st.integers(min_value=min_size, max_value=max_size),
+        st.integers(min_value=0, max_value=10_000),
+    ).map(build)
+
+
+class _EveryBubbleConverging(DirectionResult):
+    """Directions under which every bubble is converging and reaches only
+    itself, so every vertex's group is decided by ``chi`` over all of its
+    bubbles."""
+
+    def converging_bubbles(self, tree):
+        return [bubble.id for bubble in tree.bubbles]
+
+    def reachable_converging_bubbles(self, tree):
+        return {bubble.id: {bubble.id} for bubble in tree.bubbles}
 
 
 #: Round sizes the selection properties run at; ``"n"`` is the matrix size
@@ -194,6 +233,55 @@ class TestDBHTProperties:
         result = dbht(tmfg, similarity, dissimilarity)
         labels = result.cut(k)
         assert len(np.unique(labels)) == min(k, similarity.shape[0])
+
+
+def _assert_assignment_matches_oracle(similarity, prefix, every_bubble_converging=False):
+    tmfg = construct_tmfg(similarity, prefix=prefix)
+    tree = tmfg.bubble_tree
+    directions = compute_directions(tree, tmfg.graph)
+    if every_bubble_converging:
+        directions = _EveryBubbleConverging(
+            directions.towards_child, directions.in_values, directions.out_values
+        )
+    paths = all_pairs_shortest_paths(tmfg.csr().reweighted(_dissimilarity_from(similarity)))
+    result = assign_vertices(tree, directions, similarity, paths)
+    expected = oracles.assign_vertices(tree, directions, similarity, paths)
+    assert np.array_equal(result.group, expected.group)
+    assert np.array_equal(result.bubble, expected.bubble)
+    assert np.array_equal(result.assigned_directly, expected.assigned_directly)
+    assert result.converging_bubbles == expected.converging_bubbles
+    return result, paths
+
+
+class TestDBHTOracles:
+    @pytest.mark.parametrize("prefix", [1, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(tie_heavy_matrices(max_size=40))
+    def test_assignment_and_heights_match_per_vertex_oracles(self, prefix, similarity):
+        """The batched assignment equals the per-vertex ``WriteMax`` /
+        ``WriteMin`` loop (tie rules included), and every inter-group
+        height equals the number of groups found by scanning its leaves."""
+        result, paths = _assert_assignment_matches_oracle(similarity, prefix)
+        dendrogram = build_hierarchy(result, paths)
+        groups = result.groups()
+        inter_group = [
+            node for node in dendrogram.internal_nodes()
+            if node.metadata.get("level") == "inter_group"
+        ]
+        heights = [node.height for node in inter_group]
+        counts = [
+            float(oracles.count_group_roots(dendrogram, node.id, groups)) for node in inter_group
+        ]
+        assert np.array_equal(heights, counts)
+
+    @pytest.mark.parametrize("every_bubble_converging", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(decimal_tie_matrices())
+    def test_assignment_keeps_the_loops_term_order(self, every_bubble_converging, similarity):
+        """``chi`` and ``chi'`` add their terms in the order the loop
+        iterates each bubble's member set, so sums that tie only in that
+        order pick the same bubble."""
+        _assert_assignment_matches_oracle(similarity, 1, every_bubble_converging)
 
 
 class TestMetricProperties:

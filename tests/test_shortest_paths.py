@@ -274,8 +274,9 @@ class TestFrontierKernelEdgeCases:
         assert np.array_equal(frontier, heap)
 
     def test_process_backend(self):
-        # More than one 16-source block per worker chunk.
-        graph = _random_graph(50, 0.1, 22)
+        # More than one block of sources per worker chunk, on up to four
+        # workers (150 / 4 > 32).
+        graph = _random_graph(150, 0.035, 22)
         heap, frontier = _heap_and_frontier(graph, backend="process")
         assert np.array_equal(frontier, heap)
 
