@@ -2,8 +2,8 @@
 
 * :mod:`repro.core.tmfg` — Algorithm 1: prefix-batched parallel TMFG
   construction (``prefix=1`` reproduces the sequential TMFG exactly).
-* :mod:`repro.core.bubble_tree` — Algorithm 2: bubble tree built on the fly
-  during TMFG construction.
+* :mod:`repro.core.bubble_tree` — Algorithm 2: bubble tree derived from the
+  TMFG's insertion record in one pass after construction.
 * :mod:`repro.core.direction` — Algorithm 3: linear-work recursive direction
   of bubble-tree edges, plus the original BFS-based baseline.
 * :mod:`repro.core.assignment` — Lines 1–23 of Algorithm 4: converging

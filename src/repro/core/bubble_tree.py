@@ -4,8 +4,12 @@ A *bubble* is a maximal planar subgraph whose 3-cliques are non-separating;
 in a graph built by the TMFG process every bubble is a 4-clique, and each
 vertex insertion creates exactly one new bubble and one new bubble-tree edge
 whose separating triangle is the face the vertex was inserted into.  The
-tree is therefore built on the fly during TMFG construction instead of by
-the original DBHT's quadratic-work triangle enumeration.
+tree therefore follows from the TMFG's insertion record instead of the
+original DBHT's quadratic-work triangle enumeration:
+:func:`repro.core.tmfg.build_tmfg` derives every bubble's parent from the
+int id of the face each vertex went into, after the construction loop,
+and :class:`BubbleTree` assembles the tree from that parent array in one
+pass.
 
 Invariant maintained (Section V-A): every bubble has a parent and at most
 three children, except the root which has no parent, and all descendants of
@@ -15,9 +19,9 @@ a tree edge lie in the interior of the edge's separating triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.faces import Triangle, triangle_key
+from repro.graph.faces import Triangle
 
 
 @dataclass
@@ -40,63 +44,37 @@ class Bubble:
 
 
 class BubbleTree:
-    """Rooted bubble tree built incrementally during TMFG construction."""
+    """Rooted bubble tree: one 4-clique bubble per node.
 
-    def __init__(self, initial_clique: Iterable[int], initial_faces: Iterable[Triangle]) -> None:
-        clique = frozenset(initial_clique)
-        if len(clique) != 4:
-            raise ValueError(f"initial clique must have 4 vertices, got {len(clique)}")
-        root = Bubble(id=0, vertices=clique)
-        self._bubbles: List[Bubble] = [root]
-        self._root_id = 0
-        # Which bubble each face was created in (Line 3 of Algorithm 2).
-        self._face_owner: Dict[Triangle, int] = {}
-        for face in initial_faces:
-            face = frozenset(face)
-            if not face <= clique or len(face) != 3:
-                raise ValueError("initial faces must be triangles of the initial clique")
-            self._face_owner[face] = 0
-        # Which bubbles each graph vertex belongs to.
-        self._vertex_bubbles: Dict[int, List[int]] = {v: [0] for v in clique}
+    Built in one pass from every bubble's vertex set and parent id (``-1``
+    for the root).  Each bubble's children come out in ascending id order,
+    which is the order the incremental Algorithm 2 appends them in: a new
+    bubble is always the highest id so far, and a new root's first child
+    is the old root.
+    """
 
-    # -- construction ------------------------------------------------------
-
-    def insert(self, vertex: int, face: Triangle, is_outer_face: bool) -> int:
-        """Record the insertion of ``vertex`` into ``face`` (Algorithm 2).
-
-        Returns the id of the new bubble.  ``is_outer_face`` indicates that
-        ``face`` was the current outer face, in which case the new bubble
-        becomes the parent of the bubble owning ``face`` (and thus the new
-        root of the tree).
-        """
-        face = frozenset(face)
-        if face not in self._face_owner:
-            raise KeyError(f"face {set(face)} is not a known face of the bubble tree")
-        owner_id = self._face_owner[face]
-        new_id = len(self._bubbles)
-        new_bubble = Bubble(id=new_id, vertices=frozenset(face | {vertex}))
-        self._bubbles.append(new_bubble)
-        owner = self._bubbles[owner_id]
-        if is_outer_face:
-            if owner_id != self._root_id:
-                raise ValueError("the outer face must belong to the current root bubble")
-            owner.parent = new_id
-            new_bubble.children.append(owner_id)
-            self._root_id = new_id
-        else:
-            new_bubble.parent = owner_id
-            owner.children.append(new_id)
-        # The three new faces of the 4-clique belong to the new bubble.
-        a, b, c = sorted(face)
-        for new_face in (
-            triangle_key(vertex, a, b),
-            triangle_key(vertex, b, c),
-            triangle_key(vertex, a, c),
-        ):
-            self._face_owner[new_face] = new_id
-        for member in new_bubble.vertices:
-            self._vertex_bubbles.setdefault(member, []).append(new_id)
-        return new_id
+    def __init__(self, vertex_sets: Sequence[FrozenSet[int]], parents: Sequence[int]) -> None:
+        if len(vertex_sets) != len(parents):
+            raise ValueError("need one parent per bubble")
+        self._bubbles: List[Bubble] = []
+        self._vertex_bubbles: Dict[int, List[int]] = {}
+        roots = []
+        for bubble_id, (vertices, parent) in enumerate(zip(vertex_sets, parents)):
+            if len(vertices) != 4:
+                raise ValueError(f"bubble {bubble_id} must have 4 vertices, got {len(vertices)}")
+            if parent < 0:
+                roots.append(bubble_id)
+            self._bubbles.append(
+                Bubble(id=bubble_id, vertices=vertices, parent=parent if parent >= 0 else None)
+            )
+            for member in vertices:
+                self._vertex_bubbles.setdefault(member, []).append(bubble_id)
+        if len(roots) != 1:
+            raise ValueError(f"a bubble tree has exactly one root, found {roots}")
+        self._root_id = roots[0]
+        for bubble in self._bubbles:
+            if bubble.parent is not None:
+                self._bubbles[bubble.parent].children.append(bubble.id)
 
     # -- queries -----------------------------------------------------------
 
@@ -118,10 +96,6 @@ class BubbleTree:
     def bubbles_of_vertex(self, vertex: int) -> List[int]:
         """Ids of the bubbles containing a graph vertex."""
         return list(self._vertex_bubbles.get(vertex, []))
-
-    def face_owner(self, face: Triangle) -> int:
-        """Id of the bubble in which ``face`` was created."""
-        return self._face_owner[frozenset(face)]
 
     def separating_triangle(self, bubble_id: int) -> Triangle:
         """Separating triangle of the tree edge between a bubble and its parent."""

@@ -37,7 +37,6 @@ from repro.core.tmfg import TMFGResult
 from repro.dendrogram.node import Dendrogram
 from repro.graph.matrix import validate_dissimilarity_matrix
 from repro.graph.shortest_paths import all_pairs_shortest_paths
-from repro.graph.weighted_graph import WeightedGraph
 from repro.obs.tracer import trace_span
 from repro.parallel.cost_model import WorkSpanTracker
 from repro.parallel.scheduler import ParallelBackend
@@ -114,9 +113,25 @@ def dbht(
     dissimilarity = validate_dissimilarity_matrix(
         dissimilarity, size=similarity.shape[0]
     )
+    return run_dbht(
+        tmfg, similarity, dissimilarity, tracker, backend, apsp_method, kernel, landmarks
+    )
+
+
+def run_dbht(
+    tmfg: TMFGResult,
+    similarity: np.ndarray,
+    dissimilarity: np.ndarray,
+    tracker: Optional[WorkSpanTracker],
+    backend: Optional[ParallelBackend],
+    apsp_method: str,
+    kernel: Optional[str],
+    landmarks: Optional[int],
+) -> DBHTResult:
+    """:func:`dbht` on a TMFG with a bubble tree and a dissimilarity matrix
+    that is already validated."""
     tracker = tracker if tracker is not None else tmfg.tracker
     tree: BubbleTree = tmfg.bubble_tree
-    graph: WeightedGraph = tmfg.graph
     step_seconds: Dict[str, float] = {}
 
     if landmarks is not None and apsp_method != "landmark":
@@ -127,7 +142,7 @@ def dbht(
     if landmarks is not None:
         apsp_options["landmarks"] = landmarks
 
-    n = graph.num_vertices
+    n = tmfg.num_vertices
     start = time.perf_counter()
     with trace_span("fit.apsp", n=int(n)):
         # Shortest paths use the dissimilarity weights on the TMFG topology:
@@ -147,7 +162,7 @@ def dbht(
     start = time.perf_counter()
     with trace_span("fit.bubble_tree", n=int(n)):
         with trace_span("fit.direction", n=int(n)):
-            directions = compute_directions(tree, graph, tracker=tracker)
+            directions = compute_directions(tree, tmfg, tracker=tracker)
         with trace_span("fit.assignment", n=int(n)):
             assignment = assign_vertices(
                 tree, directions, similarity, shortest_paths, tracker=tracker

@@ -12,17 +12,34 @@ Both algorithms are implemented here: :func:`compute_directions` is the
 linear-work recursive/post-order version, and :func:`compute_directions_bfs`
 is the original baseline, used for cross-validation in the tests and for the
 ablation benchmark.
+
+:func:`compute_directions` reads the graph only through ``weight(u, v)``
+and ``weighted_degree(u)``.  The fit passes the
+:class:`~repro.core.tmfg.TMFGResult` itself, which answers both from its
+edge arrays: weights as inserted, and weighted degrees summed over each
+vertex's edges in edge-insertion order with the builtin ``sum``, exactly
+as a :class:`~repro.graph.weighted_graph.WeightedGraph` built edge by
+edge adds them up (a CSR row sum runs in neighbour-id order and can
+round differently).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Protocol, Set
 
 from repro.core.bubble_tree import BubbleTree
 from repro.graph.traversal import reachable_set
 from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.cost_model import WorkSpanTracker
+
+
+class EdgeWeights(Protocol):
+    """What :func:`compute_directions` reads from the filtered graph."""
+
+    def weight(self, u: int, v: int) -> float: ...
+
+    def weighted_degree(self, u: int) -> float: ...
 
 
 @dataclass
@@ -95,7 +112,7 @@ class DirectionResult:
 
 def compute_directions(
     tree: BubbleTree,
-    graph: WeightedGraph,
+    graph: EdgeWeights,
     tracker: Optional[WorkSpanTracker] = None,
 ) -> DirectionResult:
     """Direct all bubble-tree edges in linear work (Algorithm 3).
@@ -105,7 +122,9 @@ def compute_directions(
     interior; the parent folds those sums into its own corner sums via
     ``WRITE_ADD`` semantics.  ``OUTVAL`` is derived from the weighted degrees
     as in the paper:  ``OUTVAL = deg(vx)+deg(vy)+deg(vz) - INVAL
-    - 2 (w(vx,vy)+w(vx,vz)+w(vy,vz))``.
+    - 2 (w(vx,vy)+w(vx,vz)+w(vy,vz))``.  ``graph`` is a
+    :class:`~repro.graph.weighted_graph.WeightedGraph` or a
+    :class:`~repro.core.tmfg.TMFGResult`; both give the same bytes.
     """
     towards_child: Dict[int, bool] = {}
     in_values: Dict[int, float] = {}

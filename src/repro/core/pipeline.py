@@ -24,11 +24,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.dbht import DBHTResult, dbht
-from repro.core.tmfg import TMFGResult, construct_tmfg
+from repro.core.dbht import DBHTResult, run_dbht
+from repro.core.tmfg import TMFGResult, build_tmfg
 from repro.datasets.similarity import default_dissimilarity
 from repro.dendrogram.node import Dendrogram
-from repro.graph.matrix import validate_similarity_matrix
+from repro.graph.matrix import validate_dissimilarity_matrix, validate_similarity_matrix
 from repro.obs.tracer import trace_span
 from repro.parallel.cost_model import WorkSpanTracker
 from repro.parallel.scheduler import ParallelBackend
@@ -101,31 +101,23 @@ def tmfg_dbht(
         per-step wall-clock times (keys ``"tmfg"``, ``"apsp"``,
         ``"bubble-tree"``, ``"hierarchy"``) used by the Fig. 5 reproduction.
     """
+    # The pipeline boundary: each matrix is validated exactly once here and
+    # the trusted arrays are passed inward.
     similarity = validate_similarity_matrix(similarity)
+    if prefix < 1:
+        raise ValueError("prefix must be at least 1")
     if dissimilarity is None:
         dissimilarity = default_dissimilarity(similarity)
+    dissimilarity = validate_dissimilarity_matrix(dissimilarity, size=similarity.shape[0])
     tracker = tracker if tracker is not None else WorkSpanTracker()
 
     start = time.perf_counter()
     with trace_span("fit.tmfg", n=int(similarity.shape[0]), prefix=int(prefix)):
-        tmfg_result = construct_tmfg(
-            similarity,
-            prefix=prefix,
-            build_bubble_tree=True,
-            tracker=tracker,
-            backend=backend,
-        )
+        tmfg_result = build_tmfg(similarity, prefix, True, tracker)
     tmfg_seconds = time.perf_counter() - start
 
-    dbht_result = dbht(
-        tmfg_result,
-        similarity=similarity,
-        dissimilarity=dissimilarity,
-        tracker=tracker,
-        backend=backend,
-        apsp_method=apsp_method,
-        kernel=kernel,
-        landmarks=landmarks,
+    dbht_result = run_dbht(
+        tmfg_result, similarity, dissimilarity, tracker, backend, apsp_method, kernel, landmarks
     )
     step_seconds = {"tmfg": tmfg_seconds}
     step_seconds.update(dbht_result.step_seconds)

@@ -13,74 +13,143 @@ which is what the tests check; larger prefixes trade a small amount of kept
 edge weight for many fewer rounds (more parallelism), which is what Figs. 4,
 6, and 7 evaluate.
 
-Selection
----------
-Each round selects with :meth:`~repro.core.gains.GainTable.select`:
-``prefix=1`` is one ``argmax`` over the per-face best gains, ``prefix>1``
+Rounds
+------
+Faces are int ids into the :class:`~repro.core.gains.GainTable`'s arrays,
+so a round touches only int arrays and one gather: select the batch
+(``prefix=1`` is one ``argmax`` over the per-face best gains, ``prefix>1``
 an ``argpartition`` to the top ``prefix`` pairs followed by the
-keep-each-vertex's-best-face rule.  Both return exactly what sorting every
-face's best pair would, tie-breaks included (the tests keep that sort as
-the oracle).  Construction keeps no state between calls, so the same
-similarity matrix always yields the same graph.
+keep-each-vertex's-best-face rule; both return exactly what sorting every
+face's best pair would, tie-breaks included), record each pair's vertex
+and face id, and let the table split the faces.  Nothing else is built
+inside the loop.
+
+After the loop
+--------------
+The edges go into a ``(3n - 6, 2)`` array in ``(vertex, corner)``
+orientation, the clique's six edges first.  Face ids are handed out in
+creation order (the clique's four faces ``0..3``, then three per
+insertion), so the face id of each insertion says which bubble owns the
+face and which vertex created it.  The bubble
+tree (Algorithm 2) is derived from those ids in one pass: its parent
+array, children in ascending id order, and vertex sets built in the
+order the faces' corners arrived.  The CSR graph comes straight from the
+edge array; a :class:`~repro.graph.weighted_graph.WeightedGraph` is built
+only if a caller asks for ``TMFGResult.graph``.  Construction keeps no
+state between calls, so the same similarity matrix always yields the same
+graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.bubble_tree import BubbleTree
 from repro.core.gains import GainTable
-from repro.graph.faces import Triangle, child_faces, triangle_corners, triangle_key
+from repro.graph.csr import CSRGraph
+from repro.graph.faces import Triangle
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.cost_model import WorkSpanTracker
-from repro.parallel.scheduler import ParallelBackend
 
 
-@dataclass
+@dataclass(eq=False)
 class TMFGResult:
     """Output of TMFG construction.
 
-    ``graph`` is the filtered graph with similarity weights; ``edges`` is the
-    edge list in insertion order (the initial clique's six edges first);
-    ``bubble_tree`` is the tree built on the fly (Algorithm 2) when
-    ``build_bubble_tree=True``; ``insertion_order`` records, per inserted
-    vertex, the face it went into; ``rounds`` is the number of batched rounds
-    (the quantity ``rho`` in the paper's analysis).
+    ``edge_array`` holds the edges in insertion order (the initial
+    clique's six edges first, then ``(vertex, corner)`` per insertion) and
+    ``edge_weights`` their similarities in that orientation;
+    ``inserted``/``inserted_faces`` record, per inserted vertex, the
+    sorted corners of the face it went into; ``bubble_tree`` is the tree
+    of Algorithm 2 when ``build_bubble_tree=True``; ``rounds`` is the
+    number of batched rounds (the quantity ``rho`` in the paper's
+    analysis).  ``edges``, ``insertion_order`` and ``graph`` are the same
+    data as Python lists and an adjacency-list graph, built on first use.
     """
 
-    graph: WeightedGraph
-    edges: List[Tuple[int, int]]
+    num_vertices: int
+    edge_array: np.ndarray
+    edge_weights: np.ndarray
+    inserted: np.ndarray
+    inserted_faces: np.ndarray
     initial_clique: Tuple[int, int, int, int]
     bubble_tree: Optional[BubbleTree]
-    insertion_order: List[Tuple[int, Triangle]]
     prefix: int
     rounds: int
     tracker: WorkSpanTracker = field(default_factory=WorkSpanTracker)
 
-    @property
-    def num_vertices(self) -> int:
-        return self.graph.num_vertices
+    @cached_property
+    def edges(self) -> List[Tuple[int, int]]:
+        return [(u, v) for u, v in self.edge_array.tolist()]
+
+    @cached_property
+    def insertion_order(self) -> List[Tuple[int, Triangle]]:
+        return [
+            (vertex, frozenset(face))
+            for vertex, face in zip(self.inserted.tolist(), self.inserted_faces.tolist())
+        ]
+
+    @cached_property
+    def graph(self) -> WeightedGraph:
+        """The filtered graph as adjacency lists, edges added in insertion order."""
+        graph = WeightedGraph(self.num_vertices)
+        for (u, v), weight in zip(self.edge_array.tolist(), self.edge_weights.tolist()):
+            graph.add_edge(u, v, weight)
+        return graph
 
     def edge_weight_sum(self) -> float:
-        return self.graph.edge_weight_sum()
+        """Total edge similarity, added by (lower endpoint, insertion index)
+        as :meth:`WeightedGraph.edge_weight_sum` adds it."""
+        order = np.argsort(self.edge_array.min(axis=1), kind="stable")
+        return float(sum(self.edge_weights[order].tolist()))
 
-    def csr(self):
-        """The filtered graph frozen to CSR form, built once and memoized.
+    def weight(self, u: int, v: int) -> float:
+        """Similarity of the edge ``(u, v)``; raises ``KeyError`` if absent."""
+        return self._weights[(u, v)]
+
+    def weighted_degree(self, u: int) -> float:
+        """Sum of ``u``'s edge similarities, added in edge-insertion order."""
+        return self._degrees[u]
+
+    def csr(self) -> CSRGraph:
+        """The filtered graph in CSR form, built once and memoized.
 
         DBHT reweights this topology with dissimilarities for the APSP, so
         freezing here keeps that at one fancy index instead of a full
         rebuild.
         """
-        cached = getattr(self, "_csr_cache", None)
-        if cached is None:
-            cached = self.graph.to_csr()
-            self._csr_cache = cached
-        return cached
+        return self._csr
+
+    @cached_property
+    def _csr(self) -> CSRGraph:
+        return CSRGraph.from_arrays(
+            self.num_vertices, self.edge_array[:, 0], self.edge_array[:, 1], self.edge_weights
+        )
+
+    @cached_property
+    def _weights(self) -> Dict[Tuple[int, int], float]:
+        us, vs = self.edge_array.T.tolist()
+        weights = self.edge_weights.tolist()
+        lookup = dict(zip(zip(us, vs), weights))
+        lookup.update(zip(zip(vs, us), weights))
+        return lookup
+
+    @cached_property
+    def _degrees(self) -> List[float]:
+        # The builtin sum over each vertex's weights in edge-insertion order,
+        # as WeightedGraph.weighted_degree adds them: Python >= 3.12 sums
+        # floats with compensation, so a numpy sum could differ there.
+        incident: List[List[float]] = [[] for _ in range(self.num_vertices)]
+        for (u, v), weight in zip(self.edge_array.tolist(), self.edge_weights.tolist()):
+            incident[u].append(weight)
+            incident[v].append(weight)
+        return [float(sum(weights)) for weights in incident]
 
 
 def _initial_clique(similarity: np.ndarray) -> List[int]:
@@ -92,100 +161,109 @@ def _initial_clique(similarity: np.ndarray) -> List[int]:
     return sorted(int(v) for v in top_four)
 
 
-class _TMFGBuilder:
-    """Construction state: the graph, faces, gain table and bubble tree.
+def _round_cost(num_faces: int, num_remaining: int, batch: int) -> Tuple[float, float]:
+    """Work and span of one round: sorting the per-face gains plus
+    recomputing gains for the affected and newly created faces (each a
+    vectorised O(|V|) scan)."""
+    work = float(
+        num_faces * max(1.0, math.log2(max(num_faces, 2)))
+        + 3 * batch * max(1, num_remaining)
+    )
+    span = math.log2(max(num_faces, 2)) + math.log2(max(batch, 2)) + 1.0
+    return work, span
 
-    :func:`construct_tmfg` drives it one selected batch per round; the
-    tests drive it with a reference selection as an oracle.
+
+def build_tmfg(
+    similarity: np.ndarray,
+    prefix: int,
+    build_bubble_tree: bool,
+    tracker: WorkSpanTracker,
+) -> TMFGResult:
+    """:func:`construct_tmfg` on a similarity matrix that is already validated."""
+    n = similarity.shape[0]
+    clique = _initial_clique(similarity)
+    v1, v2, v3, v4 = clique
+    table = GainTable(similarity, np.setdiff1d(np.arange(n), clique))
+    # Face 0 is the outer face {v1, v2, v3}.
+    table.add_faces([(v1, v2, v3), (v1, v2, v4), (v1, v3, v4), (v2, v3, v4)])
+    # Initialisation: O(n^2) work for the row sums, O(n) for the gains.
+    tracker.add("tmfg", work=float(n * n + 4 * n), span=math.log2(n) + 1 if n > 1 else 1.0)
+
+    inserted: List[int] = []
+    faces: List[int] = []
+    rounds = 0
+    while table.num_remaining > 0:
+        face_ids, vertices = table.select(prefix)
+        if not face_ids:
+            raise RuntimeError("no insertable vertex-face pair found; inconsistent gain table")
+        work, span = _round_cost(table.num_faces, table.num_remaining, len(face_ids))
+        inserted += vertices
+        faces += face_ids
+        table.split(face_ids, vertices)
+        tracker.add("tmfg", work=work, span=span)
+        rounds += 1
+
+    inserted_array = np.array(inserted, dtype=np.int64)
+    face_array = np.array(faces, dtype=np.int64)
+    inserted_faces = table.corners[face_array]
+    edges = np.empty((3 * n - 6, 2), dtype=np.int64)
+    edges[:6] = [(v1, v2), (v1, v3), (v1, v4), (v2, v3), (v2, v4), (v3, v4)]
+    edges[6:, 0] = np.repeat(inserted_array, 3)
+    edges[6:, 1] = inserted_faces.ravel()
+    return TMFGResult(
+        num_vertices=n,
+        edge_array=edges,
+        edge_weights=similarity[edges[:, 0], edges[:, 1]],
+        inserted=inserted_array,
+        inserted_faces=inserted_faces,
+        initial_clique=(v1, v2, v3, v4),
+        bubble_tree=(
+            _bubble_tree(clique, inserted, faces, inserted_faces.tolist())
+            if build_bubble_tree
+            else None
+        ),
+        prefix=prefix,
+        rounds=rounds,
+        tracker=tracker,
+    )
+
+
+def _bubble_tree(
+    clique: List[int], inserted: List[int], faces: List[int], face_corners: List[List[int]]
+) -> BubbleTree:
+    """Algorithm 2 after the fact, from the face id of every insertion.
+
+    Insertion ``j`` creates bubble ``j + 1`` and faces ``4 + 3j + (0, 1,
+    2)``, so face ``f`` is owned by bubble ``0`` if ``f < 4`` and by
+    ``(f - 4) // 3 + 1`` otherwise, and was created by vertex
+    ``inserted[(f - 4) // 3]``.  An insertion into an inner face hangs the
+    new bubble under the face's owner; an insertion into the outer face
+    (face ``0``, then the first child face of each insertion into it)
+    makes the new bubble the parent of the owner, i.e. the new root.
     """
-
-    def __init__(
-        self,
-        similarity: np.ndarray,
-        clique: Sequence[int],
-        build_bubble_tree: bool,
-        tracker: WorkSpanTracker,
-    ) -> None:
-        n = similarity.shape[0]
-        self.similarity = similarity
-        self.tracker = tracker
-        self.clique = tuple(int(v) for v in clique)
-        v1, v2, v3, v4 = self.clique
-        self.graph = WeightedGraph(n)
-        self.edges: List[Tuple[int, int]] = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                u, v = self.clique[i], self.clique[j]
-                self.graph.add_edge(u, v, similarity[u, v])
-                self.edges.append((u, v))
-        self.faces: Set[Triangle] = {
-            triangle_key(v1, v2, v3),
-            triangle_key(v1, v2, v4),
-            triangle_key(v1, v3, v4),
-            triangle_key(v2, v3, v4),
-        }
-        self.outer_face: Triangle = triangle_key(v1, v2, v3)
-        remaining = [v for v in range(n) if v not in set(self.clique)]
-        self.gain_table = GainTable(similarity, remaining)
-        self.gain_table.add_faces(list(self.faces))
-        # Initialisation: O(n^2) work for the row sums, O(n) for the gains.
-        tracker.add(
-            "tmfg", work=float(n * n + 4 * n), span=math.log2(n) + 1 if n > 1 else 1.0
-        )
-        self.bubble_tree = BubbleTree(self.clique, self.faces) if build_bubble_tree else None
-        self.insertion_order: List[Tuple[int, Triangle]] = []
-        self.rounds = 0
-
-    def insert_round(self, batch: Sequence[Tuple[int, Triangle]]) -> None:
-        """Insert one round's (vertex, face) batch and refresh the gain table."""
-        num_faces = self.gain_table.num_faces
-        num_remaining = self.gain_table.num_remaining
-        # The batch's faces are distinct (one best vertex per face), so the
-        # structural updates run per pair while the gain table is refreshed
-        # once for the whole round: the faces whose best vertex was just
-        # inserted and every newly created face, in one stacked gather.
-        round_new_faces: List[Triangle] = []
-        for vertex, face in batch:
-            a, b, c = triangle_corners(face)
-            for corner in (a, b, c):
-                self.graph.add_edge(vertex, corner, self.similarity[vertex, corner])
-                self.edges.append((vertex, corner))
-            is_outer = face == self.outer_face
-            if self.bubble_tree is not None:
-                self.bubble_tree.insert(vertex, face, is_outer_face=is_outer)
-            new_faces = child_faces(face, vertex)
-            if is_outer:
-                self.outer_face = new_faces[0]
-            self.faces.discard(face)
-            self.gain_table.remove_face(face)
-            self.faces.update(new_faces)
-            round_new_faces.extend(new_faces)
-            self.insertion_order.append((vertex, face))
-        self.gain_table.remove_vertices(
-            [vertex for vertex, _ in batch], new_faces=round_new_faces
-        )
-        self.rounds += 1
-        # Work: sorting the per-face gains plus recomputing gains for the
-        # affected and newly-created faces (each a vectorised O(|V|) scan).
-        affected = 3 * len(batch)
-        round_work = float(
-            num_faces * max(1.0, math.log2(max(num_faces, 2)))
-            + affected * max(1, num_remaining)
-        )
-        round_span = math.log2(max(num_faces, 2)) + math.log2(max(len(batch), 2)) + 1.0
-        self.tracker.add("tmfg", work=round_work, span=round_span)
-
-    def result(self, prefix: int) -> TMFGResult:
-        return TMFGResult(
-            graph=self.graph,
-            edges=self.edges,
-            initial_clique=self.clique,
-            bubble_tree=self.bubble_tree,
-            insertion_order=self.insertion_order,
-            prefix=prefix,
-            rounds=self.rounds,
-            tracker=self.tracker,
-        )
+    split_by = {face: j for j, face in enumerate(faces)}
+    outer = set()
+    face = 0
+    while face in split_by:
+        outer.add(split_by[face])
+        face = 4 + 3 * split_by[face]
+    parents = [-1]
+    vertex_sets = [frozenset(clique)]
+    for j, (vertex, face, (a, b, c)) in enumerate(zip(inserted, faces, face_corners)):
+        owner = 0 if face < 4 else (face - 4) // 3 + 1
+        if j in outer:
+            parents[owner] = j + 1
+            parents.append(-1)
+        else:
+            parents.append(owner)
+        # The set is built the way the face grew: its creator first, then
+        # its other corners ascending, then the new vertex.  A set's
+        # iteration order follows insertion order on hash clashes, and
+        # downstream sums run in that order.
+        creator = inserted[(face - 4) // 3] if face >= 4 else a
+        others = [corner for corner in (a, b, c) if corner != creator]
+        vertex_sets.append(frozenset((creator, *others, vertex)))
+    return BubbleTree(vertex_sets, parents)
 
 
 def construct_tmfg(
@@ -193,7 +271,6 @@ def construct_tmfg(
     prefix: int = 1,
     build_bubble_tree: bool = True,
     tracker: Optional[WorkSpanTracker] = None,
-    backend: Optional[ParallelBackend] = None,
 ) -> TMFGResult:
     """Build a TMFG (or its prefix-batched variant) from a similarity matrix.
 
@@ -206,26 +283,13 @@ def construct_tmfg(
         Maximum number of vertices inserted per round (``PREFIX`` in
         Algorithm 1).  ``1`` gives the exact sequential TMFG.
     build_bubble_tree:
-        Also build the DBHT bubble tree during construction (Algorithm 2).
+        Also build the DBHT bubble tree (Algorithm 2).
     tracker:
         Optional :class:`WorkSpanTracker`; work/span counters for the
         construction are recorded under the phase name ``"tmfg"``.
-    backend:
-        Reserved for the thread-pool backend; per-round insertions are
-        independent and can be dispatched through it.
     """
     if prefix < 1:
         raise ValueError("prefix must be at least 1")
     similarity = validate_similarity_matrix(similarity)
     tracker = tracker if tracker is not None else WorkSpanTracker()
-    clique = _initial_clique(similarity)
-
-    builder = _TMFGBuilder(similarity, clique, build_bubble_tree, tracker)
-    while builder.gain_table.num_remaining > 0:
-        pairs = builder.gain_table.select(prefix)
-        if not pairs:
-            raise RuntimeError(
-                "no insertable vertex-face pair found; inconsistent gain table"
-            )
-        builder.insert_round([(pair.vertex, pair.face) for pair in pairs])
-    return builder.result(prefix)
+    return build_tmfg(similarity, prefix, build_bubble_tree, tracker)

@@ -70,20 +70,25 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build from ``(u, v, weight)`` triples (each undirected edge once)."""
         edge_list = list(edges)
-        if edge_list:
-            arr = np.asarray(edge_list, dtype=np.float64)
-            us = arr[:, 0].astype(np.int64)
-            vs = arr[:, 1].astype(np.int64)
-            ws = arr[:, 2]
-            if us.size and (us.min() < 0 or max(us.max(), vs.max()) >= num_vertices):
-                raise IndexError("edge endpoint out of range")
-            heads = np.concatenate([us, vs])
-            tails = np.concatenate([vs, us])
-            arc_weights = np.concatenate([ws, ws])
-        else:
-            heads = np.zeros(0, dtype=np.int64)
-            tails = np.zeros(0, dtype=np.int64)
-            arc_weights = np.zeros(0, dtype=np.float64)
+        if not edge_list:
+            empty = np.zeros(0, dtype=np.int64)
+            return cls.from_arrays(num_vertices, empty, empty, np.zeros(0))
+        arr = np.asarray(edge_list, dtype=np.float64)
+        return cls.from_arrays(
+            num_vertices, arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, num_vertices: int, us: np.ndarray, vs: np.ndarray, weights: np.ndarray
+    ) -> "CSRGraph":
+        """Build from parallel endpoint and weight arrays (each undirected
+        edge once, in either orientation)."""
+        if us.size and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= num_vertices):
+            raise IndexError("edge endpoint out of range")
+        heads = np.concatenate([us, vs])
+        tails = np.concatenate([vs, us])
+        arc_weights = np.concatenate([weights, weights])
         # Sort arcs by (head, tail) so each row's neighbours are ordered.
         order = np.lexsort((tails, heads))
         heads, tails, arc_weights = heads[order], tails[order], arc_weights[order]

@@ -2,9 +2,13 @@
 
 TMFG construction maintains the set of triangular faces of the growing
 maximal planar graph; every vertex insertion removes one face and creates
-three.  A face is identified by the frozenset of its three corner vertices,
-which is sufficient because a maximal planar graph built by the TMFG process
-never creates two distinct faces with the same corner set.
+three.  Here a face is identified by the frozenset of its three corner
+vertices, which is sufficient because a maximal planar graph built by the
+TMFG process never creates two distinct faces with the same corner set.
+The production construction keeps faces as int ids in flat arrays
+(:mod:`repro.core.gains`); these helpers name faces for the bubble tree's
+separating triangles, the insertion record and the reference builder the
+tests compare it with.
 """
 
 from __future__ import annotations

@@ -1,50 +1,51 @@
 """Reference implementations the array-native production paths are checked against.
 
-Each oracle is the straightforward version of a hot path: the per-face gain
-scan, the sort-based round selection, the pairwise complete-linkage matrix,
-the scalar Lance-Williams update, the per-vertex DBHT assignment and the
-leaf scan behind the inter-group heights.  Tests assert exact (byte-level)
-agreement with them.
+Each oracle is the straightforward version of a hot path: the frozenset
+TMFG builder with its incremental bubble tree (Algorithm 2 as written),
+the per-face gain scan, the sort-based round selection, the pairwise
+complete-linkage matrix, the scalar Lance-Williams update, the per-vertex
+DBHT assignment and the leaf scan behind the inter-group heights.  Tests
+assert exact (byte-level) agreement with them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.baselines import hac
 from repro.core.assignment import AssignmentResult
-from repro.core.bubble_tree import BubbleTree
-from repro.core.direction import DirectionResult
-from repro.core.gains import GainTable
-from repro.core.tmfg import _initial_clique, _TMFGBuilder
+from repro.core.bubble_tree import Bubble, BubbleTree
+from repro.core.direction import DirectionResult, compute_directions
+from repro.core.tmfg import _initial_clique, construct_tmfg
 from repro.dendrogram.node import Dendrogram
-from repro.graph.faces import Triangle, VertexFacePair, triangle_corners
+from repro.graph.faces import Triangle, VertexFacePair, child_faces, triangle_corners, triangle_key
 from repro.graph.matrix import validate_similarity_matrix
+from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.atomics import WriteMax, WriteMin
 from repro.parallel.cost_model import WorkSpanTracker
 
 
 def per_face_best(
-    similarity: np.ndarray, face: Triangle, remaining: np.ndarray
+    similarity: np.ndarray, face: Iterable[int], remaining: np.ndarray
 ) -> Tuple[float, Optional[int]]:
     """One face's best ``(gain, vertex)`` by a scan over ``remaining`` (ascending)."""
     if remaining.size == 0:
         return float("-inf"), None
-    a, b, c = triangle_corners(face)
+    a, b, c = sorted(face)
     gains = similarity[a, remaining] + similarity[b, remaining] + similarity[c, remaining]
     index = int(np.argmax(gains))
     return float(gains[index]), int(remaining[index])
 
 
-def select_batch(table: GainTable, prefix: int) -> List[VertexFacePair]:
+def select_batch(pairs: List[VertexFacePair], prefix: int) -> List[VertexFacePair]:
     """Lines 9–10 of Algorithm 1 by sorting: sort every face's best pair,
     take the top ``prefix``, keep each vertex's highest-gain face."""
-    pairs = table.best_pairs()
     if not pairs:
         return []
-    pairs.sort(key=lambda pair: pair.sort_key(), reverse=True)
+    pairs = sorted(pairs, key=lambda pair: pair.sort_key(), reverse=True)
     chosen: Dict[int, VertexFacePair] = {}
     for pair in pairs[:prefix]:
         current = chosen.get(pair.vertex)
@@ -53,14 +54,169 @@ def select_batch(table: GainTable, prefix: int) -> List[VertexFacePair]:
     return sorted(chosen.values(), key=lambda pair: pair.sort_key(), reverse=True)
 
 
-def reference_tmfg(similarity: np.ndarray, prefix: int) -> _TMFGBuilder:
-    """The TMFG built by driving the construction state with :func:`select_batch`."""
-    similarity = validate_similarity_matrix(similarity)
-    builder = _TMFGBuilder(similarity, _initial_clique(similarity), False, WorkSpanTracker())
-    while builder.gain_table.num_remaining > 0:
-        pairs = select_batch(builder.gain_table, prefix)
-        builder.insert_round([(pair.vertex, pair.face) for pair in pairs])
-    return builder
+class IncrementalBubbleTree:
+    """Algorithm 2 as written: the bubble tree grown one insertion at a
+    time, with a frozenset face -> owner-bubble map."""
+
+    def __init__(self, initial_clique: Iterable[int], initial_faces: Iterable[Triangle]) -> None:
+        clique = frozenset(initial_clique)
+        if len(clique) != 4:
+            raise ValueError(f"initial clique must have 4 vertices, got {len(clique)}")
+        self.bubbles: List[Bubble] = [Bubble(id=0, vertices=clique)]
+        self.root_id = 0
+        self._face_owner: Dict[Triangle, int] = {}
+        for face in initial_faces:
+            face = frozenset(face)
+            if not face <= clique or len(face) != 3:
+                raise ValueError("initial faces must be triangles of the initial clique")
+            self._face_owner[face] = 0
+
+    def insert(self, vertex: int, face: Triangle, is_outer_face: bool) -> int:
+        """Record the insertion of ``vertex`` into ``face``; returns the new
+        bubble's id.  An outer-face insertion makes the new bubble the parent
+        of the face's owner (the current root), i.e. the new root."""
+        face = frozenset(face)
+        if face not in self._face_owner:
+            raise KeyError(f"face {set(face)} is not a known face of the bubble tree")
+        owner_id = self._face_owner[face]
+        new_bubble = Bubble(id=len(self.bubbles), vertices=frozenset(face | {vertex}))
+        self.bubbles.append(new_bubble)
+        owner = self.bubbles[owner_id]
+        if is_outer_face:
+            if owner_id != self.root_id:
+                raise ValueError("the outer face must belong to the current root bubble")
+            owner.parent = new_bubble.id
+            new_bubble.children.append(owner_id)
+            self.root_id = new_bubble.id
+        else:
+            new_bubble.parent = owner_id
+            owner.children.append(new_bubble.id)
+        for new_face in child_faces(face, vertex):
+            self._face_owner[new_face] = new_bubble.id
+        return new_bubble.id
+
+    def tree(self) -> BubbleTree:
+        """The same tree as a production :class:`BubbleTree`."""
+        return BubbleTree(
+            [bubble.vertices for bubble in self.bubbles],
+            [-1 if bubble.parent is None else bubble.parent for bubble in self.bubbles],
+        )
+
+
+class ReferenceTMFG:
+    """The frozenset TMFG builder: faces are ``frozenset`` triangles, each
+    face's best vertex comes from :func:`per_face_best`, rounds are chosen
+    by :func:`select_batch`, and the graph and bubble tree grow edge by
+    edge and bubble by bubble."""
+
+    def __init__(self, similarity: np.ndarray, prefix: int) -> None:
+        similarity = validate_similarity_matrix(similarity)
+        n = similarity.shape[0]
+        self.similarity = similarity
+        self.tracker = WorkSpanTracker()
+        self.clique = tuple(_initial_clique(similarity))
+        v1, v2, v3, v4 = self.clique
+        self.graph = WeightedGraph(n)
+        self.edges: List[Tuple[int, int]] = []
+        for i in range(4):
+            for j in range(i + 1, 4):
+                self._add_edge(self.clique[i], self.clique[j])
+        faces = [
+            triangle_key(v1, v2, v3),
+            triangle_key(v1, v2, v4),
+            triangle_key(v1, v3, v4),
+            triangle_key(v2, v3, v4),
+        ]
+        self.outer_face = faces[0]
+        self.remaining = np.array([v for v in range(n) if v not in self.clique], dtype=int)
+        self.best: Dict[Triangle, Tuple[float, Optional[int]]] = {}
+        self._refresh(faces)
+        self.bubble_tree = IncrementalBubbleTree(self.clique, faces)
+        self.tracker.add(
+            "tmfg", work=float(n * n + 4 * n), span=math.log2(n) + 1 if n > 1 else 1.0
+        )
+        self.insertion_order: List[Tuple[int, Triangle]] = []
+        self.rounds = 0
+        while self.remaining.size:
+            pairs = [
+                VertexFacePair(vertex=vertex, face=face, gain=gain)
+                for face, (gain, vertex) in self.best.items()
+                if vertex is not None
+            ]
+            self.insert_round(select_batch(pairs, prefix))
+
+    def _add_edge(self, u: int, v: int) -> None:
+        self.graph.add_edge(u, v, self.similarity[u, v])
+        self.edges.append((u, v))
+
+    def _refresh(self, faces: Sequence[Triangle]) -> None:
+        for face in faces:
+            self.best[face] = per_face_best(self.similarity, face, self.remaining)
+
+    def insert_round(self, batch: Sequence[VertexFacePair]) -> None:
+        num_faces, num_remaining = len(self.best), int(self.remaining.size)
+        created: List[Triangle] = []
+        for pair in batch:
+            vertex, face = pair.vertex, pair.face
+            for corner in triangle_corners(face):
+                self._add_edge(vertex, corner)
+            is_outer = face == self.outer_face
+            self.bubble_tree.insert(vertex, face, is_outer_face=is_outer)
+            new_faces = child_faces(face, vertex)
+            if is_outer:
+                self.outer_face = new_faces[0]
+            del self.best[face]
+            created.extend(new_faces)
+            self.insertion_order.append((vertex, face))
+        inserted = {pair.vertex for pair in batch}
+        self.remaining = np.array([v for v in self.remaining if v not in inserted], dtype=int)
+        stale = [face for face, (_, vertex) in self.best.items() if vertex in inserted]
+        self._refresh(stale + created)
+        self.rounds += 1
+        affected = 3 * len(batch)
+        work = float(
+            num_faces * max(1.0, math.log2(max(num_faces, 2)))
+            + affected * max(1, num_remaining)
+        )
+        span = math.log2(max(num_faces, 2)) + math.log2(max(len(batch), 2)) + 1.0
+        self.tracker.add("tmfg", work=work, span=span)
+
+
+def reference_tmfg(similarity: np.ndarray, prefix: int) -> ReferenceTMFG:
+    """The TMFG built by the frozenset reference builder."""
+    return ReferenceTMFG(similarity, prefix)
+
+
+def assert_matches_reference_builder(similarity: np.ndarray, prefix: int) -> None:
+    """The array-native TMFG equals the frozenset reference builder on every
+    output: edges, insertion order, rounds, the bubble tree (ids, parents,
+    children, vertex sets in iteration order, root), the direction sums as
+    bytes, the edge-weight sum and the tracker's work and span."""
+    reference = reference_tmfg(similarity, prefix)
+    result = construct_tmfg(similarity, prefix=prefix, build_bubble_tree=True)
+    assert result.initial_clique == reference.clique
+    assert result.edges == reference.edges
+    assert result.insertion_order == reference.insertion_order
+    assert result.rounds == reference.rounds
+    tree, expected_tree = result.bubble_tree, reference.bubble_tree
+    assert tree.root_id == expected_tree.root_id
+    assert [
+        (b.id, b.parent, b.children, list(b.vertices)) for b in tree.bubbles
+    ] == [(b.id, b.parent, b.children, list(b.vertices)) for b in expected_tree.bubbles]
+    directions = compute_directions(tree, result)
+    expected = compute_directions(expected_tree.tree(), reference.graph)
+    assert directions.towards_child == expected.towards_child
+    for values, expected_values in (
+        (directions.in_values, expected.in_values),
+        (directions.out_values, expected.out_values),
+    ):
+        assert list(values) == list(expected_values)
+        assert np.array(list(values.values())).tobytes() == (
+            np.array(list(expected_values.values())).tobytes()
+        )
+    assert result.edge_weight_sum().hex() == reference.graph.edge_weight_sum().hex()
+    phase, expected_phase = result.tracker.phase("tmfg"), reference.tracker.phase("tmfg")
+    assert (phase.work, phase.span) == (expected_phase.work, expected_phase.span)
 
 
 def max_linkage_matrix(

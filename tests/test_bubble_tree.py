@@ -1,4 +1,10 @@
-"""Tests for the bubble tree built during TMFG construction (Algorithm 2)."""
+"""Tests for the bubble tree (Algorithm 2).
+
+Hand-built examples grow an :class:`tests.oracles.IncrementalBubbleTree`
+(Algorithm 2 as written) and check the production :class:`BubbleTree`
+assembled from its parent array; the TMFG's own tree is checked against
+the same oracle in ``test_properties.py``.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +16,15 @@ from repro.core.tmfg import construct_tmfg
 from repro.graph.faces import triangle_key
 
 from tests.conftest import random_similarity_matrix
+from tests.oracles import IncrementalBubbleTree
 
 
 def manual_tree():
+    """The worked example as a production tree."""
+    return manual_incremental_tree().tree()
+
+
+def manual_incremental_tree():
     """The worked example of Section V-A (Example 1, Fig. 2).
 
     Start from the clique {0,1,2,4} with outer face {0,1,2}; insert 3 into
@@ -24,7 +36,7 @@ def manual_tree():
         triangle_key(0, 2, 4),
         triangle_key(1, 2, 4),
     ]
-    tree = BubbleTree([0, 1, 2, 4], faces)
+    tree = IncrementalBubbleTree([0, 1, 2, 4], faces)
     tree.insert(3, triangle_key(0, 1, 2), is_outer_face=True)
     # After inserting 3 the outer face becomes {0,1,3} (Example 1), so the
     # insertion of 6 is an outer-face insertion while 5 goes into an inner face.
@@ -73,11 +85,13 @@ class TestOuterFaceInsertion:
             triangle_key(0, 2, 3),
             triangle_key(1, 2, 3),
         ]
-        tree = BubbleTree([0, 1, 2, 3], faces)
-        old_root = tree.root_id
-        new_id = tree.insert(4, triangle_key(0, 1, 2), is_outer_face=True)
+        incremental = IncrementalBubbleTree([0, 1, 2, 3], faces)
+        old_root = incremental.root_id
+        new_id = incremental.insert(4, triangle_key(0, 1, 2), is_outer_face=True)
+        tree = incremental.tree()
         assert tree.root_id == new_id
         assert tree.bubble(old_root).parent == new_id
+        assert tree.bubble(new_id).children == [old_root]
 
     def test_inner_face_insertion_keeps_root(self):
         faces = [
@@ -86,21 +100,22 @@ class TestOuterFaceInsertion:
             triangle_key(0, 2, 3),
             triangle_key(1, 2, 3),
         ]
-        tree = BubbleTree([0, 1, 2, 3], faces)
-        root = tree.root_id
-        new_id = tree.insert(4, triangle_key(0, 1, 3), is_outer_face=False)
+        incremental = IncrementalBubbleTree([0, 1, 2, 3], faces)
+        root = incremental.root_id
+        new_id = incremental.insert(4, triangle_key(0, 1, 3), is_outer_face=False)
+        tree = incremental.tree()
         assert tree.root_id == root
         assert tree.bubble(new_id).parent == root
 
     def test_outer_face_insertion_from_non_root_rejected(self):
-        tree = manual_tree()
+        tree = manual_incremental_tree()
         # {1,2,5} is owned by a non-root bubble; claiming it is the outer face
         # must fail the consistency check.
         with pytest.raises(ValueError):
             tree.insert(9, triangle_key(1, 2, 5), is_outer_face=True)
 
     def test_unknown_face_rejected(self):
-        tree = manual_tree()
+        tree = manual_incremental_tree()
         with pytest.raises(KeyError):
             tree.insert(9, triangle_key(0, 4, 6), is_outer_face=False)
 
@@ -108,11 +123,29 @@ class TestOuterFaceInsertion:
 class TestConstructionValidation:
     def test_initial_clique_must_have_four_vertices(self):
         with pytest.raises(ValueError):
-            BubbleTree([0, 1, 2], [triangle_key(0, 1, 2)])
+            BubbleTree([frozenset({0, 1, 2})], [-1])
+        with pytest.raises(ValueError):
+            IncrementalBubbleTree([0, 1, 2], [triangle_key(0, 1, 2)])
 
     def test_initial_faces_must_belong_to_clique(self):
         with pytest.raises(ValueError):
-            BubbleTree([0, 1, 2, 3], [triangle_key(0, 1, 9)])
+            IncrementalBubbleTree([0, 1, 2, 3], [triangle_key(0, 1, 9)])
+
+    def test_exactly_one_root(self):
+        bubbles = [frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4})]
+        with pytest.raises(ValueError):
+            BubbleTree(bubbles, [-1, -1])
+        with pytest.raises(ValueError):
+            BubbleTree(bubbles, [-1])
+
+    def test_children_come_out_in_ascending_id_order(self):
+        incremental = manual_incremental_tree()
+        tree = incremental.tree()
+        for expected, bubble in zip(incremental.bubbles, tree.bubbles):
+            assert bubble.children == expected.children == sorted(expected.children)
+            assert bubble.parent == expected.parent
+            assert list(bubble.vertices) == list(expected.vertices)
+        assert tree.root_id == incremental.root_id
 
 
 class TestFromTMFG:

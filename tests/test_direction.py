@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bubble_tree import BubbleTree
 from repro.core.direction import compute_directions, compute_directions_bfs
 from repro.core.tmfg import construct_tmfg
 from repro.graph.faces import triangle_key
@@ -13,6 +12,7 @@ from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.cost_model import WorkSpanTracker
 
 from tests.conftest import random_similarity_matrix
+from tests.oracles import IncrementalBubbleTree
 
 
 def figure2_graph_and_tree():
@@ -39,11 +39,11 @@ def figure2_graph_and_tree():
         triangle_key(0, 2, 4),
         triangle_key(1, 2, 4),
     ]
-    tree = BubbleTree([0, 1, 2, 4], faces)
+    tree = IncrementalBubbleTree([0, 1, 2, 4], faces)
     tree.insert(3, triangle_key(0, 1, 2), is_outer_face=True)
     tree.insert(5, triangle_key(1, 2, 3), is_outer_face=False)
     tree.insert(6, triangle_key(0, 1, 3), is_outer_face=True)
-    return graph, tree
+    return graph, tree.tree()
 
 
 class TestPaperExample:
@@ -86,6 +86,30 @@ class TestAgainstBFSBaseline:
         for bubble_id in fast.in_values:
             assert fast.in_values[bubble_id] == pytest.approx(slow.in_values[bubble_id])
             assert fast.out_values[bubble_id] == pytest.approx(slow.out_values[bubble_id])
+
+    @pytest.mark.parametrize("prefix", [1, 8])
+    def test_tmfg_edge_arrays_give_the_weighted_graph_bytes(self, medium_matrices, prefix):
+        """Edge weights, insertion-order degrees and the edge-weight sum read
+        from the TMFG's arrays reproduce the adjacency-list graph's sums bit
+        for bit (on correlations, where the summation order shows)."""
+        similarity, _ = medium_matrices
+        result = construct_tmfg(similarity, prefix=prefix)
+        assert result.edge_weight_sum().hex() == result.graph.edge_weight_sum().hex()
+        from_arrays = compute_directions(result.bubble_tree, result)
+        from_graph = compute_directions(result.bubble_tree, result.graph)
+        assert from_arrays.towards_child == from_graph.towards_child
+        for values, expected in (
+            (from_arrays.in_values, from_graph.in_values),
+            (from_arrays.out_values, from_graph.out_values),
+        ):
+            assert list(values) == list(expected)
+            assert np.array(list(values.values())).tobytes() == (
+                np.array(list(expected.values())).tobytes()
+            )
+        degrees = [result.graph.weighted_degree(v) for v in range(result.num_vertices)]
+        assert np.array(degrees).tobytes() == np.array(
+            [result.weighted_degree(v) for v in range(result.num_vertices)]
+        ).tobytes()
 
     def test_inval_plus_outval_identity(self, small_tmfg):
         # INVAL + OUTVAL + 2 * (triangle weight) = sum of corner degrees.

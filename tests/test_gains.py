@@ -1,14 +1,15 @@
-"""Tests for the TMFG gain table."""
+"""Tests for the TMFG gain table (faces are int ids into flat arrays)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core import gains as gains_module
 from repro.core.gains import GainTable, RescanGainTable
-from repro.graph.faces import triangle_key
+from repro.graph.faces import VertexFacePair
 from tests.conftest import random_similarity_matrix
-from tests.oracles import select_batch
+from tests.oracles import per_face_best, select_batch
 
 
 @pytest.fixture
@@ -29,81 +30,105 @@ def brute_force_best(similarity, face, remaining):
     return best
 
 
+def live_pairs(table):
+    """Every live face's best pair, in the oracle's ``VertexFacePair`` form."""
+    pairs = []
+    for face_id in table.live_faces().tolist():
+        gain, vertex = table.best_for_face(face_id)
+        if vertex is not None:
+            face = frozenset(table.corners[face_id].tolist())
+            pairs.append(VertexFacePair(vertex=vertex, face=face, gain=gain))
+    return pairs
+
+
 class TestGainTable:
     def test_best_matches_brute_force(self, similarity):
         remaining = [4, 5, 6, 7, 8, 9]
         table = GainTable(similarity, remaining)
-        face = triangle_key(0, 1, 2)
-        table.add_face(face)
-        gain, vertex = table.best_for_face(face)
-        expected_gain, expected_vertex = brute_force_best(similarity, face, remaining)
+        (face_id,) = table.add_faces([(0, 1, 2)])
+        gain, vertex = table.best_for_face(face_id)
+        expected_gain, expected_vertex = brute_force_best(similarity, (0, 1, 2), remaining)
         assert gain == pytest.approx(expected_gain)
         assert vertex == expected_vertex
 
     def test_duplicate_face_rejected(self, similarity):
+        # Splitting a face twice would register its child faces twice; the
+        # second split fails on the vertex that went in first.
         table = GainTable(similarity, [4, 5])
-        face = triangle_key(0, 1, 2)
-        table.add_face(face)
+        (face_id,) = table.add_faces([(0, 1, 2)])
+        table.split([face_id], [4])
         with pytest.raises(ValueError):
-            table.add_face(face)
+            table.split([face_id], [4])
 
     def test_remove_vertices_refreshes_affected_faces(self, similarity):
         remaining = [4, 5, 6, 7]
         table = GainTable(similarity, remaining)
-        faces = [triangle_key(0, 1, 2), triangle_key(1, 2, 3)]
-        for face in faces:
-            table.add_face(face)
-        _, best_vertex = table.best_for_face(faces[0])
-        refreshed = table.remove_vertices([best_vertex])
-        assert all(face in faces for face in refreshed)
-        for face in faces:
-            gain, vertex = table.best_for_face(face)
-            expected = brute_force_best(
-                similarity, face, [v for v in remaining if v != best_vertex]
-            )
+        faces = [(0, 1, 2), (1, 2, 3)]
+        ids = table.add_faces(faces).tolist()
+        _, best_vertex = table.best_for_face(ids[0])
+        start = table.split([ids[0]], [best_vertex])
+        left = [v for v in remaining if v != best_vertex]
+        expected = brute_force_best(similarity, faces[1], left)
+        assert table.best_for_face(ids[1]) == (pytest.approx(expected[0]), expected[1])
+        assert table.best_for_face(ids[0]) == (float("-inf"), None)
+        # The three child faces are (v, a, b), (v, b, c), (v, a, c), sorted.
+        children = [sorted((best_vertex,) + pair) for pair in ((0, 1), (1, 2), (0, 2))]
+        assert table.corners[start : start + 3].tolist() == children
+        for offset, child in enumerate(children):
+            expected = brute_force_best(similarity, child, left)
+            gain, vertex = table.best_for_face(start + offset)
             assert vertex == expected[1]
             assert gain == pytest.approx(expected[0])
 
     def test_remove_unknown_vertex_rejected(self, similarity):
         table = GainTable(similarity, [4, 5])
+        (face_id,) = table.add_faces([(0, 1, 2)])
         with pytest.raises(ValueError):
-            table.remove_vertices([0])
+            table.split([face_id], [0])
 
     def test_exhausted_table_reports_none(self, similarity):
         table = GainTable(similarity, [4])
-        face = triangle_key(0, 1, 2)
-        table.add_face(face)
-        table.remove_vertices([4])
-        gain, vertex = table.best_for_face(face)
-        assert vertex is None
-        assert gain == float("-inf")
-        assert table.best_pairs() == []
+        (face_id,) = table.add_faces([(0, 1, 2)])
+        (other,) = table.add_faces([(0, 1, 3)])
+        table.split([face_id], [4])
+        assert table.best_for_face(other) == (float("-inf"), None)
+        assert live_pairs(table) == []
+        assert table.select(1) == ([], [])
+        assert table.select(3) == ([], [])
 
     def test_remove_face_then_vertex_does_not_refresh_it(self, similarity):
-        table = GainTable(similarity, [4, 5])
-        face = triangle_key(0, 1, 2)
-        table.add_face(face)
-        _, best_vertex = table.best_for_face(face)
-        table.remove_face(face)
-        refreshed = table.remove_vertices([best_vertex])
-        assert face not in refreshed
+        table = GainTable(similarity, [4, 5, 6])
+        first, second = table.add_faces([(0, 1, 2), (0, 1, 3)]).tolist()
+        table.split([first], [5])
+        before = table.recompute_count
+        _, best_vertex = table.best_for_face(second)
+        table.split([second], [best_vertex])
+        # The split face stays dead and only the second split's faces were
+        # recomputed (three children plus faces pointing at best_vertex).
+        assert table.best_for_face(first) == (float("-inf"), None)
+        assert first not in table.live_faces().tolist()
+        assert table.recompute_count - before <= len(table.live_faces())
 
     def test_best_pairs_lists_every_active_face(self, similarity):
         table = GainTable(similarity, [4, 5, 6])
-        faces = [triangle_key(0, 1, 2), triangle_key(0, 1, 3), triangle_key(1, 2, 3)]
-        for face in faces:
-            table.add_face(face)
-        pairs = table.best_pairs()
-        assert {pair.face for pair in pairs} == set(faces)
+        faces = [(0, 1, 2), (0, 1, 3), (1, 2, 3)]
+        ids = table.add_faces(faces)
+        assert table.live_faces().tolist() == ids.tolist()
+        assert {pair.face for pair in live_pairs(table)} == {frozenset(f) for f in faces}
+        table.split([int(ids[1])], [5])
+        assert table.num_faces == 5
+        assert len(table.live_faces()) == 5
+        assert int(ids[1]) not in table.live_faces().tolist()
 
     def test_num_remaining_tracks_removals(self, similarity):
         table = GainTable(similarity, [4, 5, 6])
         assert table.num_remaining == 3
-        table.add_face(triangle_key(0, 1, 2))
-        table.remove_vertices([5])
+        (face_id,) = table.add_faces([(0, 1, 2)])
+        table.split([face_id], [5])
         assert table.num_remaining == 2
         assert not table.is_remaining(5)
         assert table.is_remaining(6)
+        assert table.remaining_vertices().tolist() == [4, 6]
 
     def test_argmax_pair_matches_reference_selection(self):
         for seed in range(10):
@@ -113,16 +138,38 @@ class TestGainTable:
             similarity = (similarity + similarity.T) / 2.0
             np.fill_diagonal(similarity, 1.0)
             table = GainTable(similarity, remaining=range(4, 14))
-            table.add_faces(
-                [frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 2, 3}), frozenset({1, 2, 3})]
-            )
-            expected = select_batch(table, prefix=1)[0]
-            scanned = table.argmax_pair()
-            assert (scanned.vertex, scanned.face, scanned.gain) == (
+            table.add_faces([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+            expected = select_batch(live_pairs(table), prefix=1)[0]
+            (face_id,), (vertex,) = table.select(1)
+            assert (vertex, frozenset(table.corners[face_id].tolist())) == (
                 expected.vertex,
                 expected.face,
-                expected.gain,
             )
+            assert table.best_for_face(face_id)[0] == expected.gain
+
+
+class TestCompaction:
+    def test_compaction_keeps_every_gain_and_vertex(self):
+        """Splits that shrink the live columns below the threshold several
+        times leave every live face's best pair equal to a full-matrix scan."""
+        similarity = random_similarity_matrix(30, seed=5)
+        table = GainTable(similarity, range(4, 30))
+        table.add_faces([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        widths = set()
+        while table.num_remaining:
+            (face_id,), (vertex,) = table.select(1)
+            table.split([face_id], [vertex])
+            widths.add(table._work.shape[1])
+            assert table._work.shape[1] >= table.num_remaining
+            assert table._work.shape[1] * gains_module.COMPACT_BELOW <= table.num_remaining or (
+                table.num_remaining == 0
+            )
+            remaining = table.remaining_vertices()
+            for live in table.live_faces().tolist():
+                assert table.best_for_face(live) == per_face_best(
+                    similarity, table.corners[live].tolist(), remaining
+                )
+        assert len(widths) >= 3
 
 
 class TestRescanGainTable:
@@ -130,27 +177,27 @@ class TestRescanGainTable:
         remaining = [4, 5, 6, 7, 8, 9]
         fast = GainTable(similarity, list(remaining))
         slow = RescanGainTable(similarity, list(remaining))
-        faces = [triangle_key(0, 1, 2), triangle_key(0, 2, 3), triangle_key(1, 2, 3)]
-        for face in faces:
-            fast.add_face(face)
-            slow.add_face(face)
-        fast.remove_vertices([7, 8])
-        slow.remove_vertices([7, 8])
-        for face in faces:
-            assert fast.best_for_face(face)[1] == slow.best_for_face(face)[1]
-            assert fast.best_for_face(face)[0] == pytest.approx(slow.best_for_face(face)[0])
+        faces = [(0, 1, 2), (0, 2, 3), (1, 2, 3)]
+        fast.add_faces(faces)
+        slow.add_faces(faces)
+        fast.split([0, 1], [7, 8])
+        slow.split([0, 1], [7, 8])
+        assert fast.live_faces().tolist() == slow.live_faces().tolist()
+        for face_id in fast.live_faces().tolist():
+            assert fast.best_for_face(face_id) == slow.best_for_face(face_id)
 
     def test_rescan_recomputes_more(self, similarity):
         remaining = [4, 5, 6, 7, 8, 9]
         fast = GainTable(similarity, list(remaining))
         slow = RescanGainTable(similarity, list(remaining))
-        faces = [triangle_key(0, 1, 2), triangle_key(0, 2, 3), triangle_key(1, 2, 3)]
-        for face in faces:
-            fast.add_face(face)
-            slow.add_face(face)
-        # Remove a vertex that is the best of at most one face; the rescan
-        # variant still touches every face whose best vertex vanished, and
-        # both end in the same state.
-        fast.remove_vertices([9])
-        slow.remove_vertices([9])
-        assert slow.recompute_count >= fast.recompute_count
+        faces = [(0, 1, 2), (0, 2, 3), (1, 2, 3)]
+        fast.add_faces(faces)
+        slow.add_faces(faces)
+        # Insert a vertex that is the best of at most one face; the rescan
+        # variant still touches every live face, and both end in the same
+        # state.
+        fast.split([2], [9])
+        slow.split([2], [9])
+        assert slow.recompute_count > fast.recompute_count
+        for face_id in fast.live_faces().tolist():
+            assert fast.best_for_face(face_id) == slow.best_for_face(face_id)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,55 @@ class TestAppendixExample:
         result = tmfg_dbht(APPENDIX_CORRELATION, prefix=1)
         labels = result.cut(2)
         assert adjusted_rand_index(APPENDIX_GROUND_TRUTH, labels) < 1.0
+
+
+class TestFitBoundary:
+    """A fit validates each matrix once, at the pipeline boundary, and
+    builds no adjacency-list graph."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        """Wrap ``module.name`` in every loaded ``repro`` module that bound it."""
+        original = getattr(module, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for loaded in list(sys.modules.values()):
+            if getattr(loaded, "__name__", "").startswith("repro") and (
+                getattr(loaded, name, None) is original
+            ):
+                monkeypatch.setattr(loaded, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_each_matrix_is_validated_once(self, monkeypatch, small_dataset, precomputed):
+        from repro.api import TMFGClusterer
+        from repro.graph import matrix
+
+        similarity_calls = self._count_calls(monkeypatch, matrix, "validate_similarity_matrix")
+        dissimilarity_calls = self._count_calls(
+            monkeypatch, matrix, "validate_dissimilarity_matrix"
+        )
+        data = small_dataset.data
+        if precomputed:
+            data = np.corrcoef(data)
+        TMFGClusterer(num_clusters=3, precomputed=precomputed).fit(data)
+        assert len(similarity_calls) == 1
+        assert len(dissimilarity_calls) == 1
+
+    def test_fit_never_builds_a_weighted_graph(self, monkeypatch, small_dataset):
+        from repro.api import TMFGClusterer
+        from repro.graph.weighted_graph import WeightedGraph
+
+        def forbidden(self, u, v, weight):
+            raise AssertionError("WeightedGraph.add_edge called during a fit")
+
+        monkeypatch.setattr(WeightedGraph, "add_edge", forbidden)
+        estimator = TMFGClusterer(num_clusters=3).fit(small_dataset.data)
+        assert estimator.labels_.shape == (small_dataset.data.shape[0],)
+        assert estimator.result_.extras["edge_weight_sum"] == pytest.approx(
+            sum(estimator.result_.raw.tmfg.edge_weights)
+        )

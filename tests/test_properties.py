@@ -19,16 +19,17 @@ from repro.core.assignment import assign_vertices
 from repro.core.direction import DirectionResult, compute_directions, compute_directions_bfs
 from repro.core.dbht import dbht
 from repro.core.hierarchy import build_hierarchy
-from repro.core.tmfg import _initial_clique, _TMFGBuilder, construct_tmfg
+from repro.core import tmfg as tmfg_module
+from repro.core.gains import GainTable
+from repro.core.tmfg import _initial_clique, construct_tmfg
 from repro.dendrogram.cut import cut_k
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.planarity import is_planar
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.metrics.ari import adjusted_rand_index
-from repro.parallel.cost_model import WorkSpanTracker
 from repro.parallel.kernels import KERNEL_NAMES
 from tests import oracles
-from tests.oracles import per_face_best, reference_tmfg
+from tests.oracles import assert_matches_reference_builder, per_face_best, reference_tmfg
 
 
 def similarity_matrices(min_size=5, max_size=24):
@@ -48,32 +49,33 @@ def similarity_matrices(min_size=5, max_size=24):
     ).map(build)
 
 
-def tie_heavy_matrices(min_size=4, max_size=24):
-    """Symmetric matrices built to force exact gain ties.
+def tie_heavy_matrix(n, seed, levels, duplicates):
+    """A symmetric matrix built to force exact gain ties.
 
     Entries are dyadic multiples of ``1/levels`` (so every gain is an exact
     float sum and equal sums compare equal) and a few rows are duplicates
     of others (so whole vertices tie on every face).
     """
+    rng = np.random.default_rng(seed)
+    matrix = np.triu(rng.integers(-levels, levels + 1, size=(n, n)) / levels, 1)
+    matrix = matrix + matrix.T
+    for _ in range(duplicates):
+        source, target = rng.choice(n, size=2, replace=False)
+        matrix[target, :] = matrix[source, :]
+        matrix[:, target] = matrix[:, source]
+    np.fill_diagonal(matrix, 1.0)
+    return matrix
 
-    def build(args):
-        n, seed, levels, duplicates = args
-        rng = np.random.default_rng(seed)
-        matrix = np.triu(rng.integers(-levels, levels + 1, size=(n, n)) / levels, 1)
-        matrix = matrix + matrix.T
-        for _ in range(duplicates):
-            source, target = rng.choice(n, size=2, replace=False)
-            matrix[target, :] = matrix[source, :]
-            matrix[:, target] = matrix[:, source]
-        np.fill_diagonal(matrix, 1.0)
-        return matrix
 
-    return st.tuples(
+def tie_heavy_matrices(min_size=4, max_size=24):
+    """Strategy producing :func:`tie_heavy_matrix` inputs."""
+    return st.builds(
+        tie_heavy_matrix,
         st.integers(min_value=min_size, max_value=max_size),
         st.integers(min_value=0, max_value=10_000),
         st.sampled_from([1, 2, 4]),
         st.integers(min_value=0, max_value=3),
-    ).map(build)
+    )
 
 
 def decimal_tie_matrices(min_size=8, max_size=28):
@@ -158,19 +160,20 @@ class TestTMFGProperties:
         fresh per-face scan over the remaining vertices, bit for bit."""
         prefix = _prefix_for(prefix, similarity)
         similarity = validate_similarity_matrix(similarity)
-        builder = _TMFGBuilder(
-            similarity, _initial_clique(similarity), False, WorkSpanTracker()
-        )
-        table = builder.gain_table
+        v1, v2, v3, v4 = _initial_clique(similarity)
+        clique = (v1, v2, v3, v4)
+        table = GainTable(similarity, [v for v in range(similarity.shape[0]) if v not in clique])
+        table.add_faces([(v1, v2, v3), (v1, v2, v4), (v1, v3, v4), (v2, v3, v4)])
         while True:
             remaining = table.remaining_vertices()
-            assert set(table.faces()) == builder.faces
-            for face in table.faces():
-                assert table.best_for_face(face) == per_face_best(similarity, face, remaining)
+            live = table.live_faces().tolist()
+            assert len(live) == table.num_faces
+            for face_id in live:
+                corners = table.corners[face_id].tolist()
+                assert table.best_for_face(face_id) == per_face_best(similarity, corners, remaining)
             if table.num_remaining == 0:
                 break
-            pairs = table.select(prefix)
-            builder.insert_round([(pair.vertex, pair.face) for pair in pairs])
+            table.split(*table.select(prefix))
 
     @settings(max_examples=15, deadline=None)
     @given(similarity_matrices(min_size=6, max_size=20), st.integers(min_value=2, max_value=8))
@@ -204,6 +207,36 @@ class TestTMFGProperties:
         fast = compute_directions(result.bubble_tree, result.graph)
         slow = compute_directions_bfs(result.bubble_tree, result.graph)
         assert fast.towards_child == slow.towards_child
+
+
+class _WidthRecordingTable(GainTable):
+    """Records the working matrix's width after every split."""
+
+    widths: list = []
+
+    def split(self, face_ids, vertices):
+        start = super().split(face_ids, vertices)
+        self.widths.append(self._work.shape[1])
+        return start
+
+
+class TestReferenceBuilder:
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tie_heavy_matrices(min_size=4, max_size=60))
+    def test_matches_reference_builder_on_tie_heavy_matrices(self, prefix, similarity):
+        assert_matches_reference_builder(similarity, _prefix_for(prefix, similarity))
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_builder_while_compacting(self, monkeypatch, prefix, seed):
+        """At 60 vertices the working matrix is compacted several times."""
+        matrix = tie_heavy_matrix(60, seed, levels=2, duplicates=3)
+        monkeypatch.setattr(_WidthRecordingTable, "widths", [])
+        monkeypatch.setattr(tmfg_module, "GainTable", _WidthRecordingTable)
+        assert_matches_reference_builder(matrix, _prefix_for(prefix, matrix))
+        compactions = np.count_nonzero(np.diff([56] + _WidthRecordingTable.widths))
+        assert compactions >= 2
 
 
 class TestDBHTProperties:

@@ -5,13 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import TMFGClusterer
 from repro.core.tmfg import TMFGResult, construct_tmfg
+from repro.datasets.similarity import similarity_and_dissimilarity
+from repro.graph.matrix import MatrixValidationError
 from repro.graph.faces import triangle_corners, triangle_key, child_faces
 from repro.graph.planarity import is_planar
 from repro.metrics.edge_sum import edge_weight_sum_ratio
 from repro.parallel.cost_model import WorkSpanTracker
 
 from tests.conftest import random_similarity_matrix
+from tests.oracles import assert_matches_reference_builder
 
 
 def reference_sequential_tmfg(similarity: np.ndarray):
@@ -166,3 +170,50 @@ class TestQualityTradeoff:
         # faces, so more than one round may still be needed, but far fewer
         # than n.
         assert result.rounds <= 12 - 4
+
+
+def _duplicate_series_similarity():
+    rng = np.random.default_rng(8)
+    series = rng.normal(size=(6, 40))
+    data = np.vstack([series, series[[0, 0, 2, 5]]])
+    return similarity_and_dissimilarity(data)[0]
+
+
+DEGENERATE = {
+    "n4": lambda: random_similarity_matrix(4, seed=1),
+    "n5": lambda: random_similarity_matrix(5, seed=2),
+    "all_equal": lambda: np.ones((9, 9)),
+    "duplicate_series": _duplicate_series_similarity,
+}
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("prefix", [1, 3])
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_matches_reference_builder(self, case, prefix):
+        assert_matches_reference_builder(DEGENERATE[case](), prefix)
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_labels_defined_at_one_and_two_clusters(self, case):
+        similarity = DEGENERATE[case]()
+        for k in (1, 2):
+            labels = TMFGClusterer(precomputed=True, num_clusters=k).fit(similarity).labels_
+            assert labels.shape == (similarity.shape[0],)
+            assert len(np.unique(labels)) == k
+            assert labels.min() >= 0
+
+    def test_four_vertices_is_one_bubble_without_rounds(self):
+        result = construct_tmfg(random_similarity_matrix(4, seed=1), prefix=1)
+        assert result.rounds == 0
+        assert result.insertion_order == []
+        assert result.bubble_tree.num_bubbles == 1
+        assert result.bubble_tree.root_id == 0
+        assert result.edges == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+    def test_nan_input_rejected(self):
+        similarity = random_similarity_matrix(8, seed=3)
+        similarity[2, 5] = similarity[5, 2] = np.nan
+        with pytest.raises(MatrixValidationError):
+            construct_tmfg(similarity)
+        with pytest.raises(MatrixValidationError):
+            TMFGClusterer(precomputed=True, num_clusters=2).fit(similarity)
