@@ -72,7 +72,7 @@ class GainTable:
         self._alive = np.zeros(capacity, dtype=bool)
         self._size = 0
         self.num_faces = 0
-        # Number of per-face gain recomputations (used by the ablation bench).
+        # Number of per-face gain recomputations.
         self.recompute_count = 0
 
     # -- queries -----------------------------------------------------------
@@ -145,9 +145,13 @@ class GainTable:
         three child faces of every pair (ids as in the module docstring)
         and refreshes them together with every live face whose best vertex
         was just inserted, in one gather.  Returns the first new face id.
+        Raises ``ValueError`` if a face is not live (splitting it again
+        would register its children twice) or a vertex is not remaining.
         """
         children = []
         for face_id, vertex in zip(face_ids, vertices):
+            if not self._alive[face_id]:
+                raise ValueError(f"face {face_id} is not live")
             if not self._remaining_mask[vertex]:
                 raise ValueError(f"vertex {vertex} is not in the remaining set")
             self._remaining_mask[vertex] = False

@@ -134,6 +134,8 @@ class TMFGResult:
 
     @cached_property
     def _weights(self) -> Dict[Tuple[int, int], float]:
+        # Both orientations answer the weight as inserted: validated inputs
+        # are symmetric only within a tolerance, so S[v, u] may differ.
         us, vs = self.edge_array.T.tolist()
         weights = self.edge_weights.tolist()
         lookup = dict(zip(zip(us, vs), weights))

@@ -87,13 +87,20 @@ class TestAgainstBFSBaseline:
             assert fast.in_values[bubble_id] == pytest.approx(slow.in_values[bubble_id])
             assert fast.out_values[bubble_id] == pytest.approx(slow.out_values[bubble_id])
 
+    @pytest.mark.parametrize("skew", [0.0, 1e-12])
     @pytest.mark.parametrize("prefix", [1, 8])
-    def test_tmfg_edge_arrays_give_the_weighted_graph_bytes(self, medium_matrices, prefix):
+    def test_tmfg_edge_arrays_give_the_weighted_graph_bytes(self, medium_matrices, prefix, skew):
         """Edge weights, insertion-order degrees and the edge-weight sum read
         from the TMFG's arrays reproduce the adjacency-list graph's sums bit
-        for bit (on correlations, where the summation order shows)."""
+        for bit (on correlations, where the summation order shows).  A skew
+        within the validators' symmetry tolerance makes ``S[u, v]`` and
+        ``S[v, u]`` differ: both orientations must still answer the weight
+        the edge was inserted with."""
         similarity, _ = medium_matrices
+        similarity = similarity + skew * np.triu(np.ones_like(similarity), 1)
         result = construct_tmfg(similarity, prefix=prefix)
+        for u, v in result.edges:
+            assert result.weight(u, v) == result.weight(v, u) == result.graph.weight(u, v)
         assert result.edge_weight_sum().hex() == result.graph.edge_weight_sum().hex()
         from_arrays = compute_directions(result.bubble_tree, result)
         from_graph = compute_directions(result.bubble_tree, result.graph)

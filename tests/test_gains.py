@@ -52,13 +52,20 @@ class TestGainTable:
         assert vertex == expected_vertex
 
     def test_duplicate_face_rejected(self, similarity):
-        # Splitting a face twice would register its child faces twice; the
-        # second split fails on the vertex that went in first.
-        table = GainTable(similarity, [4, 5])
+        # Splitting a face twice would register its child faces twice, even
+        # with a vertex that is still remaining.
+        table = GainTable(similarity, [4, 5, 6])
         (face_id,) = table.add_faces([(0, 1, 2)])
         table.split([face_id], [4])
-        with pytest.raises(ValueError):
-            table.split([face_id], [4])
+        live = table.live_faces().tolist()
+        with pytest.raises(ValueError, match="not live"):
+            table.split([face_id], [5])
+        assert table.num_faces == 3
+        assert table.live_faces().tolist() == live
+        assert table.is_remaining(5)
+        # The same face twice in one batch is caught the same way.
+        with pytest.raises(ValueError, match="not live"):
+            table.split([live[0], live[0]], [5, 6])
 
     def test_remove_vertices_refreshes_affected_faces(self, similarity):
         remaining = [4, 5, 6, 7]

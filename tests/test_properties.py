@@ -23,6 +23,7 @@ from repro.core import tmfg as tmfg_module
 from repro.core.gains import GainTable
 from repro.core.tmfg import _initial_clique, construct_tmfg
 from repro.dendrogram.cut import cut_k
+from repro.graph.faces import child_faces
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.planarity import is_planar
 from repro.graph.shortest_paths import all_pairs_shortest_paths
@@ -163,17 +164,27 @@ class TestTMFGProperties:
         v1, v2, v3, v4 = _initial_clique(similarity)
         clique = (v1, v2, v3, v4)
         table = GainTable(similarity, [v for v in range(similarity.shape[0]) if v not in clique])
-        table.add_faces([(v1, v2, v3), (v1, v2, v4), (v1, v3, v4), (v2, v3, v4)])
+        initial = [(v1, v2, v3), (v1, v2, v4), (v1, v3, v4), (v2, v3, v4)]
+        table.add_faces(initial)
+        # The face set as the frozenset builder keeps it, grown independently
+        # of the table's corner arrays.
+        faces = {frozenset(face) for face in initial}
         while True:
             remaining = table.remaining_vertices()
             live = table.live_faces().tolist()
             assert len(live) == table.num_faces
+            assert {frozenset(table.corners[f].tolist()) for f in live} == faces
             for face_id in live:
                 corners = table.corners[face_id].tolist()
                 assert table.best_for_face(face_id) == per_face_best(similarity, corners, remaining)
             if table.num_remaining == 0:
                 break
-            table.split(*table.select(prefix))
+            face_ids, vertices = table.select(prefix)
+            for face_id, vertex in zip(face_ids, vertices):
+                face = frozenset(table.corners[face_id].tolist())
+                faces.remove(face)
+                faces.update(child_faces(face, vertex))
+            table.split(face_ids, vertices)
 
     @settings(max_examples=15, deadline=None)
     @given(similarity_matrices(min_size=6, max_size=20), st.integers(min_value=2, max_value=8))
