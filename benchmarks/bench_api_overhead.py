@@ -77,7 +77,7 @@ def test_bench_estimator_layer(benchmark, similarity):
 
 def main() -> dict:
     similarity = _similarity()
-    # Warm up both paths (imports, kernel registry, numpy buffers).
+    # Warm up both paths (imports, numpy buffers).
     direct_labels = _run_direct(similarity)
     estimator_labels = _run_estimator(similarity)
 

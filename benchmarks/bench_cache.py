@@ -59,7 +59,7 @@ def main(argv=None) -> dict:
     plain = ClusteringConfig(precomputed=True, num_clusters=NUM_CLUSTERS, prefix=PREFIX)
     cached = plain.replace(cache=True)
 
-    # Warm-up (imports, kernel registry) outside every timed region.
+    # Warm-up (imports) outside every timed region.
     clear_result_caches()
     cluster_many(matrices[:1], plain)
 

@@ -1,16 +1,13 @@
-"""APSP scaling sweep: every method's wall-clock, then landmark quality.
+"""APSP scaling sweep: the production kernel's wall-clock, with SciPy headroom.
 
-Two sections, one JSON report (``benchmarks/results/scaling.json``):
+Per graph size, on the TMFG distance graph, one JSON report
+(``benchmarks/results/scaling.json``) records
 
-* **cold** — per graph size, wall-clock of every APSP method on the TMFG
-  distance graph (``dijkstra`` numpy/python kernels, ``scipy``, ``floyd``;
-  the cubic/interpreted ones are capped at small sizes), plus ``landmark``
-  at the default count.
-* **landmark quality** — the Fig-1-style quality-vs-time curve at the
-  largest size: ARI of the DBHT cut under ``apsp_method="landmark"``
-  against the exact cut, over the ``--landmark-grid``, with the APSP
-  wall-clock per point.  The mean distance error must shrink monotonically
-  in the landmark count (nested selection guarantees it pointwise).
+* the production APSP (``all_pairs_shortest_paths``: the serial frontier
+  kernel, exact Dijkstra distances), and
+* SciPy's C Dijkstra (``scipy.sparse.csgraph.shortest_path``, called
+  directly here; the library does not use it) as the headroom reference,
+  with whether its distances are byte-identical to the production ones.
 
 Standalone::
 
@@ -25,31 +22,27 @@ import argparse
 import time
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
-from repro.core.dbht import dbht
 from repro.core.tmfg import construct_tmfg
 from repro.datasets.synthetic import make_time_series_dataset
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.graph.csr import CSRGraph
 from repro.graph.shortest_paths import all_pairs_shortest_paths
-from repro.metrics.ari import adjusted_rand_index
 
-#: Interpreted / cubic methods are skipped above these sizes.
-PYTHON_KERNEL_CAP = 1000
-FLOYD_CAP = 1000
 PREFIX = 10
 NUM_CLUSTERS = 8
 
 
-def _build(size: int, seed: int):
-    """(similarity, dissimilarity, tmfg, distance CSR) for one sweep size."""
+def _build(size: int, seed: int) -> CSRGraph:
+    """The TMFG distance graph (CSR, dissimilarity weights) for one size."""
     dataset = make_time_series_dataset(
         num_objects=size, length=64, num_classes=NUM_CLUSTERS, noise=1.0, seed=seed
     )
     similarity, dissimilarity = similarity_and_dissimilarity(dataset.data)
-    tmfg = construct_tmfg(similarity, prefix=PREFIX, build_bubble_tree=True)
-    csr = tmfg.csr().reweighted(dissimilarity)
-    return similarity, dissimilarity, tmfg, csr
+    tmfg = construct_tmfg(similarity, prefix=PREFIX, build_bubble_tree=False)
+    return tmfg.csr().reweighted(dissimilarity)
 
 
 def _timed(fn):
@@ -58,91 +51,28 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def cold_section(csr: CSRGraph, size: int) -> list:
-    """Wall-clock of every applicable cold APSP method at this size."""
-    rows = []
-    reference, seconds = _timed(lambda: all_pairs_shortest_paths(csr, kernel="numpy"))
-    rows.append({"method": "dijkstra", "kernel": "numpy", "seconds": round(seconds, 4)})
-    if size <= PYTHON_KERNEL_CAP:
-        result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, kernel="python"))
-        rows.append(
-            {
-                "method": "dijkstra",
-                "kernel": "python",
-                "seconds": round(seconds, 4),
-                "identical": bool(np.array_equal(result, reference)),
-            }
-        )
-    result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, method="scipy"))
+def _scipy_apsp(csr: CSRGraph) -> np.ndarray:
+    n = csr.num_vertices
+    # Built from (data, indices, indptr), the matrix keeps explicit zeros as
+    # zero-length edges, as the production kernel does.
+    sparse = csr_matrix((csr.weights, csr.indices, csr.indptr), shape=(n, n))
+    return shortest_path(sparse, method="D", directed=False)
+
+
+def cold_section(csr: CSRGraph) -> list:
+    """Wall-clock of the production APSP and of SciPy's at this size."""
+    reference, seconds = _timed(lambda: all_pairs_shortest_paths(csr))
+    rows = [{"method": "dijkstra", "seconds": round(seconds, 4)}]
+    result, seconds = _timed(lambda: _scipy_apsp(csr))
     rows.append(
         {
             "method": "scipy",
             "seconds": round(seconds, 4),
+            "identical": bool(np.array_equal(result, reference)),
             "max_abs_diff": float(np.max(np.abs(result - reference))),
         }
     )
-    if size <= FLOYD_CAP:
-        result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, method="floyd"))
-        rows.append(
-            {
-                "method": "floyd",
-                "seconds": round(seconds, 4),
-                "max_abs_diff": float(np.max(np.abs(result - reference))),
-            }
-        )
-    result, seconds = _timed(lambda: all_pairs_shortest_paths(csr, method="landmark"))
-    overestimate = result - reference
-    rows.append(
-        {
-            "method": "landmark",
-            "landmarks": 32,
-            "seconds": round(seconds, 4),
-            "mean_abs_error": float(np.mean(np.abs(overestimate))),
-        }
-    )
     return rows
-
-
-def landmark_quality_section(similarity, dissimilarity, tmfg, args) -> dict:
-    """ARI-vs-time curve of the landmark mode against the exact DBHT cut."""
-    exact = dbht(tmfg, similarity, dissimilarity, apsp_method="dijkstra", kernel="numpy")
-    exact_labels = exact.cut(NUM_CLUSTERS)
-    exact_distances = exact.shortest_paths
-    exact_seconds = exact.step_seconds["apsp"]
-    grid = sorted(args.landmark_grid)
-    points = []
-    previous_error = np.inf
-    for count in grid:
-        result = dbht(
-            tmfg,
-            similarity,
-            dissimilarity,
-            apsp_method="landmark",
-            landmarks=count,
-            kernel="numpy",
-        )
-        labels = result.cut(NUM_CLUSTERS)
-        error = float(np.mean(np.abs(result.shortest_paths - exact_distances)))
-        # Nested landmark prefixes tighten the bound pointwise, so the mean
-        # error is monotone by construction; a violation is a bug.
-        assert error <= previous_error + 1e-12, (
-            f"landmark error increased from {previous_error} to {error} at L={count}"
-        )
-        previous_error = error
-        points.append(
-            {
-                "landmarks": count,
-                "apsp_seconds": round(result.step_seconds["apsp"], 4),
-                "ari_vs_exact": round(float(adjusted_rand_index(labels, exact_labels)), 4),
-                "mean_abs_distance_error": error,
-            }
-        )
-    return {
-        "num_vertices": tmfg.num_vertices,
-        "num_clusters": NUM_CLUSTERS,
-        "exact_apsp_seconds": round(exact_seconds, 4),
-        "points": points,
-    }
 
 
 def main(argv=None) -> dict:
@@ -152,16 +82,9 @@ def main(argv=None) -> dict:
         default="500,1000,2000,5000",
         help="comma-separated vertex counts to sweep",
     )
-    parser.add_argument(
-        "--landmark-grid",
-        default="4,8,16,32",
-        help="landmark counts for the quality-vs-time curve (up to the "
-        "default landmark count; single-cut ARI gets noisy past it)",
-    )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--json", default=None, help="override the report path")
     args = parser.parse_args(argv)
-    args.landmark_grid = [int(part) for part in str(args.landmark_grid).split(",")]
     sizes = [int(part) for part in str(args.sizes).split(",")]
 
     report = {
@@ -170,18 +93,10 @@ def main(argv=None) -> dict:
         "sizes": sizes,
         "cold": [],
     }
-    largest_artifacts = None
     for size in sizes:
-        similarity, dissimilarity, tmfg, csr = _build(size, args.seed)
+        csr = _build(size, args.seed)
         print(f"-- size {size}: graph built ({csr.num_edges} edges)", flush=True)
-        report["cold"].append({"num_vertices": size, "methods": cold_section(csr, size)})
-        if size == max(sizes):
-            largest_artifacts = (similarity, dissimilarity, tmfg)
-
-    similarity, dissimilarity, tmfg = largest_artifacts
-    report["landmark_quality"] = landmark_quality_section(
-        similarity, dissimilarity, tmfg, args
-    )
+        report["cold"].append({"num_vertices": size, "methods": cold_section(csr)})
 
     import benchlib
 

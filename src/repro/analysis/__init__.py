@@ -3,7 +3,7 @@
 The codebase's value rests on invariants that code review alone cannot
 keep enforcing across refactors:
 
-* **byte-identity** across kernels, cache hits, and transports;
+* **byte-identity** across cache hits and transports;
 * **cache-key coherence** — every :class:`~repro.api.config.ClusteringConfig`
   knob participates in the result-cache fingerprint or is explicitly
   excluded (and every knob is reachable from the CLI);

@@ -11,10 +11,12 @@ makes correctness a *bookkeeping* property spread over three files:
   (error-message flag spellings) and ``_CONFIG_FILE_ONLY_FIELDS`` (knobs
   deliberately reachable only through ``--config`` files).
 
-PR 6 showed how easy the bookkeeping is to miss: ``apsp_method`` and
-``landmarks`` each had to be threaded through the fingerprint and the
-CLI by hand.  This rule re-derives the three inventories from the ASTs
-and flags every mismatch:
+The bookkeeping is easy to miss in both directions: a new field must be
+threaded through the fingerprint and the CLI by hand, and a deleted one
+must leave all three files.  Only annotated class-body names are fields
+(a plain class constant such as ``ClusteringConfig.apsp_method`` is not
+serialized, so it is not one).  This rule re-derives the three
+inventories from the ASTs and flags every mismatch:
 
 * a config field neither in ``FINGERPRINT_FIELDS`` nor in
   ``CACHE_KNOB_FIELDS`` (a knob that could silently share cache entries

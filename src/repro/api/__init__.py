@@ -16,7 +16,7 @@ batch jobs ship their configuration as data.
 """
 
 from repro.api.batch import cluster_many
-from repro.api.config import APSP_METHODS, LINKAGE_NAMES, ClusteringConfig
+from repro.api.config import LINKAGE_NAMES, ClusteringConfig
 from repro.api.estimators import (
     ClassicDBHTClusterer,
     ClusteringEstimator,
@@ -33,7 +33,6 @@ from repro.api.estimators import (
 from repro.api.result import ClusterResult
 
 __all__ = [
-    "APSP_METHODS",
     "LINKAGE_NAMES",
     "ClusteringConfig",
     "ClusterResult",

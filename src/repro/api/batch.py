@@ -21,14 +21,12 @@ cache-and-dedup aware:
 With a process fan-out, input matrices are placed in shared memory and
 mapped zero-copy into the workers (:mod:`repro.parallel.shm`) instead of
 being pickled into every job; where shared memory is unavailable the
-dispatch transparently falls back to pickling.  The per-fit
-``config.backend`` is forced to serial under a process fan-out (with a
-warning) — nesting pools would multiply workers.
+dispatch transparently falls back to pickling.  Each fit itself runs
+serially, so a fan-out never nests pools.
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -130,16 +128,6 @@ def cluster_many(
         owns_backend = True
     with trace_span("batch.cluster_many", jobs=len(matrices)) as probe:
         try:
-            if isinstance(backend, ProcessBackend) and config.backend not in (None, "serial"):
-                warnings.warn(
-                    f"cluster_many: a process fan-out with config.backend="
-                    f"{config.backend!r} would nest pools and multiply workers; "
-                    "forcing the per-fit backend to serial",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                config = config.replace(backend=None, workers=None)
-
             # Normalize the config through the registry before fingerprinting:
             # the estimator a worker builds pins method aliases to their
             # canonical id (par-tdbht -> tmfg-dbht) and applies id-pinned

@@ -9,11 +9,9 @@ runner's parameter copies:
 * ``method`` — a registry id resolved by
   :func:`repro.api.estimators.make_estimator` (``"tmfg-dbht"``,
   ``"pmfg-dbht"``, ``"hac"``, ``"kmeans"``, ...);
-* the TMFG/DBHT knobs ``prefix``, ``apsp_method``, ``landmarks``,
-  ``kernel``;
-* the execution knobs ``backend`` (a *name*, so the config stays
-  serializable; pools are opened with :meth:`ClusteringConfig.open_backend`
-  and owned by the caller) and ``workers``;
+* the TMFG knob ``prefix`` (the DBHT has one APSP path, exact Dijkstra
+  distances from the serial frontier kernel, and no knob);
+* the input and cache knobs ``precomputed``, ``cache`` and ``cache_dir``;
 * baseline-specific knobs (``linkage``, ``seed``, ``num_restarts``,
   ``spectral_neighbors``) that are ignored by methods that do not use them.
 
@@ -30,14 +28,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.parallel.kernels import resolve_kernel_name
-from repro.parallel.scheduler import BACKEND_NAMES, ParallelBackend, make_backend
-
-#: The built-in APSP methods; kept for documentation and backwards
-#: compatibility.  Validation resolves against the *live* registry
-#: (:func:`repro.graph.shortest_paths.available_apsp_methods`), so custom
-#: methods registered with ``register_apsp_method`` are accepted too.
-APSP_METHODS = ("dijkstra", "floyd", "scipy", "landmark")
 LINKAGE_NAMES = ("single", "complete", "average", "weighted")
 
 DEFAULT_METHOD = "tmfg-dbht"
@@ -61,27 +51,6 @@ class ClusteringConfig:
         require it at ``fit`` time.
     prefix:
         TMFG prefix batch size (``1`` = exact sequential TMFG).
-    apsp_method:
-        APSP implementation for the DBHT, resolved against the live method
-        registry (:func:`repro.graph.shortest_paths.available_apsp_methods`).
-        ``"dijkstra"``/``"floyd"``/``"scipy"`` give identical distances;
-        ``"landmark"`` is the opt-in approximate mode — it never engages
-        unless selected here.
-    landmarks:
-        Landmark count for ``apsp_method="landmark"`` (``None`` = the
-        method's default, currently 32).  Rejected for any other
-        ``apsp_method``.  Part of the cache fingerprint, so approximate
-        results can never collide with exact cache entries.
-    kernel:
-        APSP hot-loop kernel name (``"python"``/``"numpy"``/any registered
-        custom kernel); ``None`` uses the process-wide default.
-    backend:
-        Parallel-backend *name* (``"serial"``/``"thread"``/``"process"``)
-        or ``None`` for the serial default.  Kept as a name so the config
-        serializes; :meth:`open_backend` constructs the pool.
-    workers:
-        Worker count for the thread/process backend; requires such a
-        backend to be selected.
     precomputed:
         Treat the fitted matrix as a precomputed similarity matrix instead
         of raw series (one object per row).
@@ -110,11 +79,6 @@ class ClusteringConfig:
     method: str = DEFAULT_METHOD
     num_clusters: Optional[int] = None
     prefix: int = 1
-    apsp_method: str = "dijkstra"
-    landmarks: Optional[int] = None
-    kernel: Optional[str] = None
-    backend: Optional[str] = None
-    workers: Optional[int] = None
     precomputed: bool = False
     cache: bool = False
     cache_dir: Optional[str] = None
@@ -123,6 +87,12 @@ class ClusteringConfig:
     num_restarts: int = 3
     spectral_neighbors: int = 10
 
+    # The DBHT's one APSP method, for callers that name it (e.g.
+    # ``all_pairs_shortest_paths(graph, method=config.apsp_method)``).  A
+    # class constant, not a field: it is not serialized, not part of the
+    # cache key and not settable.
+    apsp_method = "dijkstra"
+
     def __post_init__(self) -> None:
         if not isinstance(self.method, str) or not self.method:
             raise ValueError("method must be a non-empty string id")
@@ -130,32 +100,6 @@ class ClusteringConfig:
             raise ValueError("num_clusters must be at least 1 (or None)")
         if self.prefix < 1:
             raise ValueError("prefix must be at least 1")
-        from repro.graph.shortest_paths import available_apsp_methods
-
-        valid_methods = available_apsp_methods()
-        if self.apsp_method not in valid_methods:
-            raise ValueError(
-                f"unknown apsp_method {self.apsp_method!r}; expected one of {valid_methods}"
-            )
-        if self.landmarks is not None:
-            if self.apsp_method != "landmark":
-                raise ValueError(
-                    "landmarks is set but apsp_method is "
-                    f"{self.apsp_method!r}; it only applies to apsp_method='landmark'"
-                )
-            if self.landmarks < 2:
-                raise ValueError("landmarks must be at least 2")
-        if self.kernel is not None:
-            resolve_kernel_name(self.kernel)
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKEND_NAMES}"
-            )
-        if self.workers is not None:
-            if self.backend in (None, "serial"):
-                raise ValueError("workers has no effect without backend 'thread' or 'process'")
-            if self.workers < 1:
-                raise ValueError("workers must be at least 1")
         if self.cache_dir is not None and not self.cache:
             raise ValueError(
                 "cache_dir is set but caching is disabled; enable cache or drop cache_dir"
@@ -190,16 +134,6 @@ class ClusteringConfig:
                 f"unknown ClusteringConfig keys {unknown}; valid keys: {sorted(field_names)}"
             )
         return dataclasses.replace(self, **payload)
-
-    def open_backend(self) -> Optional[ParallelBackend]:
-        """Construct the configured pool, or ``None`` for the serial default.
-
-        The caller owns (and must ``close()``) the returned backend; the
-        config itself never holds live resources.
-        """
-        if self.backend in (None, "serial"):
-            return None
-        return make_backend(self.backend, num_workers=self.workers)
 
     # -- serialization -----------------------------------------------------
 

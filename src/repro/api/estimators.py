@@ -37,7 +37,6 @@ from repro.datasets.similarity import (
     similarity_and_dissimilarity,
 )
 from repro.obs.tracer import trace_span
-from repro.parallel.scheduler import ParallelBackend
 
 
 class NotFittedError(ValueError):
@@ -52,10 +51,6 @@ class ClusteringEstimator:
     config:
         The run's :class:`ClusteringConfig`; ``None`` uses the defaults.
         The estimator pins ``config.method`` to its own registry id.
-    backend:
-        Optional live :class:`ParallelBackend` to use instead of opening
-        one from ``config.backend`` per fit.  The caller owns it; the
-        estimator never closes an injected backend.
     **overrides:
         Field overrides applied to ``config`` (e.g. ``prefix=10``).
     """
@@ -66,13 +61,11 @@ class ClusteringEstimator:
     def __init__(
         self,
         config: Optional[ClusteringConfig] = None,
-        backend: Optional[ParallelBackend] = None,
         **overrides: Any,
     ) -> None:
         base = config if config is not None else ClusteringConfig()
         overrides.pop("method", None)  # the class, not the caller, names the method
         self.config = base.replace(method=self.method_id, **overrides)
-        self._backend = backend
         self.result_: Optional[ClusterResult] = None
 
     # -- fitted attributes -------------------------------------------------
@@ -144,13 +137,7 @@ class ClusteringEstimator:
                         "accept a dissimilarity matrix"
                     )
                 derived_dissimilarity = np.asarray(dissimilarity, dtype=float)
-            backend = self._backend if self._backend is not None else self.config.open_backend()
-            owns_backend = self._backend is None and backend is not None
-            try:
-                result = self._fit(data, similarity, derived_dissimilarity, backend, **fit_params)
-            finally:
-                if owns_backend:
-                    backend.close()
+            result = self._fit(data, similarity, derived_dissimilarity, **fit_params)
             result.step_seconds.setdefault("total", time.perf_counter() - start)
             if cache is not None:
                 probe.set_attribute("cache", "miss")
@@ -188,7 +175,6 @@ class ClusteringEstimator:
         data: Optional[np.ndarray],
         similarity: Optional[np.ndarray],
         dissimilarity: Optional[np.ndarray],
-        backend: Optional[ParallelBackend],
         **fit_params: Any,
     ) -> ClusterResult:
         raise NotImplementedError
@@ -216,18 +202,10 @@ class TMFGClusterer(ClusteringEstimator):
 
     method_id = "tmfg-dbht"
 
-    def _fit(self, data, similarity, dissimilarity, backend):
+    def _fit(self, data, similarity, dissimilarity):
         from repro.core.pipeline import tmfg_dbht
 
-        pipeline = tmfg_dbht(
-            similarity,
-            dissimilarity,
-            prefix=self.config.prefix,
-            backend=backend,
-            apsp_method=self.config.apsp_method,
-            kernel=self.config.kernel,
-            landmarks=self.config.landmarks,
-        )
+        pipeline = tmfg_dbht(similarity, dissimilarity, prefix=self.config.prefix)
         result = ClusterResult(
             method=self.method_id,
             config=self.config,
@@ -249,12 +227,10 @@ class PMFGClusterer(ClusteringEstimator):
 
     method_id = "pmfg-dbht"
 
-    def _fit(self, data, similarity, dissimilarity, backend, **fit_params):
+    def _fit(self, data, similarity, dissimilarity, **fit_params):
         from repro.baselines.classic_dbht import pmfg_dbht
 
-        classic = pmfg_dbht(
-            similarity, dissimilarity, kernel=self.config.kernel, backend=backend
-        )
+        classic = pmfg_dbht(similarity, dissimilarity)
         result = ClusterResult(
             method=self.method_id,
             config=self.config,
@@ -270,7 +246,7 @@ class ClassicDBHTClusterer(ClusteringEstimator):
 
     method_id = "classic-dbht"
 
-    def _fit(self, data, similarity, dissimilarity, backend, **fit_params):
+    def _fit(self, data, similarity, dissimilarity, **fit_params):
         from repro.baselines.classic_dbht import classic_dbht
         from repro.core.tmfg import construct_tmfg
 
@@ -280,9 +256,7 @@ class ClassicDBHTClusterer(ClusteringEstimator):
         tmfg = construct_tmfg(similarity, prefix=1, build_bubble_tree=False)
         tmfg_seconds = time.perf_counter() - tmfg_start
         dbht_start = time.perf_counter()
-        classic = classic_dbht(
-            tmfg.graph, dissimilarity, kernel=self.config.kernel, backend=backend
-        )
+        classic = classic_dbht(tmfg.graph, dissimilarity)
         dbht_seconds = time.perf_counter() - dbht_start
         result = ClusterResult(
             method=self.method_id,
@@ -305,7 +279,7 @@ class HACClusterer(ClusteringEstimator):
 
     method_id = "hac"
 
-    def _fit(self, data, similarity, dissimilarity, backend, **fit_params):
+    def _fit(self, data, similarity, dissimilarity, **fit_params):
         from repro.baselines.hac import hac_dendrogram
 
         if dissimilarity is None:
@@ -328,7 +302,7 @@ class KMeansClusterer(ClusteringEstimator):
     method_id = "kmeans"
     requires_raw_data = True
 
-    def _fit(self, data, similarity, dissimilarity, backend, **fit_params):
+    def _fit(self, data, similarity, dissimilarity, **fit_params):
         from repro.baselines.kmeans import kmeans
 
         num_clusters = self._require_num_clusters()
@@ -354,7 +328,7 @@ class SpectralKMeansClusterer(ClusteringEstimator):
     method_id = "spectral"
     requires_raw_data = True
 
-    def _fit(self, data, similarity, dissimilarity, backend, **fit_params):
+    def _fit(self, data, similarity, dissimilarity, **fit_params):
         from repro.baselines.spectral import spectral_kmeans
 
         num_clusters = self._require_num_clusters()
@@ -404,7 +378,6 @@ def available_estimators() -> List[str]:
 def make_estimator(
     name: str,
     config: Optional[ClusteringConfig] = None,
-    backend: Optional[ParallelBackend] = None,
     **overrides: Any,
 ) -> ClusteringEstimator:
     """Build the estimator registered under ``name``.
@@ -421,7 +394,7 @@ def make_estimator(
             f"unknown method id {name!r}; valid ids: {available_estimators()}"
         ) from None
     merged = {**overrides, **pinned}
-    return estimator_cls(config, backend=backend, **merged)
+    return estimator_cls(config, **merged)
 
 
 register_method("tmfg-dbht", TMFGClusterer)

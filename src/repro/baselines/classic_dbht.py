@@ -370,27 +370,17 @@ class ClassicDBHTResult:
 def classic_dbht(
     graph: WeightedGraph,
     dissimilarity: np.ndarray,
-    kernel: Optional[str] = None,
-    backend: Optional[object] = None,
 ) -> ClassicDBHTResult:
-    """Original DBHT on an arbitrary maximal planar graph.
-
-    ``kernel`` selects the APSP implementation (``"python"``/``"numpy"``;
-    see :mod:`repro.parallel.kernels`); the distances are identical.
-    ``backend`` distributes the APSP source chunks (an instance or a
-    ``"serial"``/``"thread"``/``"process"`` name).
-    """
+    """Original DBHT on an arbitrary maximal planar graph."""
     from repro.core.hierarchy import build_hierarchy
 
     dissimilarity = validate_dissimilarity_matrix(dissimilarity, size=graph.num_vertices)
     tree = build_bubble_tree_from_graph(graph)
     directions = direct_edges_bfs(tree, graph)
     # Freeze the planar graph into CSR form with the dissimilarity weights
-    # swapped in; the APSP kernels run on the flat arrays.
+    # swapped in; the APSP kernel runs on the flat arrays.
     distance_graph = graph.to_csr().reweighted(dissimilarity)
-    shortest_paths = all_pairs_shortest_paths(
-        distance_graph, backend=backend, kernel=kernel
-    )
+    shortest_paths = all_pairs_shortest_paths(distance_graph)
     assignment = assign_vertices_generic(tree, directions, graph, shortest_paths)
     dendrogram = build_hierarchy(assignment, shortest_paths)
     return ClassicDBHTResult(
@@ -405,8 +395,6 @@ def classic_dbht(
 def pmfg_dbht(
     similarity: np.ndarray,
     dissimilarity: Optional[np.ndarray] = None,
-    kernel: Optional[str] = None,
-    backend: Optional[object] = None,
 ) -> ClassicDBHTResult:
     """The paper's PMFG-DBHT baseline: build the PMFG, then the original DBHT."""
     from repro.baselines.pmfg import construct_pmfg
@@ -416,4 +404,4 @@ def pmfg_dbht(
     if dissimilarity is None:
         dissimilarity = default_dissimilarity(similarity)
     pmfg = construct_pmfg(similarity)
-    return classic_dbht(pmfg.graph, dissimilarity, kernel=kernel, backend=backend)
+    return classic_dbht(pmfg.graph, dissimilarity)

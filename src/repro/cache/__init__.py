@@ -8,9 +8,9 @@ computation-relevant fields of the
 :class:`~repro.api.config.ClusteringConfig` plus the input matrix's
 dtype/shape/bytes (see :mod:`repro.cache.fingerprint`).
 
-Because every kernel/backend combination in this library is byte-identical
-by construction, a cache hit is guaranteed to return exactly what a cold
-fit would have produced (it returns the stored cold fit, timings and all).
+A fit has one execution path, and every config field that can change its
+output is part of the key, so a cache hit returns exactly what a cold fit
+would have produced (it returns the stored cold fit, timings and all).
 
 Entry points:
 

@@ -46,11 +46,6 @@ FINGERPRINT_FIELDS = (
     "method",
     "num_clusters",
     "prefix",
-    "apsp_method",
-    "landmarks",
-    "kernel",
-    "backend",
-    "workers",
     "precomputed",
     "linkage",
     "seed",

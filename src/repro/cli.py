@@ -19,7 +19,7 @@ Three subcommands cover the library's main workflows without writing Python:
 ``serve``
     Run the micro-batching HTTP/JSON clustering daemon (``POST /cluster``,
     ``GET /healthz``, ``GET /metrics``) until SIGTERM.  The flags shared
-    with ``cluster`` (``--kernel``, ``--backend``, ``--config``,
+    with ``cluster`` (``--method``, ``--prefix``, ``--config``,
     ``--cache-dir``, ...) set the *default* config that request payloads
     overlay.
 
@@ -62,9 +62,6 @@ from repro.dendrogram.export import to_newick
 from repro.experiments import figures
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_stream_ticks, format_table
-from repro.graph.shortest_paths import available_apsp_methods
-from repro.parallel.kernels import KERNEL_NAMES
-from repro.parallel.scheduler import BACKEND_NAMES
 from repro.streaming.runner import StreamingPipeline
 
 FIGURE_ENTRY_POINTS: Dict[str, Callable[..., dict]] = {
@@ -105,11 +102,6 @@ def _load_matrix(path: str) -> np.ndarray:
 _FLAG_SPELLINGS = (
     ("num_clusters", "--clusters"),
     ("cache_dir", "--cache-dir"),
-    ("apsp_method", "--apsp-method"),
-    ("landmarks", "--landmarks"),
-    ("workers", "--workers"),
-    ("backend", "--backend"),
-    ("kernel", "--kernel"),
     ("prefix", "--prefix"),
     ("method", "--method"),
 )
@@ -144,7 +136,7 @@ def _config_from_args(args: argparse.Namespace, default: ClusteringConfig) -> Cl
     ``--config`` (when present) replaces ``default`` as the base; explicit
     flags override the base field by field.  Validation happens in the
     frozen dataclass, so every subcommand shares the same rules (e.g.
-    ``--workers`` without a parallel ``--backend`` is rejected here).
+    ``--prefix 0`` is rejected here).
     """
     base = default
     config_path = getattr(args, "config", None)
@@ -166,16 +158,6 @@ def _config_from_args(args: argparse.Namespace, default: ClusteringConfig) -> Cl
         changes["num_clusters"] = args.clusters
     if getattr(args, "prefix", None) is not None:
         changes["prefix"] = args.prefix
-    if getattr(args, "kernel", None) is not None:
-        changes["kernel"] = args.kernel
-    if getattr(args, "apsp_method", None) is not None:
-        changes["apsp_method"] = args.apsp_method
-    if getattr(args, "landmarks", None) is not None:
-        changes["landmarks"] = args.landmarks
-    if getattr(args, "backend", None) is not None:
-        changes["backend"] = args.backend
-    if getattr(args, "workers", None) is not None:
-        changes["workers"] = args.workers
     if getattr(args, "precomputed", False):
         changes["precomputed"] = True
     if getattr(args, "no_cache", False):
@@ -324,10 +306,6 @@ def _serve_replica_argv(args: argparse.Namespace) -> list:
         ("--clusters", args.clusters),
         ("--method", args.method),
         ("--prefix", args.prefix),
-        ("--kernel", args.kernel),
-        ("--apsp-method", args.apsp_method),
-        ("--landmarks", args.landmarks),
-        ("--backend", args.backend),
         ("--config", args.config),
         ("--cache-dir", args.cache_dir),
     ):
@@ -538,48 +516,8 @@ def _command_list_methods(_: argparse.Namespace) -> int:
     return 0
 
 
-def _add_execution_flags(parser: argparse.ArgumentParser, include_workers: bool = True) -> None:
-    """The kernel/backend/workers flags shared by cluster and stream.
-
-    ``include_workers=False`` leaves ``--workers`` out so a subcommand can
-    claim that spelling for itself (serve uses it for the replica count;
-    its backend worker count is still settable via ``--config``).
-    """
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_NAMES,
-        default=None,
-        help="APSP hot-loop kernel (default: numpy; identical results)",
-    )
-    parser.add_argument(
-        "--apsp-method",
-        dest="apsp_method",
-        choices=available_apsp_methods(),
-        default=None,
-        help=(
-            "APSP implementation for the DBHT (default: dijkstra; "
-            "'landmark' is approximate and strictly opt-in)"
-        ),
-    )
-    parser.add_argument(
-        "--landmarks",
-        type=int,
-        default=None,
-        help="landmark count for --apsp-method landmark (default 32)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="parallel backend for the APSP source chunks (default: serial)",
-    )
-    if include_workers:
-        parser.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker count for the thread/process backend (default: cpu count)",
-        )
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The config-file and cache flags shared by cluster, stream and serve."""
     parser.add_argument(
         "--config",
         default=None,
@@ -638,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the resolved ClusteringConfig as JSON to this file",
     )
-    _add_execution_flags(cluster)
+    _add_config_flags(cluster)
     cluster.set_defaults(func=_command_cluster)
 
     stream = subparsers.add_parser(
@@ -658,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--max-ticks", type=int, default=None, help="stop after this many ticks")
     stream.add_argument("--out", help="write the final tick's labels to this file")
     stream.add_argument("--json", help="write the per-tick report as JSON to this file")
-    _add_execution_flags(stream)
+    _add_config_flags(stream)
     stream.set_defaults(func=_command_stream)
 
     serve = subparsers.add_parser(
@@ -755,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
             "replica processes behind one consistent-hash router on --port"
         ),
     )
-    _add_execution_flags(serve, include_workers=False)
+    _add_config_flags(serve)
     serve.set_defaults(func=_command_serve)
 
     trace = subparsers.add_parser(

@@ -5,7 +5,9 @@ tree), the similarity matrix, and a dissimilarity matrix, and produces the
 DBHT dendrogram.  The phases match Fig. 5's runtime decomposition:
 
 * ``"apsp"`` — all-pairs shortest paths on the filtered graph with the
-  dissimilarity weights;
+  dissimilarity weights, by the serial frontier kernel of
+  :mod:`repro.graph.shortest_paths` (the paper's per-source parallelism is
+  recorded in the work-span tracker, not run on a pool);
 * ``"bubble-tree"`` — directing the bubble-tree edges and assigning vertices
   to bubbles;
 * ``"hierarchy"`` — the three-level complete-linkage construction.
@@ -39,7 +41,6 @@ from repro.graph.matrix import validate_dissimilarity_matrix
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.obs.tracer import trace_span
 from repro.parallel.cost_model import WorkSpanTracker
-from repro.parallel.scheduler import ParallelBackend
 
 
 @dataclass
@@ -69,10 +70,6 @@ def dbht(
     similarity: np.ndarray,
     dissimilarity: np.ndarray,
     tracker: Optional[WorkSpanTracker] = None,
-    backend: Optional[ParallelBackend] = None,
-    apsp_method: str = "dijkstra",
-    kernel: Optional[str] = None,
-    landmarks: Optional[int] = None,
 ) -> DBHTResult:
     """Run the parallel DBHT on a TMFG (Algorithm 4).
 
@@ -87,25 +84,6 @@ def dbht(
     dissimilarity:
         Dissimilarity matrix supplying the edge lengths for shortest paths
         and linkage distances (e.g. ``sqrt(2 (1 - p))`` for correlations).
-    apsp_method:
-        Any id from the APSP method registry
-        (:func:`repro.graph.shortest_paths.available_apsp_methods`):
-        ``"dijkstra"`` (the paper's per-source algorithm run as batched CSR
-        kernels, optionally over a thread/process backend), ``"floyd"``
-        (vectorised Floyd-Warshall), ``"scipy"`` (SciPy's C
-        implementation), or ``"landmark"`` (opt-in approximation).  APSP
-        is the remaining bottleneck of the pipeline (Fig. 5), so the
-        faster implementations are exposed here; all but
-        ``"landmark"`` give identical distances (Floyd-Warshall up to the
-        last float ulp).
-    kernel:
-        APSP kernel for the ``"dijkstra"`` method: ``"python"`` (array-heap
-        Dijkstra per source) or ``"numpy"`` (frontier relaxation: each round
-        relaxes only the arcs whose tail improved in the previous one),
-        both with byte-identical distances.  ``None`` uses the process-wide
-        default.
-    landmarks:
-        Landmark count; only meaningful with ``apsp_method="landmark"``.
     """
     if tmfg.bubble_tree is None:
         raise ValueError("TMFG result has no bubble tree; pass build_bubble_tree=True")
@@ -113,9 +91,7 @@ def dbht(
     dissimilarity = validate_dissimilarity_matrix(
         dissimilarity, size=similarity.shape[0]
     )
-    return run_dbht(
-        tmfg, similarity, dissimilarity, tracker, backend, apsp_method, kernel, landmarks
-    )
+    return run_dbht(tmfg, similarity, dissimilarity, tracker)
 
 
 def run_dbht(
@@ -123,24 +99,12 @@ def run_dbht(
     similarity: np.ndarray,
     dissimilarity: np.ndarray,
     tracker: Optional[WorkSpanTracker],
-    backend: Optional[ParallelBackend],
-    apsp_method: str,
-    kernel: Optional[str],
-    landmarks: Optional[int],
 ) -> DBHTResult:
     """:func:`dbht` on a TMFG with a bubble tree and a dissimilarity matrix
     that is already validated."""
     tracker = tracker if tracker is not None else tmfg.tracker
     tree: BubbleTree = tmfg.bubble_tree
     step_seconds: Dict[str, float] = {}
-
-    if landmarks is not None and apsp_method != "landmark":
-        raise ValueError(
-            f"landmarks only applies to apsp_method='landmark', got {apsp_method!r}"
-        )
-    apsp_options = {}
-    if landmarks is not None:
-        apsp_options["landmarks"] = landmarks
 
     n = tmfg.num_vertices
     start = time.perf_counter()
@@ -149,9 +113,7 @@ def run_dbht(
         # freeze the TMFG into CSR form once and swap in the dissimilarity
         # weights with a single fancy index (no per-edge rebuild).
         distance_graph = tmfg.csr().reweighted(dissimilarity)
-        shortest_paths = all_pairs_shortest_paths(
-            distance_graph, backend=backend, method=apsp_method, kernel=kernel, **apsp_options
-        )
+        shortest_paths = all_pairs_shortest_paths(distance_graph)
     step_seconds["apsp"] = time.perf_counter() - start
     tracker.add(
         "apsp",

@@ -3,9 +3,10 @@
 ``tmfg_dbht`` runs the whole pipeline of the paper — build the (prefix-
 batched) TMFG from a similarity matrix, then the DBHT on top of it — and
 returns the dendrogram together with all intermediate artefacts.  Every
-call is a cold fit: nothing is carried between calls, so a streaming tick
-and a batch fit of the same matrix run the same code and agree byte for
-byte.
+call is a cold fit on one execution path: nothing is carried between calls
+and there is no kernel, APSP method or pool to choose, so a streaming tick,
+a served request and a batch fit of the same matrix run the same code and
+agree byte for byte.
 
 .. note::
    New code should prefer the estimator layer in :mod:`repro.api`
@@ -31,7 +32,6 @@ from repro.dendrogram.node import Dendrogram
 from repro.graph.matrix import validate_dissimilarity_matrix, validate_similarity_matrix
 from repro.obs.tracer import trace_span
 from repro.parallel.cost_model import WorkSpanTracker
-from repro.parallel.scheduler import ParallelBackend
 
 
 @dataclass
@@ -59,11 +59,7 @@ def tmfg_dbht(
     similarity: np.ndarray,
     dissimilarity: Optional[np.ndarray] = None,
     prefix: int = 1,
-    backend: Optional[ParallelBackend] = None,
     tracker: Optional[WorkSpanTracker] = None,
-    apsp_method: str = "dijkstra",
-    kernel: Optional[str] = None,
-    landmarks: Optional[int] = None,
 ) -> PipelineResult:
     """Hierarchical clustering with a TMFG filtered graph and the DBHT.
 
@@ -78,21 +74,10 @@ def tmfg_dbht(
         ``max(S) - S`` is applied.
     prefix:
         Batch size of the parallel TMFG (``1`` = exact sequential TMFG).
-    backend:
-        Optional :class:`ParallelBackend` for the parallelisable phases.
     tracker:
-        Optional :class:`WorkSpanTracker` collecting work/span per phase.
-    apsp_method:
-        APSP implementation used by the DBHT: any registered method id
-        (``"dijkstra"`` default, ``"floyd"``, ``"scipy"``, ``"landmark"``);
-        see
-        :func:`repro.graph.shortest_paths.all_pairs_shortest_paths`.
-    kernel:
-        ``"python"`` or ``"numpy"`` APSP kernel (see
-        :mod:`repro.parallel.kernels`); ``None`` uses the process-wide
-        default.  Both produce identical results.
-    landmarks:
-        Landmark count for ``apsp_method="landmark"``.
+        Optional :class:`WorkSpanTracker` collecting work/span per phase
+        (the model of the paper's parallel running time; the fit itself
+        runs serially).
 
     Returns
     -------
@@ -116,9 +101,7 @@ def tmfg_dbht(
         tmfg_result = build_tmfg(similarity, prefix, True, tracker)
     tmfg_seconds = time.perf_counter() - start
 
-    dbht_result = run_dbht(
-        tmfg_result, similarity, dissimilarity, tracker, backend, apsp_method, kernel, landmarks
-    )
+    dbht_result = run_dbht(tmfg_result, similarity, dissimilarity, tracker)
     step_seconds = {"tmfg": tmfg_seconds}
     step_seconds.update(dbht_result.step_seconds)
     return PipelineResult(tmfg=tmfg_result, dbht=dbht_result, step_seconds=step_seconds)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.synthetic import LabelledDataset
 from repro.metrics.ami import adjusted_mutual_information
 from repro.metrics.ari import adjusted_rand_index
-from repro.parallel.scheduler import ParallelBackend
 from repro.streaming.runner import StreamingPipeline
 
 
@@ -76,15 +75,6 @@ def available_methods() -> List[str]:
     ]
 
 
-def _split_backend(
-    backend: Optional[Union[ParallelBackend, str]]
-) -> tuple:
-    """Split a backend given as instance-or-name into (name, instance)."""
-    if isinstance(backend, str):
-        return backend, None
-    return None, backend
-
-
 def run_method(
     method: str,
     dataset: LabelledDataset,
@@ -92,21 +82,13 @@ def run_method(
     seed: int = 0,
     compute_ami: bool = False,
     spectral_neighbors: int = 10,
-    kernel: Optional[str] = None,
-    backend: Optional[object] = None,
     stream_window: Optional[int] = None,
     stream_hop: Optional[int] = None,
 ) -> MethodRun:
     """Run ``method`` on ``dataset`` and evaluate against its labels.
 
     ``num_clusters`` defaults to the number of ground-truth classes, which
-    is how the paper cuts every dendrogram.  ``kernel`` is the single switch
-    between the ``"python"`` and ``"numpy"`` APSP kernels of the
-    TMFG/DBHT pipelines (identical results; see
-    :mod:`repro.parallel.kernels`); ``backend`` is a
-    :class:`~repro.parallel.scheduler.ParallelBackend` instance or name
-    (``"serial"``/``"thread"``/``"process"``) used for the parallelisable
-    phases.
+    is how the paper cuts every dendrogram.
 
     The ``STREAM-TDBHT-<prefix>`` family treats the data set as a return
     stream (one series per object), slides a ``stream_window``-wide
@@ -134,21 +116,10 @@ def run_method(
             else min(length, max(8, length // 2))
         )
         hop = stream_hop if stream_hop is not None else max(1, (length - window) // 8)
-        backend_name, backend_instance = _split_backend(backend)
         stream_config = ClusteringConfig(
-            method="tmfg-dbht",
-            num_clusters=num_clusters,
-            prefix=prefix,
-            kernel=kernel,
-            backend=backend_name,
+            method="tmfg-dbht", num_clusters=num_clusters, prefix=prefix
         )
-        pipeline = StreamingPipeline(
-            dataset.data,
-            window=window,
-            hop=hop,
-            backend=backend_instance,
-            config=stream_config,
-        )
+        pipeline = StreamingPipeline(dataset.data, window=window, hop=hop, config=stream_config)
         stream_result = pipeline.run()
         labels = stream_result.labels
         step_seconds = stream_result.mean_step_seconds()
@@ -172,7 +143,6 @@ def run_method(
             extras=extras,
         )
 
-    backend_name, backend_instance = _split_backend(backend)
     par_match = _PAR_TDBHT_PATTERN.match(name)
     method_id: Optional[str] = None
     prefix = 1
@@ -197,12 +167,10 @@ def run_method(
             method=method_id,
             num_clusters=num_clusters,
             prefix=prefix,
-            kernel=kernel,
-            backend=backend_name,
             seed=seed,
             spectral_neighbors=spectral_neighbors,
         )
-        estimator = make_estimator(method_id, config, backend=backend_instance)
+        estimator = make_estimator(method_id, config)
         result = estimator.fit(dataset.data).result_
         labels = result.labels
         step_seconds = {k: v for k, v in result.step_seconds.items() if k != "total"}

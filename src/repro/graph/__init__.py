@@ -8,8 +8,8 @@ system depends on:
 * an adjacency-list weighted graph for construction
   (:mod:`repro.graph.weighted_graph`) and its frozen CSR form for
   vectorised consumption (:mod:`repro.graph.csr`),
-* Dijkstra single-source and batched CSR all-pairs shortest paths behind a
-  pluggable method registry (:mod:`repro.graph.shortest_paths`),
+* all-pairs shortest paths by a batched frontier relaxation on the CSR
+  graph (:mod:`repro.graph.shortest_paths`),
 * breadth-first search and connected components
   (:mod:`repro.graph.traversal`),
 * a from-scratch Left-Right planarity test used by the PMFG baseline
@@ -26,14 +26,7 @@ from repro.graph.matrix import (
     validate_similarity_matrix,
 )
 from repro.graph.planarity import is_planar
-from repro.graph.shortest_paths import (
-    all_pairs_shortest_paths,
-    available_apsp_methods,
-    dijkstra,
-    register_apsp_method,
-    select_landmarks,
-    shortest_paths_from_sources,
-)
+from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.graph.traversal import bfs_order, connected_components
 from repro.graph.weighted_graph import WeightedGraph
 
@@ -46,11 +39,6 @@ __all__ = [
     "validate_similarity_matrix",
     "is_planar",
     "all_pairs_shortest_paths",
-    "available_apsp_methods",
-    "dijkstra",
-    "register_apsp_method",
-    "select_landmarks",
-    "shortest_paths_from_sources",
     "bfs_order",
     "connected_components",
     "WeightedGraph",

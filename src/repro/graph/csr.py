@@ -11,11 +11,10 @@ graph into three flat arrays
 * ``weights`` — ``float64``, shape ``(2m,)``: edge weights,
 
 mirrors the flat array layout the paper's C++/ParlayLib implementation uses
-and is what makes the vectorised kernels in
-:mod:`repro.graph.shortest_paths` possible: a whole Dijkstra/Bellman-Ford
+and is what makes the vectorised kernel in
+:mod:`repro.graph.shortest_paths` possible: a whole Bellman-Ford-style
 relaxation becomes slicing and ``ufunc`` calls instead of per-edge Python
-tuples.  The arrays are also picklable, which is what lets the process-pool
-backend in :mod:`repro.parallel.scheduler` ship graph chunks to workers.
+tuples.
 
 Both directions of every undirected edge are stored, and each row's
 neighbours are sorted by vertex id, so for a symmetric graph row ``v`` is

@@ -123,9 +123,9 @@ class WeightedGraph:
     def to_csr(self) -> "CSRGraph":
         """Freeze into an immutable :class:`~repro.graph.csr.CSRGraph`.
 
-        The CSR form is what the vectorised shortest-path kernels and the
-        process-pool backend operate on; freezing also validates the weights
-        once (``min_weight``) so traversals can fail fast.
+        The CSR form is what the vectorised shortest-path kernel operates
+        on; freezing also validates the weights once (``min_weight``) so
+        traversals can fail fast.
         """
         from repro.graph.csr import CSRGraph
 

@@ -2,44 +2,28 @@
 
 The paper implements its algorithms in C++ with ParlayLib on a 48-core
 shared-memory machine.  Pure Python cannot exploit fine-grained shared-memory
-parallelism because of the GIL, so this package provides two complementary
-substitutes:
+parallelism because of the GIL, so a fit runs serially and this package
+provides:
 
-* the paper's parallel primitives (Table I) — ``parallel_filter``,
-  ``parallel_sort``, ``parallel_max``, and the priority concurrent writes
-  ``WriteMin``/``WriteMax``/``WriteAdd`` — implemented with correct
-  semantics, optionally executed over a thread pool for coarse-grained work;
 * a work–span cost model (:mod:`repro.parallel.cost_model`) that records the
   work and span of each algorithm phase and predicts the running time on
   ``P`` processors as ``W / P + c * S``, which is how the scalability
-  experiments (Fig. 4) are reproduced.
+  experiments (Fig. 4) are reproduced;
+* the priority concurrent writes ``WriteMin``/``WriteMax``/``WriteAdd`` of
+  Table I (:mod:`repro.parallel.atomics`);
+* job-level backends (:mod:`repro.parallel.scheduler`) and shared-memory
+  matrix shipment (:mod:`repro.parallel.shm`) for ``cluster_many``, which
+  fans independent fits out over a thread or process pool.
 """
 
 from repro.parallel.atomics import WriteAdd, WriteMax, WriteMin
 from repro.parallel.cost_model import PhaseCost, WorkSpanTracker, predicted_speedup
-from repro.parallel.kernels import (
-    available_kernels,
-    default_kernel,
-    get_kernel,
-    kernel_scope,
-    register_kernel,
-    set_default_kernel,
-)
-from repro.parallel.primitives import (
-    parallel_filter,
-    parallel_for,
-    parallel_map,
-    parallel_max,
-    parallel_sort,
-)
 from repro.parallel.scheduler import (
     ParallelBackend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    get_backend,
     make_backend,
-    set_backend,
 )
 
 __all__ = [
@@ -49,22 +33,9 @@ __all__ = [
     "PhaseCost",
     "WorkSpanTracker",
     "predicted_speedup",
-    "available_kernels",
-    "default_kernel",
-    "get_kernel",
-    "kernel_scope",
-    "register_kernel",
-    "set_default_kernel",
-    "parallel_filter",
-    "parallel_for",
-    "parallel_map",
-    "parallel_max",
-    "parallel_sort",
     "ParallelBackend",
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
-    "get_backend",
     "make_backend",
-    "set_backend",
 ]

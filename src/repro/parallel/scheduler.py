@@ -1,17 +1,18 @@
-"""Execution backends for the parallel primitives.
+"""Job-level execution backends for :func:`repro.api.batch.cluster_many`.
 
-The algorithms in :mod:`repro.core` are written against an abstract
-``ParallelBackend`` so that the same code can run
+A fit runs serially; the paper's per-source parallelism inside a fit is
+modelled by the work-span cost model (:mod:`repro.parallel.cost_model`).
+What does run in parallel is a batch of independent fits, which
+``cluster_many`` fans out over a ``ParallelBackend``:
 
-* serially (the default, and fastest option in CPython for fine-grained
-  loops), or
-* over a thread pool, which gives genuine concurrency for coarse-grained
-  work that releases the GIL (large numpy reductions) and, more importantly,
-  exercises the concurrent-write primitives the way the paper's algorithms
-  use them.
+* serially, in the calling thread (the default);
+* over a thread pool, which overlaps fits whose numpy work releases the
+  GIL; or
+* over a process pool, which sidesteps the GIL entirely (input matrices
+  travel through shared memory, :mod:`repro.parallel.shm`).
 
-A module-level default backend can be set with :func:`set_backend`; code that
-does not care simply calls :func:`get_backend`.
+Backends are constructed by name with :func:`make_backend`; whoever
+constructs one closes it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ R = TypeVar("R")
 class ParallelBackend:
     """Interface for executing independent tasks.
 
-    Subclasses implement :meth:`map`.  ``num_workers`` reports the degree of
-    parallelism the backend exposes (1 for the serial backend), which the
-    cost model uses when predicting running times.
+    Subclasses implement :meth:`map`.  ``num_workers`` reports the pool
+    size (1 for the serial backend).
     """
 
     num_workers: int = 1
@@ -37,10 +37,6 @@ class ParallelBackend:
     def map(self, func: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Apply ``func`` to every item and return the results in order."""
         raise NotImplementedError
-
-    def for_each(self, func: Callable[[T], None], items: Iterable[T]) -> None:
-        """Apply ``func`` to every item for its side effects."""
-        self.map(func, items)
 
     def close(self) -> None:
         """Release any resources held by the backend."""
@@ -85,9 +81,8 @@ class _ExecutorBackend(ParallelBackend):
 class ThreadBackend(_ExecutorBackend):
     """Run tasks on a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
 
-    Tasks must be thread-safe; the core algorithms only use this backend for
-    independent per-item work combined with the atomic cells in
-    :mod:`repro.parallel.atomics`.
+    Tasks must be thread-safe; ``cluster_many`` only submits independent
+    fits.
     """
 
     _executor_cls = ThreadPoolExecutor
@@ -98,9 +93,7 @@ class ProcessBackend(_ExecutorBackend):
 
     Unlike the thread backend this sidesteps the GIL entirely, but both the
     function and its arguments must be picklable: a module-level function
-    (or a :func:`functools.partial` of one) over flat numpy arrays.  The CSR
-    graph representation (:mod:`repro.graph.csr`) exists in part so the APSP
-    source chunks can be shipped to workers this way.
+    (or a :func:`functools.partial` of one) over configs and matrices.
     """
 
     _executor_cls = ProcessPoolExecutor
@@ -126,28 +119,3 @@ def make_backend(name: str, num_workers: Optional[int] = None) -> ParallelBacken
     if name == "serial":
         return factory()
     return factory(num_workers=num_workers)
-
-
-_DEFAULT_BACKEND: ParallelBackend = SerialBackend()
-
-
-def set_backend(backend: ParallelBackend) -> None:
-    """Install ``backend`` as the process-wide default."""
-    global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = backend
-
-
-def get_backend(backend: Optional[ParallelBackend] = None) -> ParallelBackend:
-    """Return ``backend`` if given, otherwise the process-wide default.
-
-    Deliberately does *not* accept backend names: a name constructs a fresh
-    pool the caller must ``close()``, so the call sites that support names
-    (e.g. the APSP entry points, the CLI) resolve them with
-    :func:`make_backend` and own the resulting pool explicitly.
-    """
-    if isinstance(backend, str):
-        raise TypeError(
-            f"get_backend takes an instance or None, not the name {backend!r}; "
-            "construct (and close) named backends with make_backend()"
-        )
-    return backend if backend is not None else _DEFAULT_BACKEND

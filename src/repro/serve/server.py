@@ -90,17 +90,14 @@ from repro.serve.metrics import ServerMetrics
 from repro.serve.wire import WIRE_CONTENT_TYPE, WireFormatError, decode_request, encode_envelope
 
 #: Config fields a request payload may overlay.  These are the algorithmic
-#: knobs; the server-owned resource knobs — ``backend``/``workers`` (per-fit
-#: pools), ``cache``/``cache_dir`` (server-side filesystem) — are set by the
-#: operator via CLI flags and rejected with a 400 when a client sends them.
+#: knobs; the server-owned ``cache``/``cache_dir`` (server-side filesystem)
+#: are set by the operator via CLI flags and rejected with a 400 when a
+#: client sends them, as is any name that is not a config field.
 REQUEST_CONFIG_FIELDS = frozenset(
     {
         "method",
         "num_clusters",
         "prefix",
-        "apsp_method",
-        "landmarks",
-        "kernel",
         "precomputed",
         "linkage",
         "seed",

@@ -9,8 +9,7 @@ a return stream in steps of ``hop``, and per tick
    (:func:`~repro.datasets.similarity.correlation_matrix`),
 2. fits a :class:`~repro.api.estimators.TMFGClusterer` (driven by one
    :class:`~repro.api.config.ClusteringConfig`) on that matrix — the same
-   fit a batch call makes, through the existing kernel registry and
-   :class:`~repro.parallel.scheduler.ParallelBackend`, and
+   fit a batch call makes, and
 3. cuts the dendrogram and scores cluster drift against the previous tick
    (ARI/AMI from :mod:`repro.metrics`).
 
@@ -33,7 +32,6 @@ from repro.api.result import ClusterResult
 from repro.cache import matrix_fingerprint
 from repro.metrics.ami import adjusted_mutual_information
 from repro.metrics.ari import adjusted_rand_index
-from repro.parallel.scheduler import ParallelBackend
 from repro.streaming.rolling import RollingCorrelation
 
 
@@ -163,16 +161,13 @@ class StreamingPipeline:
         Flat clusters cut from each tick's dendrogram.
     prefix:
         TMFG prefix size (``1`` = exact sequential TMFG, the default).
-    kernel / backend / apsp_method:
-        Forwarded to the per-tick pipeline run.
     max_ticks:
         Optional cap on the number of ticks to run.
     config:
         Optional :class:`~repro.api.config.ClusteringConfig` supplying
-        ``num_clusters``/``prefix``/``kernel``/``apsp_method`` in one
-        serializable object (the CLI's path).  When given, those
-        individual keyword arguments are ignored; ``backend`` (a live
-        pool) is still passed separately.
+        ``num_clusters``/``prefix`` in one serializable object (the CLI's
+        path).  When given, those individual keyword arguments are
+        ignored.
     """
 
     def __init__(
@@ -182,9 +177,6 @@ class StreamingPipeline:
         hop: int = 1,
         num_clusters: int = 4,
         prefix: int = 1,
-        kernel: Optional[str] = None,
-        backend: Optional[ParallelBackend] = None,
-        apsp_method: str = "dijkstra",
         max_ticks: Optional[int] = None,
         config: Optional[ClusteringConfig] = None,
     ) -> None:
@@ -207,8 +199,6 @@ class StreamingPipeline:
                 method="tmfg-dbht",
                 num_clusters=num_clusters,
                 prefix=prefix,
-                kernel=kernel,
-                apsp_method=apsp_method,
             )
         # Ticks cluster the window's correlation matrix directly.
         self.config = config.replace(method="tmfg-dbht", precomputed=True)
@@ -219,7 +209,6 @@ class StreamingPipeline:
         self.returns = returns
         self.window = window
         self.hop = hop
-        self.backend = backend
         self.max_ticks = max_ticks
 
     @property
@@ -229,14 +218,6 @@ class StreamingPipeline:
     @property
     def prefix(self) -> int:
         return self.config.prefix
-
-    @property
-    def kernel(self) -> Optional[str]:
-        return self.config.kernel
-
-    @property
-    def apsp_method(self) -> str:
-        return self.config.apsp_method
 
     @property
     def num_ticks(self) -> int:
@@ -251,15 +232,7 @@ class StreamingPipeline:
         """Run the stream, yielding one :class:`TickResult` per tick."""
         num_assets, num_steps = self.returns.shape
         rolling = RollingCorrelation(num_assets, self.window)
-        # One backend for the whole stream: an injected pool is reused as-is;
-        # a config-named pool is opened here once and closed when the
-        # generator finishes (estimators never open per-tick pools).
-        backend = self.backend
-        owns_backend = False
-        if backend is None:
-            backend = self.config.open_backend()
-            owns_backend = backend is not None
-        estimator = TMFGClusterer(self.config, backend=backend)
+        estimator = TMFGClusterer(self.config)
         previous_labels: Optional[np.ndarray] = None
         # Tick short-circuit (behind config.cache): when the window's raw
         # bytes did not change since the previous tick — a flat market, a
@@ -272,64 +245,60 @@ class StreamingPipeline:
         previous_tick: Optional[TickResult] = None
         tick_index = 0
         consumed = 0
-        try:
-            while consumed < num_steps:
-                if tick_index == 0:
-                    take = self.window
-                else:
-                    take = self.hop
-                    if consumed + take > num_steps:
-                        break
-                if self.max_ticks is not None and tick_index >= self.max_ticks:
+        while consumed < num_steps:
+            if tick_index == 0:
+                take = self.window
+            else:
+                take = self.hop
+                if consumed + take > num_steps:
                     break
-                tick_start = time.perf_counter()
-                rolling.push(self.returns[:, consumed : consumed + take])
-                consumed += take
-                fingerprint = (
-                    matrix_fingerprint(rolling.window_data()) if short_circuit else None
+            if self.max_ticks is not None and tick_index >= self.max_ticks:
+                break
+            tick_start = time.perf_counter()
+            rolling.push(self.returns[:, consumed : consumed + take])
+            consumed += take
+            fingerprint = (
+                matrix_fingerprint(rolling.window_data()) if short_circuit else None
+            )
+            reused = (
+                short_circuit
+                and previous_tick is not None
+                and fingerprint == previous_fingerprint
+            )
+            similarity = None if reused else rolling.correlation()
+            step_seconds = {"similarity": time.perf_counter() - tick_start}
+            if reused:
+                labels = previous_tick.labels.copy()
+                rounds = previous_tick.rounds
+            else:
+                result = estimator.fit(similarity).result_
+                labels = result.labels
+                rounds = result.raw.tmfg.rounds
+                step_seconds.update(
+                    {k: v for k, v in result.step_seconds.items() if k != "total"}
                 )
-                reused = (
-                    short_circuit
-                    and previous_tick is not None
-                    and fingerprint == previous_fingerprint
-                )
-                similarity = None if reused else rolling.correlation()
-                step_seconds = {"similarity": time.perf_counter() - tick_start}
-                if reused:
-                    labels = previous_tick.labels.copy()
-                    rounds = previous_tick.rounds
-                else:
-                    result = estimator.fit(similarity).result_
-                    labels = result.labels
-                    rounds = result.raw.tmfg.rounds
-                    step_seconds.update(
-                        {k: v for k, v in result.step_seconds.items() if k != "total"}
-                    )
-                step_seconds["total"] = time.perf_counter() - tick_start
-                drift_ari = drift_ami = None
-                if previous_labels is not None:
-                    drift_ari = adjusted_rand_index(previous_labels, labels)
-                    drift_ami = adjusted_mutual_information(previous_labels, labels)
-                tick = TickResult(
-                    tick=tick_index,
-                    start=consumed - self.window,
-                    stop=consumed,
-                    labels=labels,
-                    num_clusters=int(len(np.unique(labels))),
-                    rounds=rounds,
-                    step_seconds=step_seconds,
-                    drift_ari=drift_ari,
-                    drift_ami=drift_ami,
-                    reused=reused,
-                )
-                yield tick
-                previous_labels = labels
-                previous_fingerprint = fingerprint
-                previous_tick = tick
-                tick_index += 1
-        finally:
-            if owns_backend:
-                backend.close()
+            step_seconds["total"] = time.perf_counter() - tick_start
+            drift_ari = drift_ami = None
+            if previous_labels is not None:
+                drift_ari = adjusted_rand_index(previous_labels, labels)
+                drift_ami = adjusted_mutual_information(previous_labels, labels)
+            tick = TickResult(
+                tick=tick_index,
+                start=consumed - self.window,
+                stop=consumed,
+                labels=labels,
+                num_clusters=int(len(np.unique(labels))),
+                rounds=rounds,
+                step_seconds=step_seconds,
+                drift_ari=drift_ari,
+                drift_ami=drift_ami,
+                reused=reused,
+            )
+            yield tick
+            previous_labels = labels
+            previous_fingerprint = fingerprint
+            previous_tick = tick
+            tick_index += 1
 
     def run(self) -> StreamingResult:
         """Run every tick and return the collected :class:`StreamingResult`."""

@@ -23,14 +23,6 @@ def process_backend():
     backend.close()
 
 
-@pytest.fixture(params=["serial", "process"])
-def backend(request):
-    """Parametrized backend: the serial default and the shared process pool."""
-    if request.param == "process":
-        return request.getfixturevalue("process_backend")
-    return None
-
-
 @pytest.fixture(scope="session")
 def small_dataset():
     """A small but non-trivial labelled time-series data set."""

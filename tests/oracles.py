@@ -4,12 +4,15 @@ Each oracle is the straightforward version of a hot path: the frozenset
 TMFG builder with its incremental bubble tree (Algorithm 2 as written),
 the per-face gain scan, the sort-based round selection, the pairwise
 complete-linkage matrix, the scalar Lance-Williams update, the per-vertex
-DBHT assignment and the leaf scan behind the inter-group heights.  Tests
-assert exact (byte-level) agreement with them.
+DBHT assignment, the leaf scan behind the inter-group heights, and three
+shortest-path references: an array-heap Dijkstra per source, the
+adjacency-list Dijkstra and SciPy's csgraph APSP.  Tests assert exact
+(byte-level) agreement with them.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -21,6 +24,7 @@ from repro.core.bubble_tree import Bubble, BubbleTree
 from repro.core.direction import DirectionResult, compute_directions
 from repro.core.tmfg import _initial_clique, construct_tmfg
 from repro.dendrogram.node import Dendrogram
+from repro.graph.csr import CSRGraph
 from repro.graph.faces import Triangle, VertexFacePair, child_faces, triangle_corners, triangle_key
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.weighted_graph import WeightedGraph
@@ -368,3 +372,78 @@ def count_group_roots(
     """Number of groups whose vertices appear under ``node_id`` (a leaf scan)."""
     leaves = set(dendrogram.leaves_under(node_id))
     return sum(1 for vertices in groups.values() if leaves & set(vertices))
+
+
+def heap_apsp(graph) -> np.ndarray:
+    """APSP by an array-heap Dijkstra per source on the CSR arrays.
+
+    The same relaxation order and float arithmetic as :func:`dijkstra`, on
+    flat Python lists instead of per-edge tuples; the frontier kernel must
+    match it byte for byte.
+    """
+    csr = graph if isinstance(graph, CSRGraph) else graph.to_csr()
+    n = csr.num_vertices
+    rows = np.full((n, n), np.inf, dtype=float)
+    starts = csr.indptr.tolist()
+    neighbor_list = csr.indices.tolist()
+    weight_list = csr.weights.tolist()
+    inf = float("inf")
+    for source in range(n):
+        distances = [inf] * n
+        distances[source] = 0.0
+        visited = [False] * n
+        heap = [(0.0, source)]
+        while heap:
+            dist_u, u = heapq.heappop(heap)
+            if visited[u]:
+                continue
+            visited[u] = True
+            for arc in range(starts[u], starts[u + 1]):
+                v = neighbor_list[arc]
+                candidate = dist_u + weight_list[arc]
+                if candidate < distances[v]:
+                    distances[v] = candidate
+                    heapq.heappush(heap, (candidate, v))
+        rows[source] = distances
+    return rows
+
+
+def dijkstra(graph: WeightedGraph, source: int) -> np.ndarray:
+    """Single-source distances by the adjacency-list Dijkstra (``inf`` when
+    unreachable)."""
+    n = graph.num_vertices
+    if not 0 <= source < n:
+        raise IndexError(f"source {source} out of range [0, {n})")
+    if graph.has_negative_weights():
+        raise ValueError("Dijkstra requires non-negative edge weights")
+    distances = np.full(n, np.inf, dtype=float)
+    distances[source] = 0.0
+    visited = np.zeros(n, dtype=bool)
+    heap = [(0.0, source)]
+    while heap:
+        dist_u, u = heapq.heappop(heap)
+        if visited[u]:
+            continue
+        visited[u] = True
+        for v, weight in graph.neighbors(u):
+            candidate = dist_u + weight
+            if candidate < distances[v]:
+                distances[v] = candidate
+                heapq.heappush(heap, (candidate, v))
+    return distances
+
+
+def scipy_apsp(graph) -> np.ndarray:
+    """APSP by ``scipy.sparse.csgraph.shortest_path`` (Dijkstra, undirected).
+
+    Built from ``(data, indices, indptr)``, the sparse matrix keeps explicit
+    zeros, which csgraph treats as zero-length edges, so zero-dissimilarity
+    edges (exact-1.0 similarities) stay in the graph at their true length.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    csr = graph if isinstance(graph, CSRGraph) else graph.to_csr()
+    n = csr.num_vertices
+    sparse = csr_matrix((csr.weights, csr.indices, csr.indptr), shape=(n, n))
+    return shortest_path(sparse, method="D", directed=False)

@@ -37,44 +37,37 @@ class TestClusteringConfig:
         [
             {"prefix": 0},
             {"num_clusters": 0},
+            # Not config fields (apsp_method is a class constant).
             {"apsp_method": "bellman-ford"},
             {"kernel": "fortran"},
             {"backend": "mpi"},
-            {"workers": 2},  # workers without a parallel backend
+            {"workers": 2},
             {"backend": "thread", "workers": 0},
             {"linkage": "ward"},
             {"num_restarts": 0},
             {"spectral_neighbors": 0},
             {"method": ""},
-            {"landmarks": 8},  # landmarks without apsp_method="landmark"
-            {"apsp_method": "landmark", "landmarks": 1},
+            {"landmarks": 8},
+            {"apsp_method": "dijkstra"},
         ],
     )
     def test_invalid_values_rejected(self, changes):
         with pytest.raises(ValueError):
-            ClusteringConfig(**changes)
+            ClusteringConfig.from_dict(changes)
 
-    def test_apsp_method_resolves_against_live_registry(self):
-        """Registered custom APSP methods validate; the error lists live ids."""
-        from repro.graph.shortest_paths import _APSP_DISPATCH, register_apsp_method
-
-        with pytest.raises(ValueError) as excinfo:
-            ClusteringConfig(apsp_method="my-custom-apsp")
-        for name in ("dijkstra", "floyd", "landmark", "scipy"):
-            assert name in str(excinfo.value)
-        assert "incremental" not in str(excinfo.value)
-        register_apsp_method("my-custom-apsp", lambda g, backend=None, kernel=None: None)
-        try:
-            assert ClusteringConfig(apsp_method="my-custom-apsp").apsp_method == (
-                "my-custom-apsp"
-            )
-        finally:
-            _APSP_DISPATCH.pop("my-custom-apsp", None)
-
-    def test_landmark_knob_validates(self):
-        config = ClusteringConfig(apsp_method="landmark", landmarks=16)
-        assert config.landmarks == 16
-        assert ClusteringConfig(apsp_method="landmark").landmarks is None
+    def test_apsp_method_is_a_class_constant(self):
+        """The one APSP method is readable but is no field: not serialized,
+        not settable, not part of the cache key."""
+        assert ClusteringConfig.apsp_method == "dijkstra"
+        assert ClusteringConfig(prefix=3).apsp_method == "dijkstra"
+        names = [field.name for field in dataclasses.fields(ClusteringConfig)]
+        assert names == [
+            "method", "num_clusters", "prefix", "precomputed", "cache", "cache_dir",
+            "linkage", "seed", "num_restarts", "spectral_neighbors",
+        ]
+        assert "apsp_method" not in ClusteringConfig().to_dict()
+        with pytest.raises(TypeError):
+            ClusteringConfig(apsp_method="dijkstra")
 
     def test_frozen(self):
         config = ClusteringConfig()
@@ -92,10 +85,6 @@ class TestClusteringConfig:
             method="hac",
             num_clusters=5,
             prefix=12,
-            apsp_method="floyd",
-            kernel="python",
-            backend="thread",
-            workers=3,
             precomputed=True,
             cache=True,
             linkage="average",
@@ -106,7 +95,7 @@ class TestClusteringConfig:
         assert ClusteringConfig.from_dict(config.to_dict()) == config
 
     def test_json_round_trip_is_lossless(self):
-        config = ClusteringConfig(prefix=3, kernel="numpy", num_clusters=4)
+        config = ClusteringConfig(prefix=3, num_clusters=4)
         restored = ClusteringConfig.from_json(config.to_json())
         assert restored == config
         # and the JSON itself is plain data
@@ -128,18 +117,6 @@ class TestClusteringConfig:
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ValueError):
             ClusteringConfig.from_json("[1, 2, 3]")
-
-    def test_open_backend_serial_is_none(self):
-        assert ClusteringConfig().open_backend() is None
-        assert ClusteringConfig(backend="serial").open_backend() is None
-
-    def test_open_backend_thread_pool(self):
-        backend = ClusteringConfig(backend="thread", workers=2).open_backend()
-        try:
-            assert backend.num_workers == 2
-            assert backend.map(lambda x: x + 1, [1, 2]) == [2, 3]
-        finally:
-            backend.close()
 
 
 class TestRegistry:
@@ -180,7 +157,7 @@ class TestRegistry:
         class Constant(ClusteringEstimator):
             method_id = "constant"
 
-            def _fit(self, data, similarity, dissimilarity, backend, **fit_params):
+            def _fit(self, data, similarity, dissimilarity, **fit_params):
                 return ClusterResult(
                     method=self.method_id,
                     config=self.config,

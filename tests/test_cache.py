@@ -30,7 +30,7 @@ from repro.cache.store import _ENTRY_MAGIC, ENTRY_FORMAT_VERSION
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.synthetic import make_time_series_dataset
 from repro.parallel import shm
-from repro.parallel.scheduler import ProcessBackend, SerialBackend, ThreadBackend
+from repro.parallel.scheduler import ProcessBackend, SerialBackend
 
 
 @pytest.fixture(autouse=True)
@@ -87,21 +87,20 @@ class TestFingerprints:
         )
 
     def test_apsp_method_fingerprints_never_collide(self):
-        """Approximate results must never be served for exact cache keys.
-
-        Configs differing only in ``apsp_method`` — and, within landmark
-        mode, only in the landmark count — must all fingerprint apart.
-        """
-        configs = [
-            _config(),
-            _config(apsp_method="floyd"),
-            _config(apsp_method="scipy"),
-            _config(apsp_method="landmark"),
-            _config(apsp_method="landmark", landmarks=8),
-            _config(apsp_method="landmark", landmarks=16),
+        """Entries stored under the deleted APSP/kernel/pool fields can
+        never be served: every such payload, the exact defaults and the
+        approximate landmark mode included, fingerprints apart from today's
+        config and from each other."""
+        current = _config()
+        stale = [
+            dict(current.to_dict(), apsp_method=method, landmarks=landmarks,
+                 kernel=None, backend=None, workers=None)
+            for method, landmarks in (
+                ("dijkstra", None), ("scipy", None), ("landmark", 8), ("landmark", 16)
+            )
         ]
-        fingerprints = [config_fingerprint(config) for config in configs]
-        assert len(set(fingerprints)) == len(configs)
+        fingerprints = [config_fingerprint(current)] + [config_fingerprint(p) for p in stale]
+        assert len(set(fingerprints)) == len(fingerprints)
 
     def test_result_cache_key_covers_explicit_dissimilarity(self, similarity):
         config = _config()
@@ -320,29 +319,6 @@ class TestClusterManyDedup:
         # store the same entry a second time.
         cluster_many([similarity] * 5, _config())
         assert get_result_cache().stats.stores == 1
-
-    def test_process_fanout_forces_per_fit_backend_serial(self, similarity):
-        backend = ProcessBackend(num_workers=2)
-        config = _config(cache=False, backend="thread", workers=2)
-        try:
-            with pytest.warns(RuntimeWarning, match="nest pools"):
-                results = cluster_many([similarity], config, backend=backend)
-        finally:
-            backend.close()
-        # The result's config records the forced-serial per-fit backend.
-        assert results[0].config.backend is None
-        assert results[0].config.workers is None
-
-    def test_thread_fanout_keeps_per_fit_backend(self, similarity):
-        backend = ThreadBackend(num_workers=2)
-        try:
-            results = cluster_many(
-                [similarity], _config(cache=False, backend="thread", workers=2),
-                backend=backend,
-            )
-        finally:
-            backend.close()
-        assert results[0].config.backend == "thread"
 
 
 class TestSharedMemoryTransport:
@@ -620,11 +596,6 @@ class TestFingerprintFieldAccounting:
             "method": "hac-average",
             "num_clusters": 4,
             "prefix": 3,
-            "apsp_method": "landmark",
-            "landmarks": 16,
-            "kernel": "csr",
-            "backend": "thread",
-            "workers": 2,
             "precomputed": True,
             "linkage": "average",
             "seed": 7,

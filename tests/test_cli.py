@@ -81,44 +81,28 @@ class TestVersionFlag:
         assert capsys.readouterr().out.strip() == f"repro {__version__}"
 
 
-class TestKernelAndBackendFlags:
-    def test_cluster_with_kernel_and_thread_backend(self, data_csv, tmp_path):
-        path, _ = data_csv
-        out = tmp_path / "labels.txt"
-        exit_code = main(
-            [
-                "cluster",
-                str(path),
-                "--clusters",
-                "3",
-                "--kernel",
-                "python",
-                "--backend",
-                "thread",
-                "--workers",
-                "2",
-                "--out",
-                str(out),
-            ]
-        )
-        assert exit_code == 0
-        assert np.loadtxt(out, dtype=int).shape == (30,)
+class TestDeletedExecutionFlags:
+    """No subcommand takes a per-fit APSP, kernel or pool flag."""
 
-    def test_unknown_kernel_rejected(self, data_csv):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--kernel", "numpy"), ("--apsp-method", "dijkstra"), ("--landmarks", "8"),
+         ("--backend", "thread"), ("--workers", "2")],
+    )
+    def test_rejected_by_cluster_and_stream(self, data_csv, flag, value, capsys):
         path, _ = data_csv
-        with pytest.raises(SystemExit):
-            main(["cluster", str(path), "--clusters", "2", "--kernel", "fortran"])
+        for command in (["cluster", str(path), "--clusters", "2"],
+                        ["stream", str(path), "--clusters", "2", "--window", "20"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + [flag, value])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_workers_without_parallel_backend_rejected(self, data_csv, capsys):
-        path, _ = data_csv
-        assert main(["cluster", str(path), "--clusters", "2", "--workers", "4"]) == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_non_positive_workers_rejected(self, data_csv, capsys):
-        path, _ = data_csv
-        args = ["cluster", str(path), "--clusters", "2", "--backend", "thread"]
-        assert main(args + ["--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--kernel", "--apsp-method", "--landmarks", "--backend"])
+    def test_rejected_by_serve(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", flag, "1"])
+        assert excinfo.value.code == 2
 
 
 class TestCacheFlags:
@@ -275,14 +259,21 @@ class TestConfigFile:
         assert main(["cluster", str(path), "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "bad --config file" in err and "warm_start" in err
+        # So are the deleted per-fit execution knobs.
+        for stale in ('"backend": "thread"', '"kernel": "numpy"'):
+            cfg_path.write_text('{"num_clusters": 3, %s}' % stale)
+            assert main(["cluster", str(path), "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "bad --config file" in err and "unknown ClusteringConfig keys" in err
+            assert stale.split(":")[0].strip('"') in err
 
     def test_config_field_error_keeps_json_spelling(self, data_csv, tmp_path, capsys):
         path, _ = data_csv
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text('{"num_clusters": 3, "apsp_method": "bellman-ford"}')
+        cfg_path.write_text('{"num_clusters": 3, "cache_dir": "/tmp/x", "cache": false}')
         assert main(["cluster", str(path), "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert "apsp_method" in err and "--apsp" not in err
+        assert "cache_dir" in err and "--cache-dir" not in err
 
 
 class TestMethodFlag:
@@ -383,7 +374,7 @@ class TestStreamCommand:
             payload["mean_step_seconds"]
         )
 
-    def test_cold_mode_with_kernel_and_max_ticks(self, returns_csv, capsys):
+    def test_max_ticks_caps_the_stream(self, returns_csv, capsys):
         path, _ = returns_csv
         exit_code = main(
             [
@@ -395,8 +386,6 @@ class TestStreamCommand:
                 "80",
                 "--hop",
                 "10",
-                "--kernel",
-                "python",
                 "--max-ticks",
                 "2",
             ]
@@ -413,12 +402,6 @@ class TestStreamCommand:
         )
         assert exit_code == 2
         assert "exceeds the stream length" in capsys.readouterr().err
-
-    def test_workers_without_parallel_backend_rejected(self, returns_csv, capsys):
-        path, _ = returns_csv
-        args = ["stream", str(path), "--clusters", "3", "--window", "80", "--workers", "2"]
-        assert main(args) == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_stream_requires_window_and_clusters(self, returns_csv, capsys):
         path, _ = returns_csv
@@ -461,9 +444,8 @@ class TestServeCommand:
         assert args.func.__name__ == "_command_serve"
 
     def test_serve_workers_is_the_replica_count(self):
-        # serve's --workers spells the replica count, not the config's
-        # backend worker count: it must never leak into ClusteringConfig
-        # via the shared `workers` attribute _config_from_args reads.
+        # serve's --workers spells the replica count and lands on
+        # `replicas`; no subcommand has a per-fit worker count.
         args = build_parser().parse_args(["serve", "--workers", "3"])
         assert args.replicas == 3
         assert getattr(args, "workers", None) is None
@@ -473,8 +455,26 @@ class TestServeCommand:
         # subcommand; a nonsensical replica count is refused up front.
         assert main(["serve", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
-        assert main(["serve", "--backend", "thread", "--landmarks", "0"]) == 2
-        assert "--landmarks" in capsys.readouterr().err
+        assert main(["serve", "--prefix", "0"]) == 2
+        assert "--prefix" in capsys.readouterr().err
+
+    def test_replica_argv_forwards_only_live_flags(self):
+        from repro.cli import _serve_replica_argv
+
+        args = build_parser().parse_args(
+            ["serve", "--workers", "3", "--clusters", "4", "--prefix", "2",
+             "--method", "tmfg-dbht", "--cache-dir", "/tmp/c", "--no-binary"]
+        )
+        argv = _serve_replica_argv(args)
+        for flag, value in (("--clusters", "4"), ("--prefix", "2"),
+                            ("--method", "tmfg-dbht"), ("--cache-dir", "/tmp/c")):
+            assert argv[argv.index(flag) + 1] == value
+        assert "--no-binary" in argv and "--workers" not in argv
+        for deleted in ("--kernel", "--apsp-method", "--landmarks", "--backend"):
+            assert deleted not in argv
+        # The replica parses what it is handed.
+        replica = build_parser().parse_args(["serve"] + argv)
+        assert (replica.clusters, replica.prefix, replica.replicas) == (4, 2, 1)
 
     def test_serve_end_to_end_over_http(self, tmp_path):
         """`repro serve` as a subprocess: healthz, POST, drain on SIGTERM."""

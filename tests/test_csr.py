@@ -1,28 +1,32 @@
 """Property tests: the CSR engine is a drop-in for the adjacency-list path.
 
 The refactor's contract is exact equivalence, not approximate: APSP
-distances from the CSR kernels must be *byte-identical* to the
-adjacency-list reference Dijkstra, the array-native TMFG construction must
-produce the same edges as the sort-based selection oracle, and the full
-``tmfg_dbht`` pipeline must yield identical labels and dendrogram heights
-under either APSP kernel.
+distances from the CSR frontier kernel must be *byte-identical* to the
+adjacency-list reference Dijkstra and the array-heap oracle, the
+array-native TMFG construction must produce the same edges as the
+sort-based selection oracle, and the full ``tmfg_dbht`` pipeline must
+yield identical labels and dendrogram heights when its APSP is replaced
+by the heap oracle.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import tmfg_dbht
 from repro.core.tmfg import construct_tmfg
-from repro.graph.csr import CSRGraph
-from repro.graph.shortest_paths import all_pairs_shortest_paths, dijkstra
+from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.graph.weighted_graph import WeightedGraph
-from repro.parallel.kernels import available_kernels, kernel_scope
-from repro.parallel.scheduler import ProcessBackend, ThreadBackend
-from tests.oracles import reference_tmfg
+from tests.oracles import dijkstra, heap_apsp, reference_tmfg
 
 SEEDS = [0, 1, 2, 3, 4]
+
+#: APSP implementations checked against the adjacency-list Dijkstra: the
+#: production frontier kernel and the array-heap oracle.
+APSP = {"numpy": all_pairs_shortest_paths, "python": heap_apsp}
 
 
 def _random_graph(n: int, density: float, seed: int) -> WeightedGraph:
@@ -89,9 +93,7 @@ class TestCSRStructure:
             neighbors, weights = csr.neighbors(u)
             for v, w in zip(neighbors, weights):
                 assert w == matrix[min(u, int(v)), max(u, int(v))]
-        python_result = all_pairs_shortest_paths(csr, kernel="python")
-        numpy_result = all_pairs_shortest_paths(csr, kernel="numpy")
-        np.testing.assert_array_equal(python_result, numpy_result)
+        np.testing.assert_array_equal(all_pairs_shortest_paths(csr), heap_apsp(csr))
 
     def test_reweighted_rejects_wrong_shape(self):
         csr = _random_graph(6, 0.5, 5).to_csr()
@@ -113,20 +115,18 @@ class TestCSRStructure:
         csr = graph.to_csr()
         assert csr.has_negative_weights()
         with pytest.raises(ValueError):
-            dijkstra(csr, 0)
-        with pytest.raises(ValueError):
             all_pairs_shortest_paths(csr)
 
 
 class TestAPSPEquivalence:
-    """CSR kernels vs the adjacency-list reference: byte-identical."""
+    """The CSR frontier kernel vs the reference Dijkstras: byte-identical."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("kernel", sorted(APSP))
     def test_kernels_byte_identical_on_random_graphs(self, seed, kernel):
         graph = _random_graph(30, 0.2, seed)
         reference = np.vstack([dijkstra(graph, s) for s in range(30)])
-        result = all_pairs_shortest_paths(graph.to_csr(), kernel=kernel)
+        result = APSP[kernel](graph.to_csr())
         np.testing.assert_array_equal(result, reference)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -136,57 +136,20 @@ class TestAPSPEquivalence:
         dissimilarity = similarity.max() - similarity
         np.fill_diagonal(dissimilarity, 0.0)
         csr = tmfg.graph.to_csr().reweighted(dissimilarity)
-        python_result = all_pairs_shortest_paths(csr, kernel="python")
-        numpy_result = all_pairs_shortest_paths(csr, kernel="numpy")
-        np.testing.assert_array_equal(python_result, numpy_result)
+        np.testing.assert_array_equal(all_pairs_shortest_paths(csr), heap_apsp(csr))
 
-    def test_backends_byte_identical(self):
-        graph = _random_graph(25, 0.3, 7)
-        serial = all_pairs_shortest_paths(graph)
-        thread_backend = ThreadBackend(num_workers=4)
-        process_backend = ProcessBackend(num_workers=2)
-        try:
-            threaded = all_pairs_shortest_paths(graph, backend=thread_backend)
-            processed = all_pairs_shortest_paths(graph, backend=process_backend)
-        finally:
-            thread_backend.close()
-            process_backend.close()
-        np.testing.assert_array_equal(serial, threaded)
-        np.testing.assert_array_equal(serial, processed)
-
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("kernel", sorted(APSP))
     def test_trailing_isolated_vertices(self, kernel):
         # Regression: an isolated *last* vertex must not truncate the
-        # previous vertex's relaxation segment in the numpy kernel.
+        # previous vertex's relaxation segment in the frontier kernel.
         graph = WeightedGraph(4)
         graph.add_edge(0, 2, 1.0)
         graph.add_edge(1, 2, 1.0)
-        result = all_pairs_shortest_paths(graph.to_csr(), kernel=kernel)
+        result = APSP[kernel](graph.to_csr())
         expected = np.vstack([dijkstra(graph, s) for s in range(4)])
         np.testing.assert_array_equal(result, expected)
         assert result[1, 0] == 2.0
         assert np.isinf(result[3, 0])
-
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_out_of_range_sources_rejected(self, kernel):
-        from repro.graph.shortest_paths import shortest_paths_from_sources
-
-        csr = _random_graph(5, 0.5, 0).to_csr()
-        with pytest.raises(IndexError):
-            shortest_paths_from_sources(csr, [-1], kernel=kernel)
-        with pytest.raises(IndexError):
-            shortest_paths_from_sources(csr, [5], kernel=kernel)
-
-    def test_string_backend_accepted(self):
-        graph = _random_graph(15, 0.4, 11)
-        serial = all_pairs_shortest_paths(graph)
-        named = all_pairs_shortest_paths(graph, backend="thread")
-        np.testing.assert_array_equal(serial, named)
-
-    def test_both_kernels_registered(self):
-        assert available_kernels("apsp") == ["numpy", "python"]
-        # The gain table is array-native only: no kernel pair to choose from.
-        assert available_kernels("gain_update") == []
 
 
 class TestTMFGEquivalence:
@@ -203,23 +166,19 @@ class TestTMFGEquivalence:
 
 
 class TestPipelineEquivalence:
-    """Full tmfg_dbht: labels and dendrogram heights identical on each path."""
+    """Full tmfg_dbht: labels and dendrogram heights identical when the
+    production APSP is swapped for the heap oracle."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_labels_and_heights_identical(self, seed):
+    def test_labels_and_heights_identical(self, seed, monkeypatch):
         similarity = _random_similarity(24, seed)
-        with kernel_scope("python"):
-            python_result = tmfg_dbht(similarity, prefix=3)
-        with kernel_scope("numpy"):
-            numpy_result = tmfg_dbht(similarity, prefix=3)
+        production = tmfg_dbht(similarity, prefix=3)
+        dbht_module = importlib.import_module("repro.core.dbht")
+        monkeypatch.setattr(dbht_module, "all_pairs_shortest_paths", heap_apsp)
+        oracle = tmfg_dbht(similarity, prefix=3)
+        assert np.array_equal(production.dbht.shortest_paths, oracle.dbht.shortest_paths)
         for k in (2, 3, 5):
-            np.testing.assert_array_equal(
-                python_result.cut(k), numpy_result.cut(k)
-            )
-        python_heights = [
-            node.height for node in python_result.dendrogram.internal_nodes()
-        ]
-        numpy_heights = [
-            node.height for node in numpy_result.dendrogram.internal_nodes()
-        ]
-        assert python_heights == numpy_heights
+            np.testing.assert_array_equal(production.cut(k), oracle.cut(k))
+        production_heights = [node.height for node in production.dendrogram.internal_nodes()]
+        oracle_heights = [node.height for node in oracle.dendrogram.internal_nodes()]
+        assert production_heights == oracle_heights

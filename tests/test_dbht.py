@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core.dbht import dbht
 from repro.core.tmfg import construct_tmfg
 from repro.metrics.ari import adjusted_rand_index
+from tests.oracles import scipy_apsp
 
 
 class TestDBHT:
@@ -70,12 +73,16 @@ class TestDBHT:
         phase_names = {phase.name for phase in result.tracker.phases}
         assert {"tmfg", "apsp", "bubble-tree", "hierarchy"} <= phase_names
 
-    def test_scipy_apsp_backend_gives_same_dendrogram(self, small_matrices):
+    def test_scipy_apsp_backend_gives_same_dendrogram(self, small_matrices, monkeypatch):
         similarity, dissimilarity = small_matrices
         tmfg_a = construct_tmfg(similarity, prefix=4)
         tmfg_b = construct_tmfg(similarity, prefix=4)
-        default = dbht(tmfg_a, similarity, dissimilarity, apsp_method="dijkstra")
-        scipy_backend = dbht(tmfg_b, similarity, dissimilarity, apsp_method="scipy")
+        default = dbht(tmfg_a, similarity, dissimilarity)
+        # The same DBHT with SciPy's csgraph APSP (a test oracle) in place
+        # of the frontier kernel.
+        dbht_module = importlib.import_module("repro.core.dbht")
+        monkeypatch.setattr(dbht_module, "all_pairs_shortest_paths", scipy_apsp)
+        scipy_backend = dbht(tmfg_b, similarity, dissimilarity)
         np.testing.assert_allclose(
             default.shortest_paths, scipy_backend.shortest_paths, rtol=1e-9, atol=1e-9
         )

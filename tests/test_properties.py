@@ -3,10 +3,7 @@
 The TMFG construction is checked against the sort-based selection and the
 per-face gain scan kept in :mod:`tests.oracles`, and the DBHT assignment
 and inter-group heights against the per-vertex loop and leaf scan kept
-there; the DBHT properties are
-parametrized over the APSP ``kernel`` (``python``/``numpy``) and the
-serial/process ``backend`` fixture, so the picklable process-pool APSP path
-is covered by the invariants too.
+there, and the DBHT's APSP matrix against the array-heap Dijkstra oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.planarity import is_planar
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.metrics.ari import adjusted_rand_index
-from repro.parallel.kernels import KERNEL_NAMES
 from tests import oracles
 from tests.oracles import assert_matches_reference_builder, per_face_best, reference_tmfg
 
@@ -251,17 +247,14 @@ class TestReferenceBuilder:
 
 
 class TestDBHTProperties:
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(similarity_matrices(min_size=8, max_size=20), st.integers(min_value=1, max_value=6))
-    def test_dendrogram_is_complete_and_monotone(self, kernel, backend, similarity, prefix):
+    def test_dendrogram_is_complete_and_monotone(self, similarity, prefix):
         dissimilarity = _dissimilarity_from(similarity)
         tmfg = construct_tmfg(similarity, prefix=prefix)
-        result = dbht(tmfg, similarity, dissimilarity, backend=backend, kernel=kernel)
+        result = dbht(tmfg, similarity, dissimilarity)
+        oracle = oracles.heap_apsp(tmfg.csr().reweighted(dissimilarity))
+        assert np.array_equal(result.shortest_paths, oracle)
         assert result.dendrogram.is_complete
         assert result.dendrogram.heights_monotone()
 

@@ -1,4 +1,4 @@
-"""Tests for the execution backends."""
+"""Tests for the job-level execution backends ``cluster_many`` fans out over."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from repro.parallel.scheduler import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    get_backend,
     make_backend,
-    set_backend,
 )
 
 
@@ -26,12 +24,6 @@ class TestSerialBackend:
     def test_map_preserves_order(self):
         backend = SerialBackend()
         assert backend.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_for_each_runs_side_effects(self):
-        backend = SerialBackend()
-        seen = []
-        backend.for_each(seen.append, [1, 2, 3])
-        assert seen == [1, 2, 3]
 
     def test_reports_single_worker(self):
         assert SerialBackend().num_workers == 1
@@ -61,7 +53,7 @@ class TestThreadBackend:
             time.sleep(0.005)
 
         try:
-            backend.for_each(record, list(range(32)))
+            backend.map(record, list(range(32)))
         finally:
             backend.close()
         assert len(thread_names) >= 2
@@ -134,27 +126,8 @@ class TestMakeBackend:
         with pytest.raises(ValueError):
             make_backend("gpu")
 
-    def test_get_backend_rejects_names(self):
-        # Names construct fresh pools the caller must own; get_backend
-        # points to make_backend instead of leaking one silently.
-        with pytest.raises(TypeError):
-            get_backend("thread")
 
-
-class TestDefaultBackend:
-    def test_get_backend_returns_argument_if_given(self):
-        backend = SerialBackend()
-        assert get_backend(backend) is backend
-
-    def test_set_backend_changes_default(self):
-        original = get_backend()
-        replacement = SerialBackend()
-        try:
-            set_backend(replacement)
-            assert get_backend() is replacement
-        finally:
-            set_backend(original)
-
+class TestParallelBackend:
     def test_base_class_map_is_abstract(self):
         with pytest.raises(NotImplementedError):
             ParallelBackend().map(lambda x: x, [1])

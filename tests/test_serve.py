@@ -380,10 +380,13 @@ class TestServerIntegration:
                 envelope = client.cluster(series, config={"num_clusters": 2})
                 assert envelope["result"]["num_clusters"] == 2
                 assert envelope["result"]["config"]["prefix"] == 2  # default kept
-                # Overlays naming removed streaming options are client errors.
+                # Overlays naming anything but a request field are client errors.
                 from repro.serve import ServerError
 
-                for stale in ({"warm_start": True}, {"apsp_method": "incremental"}):
+                for stale in (
+                    {"warm_start": True}, {"apsp_method": "incremental"},
+                    {"kernel": "numpy"}, {"landmarks": 8}, {"apsp_method": "dijkstra"},
+                ):
                     with pytest.raises(ServerError) as excinfo:
                         client.cluster(series, config=stale)
                     assert excinfo.value.status == 400

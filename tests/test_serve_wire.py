@@ -274,7 +274,10 @@ class TestBinaryTransportIntegration:
                 envelope = client.cluster(
                     series.astype(np.float32), config={"num_clusters": 2}, binary=True
                 )
-                for stale in ({"warm_start": True}, {"apsp_method": "incremental"}):
+                for stale in (
+                    {"warm_start": True}, {"apsp_method": "incremental"},
+                    {"kernel": "numpy"}, {"landmarks": 8}, {"apsp_method": "dijkstra"},
+                ):
                     with pytest.raises(ServerError) as excinfo:
                         client.cluster(series, config=stale, binary=True)
                     assert excinfo.value.status == 400

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.api.estimators import TMFGClusterer
 from repro.datasets.similarity import correlation_matrix
 from repro.datasets.stocks import generate_regime_switching_stream
 from repro.streaming import StreamingPipeline
+from tests.oracles import heap_apsp
 
 
 @pytest.fixture(scope="module")
@@ -138,15 +141,16 @@ class TestStreamingPipeline:
         # prefix=1: one insertion per round for every non-clique vertex.
         assert all(tick.rounds == 48 - 4 for tick in result.ticks)
 
-    def test_kernel_choice_does_not_change_cuts(self, regime_stream):
+    def test_kernel_choice_does_not_change_cuts(self, regime_stream, monkeypatch):
+        """Ticks cut the same with the heap-oracle APSP in place of the
+        frontier kernel."""
         kwargs = dict(window=120, hop=60, num_clusters=4)
-        numpy_run = StreamingPipeline(
-            regime_stream.returns, kernel="numpy", **kwargs
-        ).run()
-        python_run = StreamingPipeline(
-            regime_stream.returns, kernel="python", **kwargs
-        ).run()
-        for a, b in zip(numpy_run.ticks, python_run.ticks):
+        frontier_run = StreamingPipeline(regime_stream.returns, **kwargs).run()
+        dbht_module = importlib.import_module("repro.core.dbht")
+        monkeypatch.setattr(dbht_module, "all_pairs_shortest_paths", heap_apsp)
+        oracle_run = StreamingPipeline(regime_stream.returns, **kwargs).run()
+        assert len(frontier_run.ticks) == len(oracle_run.ticks) > 1
+        for a, b in zip(frontier_run.ticks, oracle_run.ticks):
             np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_invalid_parameters_rejected(self, regime_stream):
