@@ -9,6 +9,10 @@ Per graph size, on the TMFG distance graph, one JSON report
   directly here; the library does not use it) as the headroom reference,
   with whether its distances are byte-identical to the production ones.
 
+SciPy is an independent APSP, so the sweep is also a byte-identity gate:
+after writing the report, the script exits non-zero if the production
+distances differ from SciPy's at any size.
+
 Standalone::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py --sizes 500,1000,2000,5000
@@ -101,6 +105,13 @@ def main(argv=None) -> dict:
     import benchlib
 
     benchlib.write_report("scaling.json", report, override=args.json)
+    drifted = [
+        section["num_vertices"]
+        for section in report["cold"]
+        if not all(row.get("identical", True) for row in section["methods"])
+    ]
+    if drifted:
+        raise SystemExit(f"production APSP is not byte-identical to SciPy at sizes {drifted}")
     return report
 
 

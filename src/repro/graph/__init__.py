@@ -8,7 +8,7 @@ system depends on:
 * an adjacency-list weighted graph for construction
   (:mod:`repro.graph.weighted_graph`) and its frozen CSR form for
   vectorised consumption (:mod:`repro.graph.csr`),
-* all-pairs shortest paths by a batched frontier relaxation on the CSR
+* all-pairs shortest paths by a cell-sparse push frontier on the CSR
   graph (:mod:`repro.graph.shortest_paths`),
 * breadth-first search and connected components
   (:mod:`repro.graph.traversal`),

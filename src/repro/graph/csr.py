@@ -12,18 +12,18 @@ graph into three flat arrays
 
 mirrors the flat array layout the paper's C++/ParlayLib implementation uses
 and is what makes the vectorised kernel in
-:mod:`repro.graph.shortest_paths` possible: a whole Bellman-Ford-style
-relaxation becomes slicing and ``ufunc`` calls instead of per-edge Python
-tuples.
+:mod:`repro.graph.shortest_paths` possible: a round of its push frontier
+expands every changed (vertex, source) cell over the vertex's row with one
+``repeat``/``cumsum`` instead of per-edge Python tuples.
 
 Both directions of every undirected edge are stored, and each row's
-neighbours are sorted by vertex id, so for a symmetric graph row ``v`` is
-simultaneously the out-arcs *and* the in-arcs of ``v`` — the property the
-batched relaxation kernel exploits.
+neighbours are sorted by vertex id, so row ``v`` lists the out-arcs of
+``v``: exactly the arcs a changed cell of ``v`` is pushed over.
 
-Validation happens at freeze time: ``min_weight`` is computed once, so
-shortest-path routines can reject negative weights *before* doing any
-traversal work instead of failing midway through.
+Validation happens at freeze time: ``min_weight`` is computed once (NaN if
+any weight is NaN), so shortest-path routines can reject negative and NaN
+weights *before* doing any traversal work instead of failing midway
+through.
 """
 
 from __future__ import annotations
@@ -148,7 +148,13 @@ class CSRGraph:
         return self.min_weight < 0.0
 
     def validate_non_negative(self) -> None:
-        """Raise before any traversal work if a negative weight was frozen in."""
+        """Raise before any traversal work if a negative or NaN weight was
+        frozen in (a NaN edge would otherwise never relax, as if absent)."""
+        if np.isnan(self.min_weight):
+            raise ValueError(
+                "graph has NaN edge weights; shortest paths require "
+                "non-negative weights"
+            )
         if self.has_negative_weights():
             raise ValueError(
                 "graph has negative edge weights "

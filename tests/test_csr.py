@@ -140,8 +140,9 @@ class TestAPSPEquivalence:
 
     @pytest.mark.parametrize("kernel", sorted(APSP))
     def test_trailing_isolated_vertices(self, kernel):
-        # Regression: an isolated *last* vertex must not truncate the
-        # previous vertex's relaxation segment in the frontier kernel.
+        # An isolated *last* vertex ends the CSR with an empty row: its
+        # source cell pushes no arc, and the rows before it still expand
+        # in full.
         graph = WeightedGraph(4)
         graph.add_edge(0, 2, 1.0)
         graph.add_edge(1, 2, 1.0)

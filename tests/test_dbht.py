@@ -79,7 +79,7 @@ class TestDBHT:
         tmfg_b = construct_tmfg(similarity, prefix=4)
         default = dbht(tmfg_a, similarity, dissimilarity)
         # The same DBHT with SciPy's csgraph APSP (a test oracle) in place
-        # of the frontier kernel.
+        # of the production push-frontier kernel.
         dbht_module = importlib.import_module("repro.core.dbht")
         monkeypatch.setattr(dbht_module, "all_pairs_shortest_paths", scipy_apsp)
         scipy_backend = dbht(tmfg_b, similarity, dissimilarity)

@@ -13,8 +13,14 @@ import pytest
 
 from repro.core.tmfg import construct_tmfg
 from repro.datasets.similarity import correlation_matrix, default_dissimilarity
-from repro.graph.shortest_paths import _locality_order, all_pairs_shortest_paths
+from repro.graph.csr import CSRGraph
+from repro.graph.shortest_paths import (
+    _RELAX_BLOCK_SOURCES,
+    _locality_order,
+    all_pairs_shortest_paths,
+)
 from repro.graph.weighted_graph import WeightedGraph
+from repro.obs.tracer import Tracer
 from tests.oracles import dijkstra, heap_apsp, scipy_apsp
 
 
@@ -37,6 +43,25 @@ def _exact_one_similarity_graph(seed: int, pairs):
         similarity[u, v] = similarity[v, u] = 1.0
     tmfg = construct_tmfg(similarity)
     return tmfg.csr().reweighted(default_dissimilarity(similarity))
+
+
+#: Vertex counts at the edges of 64- and 128-source blocks.
+_BLOCK_EDGE_SIZES = (63, 64, 65, 127, 128, 129, 257)
+
+
+def _tmfg_graph(n: int, seed: int) -> CSRGraph:
+    """The TMFG of a random correlation matrix, weighted by dissimilarity."""
+    rng = np.random.default_rng(seed)
+    similarity = correlation_matrix(rng.normal(size=(n, 60)))
+    return construct_tmfg(similarity).csr().reweighted(default_dissimilarity(similarity))
+
+
+def _dyadic_graph(n: int, seed: int) -> CSRGraph:
+    """A TMFG topology with weights in {0, 1/4, ..., 1}: zero-length edges
+    and many exactly tied path sums."""
+    rng = np.random.default_rng(seed)
+    dyadic = rng.integers(0, 5, size=(n, n)) / 4.0
+    return _tmfg_graph(n, seed).reweighted(dyadic)
 
 
 def _two_component_graph() -> WeightedGraph:
@@ -89,6 +114,20 @@ class TestDijkstra:
         with pytest.raises(ValueError):
             all_pairs_shortest_paths(graph)
 
+    def test_nan_weights_rejected(self):
+        # A NaN chord on a 4-vertex path: ``nan < 0`` is False, so without
+        # its own check the chord would never relax, as if it were absent.
+        graph = WeightedGraph(4)
+        for u in range(3):
+            graph.add_edge(u, u + 1, 1.0)
+        graph.add_edge(0, 3, float("nan"))
+        csr = graph.to_csr()
+        assert not csr.has_negative_weights()
+        with pytest.raises(ValueError, match="NaN"):
+            csr.validate_non_negative()
+        with pytest.raises(ValueError, match="NaN"):
+            all_pairs_shortest_paths(graph)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_scipy_on_random_graphs(self, seed):
         graph = _random_graph(25, 0.3, seed)
@@ -104,17 +143,23 @@ class TestAPSP:
         distances = all_pairs_shortest_paths(graph)
         np.testing.assert_allclose(distances, scipy_apsp(graph))
 
-    @pytest.mark.parametrize("case", ["random", "zero-weight", "disconnected", "n4"])
+    @pytest.mark.parametrize(
+        "case",
+        ["random", "zero-weight", "disconnected", "n4", "dyadic-ties"]
+        + [f"n{n}" for n in _BLOCK_EDGE_SIZES],
+    )
     def test_byte_identical_to_heap_oracle(self, case):
         graph = {
             "random": lambda: _random_graph(26, 0.3, 21),
             "zero-weight": lambda: _exact_one_similarity_graph(3, ((0, 1), (4, 7))),
             "disconnected": _two_component_graph,
             "n4": lambda: _complete_graph(4),
+            "dyadic-ties": lambda: _dyadic_graph(150, 5),
+            **{f"n{n}": (lambda n=n: _tmfg_graph(n, 13)) for n in _BLOCK_EDGE_SIZES},
         }[case]()
         distances = all_pairs_shortest_paths(graph)
         assert np.array_equal(distances, heap_apsp(graph))
-        if case == "zero-weight":
+        if case in ("zero-weight", "dyadic-ties"):
             assert np.count_nonzero(graph.weights == 0.0) >= 4
         if case == "disconnected":
             assert np.isinf(distances[:12, 12:]).all() and np.isinf(distances[12:, :12]).all()
@@ -179,8 +224,8 @@ class TestFrontierKernelEdgeCases:
         assert frontier[0, 4] == 1.5
 
     def test_isolated_vertices_first_middle_and_last(self):
-        # Vertices 0, 3 and 6 have no arcs: empty CSR segments, which
-        # ``reduceat`` cannot express.
+        # Vertices 0, 3 and 6 have no arcs: their source cells push nothing,
+        # and every other cell of theirs stays at ``inf``.
         graph = WeightedGraph(7)
         for u, v, w in ((1, 2, 1.0), (2, 4, 0.5), (4, 5, 2.0), (1, 5, 4.0)):
             graph.add_edge(u, v, w)
@@ -195,6 +240,38 @@ class TestFrontierKernelEdgeCases:
         heap, frontier = _heap_and_frontier(graph)
         assert np.array_equal(frontier, heap)
         assert np.isinf(frontier[:12, 12:]).all()
+
+    def test_components_straddle_a_block_boundary(self):
+        # Two 100-vertex TMFGs side by side: the locality order lists the
+        # first component, then the second, so one block of sources holds
+        # vertices of both and its working array mixes finite and ``inf``
+        # columns.
+        graph = WeightedGraph(200)
+        for offset, seed in ((0, 3), (100, 4)):
+            for u, v, weight in _tmfg_graph(100, seed).edges():
+                graph.add_edge(u + offset, v + offset, weight)
+        csr = graph.to_csr()
+        second_component = _locality_order(csr.indptr, csr.indices) >= 100
+        blocks = [
+            second_component[begin : begin + _RELAX_BLOCK_SOURCES]
+            for begin in range(0, 200, _RELAX_BLOCK_SOURCES)
+        ]
+        assert any(block.any() and not block.all() for block in blocks)
+        heap, frontier = _heap_and_frontier(graph)
+        assert np.array_equal(frontier, heap)
+        assert np.isinf(frontier[:100, 100:]).all() and np.isinf(frontier[100:, :100]).all()
+
+    def test_hub_wider_than_a_block(self):
+        # A 300-vertex wheel: the hub's row has 299 arcs, more than a block
+        # has sources, and every rim path competes with a two-spoke path.
+        graph = WeightedGraph(300)
+        rng = np.random.default_rng(6)
+        for rim in range(1, 300):
+            graph.add_edge(0, rim, float(rng.integers(1, 9)) / 4.0)
+            graph.add_edge(rim, rim % 299 + 1, 0.5)
+        assert graph.to_csr().degree(0) > _RELAX_BLOCK_SOURCES
+        heap, frontier = _heap_and_frontier(graph)
+        assert np.array_equal(frontier, heap)
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_smallest_graphs(self, n):
@@ -225,3 +302,62 @@ class TestMethodRegistry:
         graph = _random_graph(5, 0.5, 1)
         with pytest.raises(ValueError, match="'dijkstra'"):
             all_pairs_shortest_paths(graph, method="bellman-ford-johnson")
+
+
+def _traced_apsp(graph):
+    """The distances and the ``kernel.apsp`` span's attributes of one traced call."""
+    tracer = Tracer()
+    closed = []
+    tracer.add_sink(lambda span: closed.append(span.to_dict()))
+    with tracer.start_span("root"):
+        distances = all_pairs_shortest_paths(graph)
+    (attributes,) = [event["attributes"] for event in closed if event["kind"] == "kernel.apsp"]
+    return distances, attributes
+
+
+class TestKernelCounters:
+    """The ``kernel.apsp`` span reports candidates tried and cells written."""
+
+    @pytest.mark.parametrize("case", ["disconnected", "tmfg", "dyadic-ties"])
+    def test_counts_bound_the_finite_cells(self, case):
+        graph = {
+            "disconnected": _two_component_graph,
+            "tmfg": lambda: _tmfg_graph(150, 2),
+            "dyadic-ties": lambda: _dyadic_graph(90, 8),
+        }[case]()
+        distances, attributes = _traced_apsp(graph)
+        finite_off_diagonal = np.count_nonzero(np.isfinite(distances)) - distances.shape[0]
+        assert attributes["relaxed"] >= attributes["improved"] >= finite_off_diagonal
+
+    def test_tree_writes_each_cell_once(self):
+        # A tree has one path per pair, so each reachable cell improves
+        # exactly once, and each cell pushes over every arc of its vertex
+        # once: 2(n - 1) arcs per source.
+        n = 150
+        rng = np.random.default_rng(12)
+        graph = WeightedGraph(n)
+        for child in range(1, n):
+            graph.add_edge(int(rng.integers(0, child)), child, float(rng.uniform(0.1, 2.0)))
+        distances, attributes = _traced_apsp(graph)
+        assert attributes["improved"] == n * (n - 1) == np.count_nonzero(np.isfinite(distances)) - n
+        assert attributes["relaxed"] == n * 2 * (n - 1)
+        assert np.array_equal(distances, heap_apsp(graph))
+
+    def test_tied_candidates_write_a_cell_once(self):
+        # An even cycle with unit weights: the vertex opposite a source is
+        # reached from both sides in the same round with equal candidates,
+        # and the frontier must hold its cell once.
+        n = 130
+        graph = WeightedGraph(n)
+        for u in range(n):
+            graph.add_edge(u, (u + 1) % n, 1.0)
+        distances, attributes = _traced_apsp(graph)
+        assert attributes["improved"] == n * (n - 1)
+        assert attributes["relaxed"] == 2 * n * n
+        assert distances[0, n // 2] == n // 2
+
+    def test_tracing_changes_no_byte(self):
+        graph = _tmfg_graph(150, 9)
+        traced, attributes = _traced_apsp(graph)
+        assert attributes["improved"] > 0
+        assert np.array_equal(all_pairs_shortest_paths(graph), traced)
