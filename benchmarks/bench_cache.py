@@ -4,10 +4,11 @@ Models the repetitive serving workload the cache exists for: one batch of
 ``--jobs`` byte-identical ``--assets``-asset similarity matrices (the same
 window re-requested over and over), clustered three ways:
 
-* **cold** — cache off, dedup off: every job is a full
-  similarity→TMFG→APSP→DBHT fit (the pre-cache serving path);
-* **dedup** — cache off, dedup on: ``cluster_many`` fingerprints the jobs
-  before dispatch and fits each distinct job once;
+* **cold** — cache off, no dedup: every job is a full
+  similarity→TMFG→APSP→DBHT fit via ``fit_one`` (the pre-cache serving
+  path);
+* **dedup** — cache off: ``cluster_many`` fingerprints the jobs and fits
+  each distinct job once;
 * **warm** — cache on, second call: every job is a cache hit.
 
 The acceptance bound (default ≥10x at 50 x 200 assets) is asserted on the
@@ -27,6 +28,7 @@ import time
 import numpy as np
 
 from repro.api import ClusteringConfig, cluster_many
+from repro.api.batch import fit_one
 from repro.cache import clear_result_caches, get_result_cache
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.synthetic import make_time_series_dataset
@@ -64,7 +66,7 @@ def main(argv=None) -> dict:
     cluster_many(matrices[:1], plain)
 
     start = time.perf_counter()
-    cold_results = cluster_many(matrices, plain, dedupe=False)
+    cold_results = [fit_one(plain, matrix) for matrix in matrices]
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

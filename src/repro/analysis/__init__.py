@@ -7,7 +7,7 @@ keep enforcing across refactors:
 * **cache-key coherence** — every :class:`~repro.api.config.ClusteringConfig`
   knob participates in the result-cache fingerprint or is explicitly
   excluded (and every knob is reachable from the CLI);
-* **zero-copy** on the wire -> cache -> shared-memory hot path;
+* **zero-copy** on the wire -> cache hot path;
 * a **never-block** asyncio serving loop (fits go through the executor);
 * **no silently swallowed exceptions** on the supervisor/router restart
   paths.

@@ -12,8 +12,8 @@ BaseException:`` handlers whose body performs no observable action — no
 ``raise``, no call statement (logging, counting, cleanup), no counter
 update.  Handlers that only ``pass``/``continue`` or return a constant
 fallback are exactly the silent-swallow shape.  Deliberate best-effort
-probes (e.g. the shared-memory availability check) carry a
-``# repro: allow[swallowed-exception]`` pragma with a justification.
+handlers carry a ``# repro: allow[swallowed-exception]`` pragma with a
+justification.
 """
 
 from __future__ import annotations

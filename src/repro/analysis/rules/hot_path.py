@@ -1,13 +1,12 @@
-"""Hidden-copy rule for the zero-copy wire -> cache -> shm data path.
+"""Hidden-copy rule for the zero-copy wire -> cache data path.
 
-PR 7 collapsed the serve data path onto the buffer protocol: a binary
-request body is decoded as a read-only ``np.frombuffer`` view
-(`serve/wire.py`), fingerprinted straight through ``memoryview``
-(`cache/fingerprint.py`), routed by content key (`serve/fleet/ring.py`),
-and written once into the shared-memory segment (`parallel/shm.py`).
-One stray ``.tobytes()`` or ``np.ascontiguousarray`` on that path
-silently doubles the per-request memory traffic at large n — exactly the
-kind of regression a refactor introduces without failing any test.
+The serve data path runs on the buffer protocol: a binary request body is
+decoded as a read-only ``np.frombuffer`` view (`serve/wire.py`),
+fingerprinted straight through ``memoryview`` (`cache/fingerprint.py`)
+and routed by content key (`serve/fleet/ring.py`).  One stray
+``.tobytes()`` or ``np.ascontiguousarray`` on that path silently doubles
+the per-request memory traffic at large n — exactly the kind of
+regression a refactor introduces without failing any test.
 
 This rule flags byte-copying calls inside the hot-path modules.  Copies
 that are *inherent* (an encoder must materialise a C-order buffer; a
@@ -28,7 +27,6 @@ from repro.analysis.rules import Rule, dotted_name, register_rule
 HOT_PATH_SUFFIXES = (
     "serve/wire.py",
     "cache/fingerprint.py",
-    "parallel/shm.py",
     "serve/fleet/ring.py",
 )
 
@@ -56,13 +54,13 @@ def is_hot_path(relpath: str) -> bool:
 
 @register_rule
 class HiddenCopyOnHotPath(Rule):
-    """Flag byte-copying calls in the zero-copy serve/cache/shm modules."""
+    """Flag byte-copying calls in the zero-copy serve/cache modules."""
 
     id = "hot-path-copy"
     description = (
         "a byte-copying call (.tobytes(), .copy(), np.array/ascontiguousarray) "
         "inside a zero-copy hot-path module (serve/wire.py, cache/fingerprint.py, "
-        "parallel/shm.py, serve/fleet/ring.py) doubles per-request memory traffic"
+        "serve/fleet/ring.py) doubles per-request memory traffic"
     )
     hint = (
         "stay on the buffer protocol (memoryview / np.asarray / np.frombuffer); "

@@ -12,7 +12,8 @@ DBHT dendrogram.  The phases match Fig. 5's runtime decomposition:
   to bubbles;
 * ``"hierarchy"`` — the three-level complete-linkage construction.
 
-(The ``"tmfg"`` phase is recorded by :func:`repro.core.tmfg.construct_tmfg`.)
+(The ``"tmfg"`` phase is timed by :func:`repro.core.pipeline.tmfg_dbht`
+around TMFG construction.)
 
 Each phase also runs under a trace span (``fit.apsp``, ``fit.bubble_tree``,
 ``fit.hierarchy``; :func:`repro.core.pipeline.tmfg_dbht` opens

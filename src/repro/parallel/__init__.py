@@ -1,30 +1,23 @@
-"""Parallel runtime substrate.
+"""Models of the paper's shared-memory parallelism.
 
 The paper implements its algorithms in C++ with ParlayLib on a 48-core
 shared-memory machine.  Pure Python cannot exploit fine-grained shared-memory
 parallelism because of the GIL, so a fit runs serially and this package
-provides:
+models the parallel algorithms instead:
 
 * a work–span cost model (:mod:`repro.parallel.cost_model`) that records the
   work and span of each algorithm phase and predicts the running time on
   ``P`` processors as ``W / P + c * S``, which is how the scalability
   experiments (Fig. 4) are reproduced;
 * the priority concurrent writes ``WriteMin``/``WriteMax``/``WriteAdd`` of
-  Table I (:mod:`repro.parallel.atomics`);
-* job-level backends (:mod:`repro.parallel.scheduler`) and shared-memory
-  matrix shipment (:mod:`repro.parallel.shm`) for ``cluster_many``, which
-  fans independent fits out over a thread or process pool.
+  Table I (:mod:`repro.parallel.atomics`).
+
+Parallelism across requests comes from the server's ``--fit-workers``
+threads and the fleet's replica processes, not from this package.
 """
 
 from repro.parallel.atomics import WriteAdd, WriteMax, WriteMin
 from repro.parallel.cost_model import PhaseCost, WorkSpanTracker, predicted_speedup
-from repro.parallel.scheduler import (
-    ParallelBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
 
 __all__ = [
     "WriteAdd",
@@ -33,9 +26,4 @@ __all__ = [
     "PhaseCost",
     "WorkSpanTracker",
     "predicted_speedup",
-    "ParallelBackend",
-    "ProcessBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "make_backend",
 ]

@@ -14,7 +14,7 @@ shutdown drains gracefully on SIGTERM, and ``GET /metrics`` /
 ``GET /healthz`` expose live counters, latency histograms, and the result
 cache's hit-rate.  Matrices travel either as JSON or as the raw binary
 ``application/x-repro-matrix`` frames of :mod:`repro.serve.wire`, which
-the server decodes zero-copy into the fingerprint/shared-memory path.
+the server decodes zero-copy into the fingerprint.
 
 ``repro serve --workers N`` (N >= 2) scales the same contract
 horizontally: :mod:`repro.serve.fleet` supervises N single-process

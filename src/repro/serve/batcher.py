@@ -2,8 +2,8 @@
 
 Independent network requests arrive one at a time; the batch front door
 (:func:`repro.api.cluster_many`) is at its best when handed many jobs at
-once — duplicates dedupe, cache lookups amortize, and fan-out backends get
-real batches.  :class:`MicroBatcher` bridges the two: requests are
+once — duplicates dedupe and cache lookups amortize.
+:class:`MicroBatcher` bridges the two: requests are
 appended to a bounded queue, and a single flusher coroutine cuts a batch
 when either
 

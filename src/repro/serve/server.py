@@ -13,8 +13,8 @@ Routes
     JSON body ``{"matrix": [[...]], "config": {...}}``, or — with
     ``Content-Type: application/x-repro-matrix`` — the binary wire frame
     of :mod:`repro.serve.wire` (raw C-order buffer, config carried in the
-    frame header), which decodes zero-copy straight into the fingerprint
-    and shared-memory path.  ``config`` is a (possibly partial)
+    frame header), which decodes zero-copy straight into the fingerprint.
+    ``config`` is a (possibly partial)
     :meth:`ClusteringConfig.to_dict` payload overlaid onto the server's
     default config — the same ``from_dict``/``merged`` machinery as
     ``repro cluster --config``.  Responds 200 with

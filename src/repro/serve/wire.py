@@ -2,8 +2,8 @@
 
 JSON float matrices are the serve path's hidden tax at large n: the client
 pays ``tolist()`` + ``json.dumps``, the body is 3-4x the raw bytes, and the
-server pays ``json.loads`` plus an array build before the fingerprint and
-shared-memory arena ever see the data.  This module defines
+server pays ``json.loads`` plus an array build before the fingerprint
+ever sees the data.  This module defines
 ``application/x-repro-matrix`` — a tiny versioned container (npy-lite)
 that ships the raw C-order buffer instead:
 
@@ -24,10 +24,9 @@ frame carries the result envelope with the flat labels lifted out into the
 binary payload.
 
 Decoding is zero-copy by construction: :func:`decode_matrix` returns a
-read-only :func:`numpy.frombuffer` view over the request body, so the only
-copy left on the serve path is the write into the shared-memory segment
-(``repro.cache.fingerprint.matrix_fingerprint`` hashes the same view
-through the buffer protocol).  Malformed frames raise
+read-only :func:`numpy.frombuffer` view over the request body, and
+``repro.cache.fingerprint.matrix_fingerprint`` hashes the same view
+through the buffer protocol.  Malformed frames raise
 :class:`WireFormatError`, which the server renders as HTTP 400 — a
 truncated or padded body is the client's bug, never a 500.
 
@@ -74,7 +73,9 @@ def _checked_dtype(spec: Any) -> np.dtype:
         raise WireFormatError(f"header 'dtype' must be a string, got {type(spec).__name__}")
     try:
         dtype = np.dtype(spec)
-    except TypeError as error:
+    except (TypeError, ValueError, SyntaxError) as error:
+        # numpy parses comma/tuple specs with ``ast``: malformed ones raise
+        # SyntaxError or ValueError rather than TypeError.
         raise WireFormatError(f"unknown dtype {spec!r}") from error
     if dtype.kind not in _ALLOWED_KINDS or dtype.hasobject:
         raise WireFormatError(f"dtype {spec!r} is not a supported numeric dtype")
@@ -124,7 +125,7 @@ def decode_frame(body: bytes) -> Tuple[Dict[str, Any], memoryview]:
         raise WireFormatError("frame truncated inside the header")
     try:
         header = json.loads(body[_PREFIX.size : _PREFIX.size + header_len])
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as error:
         raise WireFormatError(f"frame header is not valid JSON: {error}") from error
     if not isinstance(header, dict):
         raise WireFormatError("frame header must be a JSON object")
@@ -161,9 +162,9 @@ def decode_matrix(body: bytes) -> Tuple[np.ndarray, Dict[str, Any]]:
     """Decode one matrix frame into ``(array, header)``, zero-copy.
 
     The returned array is a read-only C-order view over ``body`` — no bytes
-    are duplicated; hashing it or copying it into shared memory reads the
-    request buffer directly.  A payload that does not match the header's
-    dtype x shape exactly (truncated or padded) is a
+    are duplicated; hashing it reads the request buffer directly.  A
+    payload that does not match the header's dtype x shape exactly
+    (truncated or padded), or a shape numpy cannot index, is a
     :class:`WireFormatError`.
     """
     header, payload = decode_frame(body)
@@ -179,7 +180,12 @@ def decode_matrix(body: bytes) -> Tuple[np.ndarray, Dict[str, Any]]:
             f"{kind} payload: dtype {dtype.str!r} x shape {list(shape)} needs "
             f"{expected} bytes, body carries {len(payload)}"
         )
-    array = np.frombuffer(payload, dtype=dtype, count=count).reshape(shape)
+    try:
+        array = np.frombuffer(payload, dtype=dtype, count=count).reshape(shape)
+    except ValueError as error:
+        # A zero-size shape passes the byte check above whatever its other
+        # dimensions are; numpy refuses dimensions past its index range.
+        raise WireFormatError(f"header 'shape' {list(shape)} is not a valid array shape") from error
     return array, header
 
 
@@ -237,6 +243,8 @@ def decode_envelope(body: bytes) -> Dict[str, Any]:
             raise WireFormatError("envelope frame has a payload but no 'labels_dtype'")
         return envelope
     dtype = _checked_dtype(labels_dtype)
+    if dtype.kind not in "iu":
+        raise WireFormatError(f"labels dtype {dtype.str!r} is not an integer dtype")
     if len(payload) % dtype.itemsize:
         raise WireFormatError(
             f"labels payload of {len(payload)} bytes is not a multiple of "

@@ -8,19 +8,6 @@ import pytest
 from repro.core.tmfg import construct_tmfg
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.synthetic import make_time_series_dataset
-from repro.parallel.scheduler import ProcessBackend
-
-
-@pytest.fixture(scope="session")
-def process_backend():
-    """One process pool shared by every test that exercises ProcessBackend.
-
-    Pool startup dominates the cost of process-backend tests, so the suite
-    shares a single two-worker pool instead of spawning one per test.
-    """
-    backend = ProcessBackend(num_workers=2)
-    yield backend
-    backend.close()
 
 
 @pytest.fixture(scope="session")

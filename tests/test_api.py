@@ -409,22 +409,6 @@ class TestClusterMany:
             np.testing.assert_array_equal(result.labels, reference)
             assert result.dendrogram is not None
 
-    def test_named_thread_backend(self, matrices):
-        config = ClusteringConfig(num_clusters=3)
-        serial = cluster_many(matrices, config)
-        threaded = cluster_many(matrices, config, backend="thread", workers=2)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.labels, b.labels)
-
-    def test_process_backend_round_trips_full_results(self, matrices, process_backend):
-        config = ClusteringConfig(num_clusters=3)
-        results = cluster_many(matrices, config, backend=process_backend)
-        reference = cluster_many(matrices, config)
-        for got, want in zip(results, reference):
-            np.testing.assert_array_equal(got.labels, want.labels)
-            # the full result object (dendrogram included) pickles back
-            assert got.dendrogram.num_leaves == want.dendrogram.num_leaves
-
     def test_heterogeneous_methods_via_config(self, matrices):
         for method_id in ("hac-average", "kmeans"):
             config = ClusteringConfig(method=method_id, num_clusters=2, linkage="average")

@@ -1,9 +1,9 @@
-"""Tests for the content-addressed result cache and the batch fan-out.
+"""Tests for the content-addressed result cache and the batch front door.
 
 Covers the cache tiers (LRU order, disk round-trip, corrupt/stale entries
 degrading to misses), fingerprint semantics, byte-identical cache hits
-through the estimator layer, ``cluster_many`` deduplication and its
-serving-path bugfixes, and the shared-memory matrix transport.
+through the estimator layer, and ``cluster_many`` deduplication and its
+serving-path bugfixes.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from repro.cache import (
 from repro.cache.store import _ENTRY_MAGIC, ENTRY_FORMAT_VERSION
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.synthetic import make_time_series_dataset
-from repro.parallel import shm
-from repro.parallel.scheduler import ProcessBackend, SerialBackend
 
 
 @pytest.fixture(autouse=True)
@@ -252,20 +250,6 @@ class TestClusterManyDedup:
         assert len(payloads) == 1
         assert all(r.labels is not results[0].labels for r in results[1:])
 
-    def test_dedupe_false_fits_every_input(self, similarity, monkeypatch):
-        calls = []
-        import repro.api.batch as batch
-
-        original = batch.fit_one
-
-        def counting_fit(config, matrix):
-            calls.append(1)
-            return original(config, matrix)
-
-        monkeypatch.setattr(batch, "fit_one", counting_fit)
-        cluster_many([similarity] * 3, _config(cache=False), dedupe=False)
-        assert len(calls) == 3
-
     def test_repeated_call_served_from_cache(self, similarity):
         config = _config()
         first = cluster_many([similarity] * 5, config)
@@ -286,18 +270,6 @@ class TestClusterManyDedup:
         direct = fit_one(config, other)
         assert np.array_equal(results[1].labels, direct.labels)
 
-    def test_workers_with_backend_instance_rejected(self, similarity):
-        backend = SerialBackend()
-        with pytest.raises(ValueError, match="workers"):
-            cluster_many([similarity], _config(cache=False), backend=backend, workers=4)
-
-    def test_workers_without_backend_rejected(self, similarity):
-        # Regression: workers used to be silently ignored on the default
-        # serial path — the caller who asked for 8 workers got a serial
-        # run with no signal.
-        with pytest.raises(ValueError, match="workers"):
-            cluster_many([similarity], _config(cache=False), workers=8)
-
     def test_alias_method_shares_cache_with_direct_fits(self, similarity):
         # Regression: cluster_many used to fingerprint the raw config while
         # the estimator fingerprints its normalized one (par-tdbht pins to
@@ -314,49 +286,10 @@ class TestClusterManyDedup:
         assert results[0].to_json() == direct.to_json()
 
     def test_misses_are_stored_once(self, similarity):
-        # Regression: serial/thread dispatch runs estimator.fit in-process,
-        # which already stores the miss; the batch layer used to clone and
-        # store the same entry a second time.
+        # Regression: estimator.fit already stores the miss; the batch
+        # layer used to clone and store the same entry a second time.
         cluster_many([similarity] * 5, _config())
         assert get_result_cache().stats.stores == 1
-
-
-class TestSharedMemoryTransport:
-    pytestmark = pytest.mark.skipif(
-        not shm.shared_memory_available(), reason="no usable shared memory"
-    )
-
-    def test_round_trip_preserves_bytes(self):
-        matrix = np.random.default_rng(3).normal(size=(17, 9))
-        with shm.SharedMatrixArena() as arena:
-            ref = arena.share(matrix)
-            view = shm.open_matrix(ref)
-            assert view.dtype == matrix.dtype
-            assert np.array_equal(view, matrix)
-            assert not view.flags.writeable
-
-    def test_process_fanout_matches_serial_results(self, similarity):
-        config = _config(cache=False)
-        serial = cluster_many([similarity] * 3, config, dedupe=False)
-        backend = ProcessBackend(num_workers=2)
-        try:
-            shipped = cluster_many(
-                [similarity] * 3, config, backend=backend, dedupe=False
-            )
-        finally:
-            backend.close()
-        for a, b in zip(serial, shipped):
-            assert np.array_equal(a.labels, b.labels)
-            assert a.extras["edge_weight_sum"] == b.extras["edge_weight_sum"]
-
-    def test_arena_cleans_up_segments(self):
-        arena = shm.SharedMatrixArena()
-        ref = arena.share(np.ones((4, 4)))
-        arena.close()
-        from multiprocessing import shared_memory as stdlib_shm
-
-        with pytest.raises(FileNotFoundError):
-            stdlib_shm.SharedMemory(name=ref.name)
 
 
 class TestCacheConfigValidation:
@@ -482,19 +415,6 @@ class TestBatchFrontDoorEdges:
         assert cluster_many([]) == []
         # No fingerprinting happened: the shared cache saw no lookups.
         assert get_result_cache().stats.snapshot().lookups == 0
-
-    def test_cluster_many_empty_skips_backend_construction(self, monkeypatch):
-        import repro.api.batch as batch_module
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("make_backend should not be called for []")
-
-        monkeypatch.setattr(batch_module, "make_backend", boom)
-        assert cluster_many([], backend="thread") == []
-
-    def test_cluster_many_empty_still_validates_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            cluster_many([], workers=2)
 
     def test_fit_one_rejects_non_2d_input(self):
         config = ClusteringConfig()

@@ -242,19 +242,6 @@ class TestInstrumentationSites:
         assert {"tmfg", "apsp", "bubble-tree", "hierarchy"} <= set(untraced.step_seconds)
         assert not {"direction", "assignment"} & set(untraced.step_seconds)
 
-    def test_shm_share_span(self):
-        from repro.parallel import shm
-
-        if not shm.shared_memory_available():
-            pytest.skip("no usable shared memory on this platform")
-        tracer, closed = _collecting_tracer()
-        with tracer.start_span("root"):
-            with shm.SharedMatrixArena() as arena:
-                arena.share(np.zeros((4, 4)))
-        share_events = [e for e in closed if e["kind"] == "shm.share"]
-        assert len(share_events) == 1
-        assert share_events[0]["attributes"]["nbytes"] == 128
-
 
 # ---------------------------------------------------------------------------
 # Event log

@@ -28,7 +28,7 @@ from repro.serve.fleet.ring import rendezvous_rank, request_affinity_key, spread
 from repro.serve.fleet.router import FleetRouter
 from repro.serve.fleet.supervisor import ReplicaInfo, ReplicaSupervisor
 from repro.serve.server import ClusteringServer
-from repro.serve.wire import WIRE_CONTENT_TYPE, encode_request
+from repro.serve.wire import WIRE_CONTENT_TYPE, encode_frame, encode_request
 
 MEMBERS = [f"replica-{i}" for i in range(4)]
 
@@ -104,6 +104,9 @@ class TestAffinityKey:
 
     def test_malformed_binary_falls_back_to_raw(self):
         assert request_affinity_key(b"not a frame", WIRE_CONTENT_TYPE).startswith("raw:")
+        # Zero-size but unindexable shape: passes the byte check, not numpy.
+        zero_size = encode_frame({"dtype": "<f8", "shape": [0, 10**19]})
+        assert request_affinity_key(zero_size, WIRE_CONTENT_TYPE).startswith("raw:")
 
 
 class _FakeSupervisor:

@@ -12,14 +12,15 @@ when the transport is disabled.
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import ClusteringConfig
 from repro.cache import clear_result_caches, matrix_fingerprint
 from repro.datasets.synthetic import make_time_series_dataset
-from repro.parallel import shm
 from repro.serve import (
     WIRE_CONTENT_TYPE,
     ClusteringServer,
@@ -114,23 +115,6 @@ class TestMatrixFrames:
         # protocol; the key must equal the owned-copy key (cache sharing).
         assert matrix_fingerprint(decoded) == matrix_fingerprint(matrix.copy())
 
-    def test_decoded_view_flows_into_shared_memory(self):
-        if not shm.shared_memory_available():
-            pytest.skip("no usable shared memory on this platform")
-        decoded, _ = wire.decode_matrix(
-            wire.encode_matrix(np.arange(12.0).reshape(3, 4))
-        )
-        with shm.SharedMatrixArena() as arena:
-            ref = arena.share(decoded)  # read-only input: the shm write is the only copy
-            assert np.array_equal(shm.open_matrix(ref), decoded)
-
-    def test_arena_accepts_fortran_order_without_intermediate(self):
-        if not shm.shared_memory_available():
-            pytest.skip("no usable shared memory on this platform")
-        matrix = np.asfortranarray(np.arange(20.0).reshape(4, 5))
-        with shm.SharedMatrixArena() as arena:
-            assert np.array_equal(shm.open_matrix(arena.share(matrix)), matrix)
-
     def test_request_frame_carries_config(self):
         body = wire.encode_request(np.ones((3, 3)), {"num_clusters": 2, "prefix": 1})
         matrix, config = wire.decode_request(body)
@@ -162,33 +146,40 @@ class TestMalformedFrames:
         with pytest.raises(WireFormatError, match="exceeds"):
             wire.decode_frame(body[:10] + b"\xff\xff" + body[12:])
         # header_len below the cap but past the end of the frame
-        import struct
-
         patched = body[:8] + struct.pack("<I", len(body)) + body[12:]
         with pytest.raises(WireFormatError, match="truncated inside the header"):
             wire.decode_frame(patched)
 
     def test_hostile_headers_rejected(self):
-        for header in (
-            {"dtype": "<f8", "shape": "nope"},
-            {"dtype": "<f8", "shape": [-1, 4]},
-            {"dtype": "<f8", "shape": [2.5]},
-            {"dtype": "<f8", "shape": [1] * 9},
-            {"dtype": ">f8", "shape": [2, 2]},
-            {"dtype": "O", "shape": [2, 2]},
-            {"dtype": "<U8", "shape": [2, 2]},
-            {"dtype": 12, "shape": [2, 2]},
-            {"dtype": "<f8", "shape": [10**9, 10**9]},  # absurd size vs body
+        padding = b"\x00" * 32
+        for header, payload in (
+            ({"dtype": "<f8", "shape": "nope"}, padding),
+            ({"dtype": "<f8", "shape": [-1, 4]}, padding),
+            ({"dtype": "<f8", "shape": [2.5]}, padding),
+            ({"dtype": "<f8", "shape": [1] * 9}, padding),
+            ({"dtype": ">f8", "shape": [2, 2]}, padding),
+            ({"dtype": "O", "shape": [2, 2]}, padding),
+            ({"dtype": "<U8", "shape": [2, 2]}, padding),
+            ({"dtype": 12, "shape": [2, 2]}, padding),
+            # numpy's comma-spec parser raises ValueError/SyntaxError, not TypeError
+            ({"dtype": "2u>8", "shape": [2, 2]}, padding),
+            ({"dtype": ",M", "shape": [2, 2]}, padding),
+            ({"dtype": "<f8", "shape": [10**9, 10**9]}, padding),  # absurd size vs body
+            # Zero-size shapes pass the byte check with an empty payload;
+            # numpy then refuses the dimensions themselves.
+            ({"dtype": "<f8", "shape": [0, 10**19]}, b""),
+            ({"dtype": "<f8", "shape": [0, 2**62, 2**62]}, b""),
         ):
             with pytest.raises(WireFormatError):
-                wire.decode_matrix(wire.encode_frame(header, b"\x00" * 32))
+                wire.decode_matrix(wire.encode_frame(header, payload))
 
     def test_non_json_header_rejected(self):
-        import struct
-
         prefix = struct.pack("<4sB3xI", b"RPRM", 1, 5)
         with pytest.raises(WireFormatError, match="JSON"):
             wire.decode_frame(prefix + b"{oops")
+        nested = b"[" * 200_000  # under the header cap, past the parser's recursion limit
+        with pytest.raises(WireFormatError, match="JSON"):
+            wire.decode_frame(struct.pack("<4sB3xI", b"RPRM", 1, len(nested)) + nested)
 
     def test_object_dtype_refused_on_encode(self):
         with pytest.raises(WireFormatError, match="dtype"):
@@ -220,6 +211,79 @@ class TestEnvelopeFrames:
         blob = wire.encode_frame({"envelope": {"result": {}}, "labels_dtype": None})
         with pytest.raises(WireFormatError):
             wire.decode_envelope(blob + b"\x00" * 8)
+
+    @pytest.mark.parametrize(
+        "labels_dtype, payload",
+        [
+            ("<f8", np.array([np.nan]).tobytes()),
+            ("<f8", np.array([np.inf]).tobytes()),
+            ("<f4", np.array([1.0], dtype="<f4").tobytes()),
+            ("|b1", b"\x01"),
+        ],
+        ids=["f8-nan", "f8-inf", "f4", "bool"],
+    )
+    def test_non_integer_labels_dtype_rejected(self, labels_dtype, payload):
+        header = {"envelope": {"result": {"labels": None}}, "labels_dtype": labels_dtype}
+        with pytest.raises(WireFormatError, match="integer"):
+            wire.decode_envelope(wire.encode_frame(header, payload))
+
+
+class TestDecoderFuzz:
+    """Any bytes either decode or raise :class:`WireFormatError`: a hostile
+    frame must become a 400, never an unhandled exception."""
+
+    _DTYPES = (
+        st.sampled_from(["<f8", "<f4", "<f2", "<i8", "<u4", "|u1", "|b1"])
+        | st.sampled_from([">f8", "O", "<U8", "c16", "V0", "f8,f8", "(2,)f8", ",M", "2u>8"])
+        | st.text(max_size=6)
+        | st.integers()
+        | st.none()
+    )
+    _SHAPES = st.lists(
+        st.sampled_from([0, 1, 2, 3, 10**19, 2**31, 2**62, 2**63, 2**64]), max_size=10
+    ) | st.sampled_from([None, "2x2", [2.5], [-1, 2], [True]])
+    _REQUEST_HEADERS = st.fixed_dictionaries(
+        {"dtype": _DTYPES, "shape": _SHAPES},
+        optional={"config": st.just({"prefix": 1}) | st.integers()},
+    )
+    _ENVELOPE_HEADERS = st.fixed_dictionaries(
+        {"envelope": st.just({"result": {}}) | st.integers(), "labels_dtype": _DTYPES}
+    )
+    #: Whole words (special floats, all-ones, zeros) as well as random bytes.
+    _PAYLOADS = st.binary(max_size=64) | st.lists(
+        st.sampled_from(
+            [b"\x00" * 8, b"\xff" * 8] + [np.array([v]).tobytes() for v in (np.nan, np.inf, -np.inf)]
+        ),
+        max_size=3,
+    ).map(b"".join)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fault=st.none() | st.tuples(st.sampled_from([0, 1, 2]), st.integers(0, 2**32 - 1)),
+        header=_REQUEST_HEADERS | _ENVELOPE_HEADERS,
+        payload=_PAYLOADS,
+    )
+    @example(fault=None, header={"dtype": "<f8", "shape": [0, 10**19]}, payload=b"")
+    @example(
+        fault=None,
+        header={"envelope": {"result": {}}, "labels_dtype": "<f8"},
+        payload=np.array([np.nan]).tobytes(),
+    )
+    def test_decoders_raise_only_wire_format_errors(self, fault, header, payload):
+        header_bytes = json.dumps(header).encode("utf-8")
+        prefix = [wire.MAGIC, wire.WIRE_VERSION, len(header_bytes)]
+        if fault is not None:
+            # Corrupt one prefix field: the magic, the version or the length.
+            field, value = fault
+            prefix[field] = value.to_bytes(4, "little") if field == 0 else value % (
+                256 if field == 1 else 2**32
+            )
+        body = struct.pack("<4sB3xI", *prefix) + header_bytes + payload
+        for decode in (wire.decode_request, wire.decode_envelope):
+            try:
+                decode(body)
+            except WireFormatError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +355,8 @@ class TestBinaryTransportIntegration:
         try:
             with ServeClient(handle.host, handle.port) as client:
                 good = client.encode_cluster_body_binary(series)
-                for bad in (good[:-16], good + b"\x00" * 16, b"RPRM", b"garbage"):
+                zero_size = wire.encode_frame({"dtype": "<f8", "shape": [0, 10**19]})
+                for bad in (good[:-16], good + b"\x00" * 16, b"RPRM", b"garbage", zero_size):
                     with pytest.raises(ServerError) as excinfo:
                         client.request("POST", "/cluster", bad, headers)
                     assert excinfo.value.status == 400
