@@ -300,7 +300,6 @@ def _serve_replica_argv(args: argparse.Namespace) -> list:
         "--max-wait-ms", str(args.max_wait_ms),
         "--max-queue", str(args.max_queue),
         "--fit-workers", str(args.fit_workers),
-        "--binary" if args.binary else "--no-binary",
     ]
     for flag, value in (
         ("--clusters", args.clusters),
@@ -351,8 +350,7 @@ def _command_serve_fleet(args: argparse.Namespace) -> int:
         print(
             f"repro serve fleet listening on http://{ready.host}:{ready.port} "
             f"(workers={args.replicas}, method={config.method}, "
-            f"cache={'on' if config.cache else 'off'}, "
-            f"binary={'on' if args.binary else 'off'})",
+            f"cache={'on' if config.cache else 'off'})",
             flush=True,
         )
 
@@ -390,7 +388,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             max_wait_ms=args.max_wait_ms,
             max_queue_depth=args.max_queue,
             fit_workers=args.fit_workers,
-            binary=args.binary,
             trace_log=(
                 args.trace_log.replace("{replica_id}", "server")
                 if args.trace_log is not None
@@ -407,8 +404,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             f"repro serve listening on http://{ready.host}:{ready.port} "
             f"(method={config.method}, cache={'on' if config.cache else 'off'}, "
             f"max_batch_size={ready.max_batch_size}, max_wait_ms={ready.max_wait_ms:g}, "
-            f"max_queue={ready.max_queue_depth}, fit_workers={ready.fit_workers}, "
-            f"binary={'on' if ready.binary else 'off'})",
+            f"max_queue={ready.max_queue_depth}, fit_workers={ready.fit_workers})",
             flush=True,
         )
 
@@ -648,19 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="threads fitting batches concurrently (default 2)",
-    )
-    serve.add_argument(
-        "--binary",
-        dest="binary",
-        action="store_true",
-        default=True,
-        help="accept/emit the application/x-repro-matrix binary matrix transport (default)",
-    )
-    serve.add_argument(
-        "--no-binary",
-        dest="binary",
-        action="store_false",
-        help="JSON-only surface: answer 415 to binary matrix bodies",
     )
     serve.add_argument(
         "--trace-log",

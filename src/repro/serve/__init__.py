@@ -39,7 +39,8 @@ from repro.serve.batcher import (
 from repro.serve.client import ServeClient, ServerBusy, ServerError
 from repro.serve.fleet import FleetRouter, ReplicaSupervisor, build_fleet
 from repro.serve.metrics import LatencyHistogram, ServerMetrics
-from repro.serve.server import ClusteringServer, ServerHandle
+from repro.serve.httpio import ServerHandle
+from repro.serve.server import ClusteringServer
 from repro.serve.wire import WIRE_CONTENT_TYPE, WireFormatError
 
 __all__ = [

@@ -15,9 +15,7 @@ HTTP plumbing::
 Large matrices should travel as raw bytes instead of JSON float lists:
 ``cluster(..., binary=True)`` POSTs the :mod:`repro.serve.wire` frame and
 asks for a binary response envelope, decoding it back into the exact dict
-the JSON route returns.  Against an old (or ``--no-binary``) server the
-client notices the 415 once and transparently falls back to JSON for the
-rest of its life.
+the JSON route returns.  Every server and fleet speaks both transports.
 
 The client is blocking by design (one request in flight per connection)
 and not thread-safe: give each closed-loop load-generator thread its own
@@ -86,9 +84,6 @@ class ServeClient:
         self.port = int(port)
         self.timeout = timeout
         self._connection: Optional[http.client.HTTPConnection] = None
-        #: None until the server's binary support is observed; False after
-        #: a 415 told us to stop sending wire frames (old/JSON-only server).
-        self._server_accepts_binary: Optional[bool] = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -254,8 +249,7 @@ class ServeClient:
 
         ``binary=True`` ships the matrix as a raw wire frame and asks for
         a binary response envelope; the returned dict is identical either
-        way.  A 415 from a server without the transport demotes this
-        client to JSON permanently (transparent negotiation).
+        way.
 
         ``trace=True`` originates a distributed trace: the request
         carries a fresh ``X-Repro-Trace-Id`` (the fleet router and the
@@ -264,8 +258,7 @@ class ServeClient:
         429 retries reuse the same trace id, so one logical job stays one
         trace across admission retries.
         """
-        use_binary = binary and self._server_accepts_binary is not False
-        if use_binary:
+        if binary:
             body = self.encode_cluster_body_binary(matrix, config)
             headers: Optional[Dict[str, str]] = {
                 "Content-Type": WIRE_CONTENT_TYPE,
@@ -286,18 +279,6 @@ class ServeClient:
                 if attempt == attempts - 1:
                     raise
                 time.sleep(jittered_backoff(max(busy.retry_after, retry_backoff)))
-            except ServerError as error:
-                if use_binary and error.status == 415:
-                    self._server_accepts_binary = False
-                    return self.cluster(
-                        matrix,
-                        config,
-                        retries=max(0, attempts - 1 - attempt),
-                        retry_backoff=retry_backoff,
-                        binary=False,
-                        trace=trace,
-                    )
-                raise
         raise AssertionError("unreachable")  # pragma: no cover
 
     def cluster_labels(

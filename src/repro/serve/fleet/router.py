@@ -31,52 +31,37 @@ responses are byte-identical for both transports.
 Shutdown drains outside-in: SIGTERM stops the accept loop, in-flight
 proxied requests finish, and only then are the replicas SIGTERMed (each
 drains its own admitted requests before exiting).
+
+The lifecycle, keep-alive loop, request framing and ``/healthz``,
+``/metrics`` and 404 routing are the :class:`~repro.serve.httpio.FrontDoor`
+the single-process server shares; this module holds only the fleet's own
+parts.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import signal
-import threading
 from http import HTTPStatus
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from repro import __version__
-from repro.obs.events import TraceEventLog
-from repro.obs.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    merge_metrics_documents,
-    render_prometheus,
-    wants_prometheus,
-)
-from repro.obs.tracer import (
-    NOOP_SPAN,
-    PARENT_SPAN_HEADER,
-    TRACE_ID_HEADER,
-    Tracer,
-    new_trace_id,
-    valid_trace_id,
-)
+from repro.obs.prometheus import merge_metrics_documents, render_prometheus
+from repro.obs.tracer import NOOP_SPAN, PARENT_SPAN_HEADER, TRACE_ID_HEADER
 from repro.serve.fleet.ring import rendezvous_rank, request_affinity_key
 from repro.serve.fleet.supervisor import ReplicaInfo, ReplicaSupervisor
-from repro.serve.httpio import (
-    HEADER_LIMIT,
-    BadRequest,
-    BinaryBody,
-    Request,
-    http_fetch,
-    read_request,
-    render_response,
-)
-from repro.serve.server import ServerHandle
+from repro.serve.httpio import HEADER_LIMIT, FrontDoor, Reply, Request, http_fetch
 
 #: Connection-scoped headers the proxy must not forward verbatim.
 _HOP_HEADERS = frozenset({"host", "connection", "content-length", "expect", "keep-alive"})
 
 
-class FleetRouter:
+class FleetRouter(FrontDoor):
     """Consistent-hash router over a :class:`ReplicaSupervisor` pool.
+
+    The lifecycle, connection loop and route table are
+    :class:`~repro.serve.httpio.FrontDoor`'s; this class adds the replica
+    pool, the proxying ``/cluster`` handler and the fleet documents.
 
     Parameters
     ----------
@@ -106,6 +91,10 @@ class FleetRouter:
         trace ids are always continued).
     """
 
+    server_token = "repro-serve-fleet"
+    span_kind = "router.request"
+    start_timeout = 180.0
+
     def __init__(
         self,
         supervisor: ReplicaSupervisor,
@@ -121,17 +110,15 @@ class FleetRouter:
     ) -> None:
         if failover_attempts < 1:
             raise ValueError("failover_attempts must be at least 1")
+        super().__init__(host, port, trace_log=trace_log, trace_sample=trace_sample)
         self.supervisor = supervisor
-        self.host = host
-        self.port = port  # replaced by the bound port once listening
         self.proxy_timeout = proxy_timeout
+        # In-flight proxied requests (replica fits included) must finish
+        # before the pool is torn down: every admitted request is answered.
+        self.drain_grace = proxy_timeout
         self.failover_attempts = failover_attempts
         self.no_replica_grace = no_replica_grace
         self.ready_timeout = ready_timeout
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._draining = False
-        self._connections: set = set()
         self._started_clock: Optional[float] = None
         # Router-level counters; event-loop confined, so no locks.
         self.routed_total: Dict[str, int] = {}
@@ -139,169 +126,22 @@ class FleetRouter:
         self.failovers_total = 0
         self.proxy_errors_total = 0
         self.unrouted_total = 0
-        self.trace_log = trace_log
-        self.trace_sample = trace_sample
-        self.tracer = Tracer(sample_rate=trace_sample)
-        self._trace_enabled = trace_log is not None
-        self._event_log: Optional[TraceEventLog] = None
-        if trace_log is not None:
-            self._event_log = TraceEventLog(trace_log)
-            self.tracer.add_sink(self._event_log.record)
 
-    # -- lifecycle (mirrors ClusteringServer) ------------------------------
+    # -- lifecycle -----------------------------------------------------------
 
-    def run(self, *, install_signal_handlers: bool = True, on_ready=None) -> None:
-        """Serve until SIGTERM/SIGINT (blocking; owns its event loop)."""
-        asyncio.run(
-            self.serve(install_signal_handlers=install_signal_handlers, on_ready=on_ready)
-        )
-
-    async def serve(self, *, install_signal_handlers: bool = False, on_ready=None) -> None:
-        """Spawn the pool, bind, route, and drain in the caller's loop."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
+    async def _start(self) -> None:
+        assert self._loop is not None
         self._started_clock = self._loop.time()
         await self.supervisor.start()
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=HEADER_LIMIT
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        try:
-            await self.supervisor.wait_ready(timeout=self.ready_timeout)
-        except BaseException:
-            server.close()
-            await server.wait_closed()
-            await self.supervisor.stop()
-            raise
-        if install_signal_handlers:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    self._loop.add_signal_handler(signum, self.request_stop)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
-        if on_ready is not None:
-            on_ready(self)
-        try:
-            await self._stop_event.wait()
-        finally:
-            self._draining = True
-            server.close()
-            await server.wait_closed()
-            if self._connections:
-                # In-flight proxied requests (replica fits included) must
-                # finish before the pool is torn down: every admitted
-                # request gets its answer.
-                _done, pending = await asyncio.wait(
-                    list(self._connections), timeout=self.proxy_timeout
-                )
-                for connection in pending:  # pragma: no cover - fit overran
-                    connection.cancel()
-                if pending:
-                    await asyncio.wait(pending, timeout=5.0)
-            await self.supervisor.stop()
 
-    def request_stop(self) -> None:
-        """Begin a graceful fleet drain (signal handler / cross-thread safe)."""
-        if self._loop is None or self._stop_event is None:
-            return
-        self._loop.call_soon_threadsafe(self._stop_event.set)
+    async def _wait_ready(self) -> None:
+        await self.supervisor.wait_ready(timeout=self.ready_timeout)
 
-    def start_in_background(self, timeout: float = 180.0) -> ServerHandle:
-        """Run the fleet on a daemon thread; returns once it is routable."""
-        ready = threading.Event()
-        errors: List[BaseException] = []
+    async def _stop(self) -> None:
+        await self.supervisor.stop()
 
-        def _main() -> None:
-            try:
-                self.run(install_signal_handlers=False, on_ready=lambda _s: ready.set())
-            except BaseException as error:  # pragma: no cover - surfaced below
-                errors.append(error)
-                ready.set()
-
-        thread = threading.Thread(target=_main, name="repro-serve-fleet", daemon=True)
-        thread.start()
-        if not ready.wait(timeout):
-            raise RuntimeError("the fleet did not come up within the timeout")
-        if errors:
-            raise RuntimeError(f"the fleet failed to start: {errors[0]!r}") from errors[0]
-        return ServerHandle(self, thread)
-
-    # -- HTTP front door ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except BadRequest as error:
-                    writer.write(self._render(HTTPStatus.BAD_REQUEST, {"error": str(error)}))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                raw = await self._route(request)
-                writer.write(raw)
-                await writer.drain()
-                if not request.keep_alive or self._draining:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange; nothing to answer
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    def _render(
-        self,
-        status: HTTPStatus,
-        payload: Any,
-        extra_headers: Optional[Dict[str, str]] = None,
-        *,
-        head_only: bool = False,
-    ) -> bytes:
-        self.responses_total[int(status)] = self.responses_total.get(int(status), 0) + 1
-        return render_response(
-            status,
-            payload,
-            extra_headers,
-            server_token=f"repro-serve-fleet/{__version__}",
-            head_only=head_only,
-        )
-
-    async def _route(self, request: Request) -> bytes:
-        path = request.path.split("?", 1)[0]
-        if path == "/healthz" and request.method in ("GET", "HEAD"):
-            return self._render(
-                HTTPStatus.OK, self._healthz_payload(), head_only=request.method == "HEAD"
-            )
-        if path == "/metrics" and request.method in ("GET", "HEAD"):
-            if wants_prometheus(request.path, request.headers.get("accept")):
-                text = await self._prometheus_payload()
-                return self._render(
-                    HTTPStatus.OK,
-                    BinaryBody(text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE),
-                    head_only=request.method == "HEAD",
-                )
-            payload = await self._metrics_payload()
-            return self._render(HTTPStatus.OK, payload, head_only=request.method == "HEAD")
-        if path == "/cluster":
-            return await self._proxy_cluster(request)
-        return self._render(
-            HTTPStatus.NOT_FOUND,
-            {
-                "error": f"no route {request.method} {path[:80]}; "
-                "routes: POST /cluster, GET /healthz, GET /metrics"
-            },
-        )
+    def _record_response(self, status: int, seconds: Optional[float]) -> None:
+        self.responses_total[status] = self.responses_total.get(status, 0) + 1
 
     # -- control plane -----------------------------------------------------
 
@@ -365,22 +205,21 @@ class FleetRouter:
             "replicas": replicas,
         }
 
-    async def _prometheus_payload(self) -> str:
+    def _prometheus_text(self, document: Dict[str, Any]) -> str:
         """The fleet-wide text exposition: replica documents merged
         bucket-wise plus the router's own ``repro_fleet_*`` series."""
-        payload = await self._metrics_payload()
         replica_docs = [
             entry["metrics"]
-            for entry in payload["replicas"].values()
+            for entry in document["replicas"].values()
             if entry.get("metrics")
         ]
         routed = {
             replica_id: entry.get("routed_total", 0)
-            for replica_id, entry in payload["replicas"].items()
+            for replica_id, entry in document["replicas"].items()
         }
         return render_prometheus(
             merge_metrics_documents(replica_docs),
-            fleet=payload["fleet"],
+            fleet=document["fleet"],
             routed_per_replica=routed,
         )
 
@@ -395,31 +234,14 @@ class FleetRouter:
 
     # -- data plane --------------------------------------------------------
 
-    def _proxy_span(self, request: Request) -> Any:
-        """The ``router.request`` root span, or :data:`NOOP_SPAN`.
-
-        Continues a client-carried trace id unconditionally; originates
-        one only when ``trace_log`` is set and the sampler accepts.
-        """
-        trace_id = valid_trace_id(request.headers.get(TRACE_ID_HEADER))
-        if trace_id is None:
-            if not self._trace_enabled or not self.tracer.should_sample():
-                return NOOP_SPAN
-            trace_id = new_trace_id()
-        return self.tracer.start_span(
-            "router.request",
-            trace_id=trace_id,
-            parent_id=valid_trace_id(request.headers.get(PARENT_SPAN_HEADER)),
-        )
-
-    async def _proxy_cluster(self, request: Request) -> bytes:
+    async def _handle_cluster(self, request: Request) -> Reply:
         """Affinity-route one /cluster request with ring-order failover."""
         key = request_affinity_key(request.body, request.media_type)
         assert self._loop is not None
         grace_deadline = self._loop.time() + self.no_replica_grace
         tried: Set[str] = set()
         last_error: Optional[BaseException] = None
-        with self._proxy_span(request) as root:
+        with self._root_span(request) as root:
             for _attempt in range(self.failover_attempts):
                 target = await self._pick_replica(key, tried, grace_deadline)
                 if target is None:
@@ -457,23 +279,23 @@ class FleetRouter:
                 self.routed_total[target.replica_id] = (
                     self.routed_total.get(target.replica_id, 0) + 1
                 )
-                self.responses_total[status] = self.responses_total.get(status, 0) + 1
                 root.set_attribute("replica", target.replica_id)
                 root.set_attribute("status", status)
-                return raw
+                return status, raw, None
             if last_error is None:
                 self.unrouted_total += 1
                 root.set_error("no ready replica")
-                return self._render(
+                return (
                     HTTPStatus.SERVICE_UNAVAILABLE,
                     {"error": "no ready replica in the fleet; retry shortly"},
                     {"Retry-After": "1"},
                 )
             self.proxy_errors_total += 1
             root.set_error(f"{type(last_error).__name__}: {last_error}")
-            return self._render(
+            return (
                 HTTPStatus.BAD_GATEWAY,
                 {"error": f"all routed replicas failed: {type(last_error).__name__}: {last_error}"},
+                None,
             )
 
     async def _pick_replica(

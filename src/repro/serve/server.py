@@ -20,9 +20,10 @@ Routes
     ``repro cluster --config``.  Responds 200 with
     ``{"result": ClusterResult.to_dict(), "serving": {...}}`` (as a binary
     envelope frame when the client sent ``Accept:
-    application/x-repro-matrix``); 400 on a malformed body; 415 for a
-    binary body when the transport is disabled; 429 + ``Retry-After`` when
-    the admission queue is full; 503 while draining.
+    application/x-repro-matrix``); 400 on a malformed body (invalid
+    JSON, a non-UTF-8 or a too deeply nested one included) or a bad
+    frame; 405 for any other method; 429 + ``Retry-After`` when the
+    admission queue is full; 503 while draining.
 ``GET /healthz``
     Liveness: status, version, uptime, queue depth.
 ``GET /metrics``
@@ -36,18 +37,19 @@ is byte-identical to the same fit made directly through an estimator.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the accept loop, every already
 admitted request is fitted and answered, then the pool is torn down.
+
+The HTTP side — lifecycle, keep-alive loop, request framing, ``/healthz``,
+``/metrics`` and 404 routing, the root ``server.request`` span — is the
+:class:`~repro.serve.httpio.FrontDoor` the fleet router shares; this
+module holds only what is the server's own.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextvars
 import json
 import math
-import signal
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -56,6 +58,7 @@ import numpy as np
 from repro import __version__
 from repro.api.batch import cluster_many
 from repro.api.config import ClusteringConfig
+from repro.obs.tracer import NOOP_SPAN, TRACE_ECHO_HEADER, Span, Tracer
 from repro.serve.batcher import (
     MicroBatcher,
     QueueFull,
@@ -63,28 +66,11 @@ from repro.serve.batcher import (
     validate_batching_knobs,
 )
 from repro.serve.httpio import (
-    HEADER_LIMIT as _HEADER_LIMIT,
     BadRequest as _BadRequest,
     BinaryBody,
+    FrontDoor,
+    Reply,
     Request as _Request,
-    read_request,
-    render_response,
-)
-from repro.obs.events import TraceEventLog
-from repro.obs.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-    wants_prometheus,
-)
-from repro.obs.tracer import (
-    NOOP_SPAN,
-    PARENT_SPAN_HEADER,
-    TRACE_ECHO_HEADER,
-    TRACE_ID_HEADER,
-    Span,
-    Tracer,
-    new_trace_id,
-    valid_trace_id,
 )
 from repro.serve.metrics import ServerMetrics
 from repro.serve.wire import WIRE_CONTENT_TYPE, WireFormatError, decode_request, encode_envelope
@@ -119,16 +105,16 @@ def retry_after_hint(max_wait_ms: float) -> float:
     return round(max(0.05, max_wait_ms / 1000.0), 3)
 
 
-class _UnsupportedMediaType(ValueError):
-    """Binary body on a server with the transport disabled; HTTP 415."""
-
-
 def _accepts_binary(request: _Request) -> bool:
     return WIRE_CONTENT_TYPE in request.headers.get("accept", "").lower()
 
 
-class ClusteringServer:
+class ClusteringServer(FrontDoor):
     """Micro-batching clustering service over HTTP/JSON.
+
+    The lifecycle, connection loop and route table are
+    :class:`~repro.serve.httpio.FrontDoor`'s; this class adds the batcher
+    and fit executor, the ``/cluster`` handler and its metrics.
 
     Parameters
     ----------
@@ -146,11 +132,6 @@ class ClusteringServer:
         Threads fitting batches concurrently (default 2).  Each batch is
         one ``cluster_many`` call; more workers let distinct batches
         overlap.
-    binary:
-        Accept (and, on ``Accept``, emit) the
-        ``application/x-repro-matrix`` binary transport (default on).
-        ``binary=False`` turns binary bodies into HTTP 415, for operators
-        who want a JSON-only surface.
     trace_log:
         Append one JSON line per closed span to this file (the
         ``--trace-log`` flag).  Setting it also turns on server-initiated
@@ -177,7 +158,6 @@ class ClusteringServer:
         max_wait_ms: float = 10.0,
         max_queue_depth: int = 256,
         fit_workers: int = 2,
-        binary: bool = True,
         trace_log: Optional[str] = None,
         trace_sample: float = 1.0,
         tracer: Optional[Tracer] = None,
@@ -187,8 +167,9 @@ class ClusteringServer:
         # Fail on bad batching knobs here, not inside the event loop, so
         # the CLI reports them like any other flag error.
         validate_batching_knobs(max_batch_size, max_wait_ms, max_queue_depth)
-        self.host = host
-        self.port = port  # replaced by the bound port once listening
+        super().__init__(
+            host, port, trace_log=trace_log, trace_sample=trace_sample, tracer=tracer
+        )
         self.default_config = (
             default_config if default_config is not None else ClusteringConfig(cache=True)
         )
@@ -196,39 +177,15 @@ class ClusteringServer:
         self.max_wait_ms = max_wait_ms
         self.max_queue_depth = max_queue_depth
         self.fit_workers = fit_workers
-        self.binary = binary
         self.metrics = ServerMetrics()
-        self.trace_log = trace_log
-        self.trace_sample = trace_sample
-        # An injected tracer (tests/embedding) keeps its sinks; otherwise
-        # a private one is built.  Either way the per-span-kind metrics
-        # sink is attached, and the event log when --trace-log asks.
-        self.tracer = tracer if tracer is not None else Tracer(sample_rate=trace_sample)
-        self._trace_enabled = trace_log is not None or tracer is not None
-        self._event_log: Optional[TraceEventLog] = None
-        if trace_log is not None:
-            self._event_log = TraceEventLog(trace_log)
-            self.tracer.add_sink(self._event_log.record)
+        # Per-span-kind histograms in /metrics, beside any other sink.
         self.tracer.add_sink(self._record_span_metric)
         self._batcher: Optional[MicroBatcher] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._draining = False
-        self._connections: set = set()
 
     # -- lifecycle ---------------------------------------------------------
 
-    def run(self, *, install_signal_handlers: bool = True, on_ready=None) -> None:
-        """Serve until SIGTERM/SIGINT (blocking; owns its event loop)."""
-        asyncio.run(
-            self.serve(install_signal_handlers=install_signal_handlers, on_ready=on_ready)
-        )
-
-    async def serve(self, *, install_signal_handlers: bool = False, on_ready=None) -> None:
-        """Bind, serve, and drain inside the caller's event loop."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
+    async def _start(self) -> None:
         self._executor = ThreadPoolExecutor(
             max_workers=self.fit_workers, thread_name_prefix="repro-serve-fit"
         )
@@ -239,70 +196,15 @@ class ClusteringServer:
             max_queue_depth=self.max_queue_depth,
         )
         self._batcher.start()
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=_HEADER_LIMIT
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        if install_signal_handlers:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    self._loop.add_signal_handler(signum, self.request_stop)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass  # non-main thread or platform without signal support
-        if on_ready is not None:
-            on_ready(self)
-        try:
-            await self._stop_event.wait()
-        finally:
-            self._draining = True
-            server.close()
-            await server.wait_closed()
-            # Answer everything already admitted before tearing down.
-            await self._batcher.stop(drain=True)
-            if self._connections:
-                # Handlers mid-response finish within the grace period;
-                # connections idle in readline() (keep-alive clients that
-                # never closed) are cancelled — their requests were all
-                # answered, so nothing is lost.
-                _done, pending = await asyncio.wait(
-                    list(self._connections), timeout=0.5
-                )
-                for connection in pending:
-                    connection.cancel()
-                if pending:
-                    await asyncio.wait(pending, timeout=1.0)
-            self._executor.shutdown(wait=True)
 
-    def request_stop(self) -> None:
-        """Begin a graceful drain (signal handler / cross-thread safe)."""
-        if self._loop is None or self._stop_event is None:
-            return
-        self._loop.call_soon_threadsafe(self._stop_event.set)
+    async def _drain(self) -> None:
+        # Answer everything already admitted before tearing down.
+        assert self._batcher is not None
+        await self._batcher.stop(drain=True)
 
-    def start_in_background(self, timeout: float = 30.0) -> "ServerHandle":
-        """Run the server on a daemon thread; returns once it is listening.
-
-        The tests, the benchmark, and notebook users want a live server
-        without giving up their thread; production deployments should run
-        :meth:`run` as the process's main job instead.
-        """
-        ready = threading.Event()
-        errors: List[BaseException] = []
-
-        def _main() -> None:
-            try:
-                self.run(install_signal_handlers=False, on_ready=lambda _s: ready.set())
-            except BaseException as error:  # pragma: no cover - surfaced below
-                errors.append(error)
-                ready.set()
-
-        thread = threading.Thread(target=_main, name="repro-serve", daemon=True)
-        thread.start()
-        if not ready.wait(timeout):
-            raise RuntimeError("repro serve did not come up within the timeout")
-        if errors:
-            raise RuntimeError(f"repro serve failed to start: {errors[0]!r}") from errors[0]
-        return ServerHandle(self, thread)
+    async def _stop(self) -> None:
+        assert self._executor is not None
+        self._executor.shutdown(wait=True)
 
     # -- batching ----------------------------------------------------------
 
@@ -322,95 +224,13 @@ class ClusteringServer:
     def _record_span_metric(self, span: Span) -> None:
         self.metrics.record_span(span.kind, span.duration_seconds)
 
-    # -- HTTP plumbing -----------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except _BadRequest as error:
-                    writer.write(self._response(HTTPStatus.BAD_REQUEST, {"error": str(error)}))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                start = self._loop.time() if self._loop else 0.0
-                status, payload, extra_headers = await self._route(request)
-                elapsed = (self._loop.time() - start) if self._loop else None
-                self.metrics.record_response(int(status), elapsed)
-                writer.write(
-                    self._response(status, payload, extra_headers, head_only=request.method == "HEAD")
-                )
-                await writer.drain()
-                if not request.keep_alive or self._draining:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange; nothing to answer
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    def _response(
-        self,
-        status: HTTPStatus,
-        payload: Any,
-        extra_headers: Optional[Dict[str, str]] = None,
-        *,
-        head_only: bool = False,
-    ) -> bytes:
-        return render_response(
-            status,
-            payload,
-            extra_headers,
-            server_token=f"repro-serve/{__version__}",
-            head_only=head_only,
-        )
-
-    # -- routing -----------------------------------------------------------
-
-    async def _route(
-        self, request: _Request
-    ) -> Tuple[HTTPStatus, Any, Optional[Dict[str, str]]]:
-        path = request.path.split("?", 1)[0]
-        # Bucket unknown methods/paths so hostile or misdirected traffic
-        # cannot grow the metrics dict (and /metrics document) unboundedly.
-        method = request.method if request.method in ("GET", "HEAD", "POST") else "<other>"
-        route = f"{method} {path if path in ('/cluster', '/healthz', '/metrics') else '<other>'}"
+    def _record_request(self, route: str) -> None:
         self.metrics.record_request(route)
-        if path == "/healthz" and request.method in ("GET", "HEAD"):
-            return HTTPStatus.OK, self._healthz_payload(), None
-        if path == "/metrics" and request.method in ("GET", "HEAD"):
-            if wants_prometheus(request.path, request.headers.get("accept")):
-                text = render_prometheus(self._metrics_payload())
-                return (
-                    HTTPStatus.OK,
-                    BinaryBody(text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE),
-                    None,
-                )
-            return HTTPStatus.OK, self._metrics_payload(), None
-        if path == "/cluster":
-            if request.method != "POST":
-                return (
-                    HTTPStatus.METHOD_NOT_ALLOWED,
-                    {"error": "use POST /cluster"},
-                    {"Allow": "POST"},
-                )
-            return await self._handle_cluster(request)
-        return HTTPStatus.NOT_FOUND, {
-            "error": f"no route {request.method} {path[:80]}; "
-            "routes: POST /cluster, GET /healthz, GET /metrics"
-        }, None
+
+    def _record_response(self, status: int, seconds: Optional[float]) -> None:
+        self.metrics.record_response(status, seconds)
+
+    # -- routes --------------------------------------------------------------
 
     def _healthz_payload(self) -> Dict[str, Any]:
         assert self._batcher is not None
@@ -420,7 +240,7 @@ class ClusteringServer:
             version=__version__,
         )
 
-    def _metrics_payload(self) -> Dict[str, Any]:
+    async def _metrics_payload(self) -> Dict[str, Any]:
         assert self._batcher is not None
         cache_stats = None
         if self.default_config.cache:
@@ -435,37 +255,15 @@ class ClusteringServer:
             version=__version__,
         )
 
-    def _request_span(self, request: _Request) -> Any:
-        """The root ``server.request`` span, or :data:`NOOP_SPAN`.
-
-        A client-carried ``X-Repro-Trace-Id`` always continues that trace
-        (the caller is already paying for it upstream); without one the
-        server originates a trace only when an event log is configured
-        and the per-trace sampler accepts, so the default-off path
-        allocates nothing.
-        """
-        trace_id = valid_trace_id(request.headers.get(TRACE_ID_HEADER))
-        if trace_id is None:
-            if not self._trace_enabled or not self.tracer.should_sample():
-                return NOOP_SPAN
-            trace_id = new_trace_id()
-        return self.tracer.start_span(
-            "server.request",
-            trace_id=trace_id,
-            parent_id=valid_trace_id(request.headers.get(PARENT_SPAN_HEADER)),
-        )
-
-    async def _handle_cluster(
-        self, request: _Request
-    ) -> Tuple[HTTPStatus, Any, Optional[Dict[str, str]]]:
+    async def _handle_cluster(self, request: _Request) -> Reply:
         assert self._batcher is not None
+        if request.method != "POST":
+            return HTTPStatus.METHOD_NOT_ALLOWED, {"error": "use POST /cluster"}, {"Allow": "POST"}
         try:
             matrix, config = self._parse_cluster_request(request)
-        except _UnsupportedMediaType as error:
-            return HTTPStatus.UNSUPPORTED_MEDIA_TYPE, {"error": str(error)}, None
         except _BadRequest as error:
             return HTTPStatus.BAD_REQUEST, {"error": str(error)}, None
-        span = self._request_span(request)
+        span = self._root_span(request)
         echo = span is not NOOP_SPAN and request.headers.get(TRACE_ECHO_HEADER) == "1"
         if echo:
             self.tracer.collect(span.trace_id)
@@ -493,7 +291,7 @@ class ClusteringServer:
         config: ClusteringConfig,
         span: Any,
         echo: bool,
-    ) -> Tuple[HTTPStatus, Any, Optional[Dict[str, str]]]:
+    ) -> Reply:
         assert self._batcher is not None
         try:
             future = self._batcher.submit(matrix, config)
@@ -549,7 +347,7 @@ class ClusteringServer:
                 "root_span_id": span.span_id,
                 "spans": self.tracer.drain(span.trace_id),
             }
-        if self.binary and _accepts_binary(request):
+        if _accepts_binary(request):
             # Same envelope, lifted into a wire frame: the labels travel as
             # a raw int64 buffer, everything else in the frame header, and
             # decoding reproduces the JSON envelope byte for byte.
@@ -559,11 +357,6 @@ class ClusteringServer:
     def _parse_cluster_request(self, request: _Request) -> Tuple[np.ndarray, ClusteringConfig]:
         """Decode a cluster request body in either transport."""
         if request.media_type == WIRE_CONTENT_TYPE:
-            if not self.binary:
-                raise _UnsupportedMediaType(
-                    f"this server runs with the binary transport disabled; "
-                    f"POST JSON instead of {WIRE_CONTENT_TYPE}"
-                )
             try:
                 matrix, config_payload = decode_request(request.body)
             except WireFormatError as error:
@@ -580,7 +373,9 @@ class ClusteringServer:
             raise _BadRequest('missing request body; expected {"matrix": [[...]], "config": {...}}')
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError covers JSONDecodeError and the UnicodeDecodeError
+            # of a non-UTF-8 body; RecursionError a deeply nested one.
             raise _BadRequest(f"request body is not valid JSON: {error}") from error
         if not isinstance(payload, dict):
             raise _BadRequest("request body must be a JSON object")
@@ -619,32 +414,3 @@ class ClusteringServer:
             return self.default_config.merged(config_payload)
         except (TypeError, ValueError) as error:
             raise _BadRequest(f"bad 'config': {error}") from error
-
-
-@dataclass
-class ServerHandle:
-    """A background server plus the thread running it."""
-
-    server: ClusteringServer
-    thread: threading.Thread
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Drain gracefully and join the serving thread."""
-        self.server.request_stop()
-        self.thread.join(timeout)
-        if self.thread.is_alive():  # pragma: no cover - drain stuck
-            raise RuntimeError("repro serve did not drain within the timeout")
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -463,14 +463,15 @@ class TestServeCommand:
 
         args = build_parser().parse_args(
             ["serve", "--workers", "3", "--clusters", "4", "--prefix", "2",
-             "--method", "tmfg-dbht", "--cache-dir", "/tmp/c", "--no-binary"]
+             "--method", "tmfg-dbht", "--cache-dir", "/tmp/c"]
         )
         argv = _serve_replica_argv(args)
         for flag, value in (("--clusters", "4"), ("--prefix", "2"),
                             ("--method", "tmfg-dbht"), ("--cache-dir", "/tmp/c")):
             assert argv[argv.index(flag) + 1] == value
-        assert "--no-binary" in argv and "--workers" not in argv
-        for deleted in ("--kernel", "--apsp-method", "--landmarks", "--backend"):
+        assert "--workers" not in argv
+        for deleted in ("--kernel", "--apsp-method", "--landmarks", "--backend",
+                        "--binary", "--no-binary"):
             assert deleted not in argv
         # The replica parses what it is handed.
         replica = build_parser().parse_args(["serve"] + argv)

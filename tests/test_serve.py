@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import ClusteringConfig, TMFGClusterer
 from repro.cache import clear_result_caches, get_result_cache
@@ -27,8 +28,10 @@ from repro.serve import (
     QueueFull,
     ServeClient,
     ServerBusy,
+    ServerError,
     ServiceStopping,
 )
+from repro.serve.httpio import HEADER_LIMIT, BadRequest, Request, read_request
 
 
 @pytest.fixture(autouse=True)
@@ -413,6 +416,23 @@ class TestServerIntegration:
                 with pytest.raises(ServerError) as notfound:
                     client._request("GET", "/nope")
                 assert notfound.value.status == 404
+        finally:
+            handle.stop()
+
+    def test_hostile_json_bodies_answer_400(self):
+        # Invalid UTF-8 raises UnicodeDecodeError and a 100 000-deep array
+        # RecursionError, not JSONDecodeError; both must still be a 400,
+        # never a dropped connection.
+        _server, handle = _start_server()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                for body in (b"\x80abc", b"[" * 100_000):
+                    with pytest.raises(ServerError, match="not valid JSON") as excinfo:
+                        client.request(
+                            "POST", "/cluster", body, {"Content-Type": "application/json"}
+                        )
+                    assert excinfo.value.status == 400
+                assert client.healthz()["status"] == "ok"
         finally:
             handle.stop()
 
@@ -891,6 +911,36 @@ class TestHeaderParsingHardening:
         finally:
             handle.stop()
 
+    @pytest.mark.parametrize("length", [b"1_0", b"+3", b"-0", b"\xb2"])
+    def test_non_digit_content_length_answers_400(self, length):
+        _server, handle = _start_server()
+        try:
+            response = self._raw_exchange(
+                handle,
+                b"POST /cluster HTTP/1.1\r\nHost: x\r\nContent-Length: " + length
+                + b"\r\n\r\n{}{}{}{}{}",
+            )
+            assert response.startswith(b"HTTP/1.1 400")
+            assert b"bad Content-Length" in response
+        finally:
+            handle.stop()
+
+    def test_transfer_encoding_answers_400(self):
+        # Ignoring the header would read an empty body and then parse the
+        # chunk bytes as a second request.
+        _server, handle = _start_server()
+        try:
+            response = self._raw_exchange(
+                handle,
+                b"POST /cluster HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"4\r\nGET \r\n0\r\n\r\n",
+            )
+            assert response.startswith(b"HTTP/1.1 400")
+            assert b"Transfer-Encoding" in response
+            assert response.count(b"HTTP/1.1") == 1
+        finally:
+            handle.stop()
+
     def test_duplicate_benign_headers_still_accepted(self):
         _server, handle = _start_server()
         try:
@@ -921,6 +971,56 @@ class TestHeaderParsingHardening:
         assert slow_info["fit_seconds"] >= 0.1
         # The second group's fit time does not inherit the first group's.
         assert fast_info["fit_seconds"] < 0.1
+
+
+class TestReadRequestFuzz:
+    """``httpio.read_request`` on arbitrary bytes then EOF: every parse
+    ends in a :class:`Request`, ``None`` or :class:`BadRequest` — never
+    another exception and never a hang."""
+
+    _REQUEST_LINES = st.sampled_from(
+        [b"", b"GET /healthz HTTP/1.1\r\n", b"POST /cluster HTTP/1.1\r\n"]
+    ) | st.binary(max_size=32)
+    _HEADER_LINES = st.lists(
+        st.sampled_from(
+            [b"Host: x", b"Content-Length: 3", b"Content-Length: 99", b"content-length:0",
+             b"Content-Length: 1_0", b"Content-Length: +3", b"Transfer-Encoding: chunked",
+             b"Connection: close", b"NoColon", b": v", b"X: \xff\x00"]
+        ) | st.binary(max_size=24),
+        max_size=6,
+    ).map(lambda lines: b"".join(line + b"\r\n" for line in lines))
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=_REQUEST_LINES, headers=_HEADER_LINES, tail=st.binary(max_size=64))
+    @example(line=b"POST /cluster HTTP/1.1\r\n", headers=b"Content-Length: " + b"9" * 5000 + b"\r\n",
+             tail=b"\r\n")
+    @example(line=b"GET / HTTP/1.1\r\n", headers=b"Transfer-Encoding: chunked\r\n",
+             tail=b"\r\n4\r\nGET \r\n0\r\n\r\n")
+    def test_any_bytes_parse_or_raise_bad_request(self, line, headers, tail):
+        data = line + headers + tail
+
+        async def _parse_all() -> list:
+            reader = asyncio.StreamReader(limit=HEADER_LIMIT)
+            reader.feed_data(data)
+            reader.feed_eof()
+            outcomes = []
+            # Keep-alive: parse request after request until EOF or an error;
+            # each parse consumes bytes, so the loop is bounded by the input.
+            for _ in range(len(data) + 1):
+                try:
+                    request = await read_request(reader)
+                except BadRequest as error:
+                    outcomes.append(error)
+                    break
+                assert request is None or isinstance(request, Request)
+                outcomes.append(request)
+                if request is None:
+                    break
+            return outcomes
+
+        outcomes = asyncio.run(asyncio.wait_for(_parse_all(), timeout=10.0))
+        # The stream ends at clean EOF or at the first framing error.
+        assert outcomes[-1] is None or isinstance(outcomes[-1], BadRequest)
 
 
 class TestJitteredBackoff:

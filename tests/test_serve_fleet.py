@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import ServeClient, build_fleet
+from repro.serve import ServeClient, ServerError, build_fleet
 from repro.serve.fleet.ring import rendezvous_rank, request_affinity_key, spread
 from repro.serve.fleet.router import FleetRouter
 from repro.serve.fleet.supervisor import ReplicaInfo, ReplicaSupervisor
@@ -355,6 +355,20 @@ class TestFleetIntegration:
         }
         assert sum(gained.values()) == 8
         assert all(count > 0 for count in gained.values()), gained
+
+    def test_hostile_json_body_answers_400_without_failover(self, fleet):
+        # The replica answers 400 and the router forwards it: a bad body is
+        # the client's fault, not a dead replica worth a failover.
+        with ServeClient("127.0.0.1", fleet.port) as client:
+            client.wait_healthy(30)
+            before = client.metrics()["fleet"]["failovers_total"]
+            for body in (b"\x80abc", b"[" * 100_000):
+                with pytest.raises(ServerError) as excinfo:
+                    client.request(
+                        "POST", "/cluster", body, {"Content-Type": "application/json"}
+                    )
+                assert excinfo.value.status == 400
+            assert client.metrics()["fleet"]["failovers_total"] == before
 
     def test_replica_kill_fails_over_and_restarts(self, fleet):
         with ServeClient("127.0.0.1", fleet.port) as client:

@@ -4,9 +4,8 @@ Unit-level: frame round trips across dtypes and memory orders, the
 zero-copy guarantee of the decoder, malformed-frame rejection, and the
 response-envelope byte-identity contract.  Integration-level: a live
 server accepting/emitting ``application/x-repro-matrix``, binary and JSON
-submissions of the same matrix hitting the same cache entry, 400 (never
-500) on truncated/oversized bodies, and 415 + transparent client fallback
-when the transport is disabled.
+submissions of the same matrix hitting the same cache entry, and 400
+(never 500) on truncated/oversized bodies.
 """
 
 from __future__ import annotations
@@ -371,24 +370,6 @@ class TestBinaryTransportIntegration:
                 assert excinfo.value.status == 400
                 # The server is still healthy afterwards.
                 assert client.healthz()["status"] == "ok"
-        finally:
-            handle.stop()
-
-    def test_binary_disabled_answers_415_and_client_falls_back(self, series):
-        _server, handle = _start_server(binary=False)
-        try:
-            with ServeClient(handle.host, handle.port) as client:
-                body = client.encode_cluster_body_binary(series)
-                with pytest.raises(ServerError) as excinfo:
-                    client.request(
-                        "POST", "/cluster", body, {"Content-Type": WIRE_CONTENT_TYPE}
-                    )
-                assert excinfo.value.status == 415
-                # cluster(binary=True) notices the 415 once and renegotiates
-                # down to JSON transparently — the call still succeeds.
-                envelope = client.cluster(series, binary=True)
-                assert envelope["result"]["num_clusters"] == 3
-                assert client._server_accepts_binary is False
         finally:
             handle.stop()
 
