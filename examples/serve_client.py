@@ -29,8 +29,8 @@ def main() -> None:
     server = ClusteringServer(
         port=0,  # ephemeral; a deployment would pin one
         default_config=ClusteringConfig(cache=True, prefix=10),
-        max_batch_size=16,
-        max_wait_ms=10.0,
+        max_queue_depth=256,
+        fit_workers=2,
     )
     with server.start_in_background() as handle:
         with ServeClient(handle.host, handle.port) as client:

@@ -1,12 +1,12 @@
 """Async-serving rules: never block the event loop, never hold a
 threading lock across an ``await``.
 
-The serving tier (PR 5's :class:`~repro.serve.server.ClusteringServer`,
-PR 8's fleet router/supervisor) is a single asyncio loop; one blocking
-call in a coroutine stalls every connection, batch flush, health probe,
-and drain in the process.  The discipline the code follows — numerical
-fits go through ``loop.run_in_executor`` (see
-``ClusteringServer._run_batch``), subprocess work uses
+The serving tier (:class:`~repro.serve.server.ClusteringServer`, the
+fleet router/supervisor) is a single asyncio loop; one blocking call in a
+coroutine stalls every connection, health probe and drain in the process.
+The discipline the code follows — numerical fits and matrix fingerprints
+go through ``loop.run_in_executor`` (see
+``ClusteringServer._in_executor``), subprocess work uses
 ``asyncio.subprocess``, sleeps use ``asyncio.sleep`` — is what these two
 rules enforce mechanically.
 """
@@ -44,7 +44,12 @@ _BLOCKING_NAMES = frozenset({"open", "input"})
 #: Method tails that run a clustering fit synchronously; on the serving
 #: loop they must go through the executor instead.
 _FIT_TAILS = frozenset({"fit", "fit_predict"})
-_FIT_FRONT_DOORS = frozenset({"cluster_many", "tmfg_dbht"})
+#: Library front doors that fit or hash a whole matrix: a fit takes
+#: milliseconds to seconds, and fingerprinting a 500-stock matrix ~1ms,
+#: which on the loop would serialise every connection behind it.
+_FIT_FRONT_DOORS = frozenset(
+    {"cluster_many", "tmfg_dbht", "result_cache_key", "matrix_fingerprint"}
+)
 
 
 def _async_functions(tree: ast.AST):
@@ -59,14 +64,14 @@ class BlockingCallInAsync(Rule):
 
     id = "async-blocking"
     description = (
-        "a blocking call (time.sleep, file/socket I/O, subprocess.*, or a "
-        "direct estimator fit / cluster_many) inside an async def stalls "
-        "the whole serving event loop"
+        "a blocking call (time.sleep, file/socket I/O, subprocess.*, a "
+        "direct estimator fit / cluster_many, or a matrix fingerprint) inside "
+        "an async def stalls the whole serving event loop"
     )
     hint = (
         "await the asyncio equivalent (asyncio.sleep, asyncio.subprocess, "
         "asyncio.open_connection) or run it via loop.run_in_executor as "
-        "ClusteringServer._run_batch does"
+        "ClusteringServer._in_executor does"
     )
 
     def check_module(self, module) -> Iterable[Finding]:
@@ -93,7 +98,7 @@ class BlockingCallInAsync(Rule):
         if isinstance(call.func, ast.Name) and call.func.id in _BLOCKING_NAMES:
             return f"calls blocking builtin {call.func.id}()"
         if dotted in _FIT_FRONT_DOORS or dotted.split(".")[-1] in _FIT_FRONT_DOORS:
-            return f"runs the batch front door {dotted}() on the event loop"
+            return f"runs the whole-matrix call {dotted}() on the event loop"
         if isinstance(call.func, ast.Attribute) and call.func.attr in _FIT_TAILS:
             return f"runs a synchronous estimator .{call.func.attr}() on the event loop"
         return ""

@@ -17,7 +17,7 @@ Three subcommands cover the library's main workflows without writing Python:
     drift.
 
 ``serve``
-    Run the micro-batching HTTP/JSON clustering daemon (``POST /cluster``,
+    Run the HTTP/JSON clustering daemon (``POST /cluster``,
     ``GET /healthz``, ``GET /metrics``) until SIGTERM.  The flags shared
     with ``cluster`` (``--method``, ``--prefix``, ``--config``,
     ``--cache-dir``, ...) set the *default* config that request payloads
@@ -38,7 +38,7 @@ Examples
     python -m repro cluster data.csv --clusters 5 --method hac-average
     python -m repro cluster data.csv --config cfg.json
     python -m repro stream returns.csv --clusters 5 --window 250 --hop 5 --json ticks.json
-    python -m repro serve --port 8752 --max-batch-size 16 --max-wait-ms 10
+    python -m repro serve --port 8752 --max-queue 256 --fit-workers 2
     python -m repro serve --port 8752 --workers 2 --trace-log traces.jsonl
     python -m repro trace traces.jsonl --limit 3
     python -m repro figure fig6 --scale 0.02
@@ -296,8 +296,6 @@ def _serve_replica_argv(args: argparse.Namespace) -> list:
     parent invocation (everything except --host/--port/--workers, which
     the supervisor owns)."""
     argv = [
-        "--max-batch-size", str(args.max_batch_size),
-        "--max-wait-ms", str(args.max_wait_ms),
         "--max-queue", str(args.max_queue),
         "--fit-workers", str(args.fit_workers),
     ]
@@ -384,8 +382,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             default_config=config,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             max_queue_depth=args.max_queue,
             fit_workers=args.fit_workers,
             trace_log=(
@@ -403,7 +399,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         print(
             f"repro serve listening on http://{ready.host}:{ready.port} "
             f"(method={config.method}, cache={'on' if config.cache else 'off'}, "
-            f"max_batch_size={ready.max_batch_size}, max_wait_ms={ready.max_wait_ms:g}, "
             f"max_queue={ready.max_queue_depth}, fit_workers={ready.fit_workers})",
             flush=True,
         )
@@ -597,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="run the micro-batching HTTP/JSON clustering service",
+        help="run the HTTP/JSON clustering service",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument(
@@ -622,28 +617,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--prefix", type=int, default=None, help="default TMFG prefix size (default 1)"
     )
     serve.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=16,
-        help="flush a micro-batch at this many waiting requests (default 16)",
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=10.0,
-        help="flush when the oldest waiting request is this old (default 10ms; 0 disables batching)",
-    )
-    serve.add_argument(
         "--max-queue",
         type=int,
         default=256,
-        help="admission bound: answer 429 beyond this many waiting requests (default 256)",
+        help="admission bound: answer 429 beyond this many in-flight requests (default 256)",
     )
     serve.add_argument(
         "--fit-workers",
         type=int,
         default=2,
-        help="threads fitting batches concurrently (default 2)",
+        help="threads running cache lookups and fits (default 2)",
     )
     serve.add_argument(
         "--trace-log",

@@ -273,8 +273,6 @@ def render_prometheus(
     for name in _BATCHING_COUNTERS:
         if name in batching:
             _scalar(lines, typed, f"repro_batch_{name}_total", "counter", batching[name])
-    if "largest_batch" in batching:
-        _scalar(lines, typed, "repro_largest_batch", "gauge", batching["largest_batch"])
 
     cache = payload.get("cache")
     if cache:

@@ -14,7 +14,7 @@ in a :mod:`contextvars` variable, so library code deep in the stack —
 dispatch — opens children via :func:`trace_span` without any signature
 churn.  Crossing a thread hop (``loop.run_in_executor``) works by
 running the callable inside ``contextvars.copy_context()``; see
-``ClusteringServer._run_batch``.
+``ClusteringServer._in_executor``.
 
 Zero-cost-when-off is load-bearing: with no ambient span active,
 :func:`trace_span` returns the shared :data:`NOOP_SPAN` singleton — no
@@ -331,8 +331,8 @@ class Tracer:
         """Record an already-measured span in one shot.
 
         Used where the timing exists before the trace structure does —
-        e.g. the batcher synthesises per-member queue-wait spans from
-        enqueue timestamps when a batch resolves.
+        e.g. the server synthesises a request's queue-wait span from its
+        admission timestamp once the request resolves.
         """
         span = Span(self, kind, trace_id, parent_id, dict(attributes))
         if started_at is not None:

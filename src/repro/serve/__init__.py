@@ -1,20 +1,20 @@
-"""repro.serve — the async micro-batching clustering service.
+"""repro.serve — the async clustering service.
 
-The serving layer turns the library's batch machinery into a long-running
-network daemon::
+The serving layer turns the library into a long-running network daemon::
 
-    repro serve --port 8752 --max-batch-size 16 --max-wait-ms 10
+    repro serve --port 8752 --fit-workers 2
 
-Independent ``POST /cluster`` requests are coalesced by a size-or-deadline
-:class:`MicroBatcher` into :func:`repro.api.cluster_many` calls, so
-concurrent identical requests dedupe and cache-hit exactly like offline
-batches; fits run on a thread pool off the event loop.  Admission is
-bounded (HTTP 429 + ``Retry-After`` once ``--max-queue`` requests wait),
-shutdown drains gracefully on SIGTERM, and ``GET /metrics`` /
-``GET /healthz`` expose live counters, latency histograms, and the result
-cache's hit-rate.  Matrices travel either as JSON or as the raw binary
-``application/x-repro-matrix`` frames of :mod:`repro.serve.wire`, which
-the server decodes zero-copy into the fingerprint.
+Each ``POST /cluster`` request computes its result-cache key on a thread
+pool, off the event loop; a hit is answered at once, and concurrent
+identical misses share one in-flight fit (a single-flight map keyed like
+the cache), so they dedupe and cache-hit exactly like offline batches.
+Admission is bounded (HTTP 429 + ``Retry-After`` once ``--max-queue``
+requests are in flight), shutdown drains gracefully on SIGTERM, and
+``GET /metrics`` / ``GET /healthz`` expose live counters, latency
+histograms, and the result cache's hit-rate.  Matrices travel either as
+JSON or as the raw binary ``application/x-repro-matrix`` frames of
+:mod:`repro.serve.wire`, which the server decodes zero-copy into the
+fingerprint.
 
 ``repro serve --workers N`` (N >= 2) scales the same contract
 horizontally: :mod:`repro.serve.fleet` supervises N single-process
@@ -30,12 +30,6 @@ Programmatic use::
             envelope = client.cluster(matrix, config={"num_clusters": 4})
 """
 
-from repro.serve.batcher import (
-    BatcherStats,
-    MicroBatcher,
-    QueueFull,
-    ServiceStopping,
-)
 from repro.serve.client import ServeClient, ServerBusy, ServerError
 from repro.serve.fleet import FleetRouter, ReplicaSupervisor, build_fleet
 from repro.serve.metrics import LatencyHistogram, ServerMetrics
@@ -52,10 +46,6 @@ __all__ = [
     "ServeClient",
     "ServerBusy",
     "ServerError",
-    "MicroBatcher",
-    "BatcherStats",
-    "QueueFull",
-    "ServiceStopping",
     "LatencyHistogram",
     "ServerMetrics",
     "WIRE_CONTENT_TYPE",

@@ -90,7 +90,7 @@ class ReplicaSupervisor:
         Replica count (at least 1).
     replica_argv:
         Extra ``repro serve`` CLI arguments appended to every replica's
-        command line (config flags, batching knobs, ``--cache-dir`` for
+        command line (config flags, admission knobs, ``--cache-dir`` for
         the shared disk tier).  ``--host``/``--port`` are supervisor-owned.
         The literal ``{replica_id}`` in any element is replaced with the
         replica's id (``replica-0``, ...), letting file-valued flags such

@@ -5,16 +5,16 @@ Two pieces:
 * :class:`LatencyHistogram` — fixed-bucket latency accounting with
   interpolated quantiles (p50/p95/p99), cheap enough to update on every
   request from both the event loop and the worker threads;
-* :class:`ServerMetrics` — the request/error/batch counters plus the
+* :class:`ServerMetrics` — the request/error/served counters plus the
   histograms, rendered as one JSON document for ``GET /metrics`` and a
   compact liveness payload for ``GET /healthz``.
 
 The cache hit-rate in the ``/metrics`` document is sourced live from the
 result cache's :class:`~repro.cache.store.CacheStats` (snapshotted under
-the store lock, so a scrape during a burst sees consistent counters), and
-the batching figures from :class:`~repro.serve.batcher.BatcherStats` —
-``deduped_requests`` climbing while ``distinct_jobs`` stays flat is
-micro-batching doing its job.
+the store lock, so a scrape during a burst sees consistent counters).
+The ``batching`` block counts served requests, each a batch of one:
+``deduped_requests`` are the ones that joined a fit already in flight for
+their key instead of paying for their own.
 
 Everything here is guarded by one lock and touched from multiple threads;
 nothing ever blocks on I/O.
@@ -115,6 +115,8 @@ class ServerMetrics:
         self.responses_total: Dict[int, int] = {}
         self.errors_total = 0
         self.rejected_total = 0
+        self.served_total = 0
+        self.shared_total = 0
         self.request_latency = LatencyHistogram()
         self.queue_latency = LatencyHistogram()
         self.fit_latency = LatencyHistogram()
@@ -136,10 +138,18 @@ class ServerMetrics:
             if seconds is not None:
                 self.request_latency.observe(seconds)
 
-    def record_served(self, queue_seconds: float, fit_seconds: float) -> None:
+    def record_served(self, queue_seconds: float, fit_seconds: float, shared: bool) -> None:
+        """One answered request; ``shared`` when it joined an in-flight fit."""
         with self._lock:
+            self.served_total += 1
+            self.shared_total += shared
             self.queue_latency.observe(queue_seconds)
             self.fit_latency.observe(fit_seconds)
+
+    def fit_p50_ms(self) -> float:
+        """Median executor time of a served request (the ``batch_fit`` p50)."""
+        with self._lock:
+            return self.fit_latency.quantile(0.5)
 
     #: span_latency never grows past this many kinds: the taxonomy is
     #: small and fixed, so hitting the cap means a bug (or a hostile
@@ -179,7 +189,6 @@ class ServerMetrics:
         self,
         *,
         queue_depth: int,
-        batcher_stats: Dict[str, Any],
         cache_stats: Optional[Dict[str, Any]],
         draining: bool,
         version: Optional[str] = None,
@@ -207,10 +216,16 @@ class ServerMetrics:
                     kind: histogram.as_dict()
                     for kind, histogram in sorted(self.span_latency.items())
                 },
+                "batching": {
+                    "batches": self.served_total,
+                    "batched_requests": self.served_total,
+                    "distinct_jobs": self.served_total - self.shared_total,
+                    "deduped_requests": self.shared_total,
+                    "rejected": self.rejected_total,
+                },
             }
         served = requests.get("POST /cluster", 0)
         uptime = payload["uptime_seconds"]
         payload["requests_per_second"] = round(served / uptime, 3) if uptime > 0 else 0.0
-        payload["batching"] = batcher_stats
         payload["cache"] = cache_stats  # None when the default config disables it
         return payload

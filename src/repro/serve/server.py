@@ -2,10 +2,9 @@
 
 :class:`ClusteringServer` is the long-running front of the library: a
 stdlib-only (asyncio streams + :mod:`http`) HTTP/1.1 server that accepts
-clustering requests, funnels them through the
-:class:`~repro.serve.batcher.MicroBatcher` into
-:func:`repro.api.cluster_many`, and runs the fits on a thread pool so the
-event loop never blocks on numerical work.
+clustering requests and answers each from the result cache or from one
+fit, running all numerical work on a thread pool so the event loop never
+blocks on it.
 
 Routes
 ------
@@ -22,21 +21,24 @@ Routes
     envelope frame when the client sent ``Accept:
     application/x-repro-matrix``); 400 on a malformed body (invalid
     JSON, a non-UTF-8 or a too deeply nested one included) or a bad
-    frame; 405 for any other method; 429 + ``Retry-After`` when the
-    admission queue is full; 503 while draining.
+    frame; 405 for any other method; 429 + ``Retry-After`` when
+    ``--max-queue`` requests are already in flight; 503 while draining.
 ``GET /healthz``
-    Liveness: status, version, uptime, queue depth.
+    Liveness: status, version, uptime, in-flight request count.
 ``GET /metrics``
     The full observability document (request/error counters, latency
-    histograms, batching stats, cache hit-rate).
+    histograms, shared-fit counts, cache hit-rate).
 
-Concurrent identical requests that land in one batch are deduplicated by
-``cluster_many`` before dispatch; requests that arrive after a result was
-computed hit the content-addressed cache.  Either way the served payload
-is byte-identical to the same fit made directly through an estimator.
+A request takes one trip to the fit executor to compute its result-cache
+key and look the key up; a hit is answered at once.  A miss joins the fit
+already in flight for its key or starts one (a single-flight map, cf. Go's
+``singleflight``), so concurrent identical misses pay for one fit.  Either
+way the served payload is byte-identical to the same fit made directly
+through an estimator.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the accept loop, every already
-admitted request is fitted and answered, then the pool is torn down.
+admitted request is answered, later ones get 503, then the pool is torn
+down.
 
 The HTTP side — lifecycle, keep-alive loop, request framing, ``/healthz``,
 ``/metrics`` and 404 routing, the root ``server.request`` span — is the
@@ -46,25 +48,25 @@ module holds only what is the server's own.
 
 from __future__ import annotations
 
+import asyncio
 import contextvars
 import json
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from http import HTTPStatus
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import __version__
 from repro.api.batch import cluster_many
 from repro.api.config import ClusteringConfig
-from repro.obs.tracer import NOOP_SPAN, TRACE_ECHO_HEADER, Span, Tracer
-from repro.serve.batcher import (
-    MicroBatcher,
-    QueueFull,
-    ServiceStopping,
-    validate_batching_knobs,
-)
+from repro.api.estimators import make_estimator
+from repro.api.result import ClusterResult
+from repro.cache import get_result_cache, result_cache_key
+from repro.obs.tracer import NOOP_SPAN, TRACE_ECHO_HEADER, Span, Tracer, trace_span
 from repro.serve.httpio import (
     BadRequest as _BadRequest,
     BinaryBody,
@@ -93,28 +95,39 @@ REQUEST_CONFIG_FIELDS = frozenset(
 )
 
 
-def retry_after_hint(max_wait_ms: float) -> float:
+def retry_after_hint(fit_p50_ms: float) -> float:
     """Fractional backoff (seconds) for a 429'd client.
 
-    One flush deadline is how long the queue needs to start draining, so
-    that is the honest hint — floored at 50ms so clients never busy-spin.
-    The old integer formula (``int(round(ms/1000)) + 1``) forced a >=2s
-    backoff even at ``max_wait_ms=5``; the fraction travels in the JSON
-    body, while the ``Retry-After`` *header* stays an RFC-valid integer.
+    A full server frees an admission slot when an in-flight request is
+    answered, so the median executor time of a request (the ``batch_fit``
+    histogram's p50) is the honest hint — floored at 50ms so clients never
+    busy-spin.  The fraction travels in the JSON body, while the
+    ``Retry-After`` *header* stays an RFC-valid integer.
     """
-    return round(max(0.05, max_wait_ms / 1000.0), 3)
+    return round(max(0.05, fit_p50_ms / 1000.0), 3)
 
 
 def _accepts_binary(request: _Request) -> bool:
     return WIRE_CONTENT_TYPE in request.headers.get("accept", "").lower()
 
 
+@dataclass
+class _Flight:
+    """One in-flight fit, shared by every concurrent miss on its key."""
+
+    task: "asyncio.Task[ClusterResult]"
+    #: The leader's live ``serve.batch_fit`` span (:data:`NOOP_SPAN` when
+    #: untraced); joiners cite its id as ``shared_span``.
+    span: Any
+
+
 class ClusteringServer(FrontDoor):
-    """Micro-batching clustering service over HTTP/JSON.
+    """Single-flight clustering service over HTTP/JSON.
 
     The lifecycle, connection loop and route table are
-    :class:`~repro.serve.httpio.FrontDoor`'s; this class adds the batcher
-    and fit executor, the ``/cluster`` handler and its metrics.
+    :class:`~repro.serve.httpio.FrontDoor`'s; this class adds the fit
+    executor, the single-flight map, the ``/cluster`` handler and its
+    metrics.
 
     Parameters
     ----------
@@ -125,13 +138,13 @@ class ClusteringServer(FrontDoor):
         The :class:`ClusteringConfig` requests overlay their (partial)
         ``config`` payloads onto.  Defaults to ``ClusteringConfig(cache=
         True)`` so repeat traffic hits the result cache.
-    max_batch_size / max_wait_ms / max_queue_depth:
-        Micro-batching and admission knobs (see
-        :class:`~repro.serve.batcher.MicroBatcher`).
+    max_queue_depth:
+        Admission bound: a request arriving while this many admitted
+        requests are still unanswered gets 429 + ``Retry-After``.
     fit_workers:
-        Threads fitting batches concurrently (default 2).  Each batch is
-        one ``cluster_many`` call; more workers let distinct batches
-        overlap.
+        Executor threads (default 2).  Every request's cache-key lookup
+        and every fit runs on them, so with two a hit or a joining miss
+        is not stuck behind a running fit.
     trace_log:
         Append one JSON line per closed span to this file (the
         ``--trace-log`` flag).  Setting it also turns on server-initiated
@@ -154,34 +167,35 @@ class ClusteringServer(FrontDoor):
         port: int = 0,
         *,
         default_config: Optional[ClusteringConfig] = None,
-        max_batch_size: int = 16,
-        max_wait_ms: float = 10.0,
         max_queue_depth: int = 256,
         fit_workers: int = 2,
         trace_log: Optional[str] = None,
         trace_sample: float = 1.0,
         tracer: Optional[Tracer] = None,
     ) -> None:
+        # Fail on bad knobs here, not inside the event loop, so the CLI
+        # reports them like any other flag error.
+        if max_queue_depth < 1:
+            raise ValueError("max_queue_depth must be at least 1")
         if fit_workers < 1:
             raise ValueError("fit_workers must be at least 1")
-        # Fail on bad batching knobs here, not inside the event loop, so
-        # the CLI reports them like any other flag error.
-        validate_batching_knobs(max_batch_size, max_wait_ms, max_queue_depth)
         super().__init__(
             host, port, trace_log=trace_log, trace_sample=trace_sample, tracer=tracer
         )
         self.default_config = (
             default_config if default_config is not None else ClusteringConfig(cache=True)
         )
-        self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.max_queue_depth = max_queue_depth
         self.fit_workers = fit_workers
         self.metrics = ServerMetrics()
         # Per-span-kind histograms in /metrics, beside any other sink.
         self.tracer.add_sink(self._record_span_metric)
-        self._batcher: Optional[MicroBatcher] = None
         self._executor: Optional[ThreadPoolExecutor] = None
+        #: Result-cache key -> the fit in flight for it (event-loop only).
+        self._flights: Dict[str, _Flight] = {}
+        #: Admitted requests not yet answered; ``_idle`` is set at zero.
+        self._admitted = 0
+        self._idle: Optional[asyncio.Event] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -189,37 +203,125 @@ class ClusteringServer(FrontDoor):
         self._executor = ThreadPoolExecutor(
             max_workers=self.fit_workers, thread_name_prefix="repro-serve-fit"
         )
-        self._batcher = MicroBatcher(
-            self._run_batch,
-            max_batch_size=self.max_batch_size,
-            max_wait_ms=self.max_wait_ms,
-            max_queue_depth=self.max_queue_depth,
-        )
-        self._batcher.start()
+        self._idle = asyncio.Event()
+        self._idle.set()
 
     async def _drain(self) -> None:
-        # Answer everything already admitted before tearing down.
-        assert self._batcher is not None
-        await self._batcher.stop(drain=True)
+        # New requests already get 503 (_draining); answer every admitted one.
+        assert self._idle is not None
+        await self._idle.wait()
 
     async def _stop(self) -> None:
         assert self._executor is not None
         self._executor.shutdown(wait=True)
 
-    # -- batching ----------------------------------------------------------
+    # -- lookup and single flight ------------------------------------------
 
-    async def _run_batch(
-        self, config: ClusteringConfig, matrices: List[np.ndarray]
-    ) -> List[Any]:
+    async def _in_executor(self, function: Callable[..., Any], *args: Any) -> Any:
+        """``function(*args)`` on the fit executor, off the event loop.
+
+        It runs inside a snapshot of this task's contextvars, so the spans
+        it opens on the executor thread (cache, fit, kernel) attach to the
+        request's trace without any plumbing.
+        """
         assert self._loop is not None and self._executor is not None
-        # Snapshot this task's contextvars (including the batcher's live
-        # serve.batch_fit span) and run the fit inside the copy, so the
-        # cluster_many -> cache -> kernel spans opened on the executor
-        # thread attach to the request trace without any plumbing.
         context = contextvars.copy_context()
-        return await self._loop.run_in_executor(
-            self._executor, lambda: context.run(cluster_many, matrices, config)
+        return await self._loop.run_in_executor(self._executor, context.run, function, *args)
+
+    @staticmethod
+    def _lookup(
+        matrix: np.ndarray, config: ClusteringConfig
+    ) -> Tuple[float, ClusteringConfig, str, Optional[ClusterResult]]:
+        """Key one request and look it up in the result cache (executor side).
+
+        Returns ``(started, config, key, hit)``: the ``perf_counter`` at
+        executor start, the registry-normalised config (aliases such as
+        ``par-tdbht`` resolve to their canonical id, exactly as
+        :func:`~repro.api.batch.cluster_many` keys a job, so aliases share
+        a cache entry and a flight), the key, and the cached result or
+        ``None``.
+        """
+        started = time.perf_counter()
+        config = make_estimator(config.method, config).config
+        key = result_cache_key(config, matrix)
+        hit = get_result_cache(config.cache_dir).get(key) if config.cache else None
+        return started, config, key, hit
+
+    async def _fit(
+        self, key: str, config: ClusteringConfig, matrix: np.ndarray, span: Any
+    ) -> ClusterResult:
+        """A flight's fit: one ``cluster_many`` of one job on the executor.
+
+        The flight leaves the map before its result (or error) reaches any
+        waiter, so a failed fit leaves nothing behind and the next
+        identical request starts afresh.
+        """
+        try:
+            with span:
+                return (await self._in_executor(cluster_many, [matrix], config))[0]
+        finally:
+            del self._flights[key]
+
+    async def _solve(
+        self, matrix: np.ndarray, config: ClusteringConfig, request_span: Any
+    ) -> Tuple[ClusterResult, Dict[str, Any]]:
+        """Answer one admitted request: a cache hit, or the in-flight fit
+        for its key (joined or started); resolves to ``(result, info)``."""
+        assert self._loop is not None
+        admitted = time.perf_counter()
+        started, config, key, result = await self._in_executor(self._lookup, matrix, config)
+        flight = None
+        leader = False
+        if result is None:
+            flight = self._flights.get(key)
+            if flight is None:
+                leader = True
+                # Opened here, in the leader's context: the leader's trace
+                # hosts the live span its fit's cache/kernel spans nest in.
+                span = trace_span("serve.batch_fit")
+                flight = self._flights[key] = _Flight(
+                    self._loop.create_task(self._fit(key, config, matrix, span)), span
+                )
+            # shield: a waiter that goes away must not cancel a fit that
+            # other requests share.
+            result = await asyncio.shield(flight.task)
+        info = {
+            "queue_seconds": max(0.0, started - admitted),
+            "fit_seconds": time.perf_counter() - started,
+        }
+        self.metrics.record_served(
+            info["queue_seconds"], info["fit_seconds"], shared=flight is not None and not leader
         )
+        if request_span is not NOOP_SPAN:
+            self._emit_serving_spans(request_span, info, flight, leader)
+        return result, info
+
+    @staticmethod
+    def _emit_serving_spans(
+        request_span: Span, info: Dict[str, Any], flight: Optional[_Flight], leader: bool
+    ) -> None:
+        """Synthesise the request's queue wait and, unless it led a fit
+        (whose live span is already in its trace), its executor time."""
+        tracer = request_span.tracer
+        now = time.time()
+        fit_seconds = info["fit_seconds"]
+        tracer.emit(
+            "serve.queue",
+            trace_id=request_span.trace_id,
+            parent_id=request_span.span_id,
+            started_at=now - fit_seconds - info["queue_seconds"],
+            duration_seconds=info["queue_seconds"],
+            batch_size=1,
+        )
+        if not leader:
+            tracer.emit(
+                "serve.batch_fit",
+                trace_id=request_span.trace_id,
+                parent_id=request_span.span_id,
+                started_at=now - fit_seconds,
+                duration_seconds=fit_seconds,
+                shared_span=(flight.span.span_id or None) if flight is not None else None,
+            )
 
     def _record_span_metric(self, span: Span) -> None:
         self.metrics.record_span(span.kind, span.duration_seconds)
@@ -233,30 +335,22 @@ class ClusteringServer(FrontDoor):
     # -- routes --------------------------------------------------------------
 
     def _healthz_payload(self) -> Dict[str, Any]:
-        assert self._batcher is not None
         return self.metrics.healthz(
-            queue_depth=self._batcher.queue_depth,
-            draining=self._draining or self._batcher.stopping,
-            version=__version__,
+            queue_depth=self._admitted, draining=self._draining, version=__version__
         )
 
     async def _metrics_payload(self) -> Dict[str, Any]:
-        assert self._batcher is not None
         cache_stats = None
         if self.default_config.cache:
-            from repro.cache import get_result_cache
-
             cache_stats = get_result_cache(self.default_config.cache_dir).stats.as_dict()
         return self.metrics.render(
-            queue_depth=self._batcher.queue_depth,
-            batcher_stats=self._batcher.stats.as_dict(),
+            queue_depth=self._admitted,
             cache_stats=cache_stats,
-            draining=self._draining or self._batcher.stopping,
+            draining=self._draining,
             version=__version__,
         )
 
     async def _handle_cluster(self, request: _Request) -> Reply:
-        assert self._batcher is not None
         if request.method != "POST":
             return HTTPStatus.METHOD_NOT_ALLOWED, {"error": "use POST /cluster"}, {"Allow": "POST"}
         try:
@@ -292,28 +386,30 @@ class ClusteringServer(FrontDoor):
         span: Any,
         echo: bool,
     ) -> Reply:
-        assert self._batcher is not None
-        try:
-            future = self._batcher.submit(matrix, config)
-        except QueueFull as error:
-            # The body carries the honest fractional backoff; the header
-            # stays an RFC-valid integer (rounded up, at least 1s).
-            retry_after_seconds = retry_after_hint(self.max_wait_ms)
-            return (
-                HTTPStatus.TOO_MANY_REQUESTS,
-                {"error": str(error), "retry_after_seconds": retry_after_seconds},
-                {"Retry-After": str(max(1, math.ceil(retry_after_seconds)))},
-            )
-        except ServiceStopping as error:
+        assert self._idle is not None
+        if self._draining:
             return (
                 HTTPStatus.SERVICE_UNAVAILABLE,
-                {"error": str(error)},
+                {"error": "the clustering service is shutting down"},
                 {"Connection": "close"},
             )
+        if self._admitted >= self.max_queue_depth:
+            # The body carries the honest fractional backoff; the header
+            # stays an RFC-valid integer (rounded up, at least 1s).
+            retry_after_seconds = retry_after_hint(self.metrics.fit_p50_ms())
+            return (
+                HTTPStatus.TOO_MANY_REQUESTS,
+                {
+                    "error": f"admission queue is full ({self.max_queue_depth} "
+                    "requests in flight)",
+                    "retry_after_seconds": retry_after_seconds,
+                },
+                {"Retry-After": str(max(1, math.ceil(retry_after_seconds)))},
+            )
+        self._admitted += 1
+        self._idle.clear()
         try:
-            result, info = await future
-        except ServiceStopping as error:
-            return HTTPStatus.SERVICE_UNAVAILABLE, {"error": str(error)}, None
+            result, info = await self._solve(matrix, config, span)
         except ValueError as error:
             # Config/data rejected at fit time (e.g. kmeans without
             # num_clusters): the client's fault, not the server's.
@@ -324,15 +420,19 @@ class ClusteringServer(FrontDoor):
                 {"error": f"{type(error).__name__}: {error}"},
                 None,
             )
-        self.metrics.record_served(info["queue_seconds"], info["fit_seconds"])
+        finally:
+            self._admitted -= 1
+            if not self._admitted:
+                self._idle.set()
         envelope = {
             # to_dict() is the JSON-safe dict behind to_json(), embedded
             # directly — no stringify/reparse, so re-serializing it is
             # byte-identical to a direct estimator fit's to_json().
             "result": result.to_dict(),
             "serving": {
-                "batch_size": info["batch_size"],
-                "batch_distinct": info["batch_distinct"],
+                # Every request is a batch of one job.
+                "batch_size": 1,
+                "batch_distinct": 1,
                 "queue_seconds": round(info["queue_seconds"], 6),
                 "fit_seconds": round(info["fit_seconds"], 6),
             },

@@ -95,6 +95,45 @@ class TestAsyncBlocking:
         assert "open" in messages
         assert ".fit" in messages
 
+    def test_fingerprinting_on_the_loop_is_flagged(self, tmp_path):
+        result = lint_source(
+            tmp_path,
+            """\
+            from repro.cache import fingerprint
+            from repro.cache import result_cache_key
+
+            async def handler(config, matrix):
+                key = result_cache_key(config, matrix)
+                return key, fingerprint.matrix_fingerprint(matrix)
+            """,
+            rules=["async-blocking"],
+        )
+        messages = [f.message for f in result.reported]
+        assert len(messages) == 2, messages
+        assert any("result_cache_key()" in message for message in messages)
+        assert any("matrix_fingerprint()" in message for message in messages)
+        assert all("event loop" in message for message in messages)
+
+    def test_fingerprinting_in_an_executor_lambda_passes(self, tmp_path):
+        result = lint_source(
+            tmp_path,
+            """\
+            import asyncio
+
+            from repro.cache import matrix_fingerprint, result_cache_key
+
+            async def handler(config, matrix):
+                loop = asyncio.get_running_loop()
+                key = await loop.run_in_executor(
+                    None, lambda: result_cache_key(config, matrix)
+                )
+                digest = await loop.run_in_executor(None, lambda: matrix_fingerprint(matrix))
+                return key, digest
+            """,
+            rules=["async-blocking"],
+        )
+        assert result.ok, [f.message for f in result.findings]
+
     def test_pragma_suppresses(self, tmp_path):
         result = lint_source(
             tmp_path,

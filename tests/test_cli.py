@@ -98,7 +98,11 @@ class TestDeletedExecutionFlags:
             assert excinfo.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--kernel", "--apsp-method", "--landmarks", "--backend"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--kernel", "--apsp-method", "--landmarks", "--backend", "--max-batch-size",
+         "--max-wait-ms"],
+    )
     def test_rejected_by_serve(self, flag):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", flag, "1"])
@@ -436,8 +440,8 @@ class TestServeCommand:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8752
-        assert args.max_batch_size == 16
-        assert args.max_wait_ms == 10.0
+        assert not hasattr(args, "max_batch_size")
+        assert not hasattr(args, "max_wait_ms")
         assert args.max_queue == 256
         assert args.fit_workers == 2
         assert args.replicas == 1
@@ -471,7 +475,7 @@ class TestServeCommand:
             assert argv[argv.index(flag) + 1] == value
         assert "--workers" not in argv
         for deleted in ("--kernel", "--apsp-method", "--landmarks", "--backend",
-                        "--binary", "--no-binary"):
+                        "--binary", "--no-binary", "--max-batch-size", "--max-wait-ms"):
             assert deleted not in argv
         # The replica parses what it is handed.
         replica = build_parser().parse_args(["serve"] + argv)

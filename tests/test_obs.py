@@ -472,7 +472,6 @@ class TestServerTracing:
         server = ClusteringServer(
             port=0,
             default_config=ClusteringConfig(cache=True, num_clusters=3, prefix=2),
-            max_wait_ms=5.0,
             **kwargs,
         )
         return server, server.start_in_background()
@@ -631,8 +630,7 @@ def traced_fleet(tmp_path_factory):
     log_path = str(tmp_path_factory.mktemp("fleet-obs") / "trace.jsonl")
     router = build_fleet(
         2,
-        ["--clusters", "2", "--method", "kmeans", "--max-wait-ms", "2",
-         "--trace-log", log_path],
+        ["--clusters", "2", "--method", "kmeans", "--trace-log", log_path],
         port=0,
         stagger_seconds=0.05,
         backoff_base_seconds=0.2,

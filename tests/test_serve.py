@@ -1,16 +1,17 @@
-"""Tests for the micro-batching clustering service (`repro.serve`).
+"""Tests for the clustering service (`repro.serve`).
 
-Unit-level: the size-or-deadline batcher, admission control, latency
-histograms.  Integration-level: a real server on an ephemeral port,
-concurrent identical + distinct POSTs deduping (asserted through the
+Unit-level: latency histograms, retry hints, request parsing.
+Integration-level: a real server on an ephemeral port, concurrent
+identical misses sharing one in-flight fit (asserted through the
 ``/metrics`` counters), byte-identity with direct estimator fits, 429
-under saturation, and clean graceful shutdown.
+under saturation, and clean graceful shutdown, in process and on SIGTERM.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 
@@ -24,12 +25,9 @@ from repro.datasets.synthetic import make_time_series_dataset
 from repro.serve import (
     ClusteringServer,
     LatencyHistogram,
-    MicroBatcher,
-    QueueFull,
     ServeClient,
     ServerBusy,
     ServerError,
-    ServiceStopping,
 )
 from repro.serve.httpio import HEADER_LIMIT, BadRequest, Request, read_request
 
@@ -53,164 +51,6 @@ def _other_series(seed: int) -> np.ndarray:
     return make_time_series_dataset(
         num_objects=36, length=32, num_classes=3, noise=1.0, seed=seed
     ).data
-
-
-# ---------------------------------------------------------------------------
-# MicroBatcher
-# ---------------------------------------------------------------------------
-
-
-def _run(coroutine):
-    return asyncio.run(coroutine)
-
-
-class _RecordingRunner:
-    """Runner double: records each (config, matrices) call it serves."""
-
-    def __init__(self, delay: float = 0.0, fail: bool = False):
-        self.calls = []
-        self.delay = delay
-        self.fail = fail
-
-    async def __call__(self, config, matrices):
-        self.calls.append((config, [np.asarray(m) for m in matrices]))
-        if self.delay:
-            await asyncio.sleep(self.delay)
-        if self.fail:
-            raise RuntimeError("runner exploded")
-        return [("fit", config.method, int(np.asarray(m).sum())) for m in matrices]
-
-
-class TestMicroBatcher:
-    def test_flushes_on_max_batch_size(self):
-        async def scenario():
-            runner = _RecordingRunner()
-            batcher = MicroBatcher(runner, max_batch_size=3, max_wait_ms=10_000)
-            batcher.start()
-            config = ClusteringConfig()
-            futures = [batcher.submit(np.full((2, 2), i), config) for i in range(3)]
-            results = await asyncio.wait_for(asyncio.gather(*futures), timeout=5)
-            await batcher.stop()
-            return runner.calls, results
-
-        calls, results = _run(scenario())
-        # One flush, one runner call, well before the (huge) deadline.
-        assert len(calls) == 1
-        assert len(calls[0][1]) == 3
-        for i, (result, info) in enumerate(results):
-            assert result == ("fit", "tmfg-dbht", i * 4)
-            assert info["batch_size"] == 3
-            assert info["batch_distinct"] == 3
-
-    def test_flushes_on_deadline_with_partial_batch(self):
-        async def scenario():
-            runner = _RecordingRunner()
-            batcher = MicroBatcher(runner, max_batch_size=64, max_wait_ms=30)
-            batcher.start()
-            start = asyncio.get_running_loop().time()
-            future = batcher.submit(np.ones((2, 2)), ClusteringConfig())
-            await asyncio.wait_for(future, timeout=5)
-            elapsed = asyncio.get_running_loop().time() - start
-            await batcher.stop()
-            return runner.calls, elapsed
-
-        calls, elapsed = _run(scenario())
-        assert len(calls) == 1 and len(calls[0][1]) == 1
-        assert elapsed >= 0.02  # waited for (most of) the 30ms deadline
-
-    def test_mixed_configs_split_into_one_runner_call_each(self):
-        async def scenario():
-            runner = _RecordingRunner()
-            batcher = MicroBatcher(runner, max_batch_size=4, max_wait_ms=10_000)
-            batcher.start()
-            a, b = ClusteringConfig(prefix=1), ClusteringConfig(prefix=2)
-            futures = [
-                batcher.submit(np.ones((2, 2)), a),
-                batcher.submit(np.ones((2, 2)), b),
-                batcher.submit(np.ones((2, 2)), a),
-                batcher.submit(np.ones((2, 2)), b),
-            ]
-            results = await asyncio.wait_for(asyncio.gather(*futures), timeout=5)
-            await batcher.stop()
-            return runner.calls, results
-
-        calls, results = _run(scenario())
-        assert [len(matrices) for _config, matrices in calls] == [2, 2]
-        assert {config.prefix for config, _m in calls} == {1, 2}
-        # The batch is still accounted as one: 4 requests, 2 distinct jobs.
-        assert all(info["batch_size"] == 4 for _r, info in results)
-        assert all(info["batch_distinct"] == 2 for _r, info in results)
-
-    def test_queue_full_rejects_and_counts(self):
-        async def scenario():
-            runner = _RecordingRunner()
-            batcher = MicroBatcher(
-                runner, max_batch_size=64, max_wait_ms=10_000, max_queue_depth=2
-            )
-            batcher.start()
-            config = ClusteringConfig()
-            kept = [batcher.submit(np.ones((2, 2)), config) for _ in range(2)]
-            with pytest.raises(QueueFull):
-                batcher.submit(np.ones((2, 2)), config)
-            rejected = batcher.stats.rejected
-            await batcher.stop()  # drain answers the two admitted jobs
-            results = await asyncio.gather(*kept)
-            return rejected, results
-
-        rejected, results = _run(scenario())
-        assert rejected == 1
-        assert len(results) == 2
-
-    def test_stop_drains_admitted_work_then_refuses(self):
-        async def scenario():
-            runner = _RecordingRunner()
-            batcher = MicroBatcher(runner, max_batch_size=64, max_wait_ms=10_000)
-            batcher.start()
-            future = batcher.submit(np.ones((2, 2)), ClusteringConfig())
-            await batcher.stop(drain=True)
-            result, _info = future.result()
-            with pytest.raises(ServiceStopping):
-                batcher.submit(np.ones((2, 2)), ClusteringConfig())
-            return result
-
-        assert _run(scenario())[0] == "fit"
-
-    def test_stop_without_drain_fails_queued_requests(self):
-        async def scenario():
-            runner = _RecordingRunner()
-            batcher = MicroBatcher(runner, max_batch_size=64, max_wait_ms=10_000)
-            batcher.start()
-            future = batcher.submit(np.ones((2, 2)), ClusteringConfig())
-            await batcher.stop(drain=False)
-            return future
-
-        future = _run(scenario())
-        with pytest.raises(ServiceStopping):
-            future.result()
-
-    def test_runner_failure_propagates_to_every_request(self):
-        async def scenario():
-            runner = _RecordingRunner(fail=True)
-            batcher = MicroBatcher(runner, max_batch_size=2, max_wait_ms=10_000)
-            batcher.start()
-            futures = [
-                batcher.submit(np.ones((2, 2)), ClusteringConfig()) for _ in range(2)
-            ]
-            gathered = await asyncio.gather(*futures, return_exceptions=True)
-            await batcher.stop()
-            return gathered
-
-        gathered = _run(scenario())
-        assert all(isinstance(g, RuntimeError) for g in gathered)
-
-    def test_knob_validation(self):
-        runner = _RecordingRunner()
-        with pytest.raises(ValueError):
-            MicroBatcher(runner, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(runner, max_wait_ms=-1)
-        with pytest.raises(ValueError):
-            MicroBatcher(runner, max_queue_depth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +103,104 @@ def _start_server(**kwargs) -> "tuple":
     defaults = dict(
         port=0,
         default_config=ClusteringConfig(cache=True, num_clusters=3, prefix=2),
-        max_batch_size=16,
-        max_wait_ms=20.0,
         fit_workers=2,
     )
     defaults.update(kwargs)
     server = ClusteringServer(**defaults)
     handle = server.start_in_background()
     return server, handle
+
+
+def _wait_for(predicate, timeout: float = 30.0, what: str = "condition") -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.005)
+
+
+def _in_flight(port: int) -> int:
+    """Admitted-but-unanswered requests, from ``/healthz``."""
+    with ServeClient(port=port) as client:
+        return client.healthz()["queue_depth"]
+
+
+class _HeldFits:
+    """Test double around the server's fit and lookup.
+
+    Every flight's ``cluster_many`` waits on :attr:`release` (then sleeps
+    :attr:`delay`, raises :attr:`error` if set, or fits for real), and
+    :attr:`calls`/:attr:`lookups` count fits started and keys looked up —
+    so a test can hold fits in flight while it lines requests up behind
+    them.
+    """
+
+    def __init__(self, monkeypatch, *, released: bool = False):
+        import repro.serve.server as server_module
+
+        self.release = threading.Event()
+        if released:
+            self.release.set()
+        self.delay = 0.0
+        self.error = None
+        self.calls = 0
+        self.lookups = 0
+        self._lock = threading.Lock()
+        real_fit = server_module.cluster_many
+        real_lookup = ClusteringServer._lookup
+
+        def held_fit(matrices, config):
+            with self._lock:
+                self.calls += 1
+            assert self.release.wait(timeout=60), "held fit never released"
+            time.sleep(self.delay)
+            if self.error is not None:
+                raise self.error
+            return real_fit(matrices, config)
+
+        def counted_lookup(matrix, config):
+            try:
+                return real_lookup(matrix, config)
+            finally:
+                with self._lock:
+                    self.lookups += 1
+
+        monkeypatch.setattr(server_module, "cluster_many", held_fit)
+        monkeypatch.setattr(ClusteringServer, "_lookup", staticmethod(counted_lookup))
+
+    def release_after_lookups(self, count: int) -> None:
+        """Open the gate once ``count`` requests have been keyed (so every
+        identical one has joined the held flight)."""
+        _wait_for(lambda: self.lookups >= count, what=f"{count} lookups")
+        time.sleep(0.05)  # let the loop file the last lookup as a join
+        self.release.set()
+
+
+def _post_concurrently(handle, jobs):
+    """POST each ``(matrix, config)`` from its own thread; returns the
+    thread list and the outcome list (envelope or error, in job order)."""
+    outcomes = [None] * len(jobs)
+
+    def post(index, matrix, config):
+        with ServeClient(handle.host, handle.port, timeout=120) as client:
+            try:
+                outcomes[index] = client.cluster(matrix, config=config)
+            except ServerError as error:
+                outcomes[index] = error
+
+    threads = [
+        threading.Thread(target=post, args=(index, matrix, config))
+        for index, (matrix, config) in enumerate(jobs)
+    ]
+    for thread in threads:
+        thread.start()
+    return threads, outcomes
+
+
+def _join(threads) -> None:
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
 
 
 class TestServerIntegration:
@@ -309,7 +239,7 @@ class TestServerIntegration:
         assert json.dumps(envelope["result"]) == direct.to_json()
 
     def test_concurrent_identical_requests_dedupe(self, series):
-        _server, handle = _start_server(max_wait_ms=60.0)
+        _server, handle = _start_server()
         num_clients = 8
         try:
             barrier = threading.Barrier(num_clients)
@@ -359,7 +289,7 @@ class TestServerIntegration:
             handle.stop()
 
     def test_distinct_requests_all_fit(self, series):
-        _server, handle = _start_server(max_wait_ms=40.0)
+        _server, handle = _start_server()
         try:
             inputs = [series, _other_series(29), _other_series(31)]
             expected = []
@@ -436,54 +366,47 @@ class TestServerIntegration:
         finally:
             handle.stop()
 
-    def test_saturated_queue_answers_429_with_retry_after(self, series):
-        # max_wait_ms is huge and the batch never fills, so admitted
-        # requests sit in the queue; depth 2 makes the third request 429.
-        _server, handle = _start_server(
-            max_wait_ms=3_000.0, max_batch_size=64, max_queue_depth=2, fit_workers=1
-        )
-        small = series[:12]
+    def test_saturated_queue_answers_429_with_retry_after(self, series, monkeypatch):
+        # One fit thread and held fits: the first two distinct misses stay
+        # in flight, so with max_queue_depth=2 every later request is 429.
+        held = _HeldFits(monkeypatch)
+        server, handle = _start_server(max_queue_depth=2, fit_workers=1)
         try:
-            results, busy = [], []
-
-            def fire():
-                with ServeClient(handle.host, handle.port) as client:
-                    try:
-                        results.append(client.cluster(small))
-                    except ServerBusy as error:
-                        busy.append(error)
-
-            threads = [threading.Thread(target=fire) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-                time.sleep(0.05)  # admit strictly one at a time
-            for thread in threads:
-                thread.join(timeout=120)
-            assert busy, "no request was rejected despite a saturated queue"
-            assert all(error.retry_after >= 1 for error in busy)
-            assert len(results) == 6 - len(busy)
+            jobs = [(_other_series(40 + i)[:12], {}) for i in range(6)]
+            threads, outcomes = _post_concurrently(handle, jobs[:2])
+            _wait_for(lambda: _in_flight(handle.port) == 2, what="two admitted requests")
+            more, rejected = _post_concurrently(handle, jobs[2:])
+            _join(more)
+            held.release.set()
+            _join(threads)
+            assert all(isinstance(error, ServerBusy) for error in rejected)
+            # Nothing has been served yet, so the hint is the 50 ms floor.
+            assert all(error.retry_after == 0.05 for error in rejected)
+            assert all(envelope["result"]["num_clusters"] == 3 for envelope in outcomes)
             with ServeClient(handle.host, handle.port) as client:
                 metrics = client.metrics()
-            assert metrics["rejected_total"] == len(busy)
-            assert metrics["responses_total"]["429"] == len(busy)
+            assert metrics["rejected_total"] == 4
+            assert metrics["responses_total"]["429"] == 4
+            assert metrics["batching"]["rejected"] == 4
+            assert metrics["queue_depth"] == 0
+            assert server._flights == {}
         finally:
+            held.release.set()
             handle.stop()
 
-    def test_graceful_shutdown_drains_inflight_requests(self, series):
-        server, handle = _start_server(max_wait_ms=200.0)
-        envelopes = []
-
-        def slow_request():
-            with ServeClient(handle.host, handle.port) as client:
-                envelopes.append(client.cluster(series))
-
-        thread = threading.Thread(target=slow_request)
-        thread.start()
-        time.sleep(0.05)  # let the request reach the queue
-        handle.stop()  # drain: the queued request must still be answered
-        thread.join(timeout=30)
-        assert len(envelopes) == 1
-        assert envelopes[0]["result"]["num_clusters"] == 3
+    def test_graceful_shutdown_drains_inflight_requests(self, series, monkeypatch):
+        held = _HeldFits(monkeypatch)
+        server, handle = _start_server(fit_workers=1)
+        jobs = [(_other_series(50 + i), {}) for i in range(3)]
+        threads, outcomes = _post_concurrently(handle, jobs)
+        _wait_for(lambda: _in_flight(handle.port) == 3, what="three admitted requests")
+        server.request_stop()  # what SIGTERM does: the drain begins mid-fit
+        time.sleep(0.1)
+        held.release.set()
+        handle.stop()  # joins the drained server thread
+        _join(threads)
+        # Every admitted request was still answered.
+        assert [envelope["result"]["num_clusters"] for envelope in outcomes] == [3, 3, 3]
         # The port is actually released.
         with pytest.raises(OSError):
             import socket
@@ -497,40 +420,197 @@ class TestServerIntegration:
             ClusteringServer(fit_workers=0)
 
 
+class TestSingleFlight:
+    """Concurrent identical misses share one in-flight fit; a hit never
+    waits for it; a failed fit leaves nothing behind."""
+
+    def test_concurrent_identical_misses_share_one_fit(self, series, monkeypatch):
+        held = _HeldFits(monkeypatch)
+        server, handle = _start_server()
+        num_clients = 8
+        try:
+            threads, outcomes = _post_concurrently(handle, [(series, {})] * num_clients)
+            held.release_after_lookups(num_clients)
+            _join(threads)
+            with ServeClient(handle.host, handle.port) as client:
+                metrics = client.metrics()
+        finally:
+            held.release.set()
+            handle.stop()
+        assert held.calls == 1
+        assert len({json.dumps(envelope["result"]) for envelope in outcomes}) == 1
+        assert metrics["cache"]["stores"] == 1
+        assert metrics["batching"]["deduped_requests"] == num_clients - 1
+        assert metrics["batching"]["distinct_jobs"] == 1
+        assert all(envelope["serving"]["batch_size"] == 1 for envelope in outcomes)
+        assert server._flights == {}
+        direct = TMFGClusterer(ClusteringConfig(cache=True, num_clusters=3, prefix=2)).fit(series)
+        assert json.dumps(outcomes[0]["result"]) == direct.result_.to_json()
+
+    def test_failed_fit_fails_every_waiter_and_leaves_no_entry(self, series, monkeypatch):
+        held = _HeldFits(monkeypatch)
+        held.error = RuntimeError("fit exploded")
+        server, handle = _start_server()
+        try:
+            threads, outcomes = _post_concurrently(handle, [(series, {})] * 4)
+            held.release_after_lookups(4)
+            _join(threads)
+            assert held.calls == 1
+            assert all(isinstance(error, ServerError) for error in outcomes)
+            assert {(error.status, str(error)) for error in outcomes} == {
+                (500, "HTTP 500: RuntimeError: fit exploded")
+            }
+            assert server._flights == {}
+            # The next identical request starts a fresh fit, which succeeds.
+            held.error = None
+            with ServeClient(handle.host, handle.port) as client:
+                envelope = client.cluster(series)
+            assert held.calls == 2
+            assert envelope["result"]["num_clusters"] == 3
+        finally:
+            held.release.set()
+            handle.stop()
+
+    def test_aliased_configs_share_one_flight(self, series, monkeypatch):
+        # par-tdbht is an alias of the default tmfg-dbht: the key is taken
+        # on the registry-normalised config, so both join one flight.
+        held = _HeldFits(monkeypatch)
+        _server, handle = _start_server()
+        try:
+            jobs = [(series, {"method": "par-tdbht"}), (series, {})] * 2
+            threads, outcomes = _post_concurrently(handle, jobs)
+            held.release_after_lookups(len(jobs))
+            _join(threads)
+        finally:
+            held.release.set()
+            handle.stop()
+        assert held.calls == 1
+        assert len({json.dumps(envelope["result"]) for envelope in outcomes}) == 1
+        assert outcomes[0]["result"]["method"] == "tmfg-dbht"
+
+    def test_distinct_keys_fit_separately_with_their_own_timings(self, series, monkeypatch):
+        import repro.serve.server as server_module
+
+        real_fit = server_module.cluster_many
+
+        def slow_for_prefix_one(matrices, config):
+            time.sleep(0.3 if config.prefix == 1 else 0.0)
+            return real_fit(matrices, config)
+
+        monkeypatch.setattr(server_module, "cluster_many", slow_for_prefix_one)
+        _server, handle = _start_server()
+        try:
+            threads, outcomes = _post_concurrently(
+                handle, [(series, {"prefix": 1}), (series, {"prefix": 2})]
+            )
+            _join(threads)
+        finally:
+            handle.stop()
+        slow, fast = outcomes
+        assert slow["serving"]["fit_seconds"] >= 0.3
+        # The other key's fit does not inherit the slow one's time.
+        assert fast["serving"]["fit_seconds"] < 0.3
+
+    def test_cache_hit_is_not_held_behind_a_running_fit(self, series, monkeypatch):
+        held = _HeldFits(monkeypatch, released=True)
+        _server, handle = _start_server()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                warm = client.cluster(series)
+                held.release.clear()
+                threads, outcomes = _post_concurrently(handle, [(_other_series(61), {})])
+                _wait_for(lambda: held.calls == 2, what="the held fit to start")
+                hit = client.cluster(series)
+                assert threads[0].is_alive()  # the miss is still fitting
+            held.release.set()
+            _join(threads)
+        finally:
+            held.release.set()
+            handle.stop()
+        assert hit["result"] == warm["result"]
+        assert hit["serving"]["fit_seconds"] < 1.0
+        assert outcomes[0]["result"]["num_clusters"] == 3
+
+    def test_sigterm_mid_fit_answers_admitted_and_refuses_late(self):
+        """`repro serve` on SIGTERM with fits in flight: every admitted
+        request gets its 200, and a request that arrives on an open
+        keep-alive connection after the drain began gets 503."""
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys as _sys
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [_sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--clusters", "3", "--fit-workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            banner = process.stdout.readline()
+            port = int(banner.split("127.0.0.1:")[1].split()[0].rstrip("/"))
+            with ServeClient(port=port) as client:
+                client.wait_healthy(30)
+            # Distinct ~0.15 s misses on one fit thread: the drain takes
+            # a while, and each one stays admitted until it is answered.
+            slow = [
+                make_time_series_dataset(400, 60, 3, noise=1.0, seed=70 + i).data
+                for i in range(4)
+            ]
+            outcomes = [None] * len(slow)
+
+            def post(index):
+                with ServeClient(port=port, timeout=120) as client:
+                    outcomes[index] = client.cluster(slow[index], binary=True)
+
+            threads = [threading.Thread(target=post, args=(i,)) for i in range(len(slow))]
+            for thread in threads:
+                thread.start()
+            _wait_for(
+                lambda: _in_flight(port) == len(slow), what="every slow request admitted"
+            )
+
+            def accept_loop_closed():
+                try:
+                    socket.create_connection(("127.0.0.1", port), timeout=1).close()
+                except ConnectionRefusedError:
+                    return True
+                return False
+
+            # Opened before the signal: a keep-alive connection the drain
+            # leaves open until the admitted requests are answered.
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as late:
+                process.send_signal(signal.SIGTERM)
+                _wait_for(accept_loop_closed, what="the drain to start")
+                body = json.dumps({"matrix": slow[0][:8].tolist()}).encode()
+                late.sendall(
+                    b"POST /cluster HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+                )
+                response = late.recv(1 << 16)
+            _join(threads)
+            assert response.startswith(b"HTTP/1.1 503"), response[:80]
+            assert b"shutting down" in response
+            assert [envelope["result"]["num_clusters"] for envelope in outcomes] == [3] * 4
+            assert process.wait(timeout=60) == 0
+            assert "drained and stopped" in process.stdout.read()
+        finally:
+            if process.poll() is None:  # pragma: no cover - cleanup on failure
+                process.kill()
+                process.wait(timeout=10)
+            process.stdout.close()
+
+
 class TestReviewHardening:
     """Regression tests for the serving-path review findings."""
 
-    def test_group_failure_is_isolated_per_request(self):
-        poison = np.full((2, 2), -1.0)
-
-        async def runner(config, matrices):
-            if any(np.all(m == -1.0) for m in matrices):
-                raise ValueError("poison matrix")
-            await asyncio.sleep(0)
-            return ["ok" for _ in matrices]
-
-        async def scenario():
-            batcher = MicroBatcher(runner, max_batch_size=3, max_wait_ms=10_000)
-            batcher.start()
-            config = ClusteringConfig()
-            good_a = batcher.submit(np.ones((2, 2)), config)
-            bad = batcher.submit(poison, config)
-            good_b = batcher.submit(np.full((2, 2), 2.0), config)
-            gathered = await asyncio.gather(
-                good_a, bad, good_b, return_exceptions=True
-            )
-            await batcher.stop()
-            return gathered
-
-        result_a, bad_error, result_b = _run(scenario())
-        # The co-batched good requests still get answers; only the poison
-        # request observes its own error.
-        assert result_a[0] == "ok" and result_b[0] == "ok"
-        assert isinstance(bad_error, ValueError)
-        assert "poison" in str(bad_error)
-
     def test_server_isolates_bad_matrix_from_batchmates(self, series):
-        _server, handle = _start_server(max_wait_ms=150.0)
+        _server, handle = _start_server()
         try:
             too_small = np.ones((3, 5))  # parses fine, fails at fit (<4 rows)
             outcomes = {}
@@ -603,13 +683,15 @@ class TestReviewHardening:
         finally:
             handle.stop()
 
-    def test_bad_batching_knobs_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="max_batch_size"):
-            ClusteringServer(max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            ClusteringServer(max_wait_ms=-1.0)
+    def test_bad_admission_knobs_rejected_at_construction(self):
         with pytest.raises(ValueError, match="max_queue_depth"):
             ClusteringServer(max_queue_depth=0)
+        with pytest.raises(ValueError, match="fit_workers"):
+            ClusteringServer(fit_workers=0)
+        # The batching knobs are gone, not ignored.
+        for deleted in ("max_batch_size", "max_wait_ms"):
+            with pytest.raises(TypeError, match=deleted):
+                ClusteringServer(**{deleted: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -810,41 +892,38 @@ class TestRetryAfterHints:
                     client.cluster(np.ones((4, 4)))
         assert excinfo.value.retry_after == 1.0
 
-    def test_live_429_carries_fractional_body_and_integer_header(self, series):
+    def test_live_429_carries_fractional_body_and_integer_header(self, series, monkeypatch):
         import socket
 
-        _server, handle = _start_server(
-            max_wait_ms=2_500.0, max_batch_size=64, max_queue_depth=1, fit_workers=1
-        )
+        from repro.serve.server import retry_after_hint
+
+        held = _HeldFits(monkeypatch, released=True)
+        server, handle = _start_server(max_queue_depth=1, fit_workers=1)
         small = series[:12]
         try:
-            def hold():
-                try:
-                    ServeClient(handle.host, handle.port).cluster(small)
-                except ServerBusy:
-                    pass  # late holders may be rejected too; irrelevant here
-
-            holders = [threading.Thread(target=hold) for _ in range(3)]
-            for thread in holders:
-                thread.start()
-                time.sleep(0.05)
-            # Saturate, then inspect the raw 429 bytes.
+            # One served request that spent ~1.2 s on the executor: the
+            # batch_fit histogram's p50 is then its bucket's midpoint, 1.5 s.
+            held.delay = 1.2
+            with ServeClient(handle.host, handle.port, timeout=60) as client:
+                client.cluster(_other_series(60)[:12])
+            p50_ms = server.metrics.fit_p50_ms()
+            assert 1000.0 < p50_ms <= 2000.0
+            # Saturate with a held miss, then inspect the raw 429 bytes.
+            held.delay = 0.0
+            held.release.clear()
+            holders, _outcomes = _post_concurrently(handle, [(small, {})])
+            _wait_for(lambda: _in_flight(handle.port) == 1, what="one admitted request")
             body = json.dumps({"matrix": small.tolist(), "config": {}}).encode()
-            deadline = time.time() + 10
-            raw_response = b""
-            while time.time() < deadline:
-                with socket.create_connection((handle.host, handle.port), timeout=10) as raw:
-                    raw.sendall(
-                        b"POST /cluster HTTP/1.1\r\nHost: x\r\n"
-                        b"Content-Type: application/json\r\n"
-                        b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
-                    )
-                    raw.settimeout(10)
-                    raw_response = raw.recv(1 << 20)
-                if raw_response.startswith(b"HTTP/1.1 429"):
-                    break
-            for thread in holders:
-                thread.join(timeout=120)
+            with socket.create_connection((handle.host, handle.port), timeout=10) as raw:
+                raw.sendall(
+                    b"POST /cluster HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+                )
+                raw.settimeout(10)
+                raw_response = raw.recv(1 << 20)
+            held.release.set()
+            _join(holders)
             assert raw_response.startswith(b"HTTP/1.1 429"), raw_response[:80]
             head, _, payload = raw_response.partition(b"\r\n\r\n")
             headers = {
@@ -855,9 +934,10 @@ class TestRetryAfterHints:
             assert headers[b"retry-after"].isdigit()
             hint = json.loads(payload)["retry_after_seconds"]
             assert isinstance(hint, float)
-            assert hint == 2.5  # max_wait_ms / 1000, fractional
-            assert int(headers[b"retry-after"]) == 3  # ceil(2.5)
+            assert hint == retry_after_hint(p50_ms) == round(p50_ms / 1000.0, 3)
+            assert int(headers[b"retry-after"]) == math.ceil(hint) == 2
         finally:
+            held.release.set()
             handle.stop()
 
 
@@ -953,25 +1033,6 @@ class TestHeaderParsingHardening:
         finally:
             handle.stop()
 
-    def test_mixed_config_groups_time_fits_separately(self):
-        async def runner(config, matrices):
-            await asyncio.sleep(0.1 if config.prefix == 1 else 0.0)
-            return ["ok" for _ in matrices]
-
-        async def scenario():
-            batcher = MicroBatcher(runner, max_batch_size=2, max_wait_ms=10_000)
-            batcher.start()
-            slow = batcher.submit(np.ones((2, 2)), ClusteringConfig(prefix=1))
-            fast = batcher.submit(np.ones((2, 2)), ClusteringConfig(prefix=2))
-            (_, slow_info), (_, fast_info) = await asyncio.gather(slow, fast)
-            await batcher.stop()
-            return slow_info, fast_info
-
-        slow_info, fast_info = _run(scenario())
-        assert slow_info["fit_seconds"] >= 0.1
-        # The second group's fit time does not inherit the first group's.
-        assert fast_info["fit_seconds"] < 0.1
-
 
 class TestReadRequestFuzz:
     """``httpio.read_request`` on arbitrary bytes then EOF: every parse
@@ -1064,8 +1125,7 @@ class TestIdentityFields:
         from repro.serve.metrics import ServerMetrics
 
         payload = ServerMetrics().render(
-            queue_depth=0, batcher_stats={}, cache_stats=None, draining=False,
-            version="9.9",
+            queue_depth=0, cache_stats=None, draining=False, version="9.9",
         )
         assert payload["pid"] == os.getpid()
         assert payload["version"] == "9.9"

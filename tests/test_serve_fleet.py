@@ -292,7 +292,7 @@ def fleet():
     """One 2-replica fleet shared by the integration tests."""
     router = build_fleet(
         2,
-        ["--clusters", "2", "--method", "kmeans", "--max-wait-ms", "2"],
+        ["--clusters", "2", "--method", "kmeans"],
         port=0,
         stagger_seconds=0.05,
         backoff_base_seconds=0.2,
@@ -318,7 +318,7 @@ class TestFleetIntegration:
 
     def test_routed_fit_matches_direct_fit(self, fleet):
         matrix = _matrix(7)
-        with ClusteringServer(port=0, max_wait_ms=2.0).start_in_background() as direct:
+        with ClusteringServer(port=0).start_in_background() as direct:
             with ServeClient("127.0.0.1", direct.port) as client:
                 direct_json = client.cluster(matrix, KMEANS)
                 direct_binary = client.cluster(matrix, KMEANS, binary=True)

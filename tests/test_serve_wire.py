@@ -48,8 +48,6 @@ def _start_server(**kwargs):
     defaults = dict(
         port=0,
         default_config=ClusteringConfig(cache=True, num_clusters=3, prefix=2),
-        max_batch_size=16,
-        max_wait_ms=20.0,
         fit_workers=2,
     )
     defaults.update(kwargs)
