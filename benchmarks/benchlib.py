@@ -28,22 +28,25 @@ def results_path(name: str) -> Path:
     return RESULTS_DIR / name
 
 
-def _git_sha() -> Optional[str]:
-    """The repo's HEAD commit, or ``None`` outside a checkout / without git."""
+def _git(*args: str) -> Optional[subprocess.CompletedProcess]:
     try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=Path(__file__).parent,
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=10, cwd=Path(__file__).parent
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    if completed.returncode != 0:
+
+
+def _git_sha() -> Optional[str]:
+    """The repo's HEAD commit, suffixed ``-dirty`` when tracked files differ
+    from it (the numbers then belong to no commit); ``None`` outside a
+    checkout or without git."""
+    head = _git("rev-parse", "HEAD")
+    if head is None or head.returncode != 0 or not head.stdout.strip():
         return None
-    sha = completed.stdout.strip()
-    return sha or None
+    diff = _git("diff", "--quiet", "HEAD")
+    dirty = diff is not None and diff.returncode == 1
+    return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def provenance() -> dict:

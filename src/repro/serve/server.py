@@ -1,7 +1,7 @@
 """The asyncio HTTP/JSON clustering daemon.
 
-:class:`ClusteringServer` is the long-running front of the library: a
-stdlib-only (asyncio streams + :mod:`http`) HTTP/1.1 server that accepts
+:class:`ClusteringServer` is the long-running front of the library: an
+HTTP/1.1 server on asyncio streams and :mod:`http` that accepts
 clustering requests and answers each from the result cache or from one
 fit, running all numerical work on a thread pool so the event loop never
 blocks on it.
@@ -19,10 +19,15 @@ Routes
     ``repro cluster --config``.  Responds 200 with
     ``{"result": ClusterResult.to_dict(), "serving": {...}}`` (as a binary
     envelope frame when the client sent ``Accept:
-    application/x-repro-matrix``); 400 on a malformed body (invalid
-    JSON, a non-UTF-8 or a too deeply nested one included) or a bad
+    application/x-repro-matrix``); 400 on a malformed body or a bad
     frame; 405 for any other method; 429 + ``Retry-After`` when
     ``--max-queue`` requests are already in flight; 503 while draining.
+    A JSON body and a frame's header are parsed by
+    :func:`repro.serve.wire.loads_request_json` (orjson, RFC 8259):
+    ``NaN``/``Infinity`` literals, a number that overflows a double
+    (``1e400``), a lone surrogate escape, a body that is not UTF-8
+    (UTF-16, or any byte-order mark) and nesting deeper than 1024 all get
+    a 400 saying "not valid JSON".
 ``GET /healthz``
     Liveness: status, version, uptime, in-flight request count.
 ``GET /metrics``
@@ -50,7 +55,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -75,7 +79,13 @@ from repro.serve.httpio import (
     Request as _Request,
 )
 from repro.serve.metrics import ServerMetrics
-from repro.serve.wire import WIRE_CONTENT_TYPE, WireFormatError, decode_request, encode_envelope
+from repro.serve.wire import (
+    WIRE_CONTENT_TYPE,
+    WireFormatError,
+    decode_request,
+    encode_envelope,
+    loads_request_json,
+)
 
 #: Config fields a request payload may overlay.  These are the algorithmic
 #: knobs; the server-owned ``cache``/``cache_dir`` (server-side filesystem)
@@ -353,20 +363,13 @@ class ClusteringServer(FrontDoor):
     async def _handle_cluster(self, request: _Request) -> Reply:
         if request.method != "POST":
             return HTTPStatus.METHOD_NOT_ALLOWED, {"error": "use POST /cluster"}, {"Allow": "POST"}
-        try:
-            matrix, config = self._parse_cluster_request(request)
-        except _BadRequest as error:
-            return HTTPStatus.BAD_REQUEST, {"error": str(error)}, None
         span = self._root_span(request)
         echo = span is not NOOP_SPAN and request.headers.get(TRACE_ECHO_HEADER) == "1"
         if echo:
             self.tracer.collect(span.trace_id)
         try:
             with span:
-                span.set_attribute("n", int(matrix.shape[0]))
-                status, payload, headers = await self._cluster_response(
-                    request, matrix, config, span, echo
-                )
+                status, payload, headers = await self._cluster_response(request, span, echo)
                 if span is not NOOP_SPAN:
                     span.set_attribute("status", int(status))
                     if int(status) >= 500:
@@ -378,15 +381,23 @@ class ClusteringServer(FrontDoor):
             if echo:
                 self.tracer.discard(span.trace_id)
 
-    async def _cluster_response(
-        self,
-        request: _Request,
-        matrix: np.ndarray,
-        config: ClusteringConfig,
-        span: Any,
-        echo: bool,
-    ) -> Reply:
+    async def _cluster_response(self, request: _Request, span: Any, echo: bool) -> Reply:
         assert self._idle is not None
+        decode_started = time.perf_counter()
+        try:
+            matrix, config = self._parse_cluster_request(request)
+        except _BadRequest as error:
+            return HTTPStatus.BAD_REQUEST, {"error": str(error)}, None
+        finally:
+            if span is not NOOP_SPAN:
+                # The body decode is root-span self time; these say how much.
+                binary = request.media_type == WIRE_CONTENT_TYPE
+                span.set_attribute("transport", "binary" if binary else "json")
+                span.set_attribute("bytes", len(request.body))
+                span.set_attribute(
+                    "decode_ms", round((time.perf_counter() - decode_started) * 1e3, 3)
+                )
+        span.set_attribute("n", int(matrix.shape[0]))
         if self._draining:
             return (
                 HTTPStatus.SERVICE_UNAVAILABLE,
@@ -472,10 +483,8 @@ class ClusteringServer(FrontDoor):
         if not body:
             raise _BadRequest('missing request body; expected {"matrix": [[...]], "config": {...}}')
         try:
-            payload = json.loads(body)
-        except (ValueError, RecursionError) as error:
-            # ValueError covers JSONDecodeError and the UnicodeDecodeError
-            # of a non-UTF-8 body; RecursionError a deeply nested one.
+            payload = loads_request_json(body)
+        except ValueError as error:
             raise _BadRequest(f"request body is not valid JSON: {error}") from error
         if not isinstance(payload, dict):
             raise _BadRequest("request body must be a JSON object")

@@ -52,7 +52,7 @@ from repro.obs.traceview import (
     kind_breakdown,
     trace_summary,
 )
-from repro.serve import ServeClient, build_fleet
+from repro.serve import ServeClient, ServerError, build_fleet
 from repro.serve.fleet.ring import rendezvous_rank, request_affinity_key
 from repro.serve.fleet.router import FleetRouter
 from repro.serve.fleet.supervisor import ReplicaInfo
@@ -559,6 +559,41 @@ class TestServerTracing:
         finally:
             handle.stop()
         assert metrics["spans"] == {}
+
+    def test_body_decode_is_timed_on_the_request_span(self, tmp_path):
+        log_path = str(tmp_path / "trace.jsonl")
+        _server, handle = self._start(trace_log=log_path)
+        series = _matrix()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                client.cluster(series)
+                sizes = {
+                    "json": len(client.encode_cluster_body(series)),
+                    "binary": len(client.encode_cluster_body_binary(series)),
+                }
+                client.cluster(series, trace=True)
+                client.cluster(series, binary=True, trace=True)
+                with pytest.raises(ServerError) as excinfo:
+                    client.request("POST", "/cluster", b"{", {"Content-Type": "application/json"})
+        finally:
+            handle.stop()
+        assert excinfo.value.status == 400
+        events = load_trace_events(log_path)
+        roots = [e for e in events if e["kind"] == "server.request"]
+        # The decode opens no span of its own: its time is the request
+        # span's self time, and these attributes say how much of it.
+        assert not [e for e in events if "decode" in e["kind"]]
+        for transport, size in sizes.items():
+            served = [
+                e["attributes"] for e in roots
+                if e["attributes"].get("transport") == transport and e["attributes"]["status"] == 200
+            ]
+            assert served and all(a["bytes"] == size for a in served), transport
+            assert all(a["decode_ms"] >= 0 for a in served)
+        # A bad body still answers 400, and its request span shows the decode.
+        bad = [e["attributes"] for e in roots if e["attributes"]["status"] == 400]
+        assert len(bad) == 1
+        assert bad[0]["transport"] == "json" and bad[0]["bytes"] == 1 and "n" not in bad[0]
 
 
 # ---------------------------------------------------------------------------

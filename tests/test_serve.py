@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import struct
 import threading
 import time
 
@@ -29,7 +30,9 @@ from repro.serve import (
     ServerBusy,
     ServerError,
 )
+from repro.serve import wire
 from repro.serve.httpio import HEADER_LIMIT, BadRequest, Request, read_request
+from repro.serve.wire import WIRE_CONTENT_TYPE
 
 
 @pytest.fixture(autouse=True)
@@ -692,6 +695,116 @@ class TestReviewHardening:
         for deleted in ("max_batch_size", "max_wait_ms"):
             with pytest.raises(TypeError, match=deleted):
                 ClusteringServer(**{deleted: 1})
+
+
+# ---------------------------------------------------------------------------
+# JSON body parsing (orjson, with stdlib json as the oracle)
+# ---------------------------------------------------------------------------
+
+
+def _json_number(bits: int) -> str:
+    """``repr`` of the double with these 64 bits (non-finite ones dropped)."""
+    value = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+    return repr(value) if math.isfinite(value) else "0.5"
+
+
+def _decimal_number(sign: bool, digits: str, exponent: int) -> str:
+    """A JSON number with a long mantissa and a wide exponent."""
+    head, tail = str(int(digits[0]) or 1), digits[1:]
+    text = f"{'-' if sign else ''}{head}{'.' + tail if tail else ''}e{exponent}"
+    return text if math.isfinite(float(text)) else "0.25"
+
+
+_JSON_NUMBERS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_json_number),
+    st.builds(
+        _decimal_number,
+        st.booleans(),
+        st.text("0123456789", min_size=1, max_size=40),
+        st.integers(-340, 320),
+    ),
+    # Subnormals: the biased exponent is zero.
+    st.integers(0, 2**52 - 1).map(_json_number),
+    st.integers(-(2**64), 2**64).map(str),
+    st.sampled_from(["-0.0", "-0", "0", "0e-400", "-0E+5", "4.9e-324", "2.2250738585072014e-308"]),
+)
+
+
+def _frame(header: bytes, payload: bytes) -> bytes:
+    """A wire frame around raw header bytes."""
+    return struct.pack("<4sB3xI", wire.MAGIC, wire.WIRE_VERSION, len(header)) + header + payload
+
+
+class TestJsonBodyParsing:
+    """The server parses JSON with orjson: the matrix it fingerprints must
+    be the very float64 bytes the stdlib parser gives, and a body outside
+    RFC 8259 (or nested past 1024 levels) answers 400 "not valid JSON"."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(_JSON_NUMBERS, min_size=3, max_size=3), min_size=1, max_size=8))
+    @example(rows=[["18446744073709551616", "-9223372036854775809", "1e-400"]])
+    @example(rows=[["2.4703282292062328e-324", "1.7976931348623157e308", "-0.0"]])
+    def test_matrix_bytes_equal_the_stdlib_parse(self, rows):
+        body = ("{\"matrix\": [" + ", ".join(f"[{', '.join(row)}]" for row in rows) + "]}").encode()
+        matrix, _config = ClusteringServer()._parse_cluster_body(body)
+        oracle = np.asarray(json.loads(body)["matrix"], dtype=float)
+        assert matrix.dtype == oracle.dtype and matrix.shape == oracle.shape
+        assert matrix.tobytes() == oracle.tobytes()
+
+    def test_rejected_bodies_answer_400_not_valid_json(self):
+        deep = 1023  # the config object is level 2: these lists reach 1025
+        very_deep = 100_000  # well-formed; orjson alone would overflow the C stack
+        bodies = {
+            "NaN": b'{"matrix": [[NaN, 1.0], [1.0, 0.0]]}',
+            "Infinity": b'{"matrix": [[Infinity, 1.0], [1.0, 0.0]]}',
+            "-Infinity": b'{"matrix": [[-Infinity, 1.0], [1.0, 0.0]]}',
+            "1e400": b'{"matrix": [[1e400, 1.0], [1.0, 0.0]]}',
+            "400-digit int": b'{"matrix": [[1' + b"0" * 400 + b', 1], [1, 0]]}',
+            "lone surrogate": b'{"matrix": [[1.0]], "config": {"linkage": "\\ud800"}}',
+            "UTF-16 with BOM": json.dumps({"matrix": [[1.0, 0.5], [0.5, 1.0]]}).encode("utf-16"),
+            "UTF-8 BOM": b"\xef\xbb\xbf" + json.dumps({"matrix": [[1.0]]}).encode(),
+            "nested in config": b'{"matrix": [[1.0]], "config": {"precomputed": '
+            + b"[" * deep + b"]" * deep + b"}}",
+            "nested matrix": b'{"matrix": ' + b"[" * 1024 + b"]" * 1024 + b"}",
+            "nested array": b"[" * 1025 + b"]" * 1025,
+            "very deep array": b"[" * very_deep + b"]" * very_deep,
+            "very deep objects": b'{"a":' * very_deep + b"1" + b"}" * very_deep,
+            "very deep in config": b'{"matrix": [[1.0]], "config": {"precomputed": '
+            + b'{"a":' * very_deep + b"1" + b"}" * very_deep + b"}}",
+            "very deep matrix": b'{"matrix": ' + b"[" * very_deep + b"]" * very_deep + b"}",
+        }
+        # A frame header goes through the same parser as a JSON body.
+        frames = {
+            "NaN config": wire.encode_request(np.eye(4), {"num_clusters": float("nan")}),
+            "Infinity config": wire.encode_request(np.eye(4), {"num_clusters": float("inf")}),
+            "very deep config": _frame(
+                b'{"dtype": "<f8", "shape": [2, 2], "config": {"precomputed": '
+                + b"[" * very_deep + b"]" * very_deep + b"}}",
+                bytes(32),
+            ),
+        }
+        # 1024 levels are still JSON: these are refused for their shape.
+        deepest = (b"[" * 1024 + b"]" * 1024, b'{"matrix": ' + b"[" * 1023 + b"]" * 1023 + b"}")
+        headers = {"Content-Type": "application/json"}
+        _server, handle = _start_server()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                for name, body in bodies.items():
+                    with pytest.raises(ServerError, match="not valid JSON") as excinfo:
+                        client.request("POST", "/cluster", body, headers)
+                    assert excinfo.value.status == 400, name
+                for name, body in frames.items():
+                    with pytest.raises(ServerError, match="not valid JSON") as excinfo:
+                        client.request("POST", "/cluster", body, {"Content-Type": WIRE_CONTENT_TYPE})
+                    assert excinfo.value.status == 400, name
+                for body in deepest:
+                    with pytest.raises(ServerError) as excinfo:
+                        client.request("POST", "/cluster", body, headers)
+                    assert excinfo.value.status == 400
+                    assert "not valid JSON" not in str(excinfo.value)
+                assert client.healthz()["status"] == "ok"
+        finally:
+            handle.stop()
 
 
 # ---------------------------------------------------------------------------

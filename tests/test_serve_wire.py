@@ -178,9 +178,55 @@ class TestMalformedFrames:
         with pytest.raises(WireFormatError, match="JSON"):
             wire.decode_frame(struct.pack("<4sB3xI", b"RPRM", 1, len(nested)) + nested)
 
+    def test_request_header_refuses_what_a_json_body_refuses(self):
+        for config in (b'{"num_clusters": NaN}', b'{"num_clusters": 1e400}', b'{"linkage": "\\ud800"}'):
+            header = b'{"dtype": "<f8", "shape": [1, 1], "config": ' + config + b"}"
+            body = struct.pack("<4sB3xI", b"RPRM", 1, len(header)) + header + bytes(8)
+            with pytest.raises(WireFormatError, match="not valid JSON"):
+                wire.decode_request(body)
+
     def test_object_dtype_refused_on_encode(self):
         with pytest.raises(WireFormatError, match="dtype"):
             wire.encode_matrix(np.array([{"a": 1}], dtype=object))
+
+
+def _json_depth(value) -> int:
+    if isinstance(value, list):
+        return 1 + max(map(_json_depth, value), default=0)
+    if isinstance(value, dict):
+        return 1 + max(map(_json_depth, value.values()), default=0)
+    return 0
+
+
+_NASTY_TEXT = st.text(alphabet='[]{}"\\a\u00e9', max_size=8)
+
+
+class TestNestingScan:
+    """The depth bound runs on raw bytes before orjson sees them, so it must
+    read brackets inside strings, escaped quotes and backslash runs the way
+    a JSON parser does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=st.recursive(
+            st.none() | st.integers() | _NASTY_TEXT,
+            lambda children: st.lists(children, max_size=3)
+            | st.dictionaries(_NASTY_TEXT, children, max_size=3),
+            max_leaves=30,
+        ),
+        ensure_ascii=st.booleans(),
+    )
+    def test_exact_on_valid_documents(self, value, ensure_ascii):
+        data = json.dumps(value, ensure_ascii=ensure_ascii).encode("utf-8")
+        depth = _json_depth(value)
+        assert not wire._deeper_than(data, depth)
+        assert depth == 0 or wire._deeper_than(data, depth - 1)
+
+    def test_depth_across_scan_chunks(self):
+        wide = b"[" + b"[]," * 70_000 + b'[[{"a": "]]]]"}]]]'
+        assert not wire._deeper_than(wide, 4) and wire._deeper_than(wide, 3)
+        tall = b"[" * 70_000 + b"]" * 70_000
+        assert not wire._deeper_than(tall, 70_000) and wire._deeper_than(tall, 69_999)
 
 
 class TestEnvelopeFrames:
@@ -300,6 +346,57 @@ class TestBinaryTransportIntegration:
             )
         finally:
             handle.stop()
+
+    def test_tie_heavy_matrices_key_and_serve_identically_in_both_transports(
+        self, monkeypatch
+    ):
+        """A JSON POST and a binary POST of one tie-heavy matrix look up one
+        result-cache key and serve byte-identical ``result`` payloads."""
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(12, 16))
+        duplicated = base.copy()
+        duplicated[[4, 7]] = duplicated[0]
+        constant = base.copy()
+        constant[5] = 2.5
+        cases = {
+            "quantised": base.round(1),
+            "duplicate rows": duplicated,
+            "constant row": constant,
+            "n=4": rng.normal(size=(4, 6)).round(2),
+            "int": rng.integers(-3, 4, size=(10, 12)),
+        }
+        keys = []
+        real_lookup = ClusteringServer._lookup
+
+        def recording_lookup(matrix, config):
+            found = real_lookup(matrix, config)
+            keys.append(found[2])
+            return found
+
+        monkeypatch.setattr(ClusteringServer, "_lookup", staticmethod(recording_lookup))
+        _server, handle = _start_server()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                for name, matrix in cases.items():
+                    # tolist() keeps an int matrix's JSON numbers integral,
+                    # and the binary frame carries it as <i8.
+                    json_body = json.dumps({"matrix": matrix.tolist()}).encode()
+                    served_json = client.request(
+                        "POST", "/cluster", json_body, {"Content-Type": "application/json"}
+                    )
+                    served_binary = client.request(
+                        "POST",
+                        "/cluster",
+                        wire.encode_request(matrix),
+                        {"Content-Type": WIRE_CONTENT_TYPE, "Accept": WIRE_CONTENT_TYPE},
+                    )
+                    assert keys[-2] == keys[-1], name
+                    assert json.dumps(served_json["result"]) == json.dumps(
+                        served_binary["result"]
+                    ), name
+        finally:
+            handle.stop()
+        assert len(set(keys)) == len(cases)
 
     def test_binary_submission_hits_the_json_cache_entry(self, series):
         """The fingerprint acceptance test: both transports of the same
