@@ -1,15 +1,12 @@
-"""Result-cache serving benchmark: cold vs dedup vs warm ``cluster_many``.
+"""Result-cache serving benchmark: cold vs warm estimator loops.
 
 Models the repetitive serving workload the cache exists for: one batch of
 ``--jobs`` byte-identical ``--assets``-asset similarity matrices (the same
-window re-requested over and over), clustered three ways:
+window re-requested over and over), clustered as a loop of
+``estimator.fit`` calls two ways:
 
-* **cold** — cache off, no dedup: every job is a full
-  similarity→TMFG→APSP→DBHT fit via ``fit_one`` (the pre-cache serving
-  path);
-* **dedup** — cache off: ``cluster_many`` fingerprints the jobs and fits
-  each distinct job once;
-* **warm** — cache on, second call: every job is a cache hit.
+* **cold** — cache off: every job is a full TMFG→APSP→DBHT fit;
+* **warm** — cache on, second loop: every job is a cache hit.
 
 The acceptance bound (default ≥10x at 50 x 200 assets) is asserted on the
 warm path, and every warm payload must be byte-identical to the priming
@@ -27,8 +24,7 @@ import time
 
 import numpy as np
 
-from repro.api import ClusteringConfig, cluster_many
-from repro.api.batch import fit_one
+from repro.api import ClusteringConfig, make_estimator
 from repro.cache import clear_result_caches, get_result_cache
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.synthetic import make_time_series_dataset
@@ -48,6 +44,12 @@ def _similarity(num_assets: int, seed: int = 42) -> np.ndarray:
     return similarity
 
 
+def _fit_loop(config: ClusteringConfig, matrices):
+    """The batch idiom: one estimator, one ``fit`` per matrix."""
+    estimator = make_estimator(config.method, config)
+    return [estimator.fit(matrix).result_ for matrix in matrices]
+
+
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--assets", type=int, default=DEFAULT_ASSETS)
@@ -63,20 +65,16 @@ def main(argv=None) -> dict:
 
     # Warm-up (imports) outside every timed region.
     clear_result_caches()
-    cluster_many(matrices[:1], plain)
+    _fit_loop(plain, matrices[:1])
 
     start = time.perf_counter()
-    cold_results = [fit_one(plain, matrix) for matrix in matrices]
+    cold_results = _fit_loop(plain, matrices)
     cold_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    cluster_many(matrices, plain)
-    dedup_seconds = time.perf_counter() - start
-
     clear_result_caches()
-    priming_results = cluster_many(matrices, cached)
+    priming_results = _fit_loop(cached, matrices)
     start = time.perf_counter()
-    warm_results = cluster_many(matrices, cached)
+    warm_results = _fit_loop(cached, matrices)
     warm_seconds = time.perf_counter() - start
     stats = get_result_cache().stats
 
@@ -93,9 +91,7 @@ def main(argv=None) -> dict:
         "num_assets": args.assets,
         "jobs": args.jobs,
         "cold_seconds": round(cold_seconds, 6),
-        "dedup_seconds": round(dedup_seconds, 6),
         "warm_seconds": round(warm_seconds, 6),
-        "speedup_dedup": round(cold_seconds / dedup_seconds, 2),
         "speedup_warm": round(cold_seconds / warm_seconds, 2),
         "min_speedup": args.min_speedup,
         "byte_identical_payloads": byte_identical,

@@ -22,7 +22,7 @@ Quickstart (the estimator API)::
 
 The functional entry point ``tmfg_dbht(similarity, dissimilarity, ...)``
 remains available (and byte-identical); see :mod:`repro.api` for the full
-estimator layer, including the batch front door ``cluster_many``.
+estimator layer.
 
 The top-level re-exports below resolve lazily (PEP 562): importing
 :mod:`repro` itself pulls in no numpy/scipy, so the stdlib-only tooling
@@ -42,7 +42,6 @@ _EXPORTS = {
     "TMFGClusterer": "repro.api",
     "available_estimators": "repro.api",
     "make_estimator": "repro.api",
-    "cluster_many": "repro.api",
     "ResultCache": "repro.cache",
     "get_result_cache": "repro.cache",
     "clear_result_caches": "repro.cache",

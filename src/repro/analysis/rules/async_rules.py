@@ -41,14 +41,15 @@ _BLOCKING_ROOTS = frozenset({"subprocess", "requests"})
 #: Bare-name calls that block (builtin file I/O and console input).
 _BLOCKING_NAMES = frozenset({"open", "input"})
 
-#: Method tails that run a clustering fit synchronously; on the serving
-#: loop they must go through the executor instead.
-_FIT_TAILS = frozenset({"fit", "fit_predict"})
+#: Method tails that run a clustering fit (or its fingerprint-and-lookup
+#: half) synchronously; on the serving loop they must go through the
+#: executor instead.
+_FIT_TAILS = frozenset({"fit", "fit_predict", "lookup", "compute"})
 #: Library front doors that fit or hash a whole matrix: a fit takes
 #: milliseconds to seconds, and fingerprinting a 500-stock matrix ~1ms,
 #: which on the loop would serialise every connection behind it.
 _FIT_FRONT_DOORS = frozenset(
-    {"cluster_many", "tmfg_dbht", "result_cache_key", "matrix_fingerprint"}
+    {"tmfg_dbht", "result_cache_key", "matrix_fingerprint"}
 )
 
 
@@ -65,7 +66,7 @@ class BlockingCallInAsync(Rule):
     id = "async-blocking"
     description = (
         "a blocking call (time.sleep, file/socket I/O, subprocess.*, a "
-        "direct estimator fit / cluster_many, or a matrix fingerprint) inside "
+        "direct estimator fit, lookup or compute, or a matrix fingerprint) inside "
         "an async def stalls the whole serving event loop"
     )
     hint = (

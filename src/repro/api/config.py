@@ -1,7 +1,7 @@
 """The one typed, serializable configuration surface of the library.
 
-Every run — a CLI invocation, a harness method, a streaming tick, a batch
-job — is described by a frozen :class:`ClusteringConfig`.  The dataclass
+Every run — a CLI invocation, a harness method, a streaming tick, a served
+request — is described by a frozen :class:`ClusteringConfig`.  The dataclass
 consolidates the knobs that previously lived as positional/keyword
 arguments of ``tmfg_dbht``, hand-rolled CLI plumbing, and the streaming
 runner's parameter copies:
@@ -17,14 +17,15 @@ runner's parameter copies:
 
 Configs validate eagerly in ``__post_init__`` and round-trip losslessly
 through ``to_dict``/``from_dict`` (and the JSON convenience wrappers), which
-is what the ``repro cluster --config cfg.json`` path and the batch front
-door rely on.
+is what the ``repro cluster --config cfg.json`` path and the server's
+request ``config`` overlays rely on.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -59,9 +60,8 @@ class ClusteringConfig:
         before fitting, keyed by this config's computation-relevant fields
         plus the input matrix's dtype/shape/bytes.  Hits return the stored
         cold fit verbatim (labels, timings, artefacts), so enabling the
-        cache never changes results.  ``cluster_many`` additionally uses
-        the same fingerprints to deduplicate identical jobs, and the
-        streaming runner to skip ticks whose windowed correlation is
+        cache never changes results.  The streaming runner uses the same
+        fingerprints to skip ticks whose windowed correlation is
         unchanged.
     cache_dir:
         Optional directory for the persistent cache tier (entries survive
@@ -96,6 +96,19 @@ class ClusteringConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.method, str) or not self.method:
             raise ValueError("method must be a non-empty string id")
+        # Type checks first, so a request overlay such as {"seed": [1]} or
+        # {"num_clusters": true} fails here, not as a crash inside a fit.
+        for name in ("num_clusters", "prefix", "seed", "num_restarts", "spectral_neighbors"):
+            value = getattr(self, name)
+            if name == "num_clusters" and value is None:
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("precomputed", "cache"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
+            raise TypeError(f"cache_dir must be a string or None, got {self.cache_dir!r}")
         if self.num_clusters is not None and self.num_clusters < 1:
             raise ValueError("num_clusters must be at least 1 (or None)")
         if self.prefix < 1:

@@ -8,14 +8,17 @@ wrapped in a uniform estimator contract:
   overrides of one),
 * ``fit(X)`` where ``X`` is either raw series (one object per row) or,
   with ``config.precomputed``, a similarity matrix,
-* read ``labels_`` / ``result_`` afterwards, or call ``fit_predict(X)``.
+* read ``labels_`` / ``result_`` afterwards, or call ``fit_predict(X)``;
+* ``fit`` is ``lookup(X)`` (key and cached result) then, on a miss,
+  ``compute(X, key)``; the server calls the halves separately so that
+  concurrent identical misses can share one fit.
 
 Estimators are stateless between fits apart from ``result_``: refitting
 with the same data reproduces the same output, and the config is frozen so
 a fit can never mutate it.
 
 The registry maps string ids to estimators so that the CLI, the harness,
-and the batch front door can swap methods without touching code::
+and the server can swap methods without touching code::
 
     estimator = make_estimator("hac-average", config)
     labels = estimator.fit_predict(data)
@@ -32,6 +35,7 @@ import numpy as np
 
 from repro.api.config import ClusteringConfig
 from repro.api.result import ClusterResult
+from repro.cache import get_result_cache, result_cache_key
 from repro.datasets.similarity import (
     default_dissimilarity,
     similarity_and_dissimilarity,
@@ -101,32 +105,57 @@ class ClusteringEstimator:
         similarity-based methods accept it.
 
         With ``config.cache``, the content-addressed result cache is
-        consulted first (keyed on the config's computation-relevant fields
-        plus the input bytes); a hit stores a clone of the cached cold fit
-        on ``result_`` and skips the computation entirely.
+        consulted first (:meth:`lookup`); a hit stores a clone of the
+        cached cold fit on ``result_`` and skips the computation entirely,
+        and a miss is computed and stored (:meth:`compute`).
         """
         # Drop the previous fit up front so a failed refit can never serve
         # stale labels.
         self.result_ = None
-        with trace_span("estimator.fit", method=self.method_id) as probe:
-            cache = cache_key = None
-            if self.config.cache:
-                from repro.cache import get_result_cache, result_cache_key
+        key = None
+        if self.config.cache:
+            key, cached = self.lookup(X, dissimilarity)
+            if cached is not None:
+                self.result_ = cached.clone()
+                return self
+        return self.compute(X, key, dissimilarity, **fit_params)
 
-                # Key on the same float view the pipeline will cluster, so
-                # int/float spellings of identical data share an entry.
-                X = np.asarray(X, dtype=float)
-                if dissimilarity is not None:
-                    dissimilarity = np.asarray(dissimilarity, dtype=float)
-                cache = get_result_cache(self.config.cache_dir)
-                cache_key = result_cache_key(self.config, X, dissimilarity)
-                cached = cache.get(cache_key)
-                if cached is not None:
-                    probe.set_attribute("cache", "hit")
-                    self.result_ = cached.clone()
-                    return self
-            else:
-                probe.set_attribute("cache", "off")
+    def lookup(
+        self, X: np.ndarray, dissimilarity: Optional[np.ndarray] = None
+    ) -> Tuple[str, Optional[ClusterResult]]:
+        """The lookup half of :meth:`fit`: ``(key, cached)`` for ``X``.
+
+        ``key`` is the result-cache key of this config plus the float64
+        view of the input (so int/float spellings of identical data share
+        an entry).  ``cached`` is the stored result itself, not a clone,
+        or ``None``; the cache is only consulted when ``config.cache`` is
+        on.  Pass a miss's ``key`` to :meth:`compute`.
+        """
+        X = np.asarray(X, dtype=float)
+        if dissimilarity is not None:
+            dissimilarity = np.asarray(dissimilarity, dtype=float)
+        key = result_cache_key(self.config, X, dissimilarity)
+        if not self.config.cache:
+            return key, None
+        return key, get_result_cache(self.config.cache_dir).get(key)
+
+    def compute(
+        self,
+        X: np.ndarray,
+        key: Optional[str] = None,
+        dissimilarity: Optional[np.ndarray] = None,
+        **fit_params: Any,
+    ) -> "ClusteringEstimator":
+        """The compute-and-store half of :meth:`fit`: fit ``X`` uncached.
+
+        The result lands on ``result_``; with ``config.cache`` and a
+        ``key`` from :meth:`lookup`, a clone of it is stored under ``key``.
+        """
+        self.result_ = None
+        caching = self.config.cache and key is not None
+        with trace_span(
+            "estimator.fit", method=self.method_id, cache="miss" if caching else "off"
+        ) as probe:
             start = time.perf_counter()
             data, similarity, derived_dissimilarity = self._prepare(X)
             probe.set_attribute("n", int(np.asarray(X).shape[0]))
@@ -139,11 +168,10 @@ class ClusteringEstimator:
                 derived_dissimilarity = np.asarray(dissimilarity, dtype=float)
             result = self._fit(data, similarity, derived_dissimilarity, **fit_params)
             result.step_seconds.setdefault("total", time.perf_counter() - start)
-            if cache is not None:
-                probe.set_attribute("cache", "miss")
+            if caching:
                 # Store a private clone so later caller mutations of the
                 # returned result can never alter what the cache serves.
-                cache.put(cache_key, result.clone())
+                get_result_cache(self.config.cache_dir).put(key, result.clone())
             self.result_ = result
             return self
 

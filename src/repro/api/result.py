@@ -10,7 +10,7 @@ returned is lost.
 
 ``to_dict``/``to_json`` emit the JSON-safe serving payload (labels,
 timings, the originating :class:`~repro.api.config.ClusteringConfig`),
-which is what the batch front door and the CLI report.
+which is what the server and the CLI report.
 """
 
 from __future__ import annotations

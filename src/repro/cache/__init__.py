@@ -14,8 +14,8 @@ would have produced (it returns the stored cold fit, timings and all).
 
 Entry points:
 
-* ``ClusteringConfig(cache=True, cache_dir=...)`` — estimator ``fit`` and
-  ``cluster_many`` consult the cache;
+* ``ClusteringConfig(cache=True, cache_dir=...)`` — estimator ``fit`` (and
+  its ``lookup`` half, which the server calls) consults the cache;
 * :func:`get_result_cache` — the process-wide cache instances (one
   in-memory LRU, plus one per persistent directory);
 * :func:`result_cache_key` / :func:`matrix_fingerprint` — the key

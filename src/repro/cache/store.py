@@ -17,7 +17,7 @@ The disk tier is written for concurrent serving processes:
 
 :func:`get_result_cache` hands out process-wide instances (one shared
 in-memory cache, plus one per on-disk directory) so that every estimator
-fit and every ``cluster_many`` call in a process shares hits.
+fit and every served request in a process shares hits.
 """
 
 from __future__ import annotations

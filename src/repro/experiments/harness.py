@@ -9,7 +9,7 @@ pipeline — the per-step timing decomposition used by Fig. 5.
 Each paper name is translated into a :class:`~repro.api.ClusteringConfig`
 plus a registry id and executed through
 :func:`~repro.api.estimators.make_estimator`, so the harness runs the same
-estimator layer as the CLI and the batch front door.
+estimator layer as the CLI and the server.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ histograms, per-trace collectors for the response ``trace`` block).
 
 Propagation is ambient: entering a span as a context manager installs it
 in a :mod:`contextvars` variable, so library code deep in the stack —
-``estimators.fit``, ``cluster_many``, the result cache, the APSP kernel
-dispatch — opens children via :func:`trace_span` without any signature
+``estimator.fit``, the result cache, the fit phases, the APSP kernel
+— opens children via :func:`trace_span` without any signature
 churn.  Crossing a thread hop (``loop.run_in_executor``) works by
 running the callable inside ``contextvars.copy_context()``; see
 ``ClusteringServer._in_executor``.

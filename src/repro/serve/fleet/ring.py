@@ -10,11 +10,10 @@ Two pieces:
   failover target), and a restarted replica gets its old keys back — the
   property that keeps per-replica LRU caches hot across restarts.
 * :func:`request_affinity_key` — the routing key of one ``POST /cluster``
-  body.  Binary (``application/x-repro-matrix``) bodies are decoded
-  zero-copy so the key is the *content* fingerprint (matrix bytes +
-  config payload — the same identity the result cache keys on); JSON
-  bodies hash their raw bytes, which is cheaper than a full parse and
-  still maps identical re-sent requests onto one replica.
+  body: the *content* fingerprint of its float64 matrix plus its config
+  payload, decoded the way a replica decodes it, so a JSON body and a
+  binary (``application/x-repro-matrix``) frame of one job share a
+  replica — and with it that replica's result-cache entry.
 
 Everything here is pure and deterministic: no clocks, no randomness, no
 state — the ring is recomputed per request from the live member list, so
@@ -24,12 +23,12 @@ membership changes (crash, restart, drain) take effect immediately.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.fingerprint import config_fingerprint, matrix_fingerprint
-from repro.serve.wire import WIRE_CONTENT_TYPE, WireFormatError, decode_request
+from repro.serve.wire import WIRE_CONTENT_TYPE, decode_request, loads_request_json
 
 
 def _score(key: str, member: str) -> int:
@@ -55,27 +54,40 @@ def rendezvous_rank(key: str, members: Sequence[str]) -> List[str]:
 def request_affinity_key(body: bytes, media_type: str = "") -> str:
     """The consistent-hash routing key of one ``POST /cluster`` body.
 
-    Binary wire frames are decoded (zero-copy) down to the same
-    content identity the result cache uses — matrix fingerprint plus the
-    request's config payload — so re-encoded but identical binary
-    submissions share a replica.  JSON bodies (and undecodable garbage,
-    which any replica will 400) key on their raw bytes: a client
-    re-sending the same encoded body always lands on the same replica,
-    which is the locality the per-replica in-memory cache needs.
+    Both transports decode to the identity the result cache keys on: the
+    fingerprint of the matrix's float64 view plus the request's config
+    payload.  So a JSON body, a ``<f8`` frame and an ``<i8`` frame of one
+    matrix and config land on one replica, whose in-memory cache then
+    serves all three.  JSON is parsed with the replica's own parser.
+    Undecodable bodies, which any replica answers with a 400, key on
+    their raw bytes.  The key fingerprints the whole matrix, so call it
+    off the event loop.
     """
-    if media_type == WIRE_CONTENT_TYPE:
-        try:
+    try:
+        if media_type == WIRE_CONTENT_TYPE:
             matrix, config_payload = decode_request(bytes(body))
-            return "content:" + _content_key(matrix, config_payload)
-        except WireFormatError:
-            pass  # malformed frame: fall through to raw-bytes keying
+        else:
+            matrix, config_payload = _json_job(body)
+        # The float64 view is free for <f8 frames and the replica's upcast
+        # for every other spelling.
+        matrix = np.asarray(matrix, dtype=float)
+        return "content:" + matrix_fingerprint(matrix) + ":" + config_fingerprint(config_payload)
+    except (ValueError, TypeError):
+        pass  # undecodable body (WireFormatError is a ValueError): raw-bytes key
     digest = hashlib.blake2b(digest_size=20)
     digest.update(body)
     return "raw:" + digest.hexdigest()
 
 
-def _content_key(matrix: np.ndarray, config_payload: Dict[str, Any]) -> str:
-    return matrix_fingerprint(np.asarray(matrix)) + ":" + config_fingerprint(dict(config_payload))
+def _json_job(body: bytes) -> Tuple[Any, Dict[str, Any]]:
+    """``(matrix, config_payload)`` of a JSON body, as the replica reads it."""
+    payload = loads_request_json(body)
+    if not isinstance(payload, dict) or "matrix" not in payload:
+        raise ValueError("not a cluster request object")
+    config_payload = payload.get("config", {})
+    if not isinstance(config_payload, dict):
+        raise ValueError("'config' is not an object")
+    return payload["matrix"], config_payload
 
 
 def spread(keys: Sequence[str], members: Sequence[str]) -> Dict[str, int]:

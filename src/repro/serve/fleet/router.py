@@ -4,13 +4,14 @@
 replica pool look exactly like one ``repro serve`` daemon:
 
 * ``POST /cluster`` — the router reads the body, derives its affinity key
-  (:func:`~repro.serve.fleet.ring.request_affinity_key` — for binary
-  frames that is the zero-copy content fingerprint, for JSON the raw body
-  hash), ranks the *ready* replicas with rendezvous hashing, and proxies
-  the request bytes through unmodified.  Identical traffic therefore
-  always lands on the same replica, which keeps that replica's in-memory
-  result cache hot — the fleet-level analogue of the cache-locality the
-  single process gets for free.
+  off the event loop (:func:`~repro.serve.fleet.ring.request_affinity_key`
+  — the content fingerprint of the float64 matrix plus the config
+  payload, for JSON bodies and binary frames alike), ranks the *ready*
+  replicas with rendezvous hashing, and proxies the request bytes through
+  unmodified.  Identical jobs therefore always land on the same replica,
+  whatever their transport, which keeps that replica's in-memory result
+  cache hot — the fleet-level analogue of the cache-locality the single
+  process gets for free.
 * **failover** — if the chosen replica fails mid-exchange (crashed, being
   restarted), the router retries once on the next ring node.  The retry
   is safe because a clustering POST is a deterministic pure computation
@@ -236,12 +237,15 @@ class FleetRouter(FrontDoor):
 
     async def _handle_cluster(self, request: Request) -> Reply:
         """Affinity-route one /cluster request with ring-order failover."""
-        key = request_affinity_key(request.body, request.media_type)
         assert self._loop is not None
-        grace_deadline = self._loop.time() + self.no_replica_grace
         tried: Set[str] = set()
         last_error: Optional[BaseException] = None
         with self._root_span(request) as root:
+            # The key parses and fingerprints the whole matrix: off the loop.
+            key = await self._loop.run_in_executor(
+                None, request_affinity_key, request.body, request.media_type
+            )
+            grace_deadline = self._loop.time() + self.no_replica_grace
             for _attempt in range(self.failover_attempts):
                 target = await self._pick_replica(key, tried, grace_deadline)
                 if target is None:

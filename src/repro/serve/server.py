@@ -34,12 +34,13 @@ Routes
     The full observability document (request/error counters, latency
     histograms, shared-fit counts, cache hit-rate).
 
-A request takes one trip to the fit executor to compute its result-cache
-key and look the key up; a hit is answered at once.  A miss joins the fit
-already in flight for its key or starts one (a single-flight map, cf. Go's
-``singleflight``), so concurrent identical misses pay for one fit.  Either
-way the served payload is byte-identical to the same fit made directly
-through an estimator.
+A request takes one trip to the fit executor, where its estimator's
+``lookup`` half computes the result-cache key and looks it up once; a hit
+is answered at once.  A miss joins the fit already in flight for its key
+or starts one (a single-flight map, cf. Go's ``singleflight``) that runs
+the leader's ``compute`` half, so concurrent identical misses pay for one
+fit and one cache miss.  Either way the served payload is byte-identical
+to the same fit made directly through an estimator.
 
 Shutdown is graceful: SIGTERM/SIGINT stop the accept loop, every already
 admitted request is answered, later ones get 503, then the pool is torn
@@ -65,11 +66,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro import __version__
-from repro.api.batch import cluster_many
 from repro.api.config import ClusteringConfig
-from repro.api.estimators import make_estimator
+from repro.api.estimators import ClusteringEstimator, make_estimator
 from repro.api.result import ClusterResult
-from repro.cache import get_result_cache, result_cache_key
+from repro.cache import get_result_cache
 from repro.obs.tracer import NOOP_SPAN, TRACE_ECHO_HEADER, Span, Tracer, trace_span
 from repro.serve.httpio import (
     BadRequest as _BadRequest,
@@ -241,26 +241,25 @@ class ClusteringServer(FrontDoor):
     @staticmethod
     def _lookup(
         matrix: np.ndarray, config: ClusteringConfig
-    ) -> Tuple[float, ClusteringConfig, str, Optional[ClusterResult]]:
+    ) -> Tuple[float, ClusteringEstimator, str, Optional[ClusterResult]]:
         """Key one request and look it up in the result cache (executor side).
 
-        Returns ``(started, config, key, hit)``: the ``perf_counter`` at
-        executor start, the registry-normalised config (aliases such as
-        ``par-tdbht`` resolve to their canonical id, exactly as
-        :func:`~repro.api.batch.cluster_many` keys a job, so aliases share
-        a cache entry and a flight), the key, and the cached result or
-        ``None``.
+        Returns ``(started, estimator, key, hit)``: the ``perf_counter`` at
+        executor start, the request's estimator (its config is the
+        registry-normalised one, so aliases such as ``par-tdbht`` share a
+        cache entry and a flight with their canonical id), the key from
+        its :meth:`~repro.api.estimators.ClusteringEstimator.lookup`, and
+        the cached result or ``None``.
         """
         started = time.perf_counter()
-        config = make_estimator(config.method, config).config
-        key = result_cache_key(config, matrix)
-        hit = get_result_cache(config.cache_dir).get(key) if config.cache else None
-        return started, config, key, hit
+        estimator = make_estimator(config.method, config)
+        key, hit = estimator.lookup(matrix)
+        return started, estimator, key, hit
 
     async def _fit(
-        self, key: str, config: ClusteringConfig, matrix: np.ndarray, span: Any
+        self, key: str, estimator: ClusteringEstimator, matrix: np.ndarray, span: Any
     ) -> ClusterResult:
-        """A flight's fit: one ``cluster_many`` of one job on the executor.
+        """A flight's fit: the leader's ``estimator.compute`` on the executor.
 
         The flight leaves the map before its result (or error) reaches any
         waiter, so a failed fit leaves nothing behind and the next
@@ -268,7 +267,7 @@ class ClusteringServer(FrontDoor):
         """
         try:
             with span:
-                return (await self._in_executor(cluster_many, [matrix], config))[0]
+                return (await self._in_executor(estimator.compute, matrix, key)).result_
         finally:
             del self._flights[key]
 
@@ -279,7 +278,7 @@ class ClusteringServer(FrontDoor):
         for its key (joined or started); resolves to ``(result, info)``."""
         assert self._loop is not None
         admitted = time.perf_counter()
-        started, config, key, result = await self._in_executor(self._lookup, matrix, config)
+        started, estimator, key, result = await self._in_executor(self._lookup, matrix, config)
         flight = None
         leader = False
         if result is None:
@@ -290,7 +289,7 @@ class ClusteringServer(FrontDoor):
                 # hosts the live span its fit's cache/kernel spans nest in.
                 span = trace_span("serve.batch_fit")
                 flight = self._flights[key] = _Flight(
-                    self._loop.create_task(self._fit(key, config, matrix, span)), span
+                    self._loop.create_task(self._fit(key, estimator, matrix, span)), span
                 )
             # shield: a waiter that goes away must not cancel a fit that
             # other requests share.

@@ -95,6 +95,23 @@ class TestAsyncBlocking:
         assert "open" in messages
         assert ".fit" in messages
 
+    def test_estimator_halves_on_the_loop_are_flagged(self, tmp_path):
+        result = lint_source(
+            tmp_path,
+            """\
+            async def handler(estimator, matrix):
+                key, cached = estimator.lookup(matrix)
+                if cached is None:
+                    cached = estimator.compute(matrix, key).result_
+                return cached
+            """,
+            rules=["async-blocking"],
+        )
+        messages = [f.message for f in result.reported]
+        assert len(messages) == 2, messages
+        assert any(".lookup()" in message for message in messages)
+        assert any(".compute()" in message for message in messages)
+
     def test_fingerprinting_on_the_loop_is_flagged(self, tmp_path):
         result = lint_source(
             tmp_path,

@@ -1,4 +1,4 @@
-"""Tests for the unified estimator API (config, registry, estimators, batch)."""
+"""Tests for the unified estimator API (config, registry, estimators, batches)."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.api import (
     NotFittedError,
     TMFGClusterer,
     available_estimators,
-    cluster_many,
     make_estimator,
     register_method,
 )
@@ -395,6 +394,9 @@ class TestClusterResult:
 
 
 class TestClusterMany:
+    """Clustering many matrices: the documented batch is a loop of fits on
+    one estimator, ``[estimator.fit(m).result_ for m in matrices]``."""
+
     @pytest.fixture(scope="class")
     def matrices(self):
         rng = np.random.default_rng(0)
@@ -402,8 +404,10 @@ class TestClusterMany:
 
     def test_serial_matches_individual_fits(self, matrices):
         config = ClusteringConfig(num_clusters=3, prefix=2)
-        results = cluster_many(matrices, config)
+        estimator = make_estimator(config.method, config)
+        results = [estimator.fit(matrix).result_ for matrix in matrices]
         assert len(results) == len(matrices)
+        assert len({id(result) for result in results}) == len(results)
         for matrix, result in zip(matrices, results):
             reference = make_estimator(config.method, config).fit_predict(matrix)
             np.testing.assert_array_equal(result.labels, reference)
@@ -412,7 +416,8 @@ class TestClusterMany:
     def test_heterogeneous_methods_via_config(self, matrices):
         for method_id in ("hac-average", "kmeans"):
             config = ClusteringConfig(method=method_id, num_clusters=2, linkage="average")
-            results = cluster_many(matrices[:2], config)
+            estimator = make_estimator(config.method, config)
+            results = [estimator.fit(matrix).result_ for matrix in matrices[:2]]
             for result in results:
                 assert result.num_clusters <= 2
                 assert result.method in ("hac", "kmeans")

@@ -1,9 +1,9 @@
-"""Tests for the content-addressed result cache and the batch front door.
+"""Tests for the content-addressed result cache and the estimator's use of it.
 
 Covers the cache tiers (LRU order, disk round-trip, corrupt/stale entries
 degrading to misses), fingerprint semantics, byte-identical cache hits
-through the estimator layer, and ``cluster_many`` deduplication and its
-serving-path bugfixes.
+through the estimator layer, its ``lookup``/``compute`` halves, and
+batches as estimator loops.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.api import ClusteringConfig, ClusterResult, cluster_many, make_estimator
-from repro.api.batch import fit_one
+from repro.api import ClusteringConfig, ClusteringEstimator, make_estimator
 from repro.cache import (
     CACHE_KNOB_FIELDS,
     ResultCache,
@@ -233,18 +232,24 @@ class TestEstimatorCacheIntegration:
 
 
 class TestClusterManyDedup:
+    """A batch is a loop of ``estimator.fit`` calls; with ``cache=True``
+    each distinct job is fitted once and its repeats are cache hits."""
+
+    @staticmethod
+    def _loop(config, matrices):
+        estimator = make_estimator(config.method, config)
+        return [estimator.fit(matrix).result_ for matrix in matrices]
+
     def test_duplicates_fit_once_and_payloads_match(self, similarity, monkeypatch):
         calls = []
+        real_compute = ClusteringEstimator.compute
 
-        def counting_fit(config, matrix):
+        def counting_compute(self, *args, **kwargs):
             calls.append(1)
-            return fit_one(config, matrix)
+            return real_compute(self, *args, **kwargs)
 
-        import repro.api.batch as batch
-
-        monkeypatch.setattr(batch, "fit_one", counting_fit)
-        config = _config(cache=False)
-        results = cluster_many([similarity] * 8, config)
+        monkeypatch.setattr(ClusteringEstimator, "compute", counting_compute)
+        results = self._loop(_config(), [similarity] * 8)
         assert len(calls) == 1
         payloads = {r.to_json() for r in results}
         assert len(payloads) == 1
@@ -252,44 +257,102 @@ class TestClusterManyDedup:
 
     def test_repeated_call_served_from_cache(self, similarity):
         config = _config()
-        first = cluster_many([similarity] * 5, config)
-        stores_after_first = get_result_cache().stats.stores
-        hits_after_first = get_result_cache().stats.hits
-        second = cluster_many([similarity] * 5, config)
-        # No new stores: every result of the second call was a cache hit.
-        assert get_result_cache().stats.stores == stores_after_first
-        assert get_result_cache().stats.hits == hits_after_first + 1
+        first = self._loop(config, [similarity] * 5)
+        stats = get_result_cache().stats
+        stores_after_first, hits_after_first = stats.stores, stats.hits
+        second = self._loop(config, [similarity] * 5)
+        # No new stores: every fit of the second loop was a cache hit.
+        assert stats.stores == stores_after_first
+        assert stats.hits == hits_after_first + 5
         assert [r.to_json() for r in second] == [r.to_json() for r in first]
 
     def test_mixed_batch_preserves_input_order(self, similarity):
         other = similarity.copy()
         other[0, 1] = other[1, 0] = other[0, 1] * 0.5
-        config = _config(cache=False)
-        results = cluster_many([similarity, other, similarity], config)
+        config = _config()
+        results = self._loop(config, [similarity, other, similarity])
         assert results[0].to_json() == results[2].to_json()
-        direct = fit_one(config, other)
+        direct = make_estimator(config.method, config.replace(cache=False)).fit(other).result_
         assert np.array_equal(results[1].labels, direct.labels)
 
     def test_alias_method_shares_cache_with_direct_fits(self, similarity):
-        # Regression: cluster_many used to fingerprint the raw config while
-        # the estimator fingerprints its normalized one (par-tdbht pins to
-        # tmfg-dbht), so alias ids stored every entry twice and never hit
-        # what a direct estimator fit wrote.
-        config = _config(method="par-tdbht")
-        make_estimator(config.method, config).fit(similarity)
+        # The estimator pins an alias to its canonical id (par-tdbht ->
+        # tmfg-dbht) before keying, so both ids address one entry.
+        make_estimator("tmfg-dbht", _config()).fit(similarity)
         stats = get_result_cache().stats
         assert (stats.misses, stats.stores) == (1, 1)
-        results = cluster_many([similarity] * 3, config)
-        assert stats.misses == 1  # every batch lookup hit the direct fit's entry
+        results = self._loop(_config(method="par-tdbht"), [similarity] * 3)
+        assert stats.misses == 1  # every alias lookup hit the direct fit's entry
         assert stats.stores == 1
-        direct = make_estimator(config.method, config).fit(similarity).result_
+        direct = make_estimator("tmfg-dbht", _config()).fit(similarity).result_
         assert results[0].to_json() == direct.to_json()
 
     def test_misses_are_stored_once(self, similarity):
-        # Regression: estimator.fit already stores the miss; the batch
-        # layer used to clone and store the same entry a second time.
-        cluster_many([similarity] * 5, _config())
+        self._loop(_config(), [similarity] * 5)
         assert get_result_cache().stats.stores == 1
+
+
+class TestEstimatorHalves:
+    """``fit`` is ``lookup`` then, on a miss, ``compute``: the two halves
+    the server calls separately."""
+
+    def test_lookup_returns_the_stored_object_and_its_key(self, similarity):
+        config = _config()
+        estimator = make_estimator(config.method, config)
+        key, cached = estimator.lookup(similarity)
+        assert key == result_cache_key(estimator.config, similarity)
+        assert cached is None
+        estimator.compute(similarity, key)
+        again_key, stored = estimator.lookup(similarity)
+        assert again_key == key
+        assert stored is get_result_cache().get(key)  # not a clone
+        assert stored is not estimator.result_  # the cache holds its own clone
+        assert stored.to_json() == estimator.result_.to_json()
+
+    def test_lookup_keys_the_float64_view(self):
+        config = _config(precomputed=False)
+        estimator = make_estimator(config.method, config)
+        ints = np.arange(48, dtype=np.int64).reshape(6, 8) % 7
+        assert estimator.lookup(ints)[0] == estimator.lookup(ints.astype(float))[0]
+
+    def test_lookup_with_the_cache_off_keys_but_never_looks_up(self, similarity):
+        config = _config(cache=False)
+        key, cached = make_estimator(config.method, config).lookup(similarity)
+        assert key == result_cache_key(config, similarity) and cached is None
+        assert get_result_cache().stats.snapshot().lookups == 0
+
+    def test_compute_without_a_key_stores_nothing(self, similarity):
+        make_estimator("tmfg-dbht", _config()).compute(similarity)
+        assert get_result_cache().stats.stores == 0
+
+    def test_fit_with_the_cache_off_computes_no_key(self, similarity, monkeypatch):
+        import repro.api.estimators as estimators
+
+        def no_keys(*args, **kwargs):
+            raise AssertionError("a cache-off fit computed a result-cache key")
+
+        monkeypatch.setattr(estimators, "result_cache_key", no_keys)
+        config = _config(cache=False)
+        assert make_estimator(config.method, config).fit(similarity).result_ is not None
+
+    def test_fit_hit_is_one_key_and_one_get(self, similarity, monkeypatch):
+        import repro.api.estimators as estimators
+
+        config = _config()
+        make_estimator(config.method, config).fit(similarity)
+        keys = []
+        real_key = estimators.result_cache_key
+
+        def counting_key(*args, **kwargs):
+            keys.append(1)
+            return real_key(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "result_cache_key", counting_key)
+        before = get_result_cache().stats.snapshot()
+        make_estimator(config.method, config).fit(similarity)
+        after = get_result_cache().stats.snapshot()
+        assert len(keys) == 1
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 class TestCacheConfigValidation:
@@ -411,17 +474,13 @@ class TestConcurrentAccess:
 
 
 class TestBatchFrontDoorEdges:
-    def test_cluster_many_empty_returns_immediately(self):
-        assert cluster_many([]) == []
-        # No fingerprinting happened: the shared cache saw no lookups.
-        assert get_result_cache().stats.snapshot().lookups == 0
-
     def test_fit_one_rejects_non_2d_input(self):
-        config = ClusteringConfig()
-        with pytest.raises(ValueError, match="2-D"):
-            fit_one(config, np.arange(8.0))
-        with pytest.raises(ValueError, match="2-D"):
-            fit_one(config, np.zeros((2, 3, 4)))
+        """Every estimator refuses 1-D and 3-D input with a ValueError."""
+        for config in (ClusteringConfig(), ClusteringConfig(precomputed=True),
+                       ClusteringConfig(method="kmeans", num_clusters=2)):
+            for bad in (np.arange(8.0), np.zeros((2, 3, 4))):
+                with pytest.raises(ValueError):
+                    make_estimator(config.method, config).fit(bad)
 
 
 def _shared_cache_writer(cache_dir: str, worker_index: int, rounds: int, queue) -> None:

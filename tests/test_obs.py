@@ -490,9 +490,14 @@ class TestServerTracing:
         block = traced["trace"]
         assert valid_trace_id(block["trace_id"])
         kinds = [span["kind"] for span in block["spans"]]
-        for kind in ("serve.queue", "serve.batch_fit", "batch.cluster_many",
+        for kind in ("serve.queue", "serve.batch_fit", "fit.tmfg",
                      "estimator.fit", "cache.get", "cache.put"):
             assert kind in kinds, f"missing {kind} in {kinds}"
+        assert kinds.count("cache.get") == 1  # one lookup per request
+        by_kind = {span["kind"]: span for span in block["spans"]}
+        # The leader's compute half runs inside its flight's span.
+        assert by_kind["estimator.fit"]["parent_id"] == by_kind["serve.batch_fit"]["span_id"]
+        assert by_kind["estimator.fit"]["attributes"]["cache"] == "miss"
         assert all(span["trace_id"] == block["trace_id"] for span in block["spans"])
         # The log additionally holds the server.request root (it closes
         # after the envelope is rendered, so it is log-only).
@@ -688,8 +693,8 @@ class TestFleetTracing:
                   if e["trace_id"] == trace_id]
         kinds = {event["kind"] for event in events}
         for kind in ("router.request", "router.attempt", "server.request",
-                     "serve.queue", "serve.batch_fit", "batch.cluster_many",
-                     "estimator.fit"):
+                     "serve.queue", "serve.batch_fit", "estimator.fit",
+                     "cache.put"):
             assert kind in kinds, f"missing {kind} in {sorted(kinds)}"
         # Two processes contributed to the one trace.
         assert len({event["pid"] for event in events}) >= 2

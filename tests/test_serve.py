@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.api import ClusteringConfig, TMFGClusterer
+from repro.api import ClusteringConfig, ClusteringEstimator, TMFGClusterer
 from repro.cache import clear_result_caches, get_result_cache
 from repro.datasets.synthetic import make_time_series_dataset
 from repro.serve import (
@@ -131,16 +131,14 @@ def _in_flight(port: int) -> int:
 class _HeldFits:
     """Test double around the server's fit and lookup.
 
-    Every flight's ``cluster_many`` waits on :attr:`release` (then sleeps
-    :attr:`delay`, raises :attr:`error` if set, or fits for real), and
-    :attr:`calls`/:attr:`lookups` count fits started and keys looked up —
-    so a test can hold fits in flight while it lines requests up behind
-    them.
+    Every flight's ``estimator.compute`` waits on :attr:`release` (then
+    sleeps :attr:`delay`, raises :attr:`error` if set, or fits for real),
+    and :attr:`calls`/:attr:`lookups` count fits started and keys looked
+    up — so a test can hold fits in flight while it lines requests up
+    behind them.
     """
 
     def __init__(self, monkeypatch, *, released: bool = False):
-        import repro.serve.server as server_module
-
         self.release = threading.Event()
         if released:
             self.release.set()
@@ -149,17 +147,17 @@ class _HeldFits:
         self.calls = 0
         self.lookups = 0
         self._lock = threading.Lock()
-        real_fit = server_module.cluster_many
+        real_compute = ClusteringEstimator.compute
         real_lookup = ClusteringServer._lookup
 
-        def held_fit(matrices, config):
+        def held_compute(estimator, *args, **kwargs):
             with self._lock:
                 self.calls += 1
             assert self.release.wait(timeout=60), "held fit never released"
             time.sleep(self.delay)
             if self.error is not None:
                 raise self.error
-            return real_fit(matrices, config)
+            return real_compute(estimator, *args, **kwargs)
 
         def counted_lookup(matrix, config):
             try:
@@ -168,7 +166,7 @@ class _HeldFits:
                 with self._lock:
                     self.lookups += 1
 
-        monkeypatch.setattr(server_module, "cluster_many", held_fit)
+        monkeypatch.setattr(ClusteringEstimator, "compute", held_compute)
         monkeypatch.setattr(ClusteringServer, "_lookup", staticmethod(counted_lookup))
 
     def release_after_lookups(self, count: int) -> None:
@@ -326,6 +324,16 @@ class TestServerIntegration:
                     with pytest.raises(ServerError) as excinfo:
                         client.cluster(series, config=stale)
                     assert excinfo.value.status == 400
+                # Ill-typed values of request fields are client errors too,
+                # on both transports, not a crash inside the fit.
+                for ill_typed in (
+                    {"seed": [1]}, {"precomputed": {"a": 1}}, {"num_clusters": 1.5},
+                    {"num_clusters": True}, {"prefix": 2.0},
+                ):
+                    for binary in (False, True):
+                        with pytest.raises(ServerError, match="bad 'config'") as excinfo:
+                            client.cluster(series, config=ill_typed, binary=binary)
+                        assert excinfo.value.status == 400, (ill_typed, binary)
                 assert client.healthz()["status"] == "ok"
         finally:
             handle.stop()
@@ -423,6 +431,61 @@ class TestServerIntegration:
             ClusteringServer(fit_workers=0)
 
 
+class TestOneLookupPerRequest:
+    """A served request fingerprints its matrix once and looks the key up
+    once; only a fitted request counts a miss."""
+
+    @staticmethod
+    def _count_fingerprints(monkeypatch):
+        from repro.cache import fingerprint
+
+        calls = []
+        real = fingerprint.matrix_fingerprint
+
+        def counting(matrix):
+            calls.append(1)
+            return real(matrix)
+
+        monkeypatch.setattr(fingerprint, "matrix_fingerprint", counting)
+        return calls
+
+    @staticmethod
+    def _traced_post(client, matrix):
+        """``(cache.get spans, cache stats delta)`` of one traced POST."""
+        before = get_result_cache().stats.snapshot()
+        envelope = client.cluster(matrix, trace=True)
+        after = get_result_cache().stats.snapshot()
+        kinds = [span["kind"] for span in envelope["trace"]["spans"]]
+        delta = {name: getattr(after, name) - getattr(before, name)
+                 for name in ("hits", "misses", "stores")}
+        return kinds.count("cache.get"), delta
+
+    def test_a_served_miss_keys_once_and_looks_up_once(self, series, monkeypatch):
+        fingerprints = self._count_fingerprints(monkeypatch)
+        _server, handle = _start_server()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                gets, delta = self._traced_post(client, series)
+        finally:
+            handle.stop()
+        assert len(fingerprints) == 1  # one result_cache_key
+        assert gets == 1
+        assert delta == {"hits": 0, "misses": 1, "stores": 1}
+
+    def test_a_served_hit_counts_one_hit_and_no_miss(self, series, monkeypatch):
+        _server, handle = _start_server()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                client.cluster(series)
+                fingerprints = self._count_fingerprints(monkeypatch)
+                gets, delta = self._traced_post(client, series)
+        finally:
+            handle.stop()
+        assert len(fingerprints) == 1
+        assert gets == 1
+        assert delta == {"hits": 1, "misses": 0, "stores": 0}
+
+
 class TestSingleFlight:
     """Concurrent identical misses share one in-flight fit; a hit never
     waits for it; a failed fit leaves nothing behind."""
@@ -492,15 +555,13 @@ class TestSingleFlight:
         assert outcomes[0]["result"]["method"] == "tmfg-dbht"
 
     def test_distinct_keys_fit_separately_with_their_own_timings(self, series, monkeypatch):
-        import repro.serve.server as server_module
+        real_compute = ClusteringEstimator.compute
 
-        real_fit = server_module.cluster_many
+        def slow_for_prefix_one(estimator, *args, **kwargs):
+            time.sleep(0.3 if estimator.config.prefix == 1 else 0.0)
+            return real_compute(estimator, *args, **kwargs)
 
-        def slow_for_prefix_one(matrices, config):
-            time.sleep(0.3 if config.prefix == 1 else 0.0)
-            return real_fit(matrices, config)
-
-        monkeypatch.setattr(server_module, "cluster_many", slow_for_prefix_one)
+        monkeypatch.setattr(ClusteringEstimator, "compute", slow_for_prefix_one)
         _server, handle = _start_server()
         try:
             threads, outcomes = _post_concurrently(

@@ -22,6 +22,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.serve import ServeClient, ServerError, build_fleet
 from repro.serve.fleet.ring import rendezvous_rank, request_affinity_key, spread
@@ -81,13 +83,64 @@ class TestRendezvousRing:
 
 
 class TestAffinityKey:
-    def test_json_bodies_key_on_raw_bytes(self):
+    def test_json_bodies_key_on_content(self):
         body = b'{"matrix": [[0, 1], [1, 0]], "config": {}}'
+        key = request_affinity_key(body, "application/json")
+        assert key.startswith("content:")
+        assert key == request_affinity_key(body, "application/json")
+        # Whitespace and number spelling do not change the job, so neither
+        # changes the key; a missing config is the empty overlay.
+        assert request_affinity_key(body + b" ") == key
+        assert request_affinity_key(b'{"config":{},"matrix":[[0.0,1.0],[1.0,0.0]]}') == key
+        assert request_affinity_key(b'{"matrix": [[0, 1], [1, 0]]}') == key
+        other = b'{"matrix": [[0, 1], [1, 0]], "config": {"prefix": 2}}'
+        assert request_affinity_key(other) != key
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\x80abc",
+            b'{"matrix": [[0, 1], [1, 0]',
+            b"[1, 2]",
+            b'{"config": {}}',
+            b'{"matrix": [[0, 1], [1, 0]], "config": [1]}',
+            b'{"matrix": [[0, 1], [1]]}',
+            b'{"matrix": [["a"]]}',
+            b"[" * 2000 + b"]" * 2000,
+        ],
+    )
+    def test_undecodable_json_bodies_key_on_raw_bytes(self, body):
         assert request_affinity_key(body, "application/json").startswith("raw:")
-        assert request_affinity_key(body, "application/json") == request_affinity_key(
-            body, "application/json"
-        )
-        assert request_affinity_key(body) != request_affinity_key(body + b" ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ints=hnp.arrays(
+            np.int64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+            elements=st.integers(-(2**40), 2**40),
+        ),
+        config=st.fixed_dictionaries(
+            {},
+            optional={
+                "num_clusters": st.integers(1, 5),
+                "prefix": st.integers(1, 4),
+                "method": st.sampled_from(["tmfg-dbht", "kmeans"]),
+            },
+        ),
+    )
+    def test_json_and_binary_spellings_of_one_job_share_a_key(self, ints, config):
+        floats = ints.astype("<f8")
+        keys = {
+            request_affinity_key(json.dumps({"matrix": ints.tolist(), "config": config}).encode()),
+            request_affinity_key(
+                json.dumps({"config": config, "matrix": floats.tolist()}, indent=1).encode(),
+                "application/json",
+            ),
+            request_affinity_key(encode_request(floats, config), WIRE_CONTENT_TYPE),
+            request_affinity_key(encode_request(ints.astype("<i8"), config), WIRE_CONTENT_TYPE),
+        }
+        assert len(keys) == 1, keys
+        assert keys.pop().startswith("content:")
 
     def test_binary_bodies_key_on_content(self):
         matrix = np.asarray(_matrix(3), dtype=float, order="C")
@@ -341,6 +394,27 @@ class TestFleetIntegration:
         # ...whose result cache served the repeats.
         home = metrics["replicas"][homes[0]]["metrics"]
         assert home["cache"]["hits"] >= 2
+
+    def test_json_and_binary_posts_of_one_job_share_a_replica(self, fleet):
+        """A JSON POST and a binary POST of one matrix land on one replica,
+        whose result cache serves the second."""
+        matrix = _matrix(10)
+        with ServeClient("127.0.0.1", fleet.port) as client:
+            client.wait_healthy(30)
+            before = client.metrics()["replicas"]
+            routed_json = client.cluster(matrix, KMEANS)
+            routed_binary = client.cluster(matrix, KMEANS, binary=True)
+            after = client.metrics()["replicas"]
+        gained = {
+            name: after[name]["routed_total"] - before[name]["routed_total"]
+            for name in after
+        }
+        assert sorted(gained.values()) == [0, 2], gained
+        home = max(gained, key=gained.get)
+        hits = (after[home]["metrics"]["cache"]["hits"]
+                - before[home]["metrics"]["cache"]["hits"])
+        assert hits == 1
+        assert routed_binary["result"] == routed_json["result"]
 
     def test_distinct_requests_use_both_replicas(self, fleet):
         with ServeClient("127.0.0.1", fleet.port) as client:
