@@ -111,12 +111,12 @@ def _best_per_vertex(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Resolve concurrent ``(key, id)`` writes to per-vertex cells.
 
-    ``highest`` gives :class:`~repro.parallel.atomics.WriteMax` semantics
-    (higher key wins, then higher id) over cells starting at ``(-inf, -1)``;
-    otherwise :class:`~repro.parallel.atomics.WriteMin` semantics (lower
-    key, then lower id) over cells starting at ``(inf, -1)``.  A write that
-    cannot beat the start value (a NaN key, or ``inf`` for WriteMin) is
-    dropped.  Returns the vertices that received a write and the winning ids.
+    ``highest`` gives ``WRITE_MAX`` semantics (higher key wins, then
+    higher id) over cells starting at ``(-inf, -1)``; otherwise
+    ``WRITE_MIN`` semantics (lower key, then lower id) over cells starting
+    at ``(inf, -1)``.  A write that cannot beat the start value (a NaN key,
+    or ``inf`` for ``WRITE_MIN``) is dropped.  Returns the vertices that
+    received a write and the winning ids.
     """
     valid = keys >= -np.inf if highest else keys < np.inf
     vertices, keys, ids = vertices[valid], keys[valid], ids[valid]

@@ -11,7 +11,7 @@ Two pieces:
   property that keeps per-replica LRU caches hot across restarts.
 * :func:`request_affinity_key` — the routing key of one ``POST /cluster``
   body: the *content* fingerprint of its float64 matrix plus its config
-  payload, decoded the way a replica decodes it, so a JSON body and a
+  payload, decoded by the replica's own decoder, so a JSON body and a
   binary (``application/x-repro-matrix``) frame of one job share a
   replica — and with it that replica's result-cache entry.
 
@@ -23,12 +23,10 @@ membership changes (crash, restart, drain) take effect immediately.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.cache.fingerprint import config_fingerprint, matrix_fingerprint
-from repro.serve.wire import WIRE_CONTENT_TYPE, decode_request, loads_request_json
+from repro.serve.wire import decode_cluster_request
 
 
 def _score(key: str, member: str) -> int:
@@ -54,40 +52,24 @@ def rendezvous_rank(key: str, members: Sequence[str]) -> List[str]:
 def request_affinity_key(body: bytes, media_type: str = "") -> str:
     """The consistent-hash routing key of one ``POST /cluster`` body.
 
-    Both transports decode to the identity the result cache keys on: the
-    fingerprint of the matrix's float64 view plus the request's config
-    payload.  So a JSON body, a ``<f8`` frame and an ``<i8`` frame of one
-    matrix and config land on one replica, whose in-memory cache then
-    serves all three.  JSON is parsed with the replica's own parser.
-    Undecodable bodies, which any replica answers with a 400, key on
-    their raw bytes.  The key fingerprints the whole matrix, so call it
-    off the event loop.
+    The body is decoded by the replica's own decoder,
+    :func:`~repro.serve.wire.decode_cluster_request`, and keyed on the
+    identity the result cache keys on: the fingerprint of the float64
+    matrix plus the request's config payload.  So a JSON body, a ``<f8``
+    frame and an ``<i8`` frame of one matrix and config land on one
+    replica, whose in-memory cache then serves all three.  A body the
+    decoder refuses, which any replica answers with a 400, keys on its
+    raw bytes, as does a config nested too deep to fingerprint.  The key
+    fingerprints the whole matrix, so call it off the event loop.
     """
     try:
-        if media_type == WIRE_CONTENT_TYPE:
-            matrix, config_payload = decode_request(bytes(body))
-        else:
-            matrix, config_payload = _json_job(body)
-        # The float64 view is free for <f8 frames and the replica's upcast
-        # for every other spelling.
-        matrix = np.asarray(matrix, dtype=float)
+        matrix, config_payload = decode_cluster_request(body, media_type)
         return "content:" + matrix_fingerprint(matrix) + ":" + config_fingerprint(config_payload)
-    except (ValueError, TypeError):
-        pass  # undecodable body (WireFormatError is a ValueError): raw-bytes key
+    except (ValueError, RecursionError):
+        pass  # BadRequest is a ValueError
     digest = hashlib.blake2b(digest_size=20)
     digest.update(body)
     return "raw:" + digest.hexdigest()
-
-
-def _json_job(body: bytes) -> Tuple[Any, Dict[str, Any]]:
-    """``(matrix, config_payload)`` of a JSON body, as the replica reads it."""
-    payload = loads_request_json(body)
-    if not isinstance(payload, dict) or "matrix" not in payload:
-        raise ValueError("not a cluster request object")
-    config_payload = payload.get("config", {})
-    if not isinstance(config_payload, dict):
-        raise ValueError("'config' is not an object")
-    return payload["matrix"], config_payload
 
 
 def spread(keys: Sequence[str], members: Sequence[str]) -> Dict[str, int]:

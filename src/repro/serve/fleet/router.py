@@ -6,7 +6,7 @@ replica pool look exactly like one ``repro serve`` daemon:
 * ``POST /cluster`` — the router reads the body, derives its affinity key
   off the event loop (:func:`~repro.serve.fleet.ring.request_affinity_key`
   — the content fingerprint of the float64 matrix plus the config
-  payload, for JSON bodies and binary frames alike), ranks the *ready*
+  payload, decoded by the replica's own decoder), ranks the *ready*
   replicas with rendezvous hashing, and proxies the request bytes through
   unmodified.  Identical jobs therefore always land on the same replica,
   whatever their transport, which keeps that replica's in-memory result
@@ -29,6 +29,12 @@ Responses are forwarded byte-for-byte: what a client receives through
 the router is exactly what the replica produced, so routed and direct
 responses are byte-identical for both transports.
 
+The proxy hop, the ``/metrics`` scrapes and the supervisor's health
+probes are all :func:`~repro.serve.httpio.http_exchange`, which raises a
+malformed or truncated replica response as ``ConnectionError``: the
+proxy fails over as for a dead replica, and a scrape reports that
+replica's ``metrics`` as ``null``.
+
 Shutdown drains outside-in: SIGTERM stops the accept loop, in-flight
 proxied requests finish, and only then are the replicas SIGTERMed (each
 drains its own admitted requests before exiting).
@@ -44,14 +50,14 @@ from __future__ import annotations
 import asyncio
 import os
 from http import HTTPStatus
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set
 
 from repro import __version__
 from repro.obs.prometheus import merge_metrics_documents, render_prometheus
 from repro.obs.tracer import NOOP_SPAN, PARENT_SPAN_HEADER, TRACE_ID_HEADER
 from repro.serve.fleet.ring import rendezvous_rank, request_affinity_key
 from repro.serve.fleet.supervisor import ReplicaInfo, ReplicaSupervisor
-from repro.serve.httpio import HEADER_LIMIT, FrontDoor, Reply, Request, http_fetch
+from repro.serve.httpio import FrontDoor, Reply, Request, http_exchange, http_fetch
 
 #: Connection-scoped headers the proxy must not forward verbatim.
 _HOP_HEADERS = frozenset({"host", "connection", "content-length", "expect", "keep-alive"})
@@ -229,7 +235,7 @@ class FleetRouter(FrontDoor):
             status, payload = await http_fetch(
                 self.host, replica.port, "/metrics", timeout=5.0
             )
-        except (OSError, asyncio.TimeoutError, ConnectionError):
+        except (OSError, asyncio.TimeoutError):
             return None
         return payload if status == 200 else None
 
@@ -253,27 +259,38 @@ class FleetRouter(FrontDoor):
                 attempt_span = root.child(
                     "router.attempt", replica=target.replica_id, attempt=_attempt + 1
                 )
-                extra_headers = None
+                override: Dict[str, str] = {}
                 if attempt_span is not NOOP_SPAN:
                     # Re-parent the hop under *this* attempt: the replica's
                     # server.request span hangs off the attempt span, so a
                     # failover renders as two sibling attempt subtrees —
                     # the dead one error-flagged, the retry carrying the
                     # replica's spans — under one trace id.
-                    extra_headers = {
+                    override = {
                         TRACE_ID_HEADER: root.trace_id,
                         PARENT_SPAN_HEADER: attempt_span.span_id,
                     }
+                headers = [
+                    (name, value)
+                    for name, value in request.headers.items()
+                    if name not in _HOP_HEADERS and name not in override
+                ]
+                headers.extend(override.items())
                 try:
                     with attempt_span:
-                        status, raw = await asyncio.wait_for(
-                            self._exchange(target, request, extra_headers),
-                            self.proxy_timeout,
+                        status, raw, _body_start = await http_exchange(
+                            self.host,
+                            target.port,
+                            request.method,
+                            request.path,
+                            headers,
+                            request.body,
+                            timeout=self.proxy_timeout,
                         )
-                except (OSError, ConnectionError, asyncio.IncompleteReadError,
-                        asyncio.TimeoutError, ValueError) as error:
-                    # Replica died mid-exchange (crash or restart): count the
-                    # failover and move to the next ring node.  Safe to
+                except (OSError, asyncio.TimeoutError) as error:
+                    # Replica died mid-exchange (crash or restart) or sent a
+                    # malformed response: count the failover and move to
+                    # the next ring node.  Safe to
                     # re-dispatch — see the module docstring.  (The attempt
                     # span's context-manager exit already error-flagged it.)
                     tried.add(target.replica_id)
@@ -320,67 +337,6 @@ class FleetRouter(FrontDoor):
             if self._loop.time() >= grace_deadline or self._draining:
                 return None
             await asyncio.sleep(0.05)
-
-    async def _exchange(
-        self,
-        replica: ReplicaInfo,
-        request: Request,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, bytes]:
-        """One full request/response exchange with a replica.
-
-        The request body travels through unmodified; the response is
-        captured raw (status line, headers, body) and forwarded to the
-        client byte-for-byte.  ``extra_headers`` (lowercase names)
-        override same-named client headers — the tracing hop rewrites
-        the parent-span header this way.
-        """
-        reader, writer = await asyncio.open_connection(
-            self.host, replica.port, limit=HEADER_LIMIT
-        )
-        try:
-            lines = [
-                f"{request.method} {request.path} HTTP/1.1",
-                f"host: {self.host}:{replica.port}",
-                f"content-length: {len(request.body)}",
-                "connection: close",
-            ]
-            override = extra_headers or {}
-            for name, value in request.headers.items():
-                if name not in _HOP_HEADERS and name not in override:
-                    lines.append(f"{name}: {value}")
-            for name, value in override.items():
-                lines.append(f"{name}: {value}")
-            writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-            writer.write(request.body)
-            await writer.drain()
-            status_line = await reader.readline()
-            if not status_line.startswith(b"HTTP/"):
-                raise ConnectionError(f"malformed replica status line {status_line[:40]!r}")
-            status = int(status_line.split()[1])
-            raw = bytearray(status_line)
-            content_length: Optional[int] = None
-            while True:
-                line = await reader.readline()
-                if not line:
-                    raise asyncio.IncompleteReadError(bytes(raw), None)
-                raw += line
-                if line in (b"\r\n", b"\n"):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    content_length = int(value.strip())
-            if content_length is None:
-                raw += await reader.read()
-            else:
-                raw += await reader.readexactly(content_length)
-            return status, bytes(raw)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
 
 
 def build_fleet(

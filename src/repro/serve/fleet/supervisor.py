@@ -282,8 +282,11 @@ class ReplicaSupervisor:
             port = await asyncio.wait_for(self._read_banner(slot), self.startup_timeout)
         except (asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError):
             # No banner: the replica is broken (bad flags, port clash);
-            # kill it and let the babysitter back off before retrying.
-            if slot.process.returncode is None:
+            # kill it and let the babysitter back off before retrying.  One
+            # that closed its output is exiting by itself: signalling it
+            # polls it first, which can reap it before asyncio's child
+            # watcher does, and the watcher then reports exit code 255.
+            if slot.process.returncode is None and not slot.process.stdout.at_eof():
                 slot.process.terminate()
             return False
         slot.port = port
@@ -332,8 +335,8 @@ class ReplicaSupervisor:
                 status, payload = await http_fetch(self.host, slot.port, "/healthz", timeout=2.0)
                 if status == 200 and payload.get("status") == "ok":
                     return True
-            except (OSError, asyncio.TimeoutError, ConnectionError):
-                pass  # not accepting yet
+            except (OSError, asyncio.TimeoutError):
+                pass  # not accepting yet, or not answering well-formed JSON
             await asyncio.sleep(0.05)
         if slot.process.returncode is None and not self._stopping:
             slot.process.terminate()

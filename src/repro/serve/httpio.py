@@ -14,9 +14,12 @@ fleet :class:`~repro.serve.fleet.router.FleetRouter`:
   ``Content-Length`` rejected, ``Content-Length`` only ASCII digits, any
   ``Transfer-Encoding`` refused, colon-less and empty-name header lines
   rejected, bounded header count and body size);
-* :func:`http_fetch` — a tiny asyncio HTTP client for loopback control
-  traffic (the supervisor's health probes, the router's ``/metrics``
-  scrapes) that speaks one request per connection.
+* :func:`http_exchange` — the one loopback HTTP client: one request per
+  fresh connection, the response returned as received, and any malformed
+  or truncated response raised as ``ConnectionError``.  The router
+  forwards its bytes to clients; :func:`http_fetch`, a JSON-decoding
+  wrapper, serves the supervisor's health probes and the router's
+  ``/metrics`` scrapes.
 
 Keeping the parser in one module means a request is judged by identical
 rules whether it hits a replica directly or arrives through the router.
@@ -30,7 +33,7 @@ import signal
 import threading
 from dataclasses import dataclass
 from http import HTTPStatus
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import __version__
 from repro.obs.events import TraceEventLog
@@ -475,55 +478,55 @@ class ServerHandle:
         self.stop()
 
 
-async def http_fetch(
+async def http_exchange(
     host: str,
     port: int,
+    method: str,
     path: str,
+    headers: Iterable[Tuple[str, str]] = (),
+    body: bytes = b"",
     *,
-    method: str = "GET",
-    timeout: float = 5.0,
-) -> Tuple[int, Dict[str, Any]]:
-    """One loopback HTTP exchange, JSON-decoded: ``(status, payload)``.
+    timeout: float,
+) -> Tuple[int, bytes, int]:
+    """One HTTP/1.1 exchange over a fresh loopback connection.
 
-    Control-plane only (health probes, metrics scrapes): a fresh
-    connection per call, ``Connection: close``, the whole exchange under
-    ``timeout``.  Raises ``OSError``/``asyncio.TimeoutError`` on a dead
-    peer — callers treat that as "replica not ready".
+    Sends ``method path`` with ``host``, ``content-length`` and
+    ``connection: close`` headers, then ``headers`` and ``body``, and
+    reads the response, framed by its ``Content-Length`` (or, without
+    one, by EOF).  Returns ``(status, response, body_start)``: the
+    response exactly as received (status line, headers, body) and the
+    offset of its body.
+
+    The whole exchange runs under ``timeout``.  A dead peer raises
+    ``OSError`` or ``asyncio.TimeoutError``, and so does a malformed or
+    truncated response: a bad status line, headers cut off by EOF, a
+    line longer than :data:`HEADER_LIMIT`, a duplicate or non-numeric
+    ``Content-Length``, or a body shorter than it each raise
+    ``ConnectionError``.  Callers catch those two and nothing else.
     """
 
-    async def _exchange() -> Tuple[int, Dict[str, Any]]:
+    async def _exchange() -> Tuple[int, bytes, int]:
         reader, writer = await asyncio.open_connection(host, port, limit=HEADER_LIMIT)
         try:
-            writer.write(
-                (
-                    f"{method} {path} HTTP/1.1\r\n"
-                    f"Host: {host}:{port}\r\n"
-                    "Connection: close\r\n\r\n"
-                ).encode("latin-1")
-            )
+            lines = [
+                f"{method} {path} HTTP/1.1",
+                f"host: {host}:{port}",
+                f"content-length: {len(body)}",
+                "connection: close",
+            ]
+            lines.extend(f"{name}: {value}" for name, value in headers)
+            writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+            writer.write(body)
             await writer.drain()
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1").split()
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise ConnectionError(f"malformed status line {status_line!r}")
-            status = int(parts[1])
-            content_length: Optional[int] = None
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    content_length = int(value.strip())
-            if content_length is not None:
-                raw = await reader.readexactly(content_length)
-            else:
-                raw = await reader.read()
             try:
-                payload = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
-                payload = {"raw": raw.decode("utf-8", "replace")}
-            return status, payload
+                return await _read_response(reader)
+            except asyncio.IncompleteReadError as error:
+                raise ConnectionError(
+                    f"response body ended after {len(error.partial)} of "
+                    f"{error.expected} bytes"
+                ) from error
+            except ValueError as error:  # a line past the reader's limit
+                raise ConnectionError(f"oversized response line: {error}") from error
         finally:
             writer.close()
             try:
@@ -532,3 +535,52 @@ async def http_fetch(
                 pass
 
     return await asyncio.wait_for(_exchange(), timeout)
+
+
+async def _read_response(reader: asyncio.StreamReader) -> Tuple[int, bytes, int]:
+    """Read one response off ``reader``: ``(status, response, body_start)``."""
+    status_line = await reader.readline()
+    parts = status_line.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith(b"HTTP/") or not parts[1].isdigit():
+        raise ConnectionError(f"malformed status line {status_line[:80]!r}")
+    response = bytearray(status_line)
+    content_length: Optional[int] = None
+    while True:
+        line = await reader.readline()
+        if not line.endswith(b"\n"):
+            raise ConnectionError("response ended inside its headers")
+        response += line
+        if line in (b"\r\n", b"\n"):
+            break
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            value = value.strip()
+            if content_length is not None or not value.isdigit() or len(value) > 12:
+                raise ConnectionError(f"bad or repeated Content-Length {value[:80]!r}")
+            content_length = int(value)
+    body_start = len(response)
+    if content_length is None:
+        response += await reader.read()
+    else:
+        response += await reader.readexactly(content_length)
+    return int(parts[1]), bytes(response), body_start
+
+
+async def http_fetch(
+    host: str, port: int, path: str, *, timeout: float = 5.0
+) -> Tuple[int, Dict[str, Any]]:
+    """``GET path`` through :func:`http_exchange`, JSON-decoded: ``(status, payload)``.
+
+    Control-plane only (health probes, metrics scrapes).  A body that is
+    not a JSON object raises ``ConnectionError`` like a malformed
+    response, so callers catch only ``OSError`` and
+    ``asyncio.TimeoutError`` and treat either as "replica not ready".
+    """
+    status, response, body_start = await http_exchange(host, port, "GET", path, timeout=timeout)
+    try:
+        payload = json.loads(response[body_start:])
+    except (ValueError, RecursionError) as error:
+        raise ConnectionError(f"GET {path} answered a body that is not JSON: {error}") from error
+    if not isinstance(payload, dict):
+        raise ConnectionError(f"GET {path} answered JSON that is not an object")
+    return status, payload

@@ -22,8 +22,10 @@ Routes
     application/x-repro-matrix``); 400 on a malformed body or a bad
     frame; 405 for any other method; 429 + ``Retry-After`` when
     ``--max-queue`` requests are already in flight; 503 while draining.
-    A JSON body and a frame's header are parsed by
-    :func:`repro.serve.wire.loads_request_json` (orjson, RFC 8259):
+    Both transports are decoded by
+    :func:`repro.serve.wire.decode_cluster_request`, the decoder the
+    fleet router keys bodies with.  A JSON body and a frame's header are
+    parsed by :func:`repro.serve.wire.loads_request_json` (orjson, RFC 8259):
     ``NaN``/``Infinity`` literals, a number that overflows a double
     (``1e400``), a lone surrogate escape, a body that is not UTF-8
     (UTF-16, or any byte-order mark) and nesting deeper than 1024 all get
@@ -79,13 +81,7 @@ from repro.serve.httpio import (
     Request as _Request,
 )
 from repro.serve.metrics import ServerMetrics
-from repro.serve.wire import (
-    WIRE_CONTENT_TYPE,
-    WireFormatError,
-    decode_request,
-    encode_envelope,
-    loads_request_json,
-)
+from repro.serve.wire import WIRE_CONTENT_TYPE, decode_cluster_request, encode_envelope
 
 #: Config fields a request payload may overlay.  These are the algorithmic
 #: knobs; the server-owned ``cache``/``cache_dir`` (server-side filesystem)
@@ -384,7 +380,8 @@ class ClusteringServer(FrontDoor):
         assert self._idle is not None
         decode_started = time.perf_counter()
         try:
-            matrix, config = self._parse_cluster_request(request)
+            matrix, config_payload = decode_cluster_request(request.body, request.media_type)
+            config = self._merged_request_config(config_payload)
         except _BadRequest as error:
             return HTTPStatus.BAD_REQUEST, {"error": str(error)}, None
         finally:
@@ -464,54 +461,8 @@ class ClusteringServer(FrontDoor):
             return HTTPStatus.OK, BinaryBody(encode_envelope(envelope), WIRE_CONTENT_TYPE), None
         return HTTPStatus.OK, envelope, None
 
-    def _parse_cluster_request(self, request: _Request) -> Tuple[np.ndarray, ClusteringConfig]:
-        """Decode a cluster request body in either transport."""
-        if request.media_type == WIRE_CONTENT_TYPE:
-            try:
-                matrix, config_payload = decode_request(request.body)
-            except WireFormatError as error:
-                raise _BadRequest(f"bad {WIRE_CONTENT_TYPE} body: {error}") from error
-            # float64 frames pass through as the decoded zero-copy view;
-            # other numeric dtypes are upcast (one copy) to keep the
-            # fingerprint identical to the JSON route's float64 matrix.
-            matrix = np.asarray(matrix, dtype=float)
-            return self._checked_matrix(matrix), self._merged_request_config(config_payload)
-        return self._parse_cluster_body(request.body)
-
-    def _parse_cluster_body(self, body: bytes) -> Tuple[np.ndarray, ClusteringConfig]:
-        if not body:
-            raise _BadRequest('missing request body; expected {"matrix": [[...]], "config": {...}}')
-        try:
-            payload = loads_request_json(body)
-        except ValueError as error:
-            raise _BadRequest(f"request body is not valid JSON: {error}") from error
-        if not isinstance(payload, dict):
-            raise _BadRequest("request body must be a JSON object")
-        unknown = sorted(set(payload) - {"matrix", "config"})
-        if unknown:
-            raise _BadRequest(f"unknown request keys {unknown}; expected 'matrix' and optional 'config'")
-        if "matrix" not in payload:
-            raise _BadRequest("request is missing 'matrix'")
-        try:
-            matrix = np.asarray(payload["matrix"], dtype=float)
-        except (TypeError, ValueError) as error:
-            raise _BadRequest(f"'matrix' is not numeric: {error}") from error
-        config_payload = payload.get("config", {})
-        return self._checked_matrix(matrix), self._merged_request_config(config_payload)
-
-    @staticmethod
-    def _checked_matrix(matrix: np.ndarray) -> np.ndarray:
-        """Shape/finiteness validation shared by the JSON and binary routes."""
-        if matrix.ndim != 2 or 0 in matrix.shape:
-            raise _BadRequest(f"'matrix' must be 2-D and non-empty; got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
-            raise _BadRequest("'matrix' contains NaN or infinite entries")
-        return matrix
-
-    def _merged_request_config(self, config_payload: Any) -> ClusteringConfig:
+    def _merged_request_config(self, config_payload: Dict[str, Any]) -> ClusteringConfig:
         """Overlay a request's (partial) config onto the server default."""
-        if not isinstance(config_payload, dict):
-            raise _BadRequest("'config' must be a JSON object (ClusteringConfig.to_dict payload)")
         reserved = sorted(set(config_payload) - REQUEST_CONFIG_FIELDS)
         if reserved:
             raise _BadRequest(
@@ -520,5 +471,6 @@ class ClusteringServer(FrontDoor):
             )
         try:
             return self.default_config.merged(config_payload)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, RecursionError) as error:
+            # RecursionError: a value nested too deep for the type error's repr.
             raise _BadRequest(f"bad 'config': {error}") from error

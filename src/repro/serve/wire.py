@@ -27,8 +27,10 @@ Decoding is zero-copy by construction: :func:`decode_matrix` returns a
 read-only :func:`numpy.frombuffer` view over the request body, and
 ``repro.cache.fingerprint.matrix_fingerprint`` hashes the same view
 through the buffer protocol.  Malformed frames raise
-:class:`WireFormatError`, which the server renders as HTTP 400 — a
-truncated or padded body is the client's bug, never a 500.
+:class:`WireFormatError`, which :func:`decode_cluster_request` (the one
+decoder of ``POST /cluster`` bodies, JSON or binary) turns into the
+server's HTTP 400 — a truncated or padded body is the client's bug,
+never a 500.
 
 Only little-endian (or byteorder-free) numeric dtypes are accepted; the
 encoder byte-swaps big-endian inputs so a frame means the same bytes on
@@ -43,6 +45,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 import orjson
+
+from repro.serve.httpio import BadRequest
 
 #: The media type negotiated via ``Content-Type`` / ``Accept``.
 WIRE_CONTENT_TYPE = "application/x-repro-matrix"
@@ -272,6 +276,51 @@ def decode_request(body: bytes) -> Tuple[np.ndarray, Dict[str, Any]]:
     if not isinstance(config, dict):
         raise WireFormatError("header 'config' must be a JSON object")
     return matrix, config
+
+
+def decode_cluster_request(body: bytes, media_type: str) -> Tuple[np.ndarray, Dict[str, Any]]:
+    """``(matrix, config_payload)`` of one ``POST /cluster`` body.
+
+    The one decoder of cluster requests: a replica fits what it returns
+    (after overlaying the config payload onto its default config), and
+    the fleet router keys the body on it, so both accept exactly the same
+    bodies.  A :data:`WIRE_CONTENT_TYPE` frame or a JSON body decodes to
+    a finite, non-empty 2-D float64 matrix (a ``<f8`` frame's zero-copy
+    view; every other spelling is upcast) and a config dict.  Anything
+    else raises :class:`~repro.serve.httpio.BadRequest` with the message
+    a replica answers in its 400.
+    """
+    if media_type == WIRE_CONTENT_TYPE:
+        try:
+            matrix, config_payload = decode_request(body)
+        except WireFormatError as error:
+            raise BadRequest(f"bad {WIRE_CONTENT_TYPE} body: {error}") from error
+    else:
+        if not body:
+            raise BadRequest('missing request body; expected {"matrix": [[...]], "config": {...}}')
+        try:
+            payload = loads_request_json(body)
+        except ValueError as error:
+            raise BadRequest(f"request body is not valid JSON: {error}") from error
+        if not isinstance(payload, dict):
+            raise BadRequest("request body must be a JSON object")
+        unknown = sorted(set(payload) - {"matrix", "config"})
+        if unknown:
+            raise BadRequest(f"unknown request keys {unknown}; expected 'matrix' and optional 'config'")
+        if "matrix" not in payload:
+            raise BadRequest("request is missing 'matrix'")
+        matrix, config_payload = payload["matrix"], payload.get("config", {})
+    try:
+        matrix = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise BadRequest(f"'matrix' is not numeric: {error}") from error
+    if matrix.ndim != 2 or 0 in matrix.shape:
+        raise BadRequest(f"'matrix' must be 2-D and non-empty; got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise BadRequest("'matrix' contains NaN or infinite entries")
+    if not isinstance(config_payload, dict):
+        raise BadRequest("'config' must be a JSON object (ClusteringConfig.to_dict payload)")
+    return matrix, config_payload
 
 
 # ---------------------------------------------------------------------------

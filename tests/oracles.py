@@ -4,8 +4,9 @@ Each oracle is the straightforward version of a hot path: the frozenset
 TMFG builder with its incremental bubble tree (Algorithm 2 as written),
 the per-face gain scan, the sort-based round selection, the pairwise
 complete-linkage matrix, the scalar Lance-Williams update, the per-vertex
-DBHT assignment, the leaf scan behind the inter-group heights, and three
-shortest-path references: an array-heap Dijkstra per source, the
+DBHT assignment through the priority write cells of the paper's Table I
+(:class:`WriteMin`/:class:`WriteMax`), the leaf scan behind the
+inter-group heights, and three shortest-path references: an array-heap Dijkstra per source, the
 adjacency-list Dijkstra and SciPy's csgraph APSP.  Tests assert exact
 (byte-level) agreement with them.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import threading
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -28,8 +30,41 @@ from repro.graph.csr import CSRGraph
 from repro.graph.faces import Triangle, VertexFacePair, child_faces, triangle_corners, triangle_key
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.weighted_graph import WeightedGraph
-from repro.parallel.atomics import WriteMax, WriteMin
 from repro.parallel.cost_model import WorkSpanTracker
+
+
+class _WriteCell:
+    """A priority concurrent-write cell (Table I): many writers, one kept
+    value.  A per-cell lock makes writes from several threads correct."""
+
+    def __init__(self, initial: Any) -> None:
+        self.value = initial
+        self._lock = threading.Lock()
+
+    def _wins(self, value: Any) -> bool:
+        raise NotImplementedError
+
+    def write(self, value: Any) -> bool:
+        """Write ``value``; return whether it replaced the current value."""
+        with self._lock:
+            if self._wins(value):
+                self.value = value
+                return True
+            return False
+
+
+class WriteMin(_WriteCell):
+    """``WRITE_MIN``: keeps the smallest value written (tuples break ties)."""
+
+    def _wins(self, value: Any) -> bool:
+        return value < self.value
+
+
+class WriteMax(_WriteCell):
+    """``WRITE_MAX``: keeps the largest value written (tuples break ties)."""
+
+    def _wins(self, value: Any) -> bool:
+        return value > self.value
 
 
 def per_face_best(

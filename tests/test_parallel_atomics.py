@@ -1,12 +1,10 @@
-"""Tests for the priority concurrent write cells."""
+"""Tests for the priority concurrent write cells the assignment oracle uses."""
 
 from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro.parallel.atomics import WriteAdd, WriteMax, WriteMin
+from tests.oracles import WriteMax, WriteMin
 
 
 class TestWriteMin:
@@ -71,29 +69,3 @@ class TestWriteMax:
         for thread in threads:
             thread.join()
         assert cell.value == 499
-
-
-class TestWriteAdd:
-    def test_accumulates_sum(self):
-        cell = WriteAdd()
-        cell.write(1.5)
-        cell.write(2.5)
-        assert cell.value == pytest.approx(4.0)
-
-    def test_returns_running_total(self):
-        cell = WriteAdd(1.0)
-        assert cell.write(2.0) == pytest.approx(3.0)
-
-    def test_concurrent_adds_are_not_lost(self):
-        cell = WriteAdd()
-
-        def writer():
-            for _ in range(10000):
-                cell.write(1.0)
-
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert cell.value == pytest.approx(40000.0)

@@ -377,6 +377,20 @@ class TestServerIntegration:
         finally:
             handle.stop()
 
+    def test_config_too_deep_to_describe_answers_400(self):
+        # The body parses (nesting 1022 of 1024), but the repr in the type
+        # error that names the value overruns the recursion limit.
+        body = b'{"matrix": [[1.0]], "config": {"prefix": ' + b"[" * 1020 + b"]" * 1020 + b"}}"
+        _server, handle = _start_server()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                with pytest.raises(ServerError, match="bad 'config'") as excinfo:
+                    client.request("POST", "/cluster", body, {"Content-Type": "application/json"})
+                assert excinfo.value.status == 400
+                assert client.healthz()["status"] == "ok"
+        finally:
+            handle.stop()
+
     def test_saturated_queue_answers_429_with_retry_after(self, series, monkeypatch):
         # One fit thread and held fits: the first two distinct misses stay
         # in flight, so with max_queue_depth=2 every later request is 429.
@@ -807,7 +821,7 @@ class TestJsonBodyParsing:
     @example(rows=[["2.4703282292062328e-324", "1.7976931348623157e308", "-0.0"]])
     def test_matrix_bytes_equal_the_stdlib_parse(self, rows):
         body = ("{\"matrix\": [" + ", ".join(f"[{', '.join(row)}]" for row in rows) + "]}").encode()
-        matrix, _config = ClusteringServer()._parse_cluster_body(body)
+        matrix, _config = wire.decode_cluster_request(body, "application/json")
         oracle = np.asarray(json.loads(body)["matrix"], dtype=float)
         assert matrix.dtype == oracle.dtype and matrix.shape == oracle.shape
         assert matrix.tobytes() == oracle.tobytes()

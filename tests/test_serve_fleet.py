@@ -25,10 +25,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.cache.fingerprint import config_fingerprint, matrix_fingerprint
 from repro.serve import ServeClient, ServerError, build_fleet
 from repro.serve.fleet.ring import rendezvous_rank, request_affinity_key, spread
 from repro.serve.fleet.router import FleetRouter
 from repro.serve.fleet.supervisor import ReplicaInfo, ReplicaSupervisor
+from repro.serve.httpio import http_fetch
 from repro.serve.server import ClusteringServer
 from repro.serve.wire import WIRE_CONTENT_TYPE, encode_frame, encode_request
 
@@ -112,6 +114,13 @@ class TestAffinityKey:
     def test_undecodable_json_bodies_key_on_raw_bytes(self, body):
         assert request_affinity_key(body, "application/json").startswith("raw:")
 
+    def test_config_too_deep_to_fingerprint_keys_on_raw_bytes(self):
+        # The body parses (nesting 1022 of 1024), but fingerprinting its
+        # config overruns the interpreter's recursion limit; any replica
+        # answers it with a 400 "bad 'config'".
+        body = b'{"matrix": [[1.0]], "config": {"prefix": ' + b"[" * 1020 + b"]" * 1020 + b"}}"
+        assert request_affinity_key(body, "application/json").startswith("raw:")
+
     @settings(max_examples=60, deadline=None)
     @given(
         ints=hnp.arrays(
@@ -141,6 +150,38 @@ class TestAffinityKey:
         }
         assert len(keys) == 1, keys
         assert keys.pop().startswith("content:")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        matrix=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        config=st.fixed_dictionaries(
+            {},
+            optional={
+                "method": st.sampled_from(["tmfg-dbht", "par-tdbht", "kmeans", "spectral"]),
+                "num_clusters": st.one_of(st.none(), st.integers(1, 20)),
+                "prefix": st.integers(1, 30),
+                "precomputed": st.booleans(),
+                "linkage": st.sampled_from(["complete", "average", "single"]),
+                "seed": st.integers(0, 2**31),
+                "num_restarts": st.integers(1, 5),
+                "spectral_neighbors": st.integers(1, 20),
+            },
+        ),
+    )
+    def test_accepted_bodies_key_on_matrix_and_config_fingerprints(self, matrix, config):
+        # The routing key of every body a replica accepts, pinned to its
+        # formula: perfbench predicts the router's replica choice with it.
+        expected = (
+            "content:" + matrix_fingerprint(matrix) + ":" + config_fingerprint(config)
+        )
+        json_body = json.dumps({"matrix": matrix.tolist(), "config": config}).encode()
+        assert request_affinity_key(json_body, "application/json") == expected
+        frame = encode_request(matrix, config)
+        assert request_affinity_key(frame, WIRE_CONTENT_TYPE) == expected
 
     def test_binary_bodies_key_on_content(self):
         matrix = np.asarray(_matrix(3), dtype=float, order="C")
@@ -324,6 +365,134 @@ class TestRouterProxyMechanics:
                 assert excinfo.value.status == 404
         finally:
             handle.stop()
+
+
+class _LiveProcess:
+    """The process surface the health probe reads: alive until terminated."""
+
+    returncode = None
+    terminated = False
+
+    def terminate(self):
+        self.terminated = True
+
+
+#: Replies a broken replica might send; the first two are badly framed.
+_TRUNCATED = (
+    b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 64\r\n\r\n"
+    b'{"status": "ok"}'
+)
+_BAD_LENGTH = (
+    b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: abc\r\n\r\n"
+    b'{"status": "ok"}'
+)
+_NOT_AN_OBJECT = (
+    b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 6\r\n\r\n"
+    b"[1, 2]"
+)
+_HOSTILE = pytest.mark.parametrize(
+    "reply",
+    [_TRUNCATED, _BAD_LENGTH, _NOT_AN_OBJECT],
+    ids=["truncated", "bad-content-length", "not-an-object"],
+)
+_BADLY_FRAMED = pytest.mark.parametrize(
+    "reply", [_TRUNCATED, _BAD_LENGTH], ids=["truncated", "bad-content-length"]
+)
+
+
+class TestHostileReplicaReplies:
+    """Malformed replica responses at every client of the loopback
+    exchange: the health probe, the metrics scrape and the proxy hop."""
+
+    @_HOSTILE
+    def test_fetch_raises_connection_error(self, reply):
+        replica = _CannedReplica(reply)
+        try:
+            with pytest.raises(ConnectionError):
+                asyncio.run(http_fetch("127.0.0.1", replica.port, "/healthz", timeout=5.0))
+        finally:
+            replica.close()
+
+    @_HOSTILE
+    def test_health_probe_reads_the_reply_as_not_ready(self, reply):
+        replica = _CannedReplica(reply)
+        supervisor = ReplicaSupervisor(1, startup_timeout=0.5)
+        slot = supervisor._slots[0]
+        slot.process, slot.port = _LiveProcess(), replica.port
+
+        async def scenario():
+            probe = asyncio.create_task(supervisor._await_healthy(slot))
+            return await asyncio.wait_for(probe, 10.0)
+
+        try:
+            # The probe task ends on its deadline, not on the reply: it
+            # kept probing, then gave the replica up.
+            assert asyncio.run(scenario()) is False
+            assert len(replica.requests) >= 2
+            assert slot.process.terminated
+        finally:
+            replica.close()
+
+    @_HOSTILE
+    def test_router_metrics_report_the_replica_as_unscraped(self, reply):
+        replica = _CannedReplica(reply)
+        router = FleetRouter(
+            _FakeSupervisor([ReplicaInfo("replica-0", replica.port, None)]), port=0
+        )
+        handle = router.start_in_background()
+        try:
+            with ServeClient("127.0.0.1", handle.port) as client:
+                metrics = client.metrics()
+                text = client.metrics_prometheus()
+            assert metrics["replicas"]["replica-0"]["metrics"] is None
+            assert metrics["fleet"]["ready_replicas"] == 1
+            assert "repro_fleet_workers" in text
+        finally:
+            handle.stop()
+            replica.close()
+
+    @_BADLY_FRAMED
+    def test_proxy_fails_over_once_then_answers_502(self, reply):
+        replicas = [_CannedReplica(reply) for _ in range(2)]
+        router = FleetRouter(
+            _FakeSupervisor(
+                [ReplicaInfo(f"replica-{i}", r.port, None) for i, r in enumerate(replicas)]
+            ),
+            port=0,
+        )
+        handle = router.start_in_background()
+        try:
+            raw = _raw_post(handle.port, b'{"matrix": [[0]]}',
+                            {"content-type": "application/json"})
+            assert raw.startswith(b"HTTP/1.1 502"), raw
+            assert b"ConnectionError" in raw
+            assert [len(replica.requests) for replica in replicas] == [1, 1]
+            assert router.failovers_total == 2
+            assert router.proxy_errors_total == 1
+        finally:
+            handle.stop()
+            for replica in replicas:
+                replica.close()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [_NOT_AN_OBJECT, b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\r\n{}"],
+        ids=["not-an-object", "framed-by-eof"],
+    )
+    def test_proxy_forwards_a_well_framed_reply_unchanged(self, reply):
+        replica = _CannedReplica(reply)
+        router = FleetRouter(
+            _FakeSupervisor([ReplicaInfo("replica-0", replica.port, None)]), port=0
+        )
+        handle = router.start_in_background()
+        try:
+            raw = _raw_post(handle.port, b'{"matrix": [[0]]}',
+                            {"content-type": "application/json"})
+            assert raw == reply
+            assert router.failovers_total == 0
+        finally:
+            handle.stop()
+            replica.close()
 
 
 def _normalized(envelope: dict) -> dict:
