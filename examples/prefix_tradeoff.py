@@ -21,7 +21,7 @@ from repro.datasets.ucr_like import load_ucr_like
 from repro.experiments.reporting import format_table
 from repro.metrics.ari import adjusted_rand_index
 from repro.metrics.edge_sum import edge_weight_sum_ratio
-from repro.parallel.cost_model import predicted_speedup
+from repro.parallel.cost_model import fit_cost, predicted_speedup
 
 
 def main() -> None:
@@ -37,8 +37,7 @@ def main() -> None:
     for prefix in (1, 2, 5, 10, 30, 50, 200):
         estimator = make_estimator(base.method, base.replace(prefix=prefix))
         labels = estimator.fit_predict(dataset.data)
-        result = estimator.result_
-        pipeline = result.raw
+        pipeline = estimator.result_.raw
         rows.append(
             (
                 prefix,
@@ -46,7 +45,9 @@ def main() -> None:
                 round(edge_weight_sum_ratio(pipeline.tmfg.graph, reference.graph), 4),
                 round(adjusted_rand_index(dataset.labels, labels), 3),
                 round(
-                    predicted_speedup(result.extras["tracker"], 48, span_overhead=span_overhead),
+                    predicted_speedup(
+                        fit_cost(pipeline.tmfg, pipeline.dbht), 48, span_overhead=span_overhead
+                    ),
                     1,
                 ),
             )

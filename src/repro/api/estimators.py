@@ -243,7 +243,6 @@ class TMFGClusterer(ClusteringEstimator):
             extras={
                 "edge_weight_sum": pipeline.tmfg.edge_weight_sum(),
                 "rounds": pipeline.tmfg.rounds,
-                "tracker": pipeline.tracker,
             },
         )
         self._cut_labels(result)

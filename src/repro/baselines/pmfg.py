@@ -11,14 +11,13 @@ magnitude slower than the TMFG, exactly as in the paper's experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.planarity import is_planar
 from repro.graph.weighted_graph import WeightedGraph
-from repro.parallel.cost_model import WorkSpanTracker
 
 
 @dataclass
@@ -33,10 +32,7 @@ class PMFGResult:
         return self.graph.edge_weight_sum()
 
 
-def construct_pmfg(
-    similarity: np.ndarray,
-    tracker: Optional[WorkSpanTracker] = None,
-) -> PMFGResult:
+def construct_pmfg(similarity: np.ndarray) -> PMFGResult:
     """Build the PMFG of a similarity matrix.
 
     Notes
@@ -48,7 +44,6 @@ def construct_pmfg(
     """
     similarity = validate_similarity_matrix(similarity)
     n = similarity.shape[0]
-    tracker = tracker if tracker is not None else WorkSpanTracker()
 
     upper_i, upper_j = np.triu_indices(n, k=1)
     weights = similarity[upper_i, upper_j]
@@ -72,9 +67,4 @@ def construct_pmfg(
             graph.add_edge(u, v, float(similarity[u, v]))
             edges.append((u, v))
 
-    tracker.add(
-        "pmfg",
-        work=float(candidates_tested * (n + len(edges))),
-        span=float(candidates_tested),
-    )
     return PMFGResult(graph=graph, edges=edges, candidates_tested=candidates_tested)

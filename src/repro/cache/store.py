@@ -34,7 +34,7 @@ from repro.obs.tracer import trace_span
 
 #: Envelope magic + format version; bump the version to invalidate disk entries.
 _ENTRY_MAGIC = "repro-result-cache"
-ENTRY_FORMAT_VERSION = 1
+ENTRY_FORMAT_VERSION = 2
 
 #: Default capacity of the in-memory LRU tier.
 DEFAULT_MAX_ENTRIES = 128

@@ -518,7 +518,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=None,
         help="persist the content-addressed result cache under this directory "
-        "(hits across runs; corrupt/stale entries degrade to misses)",
+        "(hits across runs; corrupt/stale entries degrade to misses). Entries are "
+        "unpickled on read: only trusted users may write to this directory",
     )
     parser.add_argument(
         "--no-cache",

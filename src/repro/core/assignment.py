@@ -30,13 +30,12 @@ Both levels are batched over bubbles rather than looped per vertex:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.core.bubble_tree import BubbleTree
 from repro.core.direction import DirectionResult
-from repro.parallel.cost_model import WorkSpanTracker
 
 
 @dataclass
@@ -47,13 +46,18 @@ class AssignmentResult:
     assigned to; ``bubble[v]`` is the id of the bubble maximising ``chi'``.
     ``converging_bubbles`` lists the converging bubble ids;
     ``assigned_directly[v]`` is True when ``v`` was assigned by the
-    ``chi``-attachment rule (it belongs to at least one converging bubble).
+    ``chi``-attachment rule (it belongs to at least one converging bubble);
+    ``distance_terms`` is the number of shortest-path entries the
+    mean-distance rule read (members x candidates, summed over converging
+    bubbles), which the cost model needs because the reach sets are not
+    kept.
     """
 
     group: np.ndarray
     bubble: np.ndarray
     converging_bubbles: List[int]
     assigned_directly: np.ndarray
+    distance_terms: int = 0
 
     def subgroups(self) -> Dict[Tuple[int, int], List[int]]:
         """Vertices keyed by (converging bubble, bubble) — the DBHT subgroups."""
@@ -150,7 +154,6 @@ def assign_vertices(
     directions: DirectionResult,
     similarity: np.ndarray,
     shortest_paths: np.ndarray,
-    tracker: Optional[WorkSpanTracker] = None,
 ) -> AssignmentResult:
     """Assign every vertex to a converging bubble and to a bubble.
 
@@ -161,7 +164,6 @@ def assign_vertices(
     bubbles = tree.bubbles
     converging = directions.converging_bubbles(tree)
     reach = directions.reachable_converging_bubbles(tree)
-    work = 0.0
 
     # -- first level: assignment to converging bubbles (groups) ------------
     # A directed tree always has a sink, so ``converging`` is never empty.
@@ -176,7 +178,6 @@ def assign_vertices(
         highest=True,
     )
     group[winners] = ids
-    work += float(orders.size)
     assigned_directly = group >= 0
 
     # Remaining vertices: closest reachable converging bubble by mean
@@ -194,7 +195,7 @@ def assign_vertices(
         for bubble_id in converging
     ]
     pairs = [pair for pair in pairs if pair[1] and pair[2]]
-    work += float(sum(len(members) * len(vertices) for _, members, vertices in pairs))
+    distance_terms = sum(len(members) * len(vertices) for _, members, vertices in pairs)
     placed: List[int] = []
     if pairs:
         winners, ids = _closest_bubble(shortest_paths, pairs)
@@ -232,13 +233,11 @@ def assign_vertices(
     )
     bubble_assignment = np.full(num_vertices, -1, dtype=int)
     bubble_assignment[winners] = ids
-    work += float(orders.size)
 
-    if tracker is not None:
-        tracker.add("bubble-tree", work=work, span=float(np.log2(max(num_vertices, 2))))
     return AssignmentResult(
         group=group,
         bubble=bubble_assignment,
         converging_bubbles=list(converging),
         assigned_directly=assigned_directly,
+        distance_terms=distance_terms,
     )

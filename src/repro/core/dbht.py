@@ -7,7 +7,7 @@ DBHT dendrogram.  The phases match Fig. 5's runtime decomposition:
 * ``"apsp"`` — all-pairs shortest paths on the filtered graph with the
   dissimilarity weights, by the serial frontier kernel of
   :mod:`repro.graph.shortest_paths` (the paper's per-source parallelism is
-  recorded in the work-span tracker, not run on a pool);
+  modelled by the work-span cost model, not run on a pool);
 * ``"bubble-tree"`` — directing the bubble-tree edges and assigning vertices
   to bubbles;
 * ``"hierarchy"`` — the three-level complete-linkage construction.
@@ -22,13 +22,16 @@ Each phase also runs under a trace span (``fit.apsp``, ``fit.bubble_tree``,
 time went.  The two halves have no ``step_seconds`` key of their own:
 ``"bubble-tree"`` covers both.  With tracing off the spans are the shared
 no-op and cost nothing.
+
+The work and span of each phase are computed after the fit, from the
+result, by :func:`repro.parallel.cost_model.fit_cost`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -41,7 +44,6 @@ from repro.dendrogram.node import Dendrogram
 from repro.graph.matrix import validate_dissimilarity_matrix
 from repro.graph.shortest_paths import all_pairs_shortest_paths
 from repro.obs.tracer import trace_span
-from repro.parallel.cost_model import WorkSpanTracker
 
 
 @dataclass
@@ -52,7 +54,6 @@ class DBHTResult:
     assignment: AssignmentResult
     directions: DirectionResult
     shortest_paths: np.ndarray
-    tracker: WorkSpanTracker
     step_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -70,7 +71,6 @@ def dbht(
     tmfg: TMFGResult,
     similarity: np.ndarray,
     dissimilarity: np.ndarray,
-    tracker: Optional[WorkSpanTracker] = None,
 ) -> DBHTResult:
     """Run the parallel DBHT on a TMFG (Algorithm 4).
 
@@ -92,18 +92,14 @@ def dbht(
     dissimilarity = validate_dissimilarity_matrix(
         dissimilarity, size=similarity.shape[0]
     )
-    return run_dbht(tmfg, similarity, dissimilarity, tracker)
+    return run_dbht(tmfg, similarity, dissimilarity)
 
 
 def run_dbht(
-    tmfg: TMFGResult,
-    similarity: np.ndarray,
-    dissimilarity: np.ndarray,
-    tracker: Optional[WorkSpanTracker],
+    tmfg: TMFGResult, similarity: np.ndarray, dissimilarity: np.ndarray
 ) -> DBHTResult:
     """:func:`dbht` on a TMFG with a bubble tree and a dissimilarity matrix
     that is already validated."""
-    tracker = tracker if tracker is not None else tmfg.tracker
     tree: BubbleTree = tmfg.bubble_tree
     step_seconds: Dict[str, float] = {}
 
@@ -116,25 +112,18 @@ def run_dbht(
         distance_graph = tmfg.csr().reweighted(dissimilarity)
         shortest_paths = all_pairs_shortest_paths(distance_graph)
     step_seconds["apsp"] = time.perf_counter() - start
-    tracker.add(
-        "apsp",
-        work=float(n * n * np.log2(max(n, 2))),
-        span=float(np.log2(max(n, 2)) ** 2),
-    )
 
     start = time.perf_counter()
     with trace_span("fit.bubble_tree", n=int(n)):
         with trace_span("fit.direction", n=int(n)):
-            directions = compute_directions(tree, tmfg, tracker=tracker)
+            directions = compute_directions(tree, tmfg)
         with trace_span("fit.assignment", n=int(n)):
-            assignment = assign_vertices(
-                tree, directions, similarity, shortest_paths, tracker=tracker
-            )
+            assignment = assign_vertices(tree, directions, similarity, shortest_paths)
     step_seconds["bubble-tree"] = time.perf_counter() - start
 
     start = time.perf_counter()
     with trace_span("fit.hierarchy", n=int(n)):
-        dendrogram = build_hierarchy(assignment, shortest_paths, tracker=tracker)
+        dendrogram = build_hierarchy(assignment, shortest_paths)
     step_seconds["hierarchy"] = time.perf_counter() - start
 
     return DBHTResult(
@@ -142,6 +131,5 @@ def run_dbht(
         assignment=assignment,
         directions=directions,
         shortest_paths=shortest_paths,
-        tracker=tracker,
         step_seconds=step_seconds,
     )

@@ -26,12 +26,11 @@ round differently).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Set
+from typing import Dict, List, Protocol, Set
 
 from repro.core.bubble_tree import BubbleTree
 from repro.graph.traversal import reachable_set
 from repro.graph.weighted_graph import WeightedGraph
-from repro.parallel.cost_model import WorkSpanTracker
 
 
 class EdgeWeights(Protocol):
@@ -110,11 +109,7 @@ class DirectionResult:
         return reach
 
 
-def compute_directions(
-    tree: BubbleTree,
-    graph: EdgeWeights,
-    tracker: Optional[WorkSpanTracker] = None,
-) -> DirectionResult:
+def compute_directions(tree: BubbleTree, graph: EdgeWeights) -> DirectionResult:
     """Direct all bubble-tree edges in linear work (Algorithm 3).
 
     The traversal is post-order: each bubble returns to its parent the sum of
@@ -134,7 +129,6 @@ def compute_directions(
     corner_sums: Dict[int, Dict[int, float]] = {}
 
     order = tree.topological_order()
-    work = 0.0
     # Post-order: process children before parents.
     for bubble_id in reversed(order):
         bubble = tree.bubble(bubble_id)
@@ -165,20 +159,13 @@ def compute_directions(
         in_values[bubble_id] = in_value
         out_values[bubble_id] = out_value
         towards_child[bubble_id] = in_value > out_value
-        work += 1.0
 
-    if tracker is not None:
-        tracker.add("bubble-tree", work=work, span=float(tree.height() + 1))
     return DirectionResult(
         towards_child=towards_child, in_values=in_values, out_values=out_values
     )
 
 
-def compute_directions_bfs(
-    tree: BubbleTree,
-    graph: WeightedGraph,
-    tracker: Optional[WorkSpanTracker] = None,
-) -> DirectionResult:
+def compute_directions_bfs(tree: BubbleTree, graph: WeightedGraph) -> DirectionResult:
     """Original quadratic-work direction computation (baseline).
 
     For every separating triangle, remove its three vertices from the graph,
@@ -189,7 +176,6 @@ def compute_directions_bfs(
     towards_child: Dict[int, bool] = {}
     in_values: Dict[int, float] = {}
     out_values: Dict[int, float] = {}
-    work = 0.0
     for bubble in tree.bubbles:
         if bubble.parent is None:
             continue
@@ -209,9 +195,6 @@ def compute_directions_bfs(
         in_values[bubble.id] = in_value
         out_values[bubble.id] = out_value
         towards_child[bubble.id] = in_value > out_value
-        work += float(graph.num_vertices)
-    if tracker is not None:
-        tracker.add("bubble-tree-bfs", work=work, span=float(len(in_values)))
     return DirectionResult(
         towards_child=towards_child, in_values=in_values, out_values=out_values
     )

@@ -33,14 +33,13 @@ The construction is array-native where it is hot:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.baselines.hac import linkage
 from repro.core.assignment import AssignmentResult
 from repro.dendrogram.node import Dendrogram
-from repro.parallel.cost_model import WorkSpanTracker
 
 
 @dataclass
@@ -148,11 +147,7 @@ def _run_level(
     return local[k + len(merges) - 1], created
 
 
-def build_hierarchy(
-    assignment: AssignmentResult,
-    shortest_paths: np.ndarray,
-    tracker: Optional[WorkSpanTracker] = None,
-) -> Dendrogram:
+def build_hierarchy(assignment: AssignmentResult, shortest_paths: np.ndarray) -> Dendrogram:
     """Build the DBHT dendrogram from the vertex assignments.
 
     ``shortest_paths`` is the all-pairs shortest-path matrix of the filtered
@@ -161,7 +156,6 @@ def build_hierarchy(
     """
     num_vertices = len(assignment.group)
     dendrogram = Dendrogram(num_vertices)
-    work = 0.0
 
     groups = assignment.groups()
     subgroups = assignment.subgroups()
@@ -190,7 +184,6 @@ def build_hierarchy(
                 group=group_id,
                 bubble=bubble_id,
             )
-            work += float(len(vertices) ** 2)
             for distance, merged in created:
                 intra_records.append((bubble_id, distance, merged.node_id))
             subgroup_clusters.append(_Cluster(root.node_id))
@@ -201,7 +194,6 @@ def build_hierarchy(
             level="inter_bubble",
             group=group_id,
         )
-        work += float(len(subgroup_clusters) ** 2)
         per_group_intra[group_id] = intra_records
         per_group_inter[group_id] = [
             (distance, merged.node_id) for distance, merged in inter_created
@@ -214,7 +206,6 @@ def build_hierarchy(
         _linkage_blocks([groups[group_id] for group_id in sorted(groups)], shortest_paths)[0],
         level="inter_group",
     )
-    work += float(len(group_clusters) ** 2)
 
     _assign_heights(
         dendrogram,
@@ -224,8 +215,6 @@ def build_hierarchy(
         inter_group_created,
     )
 
-    if tracker is not None:
-        tracker.add("hierarchy", work=work, span=float(np.log2(max(num_vertices, 2)) ** 2))
     if not dendrogram.is_complete:
         raise RuntimeError("hierarchy construction did not produce a complete dendrogram")
     return dendrogram

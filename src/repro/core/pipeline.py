@@ -31,7 +31,6 @@ from repro.datasets.similarity import default_dissimilarity
 from repro.dendrogram.node import Dendrogram
 from repro.graph.matrix import validate_dissimilarity_matrix, validate_similarity_matrix
 from repro.obs.tracer import trace_span
-from repro.parallel.cost_model import WorkSpanTracker
 
 
 @dataclass
@@ -46,10 +45,6 @@ class PipelineResult:
     def dendrogram(self) -> Dendrogram:
         return self.dbht.dendrogram
 
-    @property
-    def tracker(self) -> WorkSpanTracker:
-        return self.dbht.tracker
-
     def cut(self, num_clusters: int) -> np.ndarray:
         """Flat clustering with ``num_clusters`` clusters."""
         return self.dbht.cut(num_clusters)
@@ -59,7 +54,6 @@ def tmfg_dbht(
     similarity: np.ndarray,
     dissimilarity: Optional[np.ndarray] = None,
     prefix: int = 1,
-    tracker: Optional[WorkSpanTracker] = None,
 ) -> PipelineResult:
     """Hierarchical clustering with a TMFG filtered graph and the DBHT.
 
@@ -74,10 +68,6 @@ def tmfg_dbht(
         ``max(S) - S`` is applied.
     prefix:
         Batch size of the parallel TMFG (``1`` = exact sequential TMFG).
-    tracker:
-        Optional :class:`WorkSpanTracker` collecting work/span per phase
-        (the model of the paper's parallel running time; the fit itself
-        runs serially).
 
     Returns
     -------
@@ -85,6 +75,9 @@ def tmfg_dbht(
         The dendrogram plus the TMFG, assignments, shortest paths, and the
         per-step wall-clock times (keys ``"tmfg"``, ``"apsp"``,
         ``"bubble-tree"``, ``"hierarchy"``) used by the Fig. 5 reproduction.
+        The fit runs serially; the work and span that model the paper's
+        parallel running time are
+        ``repro.parallel.cost_model.fit_cost(result.tmfg, result.dbht)``.
     """
     # The pipeline boundary: each matrix is validated exactly once here and
     # the trusted arrays are passed inward.
@@ -94,14 +87,13 @@ def tmfg_dbht(
     if dissimilarity is None:
         dissimilarity = default_dissimilarity(similarity)
     dissimilarity = validate_dissimilarity_matrix(dissimilarity, size=similarity.shape[0])
-    tracker = tracker if tracker is not None else WorkSpanTracker()
 
     start = time.perf_counter()
     with trace_span("fit.tmfg", n=int(similarity.shape[0]), prefix=int(prefix)):
-        tmfg_result = build_tmfg(similarity, prefix, True, tracker)
+        tmfg_result = build_tmfg(similarity, prefix, True)
     tmfg_seconds = time.perf_counter() - start
 
-    dbht_result = run_dbht(tmfg_result, similarity, dissimilarity, tracker)
+    dbht_result = run_dbht(tmfg_result, similarity, dissimilarity)
     step_seconds = {"tmfg": tmfg_seconds}
     step_seconds.update(dbht_result.step_seconds)
     return PipelineResult(tmfg=tmfg_result, dbht=dbht_result, step_seconds=step_seconds)

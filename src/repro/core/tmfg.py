@@ -42,8 +42,7 @@ graph.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
@@ -55,7 +54,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.faces import Triangle
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.weighted_graph import WeightedGraph
-from repro.parallel.cost_model import WorkSpanTracker
 
 
 @dataclass(eq=False)
@@ -67,9 +65,10 @@ class TMFGResult:
     ``edge_weights`` their similarities in that orientation;
     ``inserted``/``inserted_faces`` record, per inserted vertex, the
     sorted corners of the face it went into; ``bubble_tree`` is the tree
-    of Algorithm 2 when ``build_bubble_tree=True``; ``rounds`` is the
-    number of batched rounds (the quantity ``rho`` in the paper's
-    analysis).  ``edges``, ``insertion_order`` and ``graph`` are the same
+    of Algorithm 2 when ``build_bubble_tree=True``; ``round_sizes`` holds
+    the number of vertices each batched round inserted, and ``rounds``
+    their count (the quantity ``rho`` in the paper's analysis).
+    ``edges``, ``insertion_order`` and ``graph`` are the same
     data as Python lists and an adjacency-list graph, built on first use.
     """
 
@@ -81,8 +80,11 @@ class TMFGResult:
     initial_clique: Tuple[int, int, int, int]
     bubble_tree: Optional[BubbleTree]
     prefix: int
-    rounds: int
-    tracker: WorkSpanTracker = field(default_factory=WorkSpanTracker)
+    round_sizes: List[int]
+
+    @property
+    def rounds(self) -> int:
+        return len(self.round_sizes)
 
     @cached_property
     def edges(self) -> List[Tuple[int, int]]:
@@ -163,24 +165,7 @@ def _initial_clique(similarity: np.ndarray) -> List[int]:
     return sorted(int(v) for v in top_four)
 
 
-def _round_cost(num_faces: int, num_remaining: int, batch: int) -> Tuple[float, float]:
-    """Work and span of one round: sorting the per-face gains plus
-    recomputing gains for the affected and newly created faces (each a
-    vectorised O(|V|) scan)."""
-    work = float(
-        num_faces * max(1.0, math.log2(max(num_faces, 2)))
-        + 3 * batch * max(1, num_remaining)
-    )
-    span = math.log2(max(num_faces, 2)) + math.log2(max(batch, 2)) + 1.0
-    return work, span
-
-
-def build_tmfg(
-    similarity: np.ndarray,
-    prefix: int,
-    build_bubble_tree: bool,
-    tracker: WorkSpanTracker,
-) -> TMFGResult:
+def build_tmfg(similarity: np.ndarray, prefix: int, build_bubble_tree: bool) -> TMFGResult:
     """:func:`construct_tmfg` on a similarity matrix that is already validated."""
     n = similarity.shape[0]
     clique = _initial_clique(similarity)
@@ -188,22 +173,18 @@ def build_tmfg(
     table = GainTable(similarity, np.setdiff1d(np.arange(n), clique))
     # Face 0 is the outer face {v1, v2, v3}.
     table.add_faces([(v1, v2, v3), (v1, v2, v4), (v1, v3, v4), (v2, v3, v4)])
-    # Initialisation: O(n^2) work for the row sums, O(n) for the gains.
-    tracker.add("tmfg", work=float(n * n + 4 * n), span=math.log2(n) + 1 if n > 1 else 1.0)
 
     inserted: List[int] = []
     faces: List[int] = []
-    rounds = 0
+    round_sizes: List[int] = []
     while table.num_remaining > 0:
         face_ids, vertices = table.select(prefix)
         if not face_ids:
             raise RuntimeError("no insertable vertex-face pair found; inconsistent gain table")
-        work, span = _round_cost(table.num_faces, table.num_remaining, len(face_ids))
         inserted += vertices
         faces += face_ids
+        round_sizes.append(len(face_ids))
         table.split(face_ids, vertices)
-        tracker.add("tmfg", work=work, span=span)
-        rounds += 1
 
     inserted_array = np.array(inserted, dtype=np.int64)
     face_array = np.array(faces, dtype=np.int64)
@@ -225,8 +206,7 @@ def build_tmfg(
             else None
         ),
         prefix=prefix,
-        rounds=rounds,
-        tracker=tracker,
+        round_sizes=round_sizes,
     )
 
 
@@ -272,7 +252,6 @@ def construct_tmfg(
     similarity: np.ndarray,
     prefix: int = 1,
     build_bubble_tree: bool = True,
-    tracker: Optional[WorkSpanTracker] = None,
 ) -> TMFGResult:
     """Build a TMFG (or its prefix-batched variant) from a similarity matrix.
 
@@ -286,12 +265,7 @@ def construct_tmfg(
         Algorithm 1).  ``1`` gives the exact sequential TMFG.
     build_bubble_tree:
         Also build the DBHT bubble tree (Algorithm 2).
-    tracker:
-        Optional :class:`WorkSpanTracker`; work/span counters for the
-        construction are recorded under the phase name ``"tmfg"``.
     """
     if prefix < 1:
         raise ValueError("prefix must be at least 1")
-    similarity = validate_similarity_matrix(similarity)
-    tracker = tracker if tracker is not None else WorkSpanTracker()
-    return build_tmfg(similarity, prefix, build_bubble_tree, tracker)
+    return build_tmfg(validate_similarity_matrix(similarity), prefix, build_bubble_tree)

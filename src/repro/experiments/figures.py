@@ -38,7 +38,7 @@ from repro.experiments.config import ExperimentConfig, default_config
 from repro.experiments.harness import run_method, subsample
 from repro.metrics.ari import adjusted_rand_index
 from repro.metrics.edge_sum import edge_weight_sum_ratio
-from repro.parallel.cost_model import WorkSpanTracker, speedup_curve
+from repro.parallel.cost_model import fit_cost, speedup_curve
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +147,11 @@ def figure3_runtime(config: Optional[ExperimentConfig] = None) -> Dict[str, obje
         for method in fast_methods:
             run = run_method(method, dataset, seed=config.seed)
             predicted = None
-            tracker = run.extras.get("tracker")
-            if isinstance(tracker, WorkSpanTracker) and tracker.total_work > 0:
-                ratio = tracker.predicted_time(
-                    1, config.span_overhead
-                ) / tracker.predicted_time(48, config.span_overhead)
+            if method.startswith("PAR-TDBHT"):
+                cost = fit_cost(run.raw.tmfg, run.raw.dbht)
+                ratio = cost.predicted_time(1, config.span_overhead) / cost.predicted_time(
+                    48, config.span_overhead
+                )
                 predicted = run.seconds / max(ratio, 1.0)
             rows.append((dataset_id, method, run.seconds, predicted, run.ari))
         if dataset_id in config.slow_dataset_ids:
@@ -188,10 +188,9 @@ def figure4_speedup(
     rows = []
     curves: Dict[int, List[float]] = {}
     for prefix in config.prefix_sizes:
-        tracker = WorkSpanTracker()
-        tmfg_dbht(similarity, dissimilarity, prefix=prefix, tracker=tracker)
+        pipeline = tmfg_dbht(similarity, dissimilarity, prefix=prefix)
         curve = speedup_curve(
-            tracker,
+            fit_cost(pipeline.tmfg, pipeline.dbht),
             config.thread_counts,
             span_overhead=config.span_overhead,
             hyperthreaded_last=True,

@@ -43,6 +43,9 @@ class MethodRun:
     ami: Optional[float] = None
     step_seconds: Dict[str, float] = field(default_factory=dict)
     extras: Dict[str, object] = field(default_factory=dict)
+    #: The estimator's native result (a ``PipelineResult`` for
+    #: ``PAR-TDBHT-<prefix>``); ``None`` for the stream and PMFG runs.
+    raw: object = None
 
 
 _PAR_TDBHT_PATTERN = re.compile(r"^PAR-TDBHT-(\d+)$", re.IGNORECASE)
@@ -105,6 +108,7 @@ def run_method(
     start = time.perf_counter()
     step_seconds: Dict[str, float] = {}
     extras: Dict[str, object] = {}
+    raw: object = None
 
     stream_match = _STREAM_TDBHT_PATTERN.match(name)
     if stream_match:
@@ -175,6 +179,7 @@ def run_method(
         labels = result.labels
         step_seconds = {k: v for k, v in result.step_seconds.items() if k != "total"}
         extras.update(result.extras)
+        raw = result.raw
 
     seconds = time.perf_counter() - start
     ari = adjusted_rand_index(dataset.labels, labels)
@@ -188,6 +193,7 @@ def run_method(
         ami=ami,
         step_seconds=step_seconds,
         extras=extras,
+        raw=raw,
     )
 
 

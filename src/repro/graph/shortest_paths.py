@@ -4,9 +4,9 @@ DBHT needs all-pairs shortest paths (APSP) on the TMFG/PMFG using the
 *dissimilarity* weights (Line 7 of Algorithm 4).  The paper runs one
 Dijkstra per source, with the sources in parallel; the filtered graph has
 Theta(n) edges, so that is O(n^2 log n) work.  Here the sources'
-parallelism is modelled by the work-span cost model
-(:class:`~repro.parallel.cost_model.WorkSpanTracker`), and the distances
-come from one serial kernel on the frozen CSR form of the graph
+parallelism is modelled by the work-span cost model, which
+:func:`~repro.parallel.cost_model.fit_cost` computes from a fit's result
+after the fact, and the distances come from one serial kernel on the frozen CSR form of the graph
 (:class:`~repro.graph.csr.CSRGraph`), a cell-sparse *push frontier*.
 
 A distance cell is a (vertex, source) pair.  Sources are relaxed in blocks

@@ -3,9 +3,10 @@
 The paper analyses its algorithms in the work–span model and reports
 self-relative speedups on a 48-core machine (Fig. 4).  Because CPython's GIL
 prevents genuine shared-memory scaling of fine-grained loops, the
-reproduction instruments each algorithm phase with its *work* (total number
-of primitive operations) and *span* (longest dependency chain) and predicts
-the running time on ``P`` processors with the standard work-stealing bound
+reproduction computes each algorithm phase's *work* (total number of
+primitive operations) and *span* (longest dependency chain) after the fit,
+from the sizes its result holds (:func:`fit_cost`), and predicts the
+running time on ``P`` processors with the standard work-stealing bound
 
     T_P = W / P + c * S
 
@@ -17,8 +18,11 @@ scale better, exactly as in the paper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 
 @dataclass
@@ -134,3 +138,71 @@ def speedup_curve(
         efficiency = 0.6 if (hyperthreaded_last and i == len(counts) - 1) else 1.0
         curve.append(predicted_speedup(tracker, count, span_overhead, efficiency))
     return curve
+
+
+def _round_cost(num_faces: int, num_remaining: int, batch: int) -> Tuple[float, float]:
+    """Work and span of one TMFG round: sorting the per-face gains plus
+    recomputing gains for the affected and newly created faces (each a
+    vectorised O(|V|) scan)."""
+    work = float(
+        num_faces * max(1.0, math.log2(max(num_faces, 2)))
+        + 3 * batch * max(1, num_remaining)
+    )
+    span = math.log2(max(num_faces, 2)) + math.log2(max(batch, 2)) + 1.0
+    return work, span
+
+
+def fit_cost(tmfg: Any, dbht: Optional[Any] = None) -> WorkSpanTracker:
+    """Per-phase work and span of a fit, from its ``TMFGResult`` and
+    (optionally) its ``DBHTResult``.
+
+    The phases, in order: ``"tmfg"`` (the initialisation, then one add per
+    round), and with ``dbht`` also ``"apsp"``, ``"bubble-tree"`` (the
+    direction half, then the assignment half) and ``"hierarchy"``.  A
+    round's live faces and remaining vertices follow from the vertices
+    inserted before it, because ``GainTable.split`` kills one face and
+    registers three per insertion.
+    """
+    n = tmfg.num_vertices
+    tracker = WorkSpanTracker()
+    # Initialisation: O(n^2) work for the row sums, O(n) for the gains.
+    tracker.add("tmfg", work=float(n * n + 4 * n), span=math.log2(n) + 1 if n > 1 else 1.0)
+    inserted = 0
+    for batch in tmfg.round_sizes:
+        work, span = _round_cost(4 + 2 * inserted, n - 4 - inserted, batch)
+        tracker.add("tmfg", work=work, span=span)
+        inserted += batch
+    if dbht is None:
+        return tracker
+
+    tracker.add(
+        "apsp",
+        work=float(n * n * np.log2(max(n, 2))),
+        span=float(np.log2(max(n, 2)) ** 2),
+    )
+
+    # Directions: one unit per non-root bubble, along the tree's height.
+    tree = tmfg.bubble_tree
+    tracker.add("bubble-tree", work=float(tree.num_bubbles - 1), span=float(tree.height() + 1))
+    # Assignment: both attachment levels score four members per bubble
+    # (converging bubbles, then all), between them the mean distances.
+    assignment = dbht.assignment
+    work = (
+        float(4 * len(assignment.converging_bubbles))
+        + float(assignment.distance_terms)
+        + float(4 * tree.num_bubbles)
+    )
+    tracker.add("bubble-tree", work=work, span=float(np.log2(max(n, 2))))
+
+    # Hierarchy: a quadratic linkage per subgroup, per group over its
+    # subgroups and over the groups, in the order the levels run.
+    groups, subgroups = assignment.groups(), assignment.subgroups()
+    work = 0.0
+    for group_id in sorted(groups):
+        bubbles = sorted(bubble for group, bubble in subgroups if group == group_id)
+        for bubble_id in bubbles:
+            work += float(len(subgroups[(group_id, bubble_id)]) ** 2)
+        work += float(len(bubbles) ** 2)
+    work += float(len(groups) ** 2)
+    tracker.add("hierarchy", work=work, span=float(np.log2(max(n, 2)) ** 2))
+    return tracker

@@ -30,7 +30,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.faces import Triangle, VertexFacePair, child_faces, triangle_corners, triangle_key
 from repro.graph.matrix import validate_similarity_matrix
 from repro.graph.weighted_graph import WeightedGraph
-from repro.parallel.cost_model import WorkSpanTracker
+from repro.parallel.cost_model import WorkSpanTracker, fit_cost
 
 
 class _WriteCell:
@@ -175,6 +175,7 @@ class ReferenceTMFG:
             "tmfg", work=float(n * n + 4 * n), span=math.log2(n) + 1 if n > 1 else 1.0
         )
         self.insertion_order: List[Tuple[int, Triangle]] = []
+        self.batch_sizes: List[int] = []
         self.rounds = 0
         while self.remaining.size:
             pairs = [
@@ -212,6 +213,7 @@ class ReferenceTMFG:
         stale = [face for face, (_, vertex) in self.best.items() if vertex in inserted]
         self._refresh(stale + created)
         self.rounds += 1
+        self.batch_sizes.append(len(batch))
         affected = 3 * len(batch)
         work = float(
             num_faces * max(1.0, math.log2(max(num_faces, 2)))
@@ -230,7 +232,9 @@ def assert_matches_reference_builder(similarity: np.ndarray, prefix: int) -> Non
     """The array-native TMFG equals the frozenset reference builder on every
     output: edges, insertion order, rounds, the bubble tree (ids, parents,
     children, vertex sets in iteration order, root), the direction sums as
-    bytes, the edge-weight sum and the tracker's work and span."""
+    bytes, the edge-weight sum, the per-round batch sizes and the cost
+    model's ``"tmfg"`` work and span (against the reference's own formula,
+    fed by its live face and remaining vertex counts)."""
     reference = reference_tmfg(similarity, prefix)
     result = construct_tmfg(similarity, prefix=prefix, build_bubble_tree=True)
     assert result.initial_clique == reference.clique
@@ -254,7 +258,8 @@ def assert_matches_reference_builder(similarity: np.ndarray, prefix: int) -> Non
             np.array(list(expected_values.values())).tobytes()
         )
     assert result.edge_weight_sum().hex() == reference.graph.edge_weight_sum().hex()
-    phase, expected_phase = result.tracker.phase("tmfg"), reference.tracker.phase("tmfg")
+    assert result.round_sizes == reference.batch_sizes
+    phase, expected_phase = fit_cost(result).phase("tmfg"), reference.tracker.phase("tmfg")
     assert (phase.work, phase.span) == (expected_phase.work, expected_phase.span)
 
 

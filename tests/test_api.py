@@ -318,8 +318,9 @@ class TestClusterResult:
         assert len(payload["labels"]) == small_dataset.num_objects
         assert "tmfg" in payload["step_seconds"]
         assert payload["extras"]["rounds"] >= 1
-        # the non-serializable tracker is filtered out of the payload
-        assert "tracker" not in payload["extras"]
+        # every extras value is already a JSON type, so to_dict drops no key
+        assert payload["extras"] == json.loads(json.dumps(result.extras))
+        assert set(payload["extras"]) == set(result.extras)
 
     def test_to_dict_embeds_without_double_encoding(self, small_dataset):
         # The serving envelope embeds to_dict() directly: it must be the

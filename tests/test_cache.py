@@ -8,6 +8,7 @@ batches as estimator loops.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pickle
@@ -171,6 +172,28 @@ class TestResultCacheDisk:
         fresh = ResultCache(cache_dir=str(tmp_path))
         assert fresh.get("cafebabe") is None
         assert fresh.stats.disk_errors == 1
+
+    def test_disk_full_mid_write_leaves_no_partial_entry(self, tmp_path, monkeypatch):
+        real_dumps = pickle.dumps
+
+        def dump_until_full(obj, handle, protocol=None):
+            handle.write(real_dumps(obj, protocol)[:64])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        cache = ResultCache(cache_dir=str(tmp_path))
+        with monkeypatch.context() as patch:
+            patch.setattr(pickle, "dump", dump_until_full)
+            cache.put("f00dcafe", {"labels": list(range(100))})  # must not raise
+        # The partly written temp file is removed and nothing is published.
+        assert os.listdir(tmp_path) == []
+        assert cache.stats.disk_errors == 1
+        # The memory tier still serves the value.
+        assert cache.get("f00dcafe") == {"labels": list(range(100))}
+        assert cache.stats.hits == 1
+        # A fresh instance on the directory reads a miss, never a partial entry.
+        fresh = ResultCache(cache_dir=str(tmp_path))
+        assert fresh.get("f00dcafe") is None
+        assert (fresh.stats.misses, fresh.stats.disk_errors) == (1, 0)
 
     def test_unwritable_cache_dir_degrades_persistence_not_correctness(self, tmp_path):
         blocked = tmp_path / "not-a-dir"

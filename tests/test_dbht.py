@@ -10,6 +10,7 @@ import pytest
 from repro.core.dbht import dbht
 from repro.core.tmfg import construct_tmfg
 from repro.metrics.ari import adjusted_rand_index
+from repro.parallel.cost_model import fit_cost
 from tests.oracles import scipy_apsp
 
 
@@ -66,12 +67,16 @@ class TestDBHT:
         for u, v, _ in tmfg.graph.edges():
             assert result.shortest_paths[u, v] <= dissimilarity[u, v] + 1e-9
 
-    def test_tracker_accumulates_all_phases(self, small_matrices):
+    def test_fit_cost_accumulates_all_phases(self, small_matrices):
         similarity, dissimilarity = small_matrices
         tmfg = construct_tmfg(similarity, prefix=4)
         result = dbht(tmfg, similarity, dissimilarity)
-        phase_names = {phase.name for phase in result.tracker.phases}
-        assert {"tmfg", "apsp", "bubble-tree", "hierarchy"} <= phase_names
+        cost = fit_cost(tmfg, result)
+        phase_names = [phase.name for phase in cost.phases]
+        assert phase_names == ["tmfg", "apsp", "bubble-tree", "hierarchy"]
+        assert all(phase.work > 0 and phase.span > 0 for phase in cost.phases)
+        # The DBHT phases add to the TMFG's, which they leave as it was.
+        assert cost.phase("tmfg") == fit_cost(tmfg).phase("tmfg")
 
     def test_scipy_apsp_backend_gives_same_dendrogram(self, small_matrices, monkeypatch):
         similarity, dissimilarity = small_matrices

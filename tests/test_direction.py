@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.dbht import dbht
 from repro.core.direction import compute_directions, compute_directions_bfs
 from repro.core.tmfg import construct_tmfg
 from repro.graph.faces import triangle_key
 from repro.graph.weighted_graph import WeightedGraph
-from repro.parallel.cost_model import WorkSpanTracker
+from repro.parallel.cost_model import fit_cost
 
 from tests.conftest import random_similarity_matrix
 from tests.oracles import IncrementalBubbleTree
@@ -166,7 +167,17 @@ class TestDirectedTreeProperties:
         # Every tree edge contributes exactly one outgoing endpoint.
         assert total_out == tree.num_bubbles - 1
 
-    def test_tracker_records_linear_work(self, small_tmfg):
-        tracker = WorkSpanTracker()
-        compute_directions(small_tmfg.bubble_tree, small_tmfg.graph, tracker=tracker)
-        assert tracker.phase("bubble-tree").work == small_tmfg.bubble_tree.num_bubbles - 1
+    def test_fit_cost_records_linear_work(self, small_tmfg, small_matrices):
+        similarity, dissimilarity = small_matrices
+        result = dbht(small_tmfg, similarity, dissimilarity)
+        tree, assignment = small_tmfg.bubble_tree, result.assignment
+        phase = fit_cost(small_tmfg, result).phase("bubble-tree")
+        # The direction half is one unit per tree edge; the assignment half
+        # scores four members per converging bubble and per bubble, plus
+        # the mean-distance lookups.
+        assert phase.work == (tree.num_bubbles - 1) + (
+            4 * len(assignment.converging_bubbles)
+            + assignment.distance_terms
+            + 4 * tree.num_bubbles
+        )
+        assert phase.span == (tree.height() + 1) + np.log2(similarity.shape[0])

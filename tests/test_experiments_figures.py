@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,24 @@ class TestFigure4:
             assert curve[0] == pytest.approx(1.0)
             # Speedup never decreases when adding (non-hyperthreaded) threads.
             assert curve[1] >= curve[0]
+
+    @pytest.mark.parametrize("dataset_id", [6, 17])
+    def test_curves_match_the_golden_pin(self, tiny_config, dataset_id):
+        # Curves recorded (hex floats) with the in-fit tracker that
+        # fit_cost replaced; the model computed after the fit must give
+        # the same bits.
+        golden = json.loads(
+            (Path(__file__).parent / "golden" / "work_span_model.json").read_text(
+                encoding="utf-8"
+            )
+        )
+        (expected,) = [
+            entry["curves"] for entry in golden["figure4"] if entry["dataset_id"] == dataset_id
+        ]
+        curves = figure4_speedup(tiny_config, dataset_id=dataset_id)["curves"]
+        assert {
+            str(prefix): [speedup.hex() for speedup in curve] for prefix, curve in curves.items()
+        } == expected
 
     def test_larger_prefix_scales_at_least_as_well(self, tiny_config):
         result = figure4_speedup(tiny_config, dataset_id=6)

@@ -9,6 +9,7 @@ from repro.datasets.synthetic import make_time_series_dataset
 from repro.experiments.config import ExperimentConfig, default_config, quick_config
 from repro.experiments.harness import available_methods, run_method, subsample
 from repro.experiments.reporting import format_mapping, format_table
+from repro.parallel.cost_model import fit_cost
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +36,18 @@ class TestRunMethod:
             run = run_method(method, small, seed=0)
             assert run.labels.shape == (30,)
 
-    def test_tdbht_reports_step_seconds_and_tracker(self, harness_dataset):
+    def test_tdbht_reports_step_seconds_and_fit_cost(self, harness_dataset):
         run = run_method("PAR-TDBHT-5", harness_dataset, seed=0)
         assert set(run.step_seconds) == {"tmfg", "apsp", "bubble-tree", "hierarchy"}
-        assert "tracker" in run.extras
-        assert run.extras["rounds"] >= 1
+        cost = fit_cost(run.raw.tmfg, run.raw.dbht)
+        assert [phase.name for phase in cost.phases] == [
+            "tmfg",
+            "apsp",
+            "bubble-tree",
+            "hierarchy",
+        ]
+        assert cost.total_work > 0
+        assert run.extras["rounds"] == run.raw.tmfg.rounds >= 1
 
     def test_method_names_are_case_insensitive(self, harness_dataset):
         run = run_method("par-tdbht-1", harness_dataset, seed=0)

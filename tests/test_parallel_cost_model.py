@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.core.pipeline import tmfg_dbht
 from repro.parallel.cost_model import (
     PhaseCost,
     WorkSpanTracker,
+    fit_cost,
     predicted_speedup,
     speedup_curve,
+)
+from tests.conftest import random_similarity_matrix
+
+#: Work and span (hex floats) of fixed-seed fits and the Fig. 4 curves, as
+#: recorded by the tracker the fit functions used to carry; ``fit_cost``
+#: must reproduce them bit for bit, phase order included.
+WORK_SPAN_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "work_span_model.json").read_text(encoding="utf-8")
 )
 
 
@@ -113,3 +126,21 @@ class TestSpeedupModel:
         tracker = self._tracker(10, 1)
         with pytest.raises(ValueError):
             predicted_speedup(tracker, 0)
+
+
+class TestFitCostGolden:
+    @staticmethod
+    def _pinned(cost: WorkSpanTracker) -> list:
+        return [[phase.name, phase.work.hex(), phase.span.hex()] for phase in cost.phases]
+
+    @pytest.mark.parametrize(
+        "case",
+        WORK_SPAN_GOLDEN["fits"],
+        ids=lambda case: f"n{case['n']}-prefix{case['prefix']}",
+    )
+    def test_reproduces_the_pinned_phases(self, case):
+        similarity = random_similarity_matrix(case["n"], seed=case["seed"])
+        pipeline = tmfg_dbht(similarity, prefix=case["prefix"])
+        assert self._pinned(fit_cost(pipeline.tmfg, pipeline.dbht)) == case["phases"]
+        # Without the DBHT result only the TMFG phase is modelled.
+        assert self._pinned(fit_cost(pipeline.tmfg)) == case["phases"][:1]

@@ -10,7 +10,7 @@ import pytest
 from repro.core.pipeline import tmfg_dbht
 from repro.experiments.figures import APPENDIX_CORRELATION, APPENDIX_GROUND_TRUTH
 from repro.metrics.ari import adjusted_rand_index
-from repro.parallel.cost_model import WorkSpanTracker
+from repro.parallel.cost_model import fit_cost
 
 
 class TestPipeline:
@@ -33,12 +33,19 @@ class TestPipeline:
         result = tmfg_dbht(similarity, prefix=1)
         assert result.dendrogram.is_complete
 
-    def test_custom_tracker_is_used(self, small_matrices):
+    def test_fit_cost_covers_every_phase(self, small_matrices):
         similarity, dissimilarity = small_matrices
-        tracker = WorkSpanTracker()
-        result = tmfg_dbht(similarity, dissimilarity, prefix=2, tracker=tracker)
-        assert result.tracker is tracker
-        assert tracker.total_work > 0
+        result = tmfg_dbht(similarity, dissimilarity, prefix=2)
+        cost = fit_cost(result.tmfg, result.dbht)
+        assert [phase.name for phase in cost.phases] == [
+            "tmfg",
+            "apsp",
+            "bubble-tree",
+            "hierarchy",
+        ]
+        assert cost.total_work > 0
+        # A pure function of the result: a second call gives the same floats.
+        assert fit_cost(result.tmfg, result.dbht).as_dict() == cost.as_dict()
 
     def test_cut_shortcut_matches_dbht_cut(self, small_matrices):
         similarity, dissimilarity = small_matrices

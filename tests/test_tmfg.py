@@ -12,7 +12,7 @@ from repro.graph.matrix import MatrixValidationError
 from repro.graph.faces import triangle_corners, triangle_key, child_faces
 from repro.graph.planarity import is_planar
 from repro.metrics.edge_sum import edge_weight_sum_ratio
-from repro.parallel.cost_model import WorkSpanTracker
+from repro.parallel.cost_model import fit_cost
 
 from tests.conftest import random_similarity_matrix
 from tests.oracles import assert_matches_reference_builder
@@ -121,12 +121,18 @@ class TestStructure:
         with pytest.raises(Exception):
             construct_tmfg(np.eye(3))
 
-    def test_tracker_records_tmfg_phase(self, small_matrices):
+    def test_fit_cost_records_tmfg_phase(self, small_matrices):
         similarity, _ = small_matrices
-        tracker = WorkSpanTracker()
-        construct_tmfg(similarity, prefix=5, tracker=tracker)
-        assert tracker.phase("tmfg").work > 0
-        assert tracker.phase("tmfg").span > 0
+        result = construct_tmfg(similarity, prefix=5)
+        cost = fit_cost(result)
+        assert [phase.name for phase in cost.phases] == ["tmfg"]
+        assert cost.phase("tmfg").work > 0
+        assert cost.phase("tmfg").span > 0
+        # The recorded round sizes: one per round, at most the prefix each,
+        # and together every vertex outside the initial clique.
+        assert len(result.round_sizes) == result.rounds
+        assert all(1 <= size <= 5 for size in result.round_sizes)
+        assert sum(result.round_sizes) == similarity.shape[0] - 4
 
     def test_no_bubble_tree_when_disabled(self, small_matrices):
         similarity, _ = small_matrices
