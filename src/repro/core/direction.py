@@ -9,9 +9,12 @@ interior of its separating triangle) to compute every direction in a single
 post-order traversal, Theta(n) work.
 
 Both algorithms are implemented here: :func:`compute_directions` is the
-linear-work recursive/post-order version, and :func:`compute_directions_bfs`
-is the original baseline, used for cross-validation in the tests and for the
-ablation benchmark.
+linear-work post-order version, and :func:`compute_directions_bfs` is the
+original baseline, used for cross-validation in the tests and for the
+ablation benchmark.  The post-order takes each bubble's separating triangle
+once and keeps its corners and corner sums in flat per-bubble lists.
+Reachability (:meth:`DirectionResult.reachable_converging_bubbles`) is two
+passes over the tree with memoised reach sets, not a DFS per bubble.
 
 :func:`compute_directions` reads the graph only through ``weight(u, v)``
 and ``weighted_degree(u)``.  The fit passes the
@@ -26,7 +29,7 @@ round differently).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Protocol, Set
+from typing import Dict, FrozenSet, List, Protocol, Tuple
 
 from repro.core.bubble_tree import BubbleTree
 from repro.graph.traversal import reachable_set
@@ -68,45 +71,49 @@ class DirectionResult:
         return degree
 
     def converging_bubbles(self, tree: BubbleTree) -> List[int]:
-        """Bubbles with no outgoing edges (the local cluster centres)."""
-        return [
-            bubble.id
-            for bubble in tree.bubbles
-            if self.out_degree(tree, bubble.id) == 0
-        ]
+        """Bubbles with no outgoing edges (the local cluster centres), by id."""
+        tails = {
+            bubble_id if not towards else tree.bubble(bubble_id).parent
+            for bubble_id, towards in self.towards_child.items()
+        }
+        return [bubble_id for bubble_id in range(tree.num_bubbles) if bubble_id not in tails]
 
-    def directed_neighbors(self, tree: BubbleTree, bubble_id: int) -> List[int]:
-        """Bubbles reachable from ``bubble_id`` by following one directed edge."""
-        result = []
-        bubble = tree.bubble(bubble_id)
-        if bubble.parent is not None and not self.towards_child[bubble_id]:
-            result.append(bubble.parent)
-        for child in bubble.children:
-            if self.towards_child[child]:
-                result.append(child)
-        return result
+    def reachable_converging_bubbles(self, tree: BubbleTree) -> Dict[int, FrozenSet[int]]:
+        """For every bubble, the set of converging bubbles it can reach
+        (Lines 5–6 of Algorithm 4).
 
-    def reachable_converging_bubbles(self, tree: BubbleTree) -> Dict[int, Set[int]]:
-        """For every bubble, the set of converging bubbles it can reach.
-
-        Mirrors the per-bubble BFS on Lines 5–6 of Algorithm 4.
+        The directed bubble tree is a DAG, and a path in a tree is unique:
+        it climbs some edges, then descends.  So one post-order pass gathers
+        ``below[b]``, the converging bubbles reached through ``b``'s
+        downward edges (``{b}`` when ``b`` has no outgoing edge), and one
+        pass from the root adds ``reach[parent]`` to every bubble whose edge
+        points up: linear work up to the cost of the unions.  A set may be
+        shared between bubbles, so they are frozen.  The result keys and
+        the sets equal those of a DFS per bubble; nothing downstream depends
+        on a set's iteration order (:func:`repro.core.assignment.assign_vertices`
+        files each vertex under its reachable bubbles in vertex order).
         """
-        converging = set(self.converging_bubbles(tree))
-        reach: Dict[int, Set[int]] = {}
-        for bubble in tree.bubbles:
-            visited = {bubble.id}
-            stack = [bubble.id]
-            found: Set[int] = set()
-            while stack:
-                current = stack.pop()
-                if current in converging:
-                    found.add(current)
-                for neighbor in self.directed_neighbors(tree, current):
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        stack.append(neighbor)
-            reach[bubble.id] = found
-        return reach
+        towards_child = self.towards_child
+        bubbles = tree.bubbles
+        order = tree.topological_order()
+        below: Dict[int, FrozenSet[int]] = {}
+        for bubble_id in reversed(order):
+            bubble = bubbles[bubble_id]
+            heads = [below[child] for child in bubble.children if towards_child[child]]
+            if heads:
+                below[bubble_id] = frozenset().union(*heads)
+            elif bubble.parent is None or towards_child[bubble_id]:
+                below[bubble_id] = frozenset((bubble_id,))
+            else:
+                below[bubble_id] = frozenset()
+        reach: Dict[int, FrozenSet[int]] = {}
+        for bubble_id in order:
+            parent = bubbles[bubble_id].parent
+            if parent is None or towards_child[bubble_id]:
+                reach[bubble_id] = below[bubble_id]
+            else:
+                reach[bubble_id] = below[bubble_id] | reach[parent]
+        return {bubble_id: reach[bubble_id] for bubble_id in range(len(bubbles))}
 
 
 def compute_directions(tree: BubbleTree, graph: EdgeWeights) -> DirectionResult:
@@ -120,41 +127,43 @@ def compute_directions(tree: BubbleTree, graph: EdgeWeights) -> DirectionResult:
     - 2 (w(vx,vy)+w(vx,vz)+w(vy,vz))``.  ``graph`` is a
     :class:`~repro.graph.weighted_graph.WeightedGraph` or a
     :class:`~repro.core.tmfg.TMFGResult`; both give the same bytes.
+
+    Every bubble's separating triangle is taken once, as the ``frozenset``
+    it shares with its parent, and its corners and corner sums are kept as
+    parallel lists in that set's iteration order, which is the order
+    ``INVAL``'s builtin ``sum`` adds them in (Python 3.12's ``sum`` is
+    compensated, so the order and the builtin both matter).  A child's
+    sums fold into its parent's in ``bubble.children`` order.
     """
+    weight = graph.weight
+    degree = graph.weighted_degree
+    bubbles = tree.bubbles
+    corners: List[Tuple[int, ...]] = [()] * len(bubbles)
+    sums: List[List[float]] = [[]] * len(bubbles)
     towards_child: Dict[int, bool] = {}
     in_values: Dict[int, float] = {}
     out_values: Dict[int, float] = {}
-    # r[b] maps each corner of b's separating triangle to the accumulated
-    # weight from that corner into b's interior.
-    corner_sums: Dict[int, Dict[int, float]] = {}
-
-    order = tree.topological_order()
-    # Post-order: process children before parents.
-    for bubble_id in reversed(order):
-        bubble = tree.bubble(bubble_id)
+    for bubble_id in reversed(tree.topological_order()):
+        bubble = bubbles[bubble_id]
         if bubble.parent is None:
             continue
-        triangle = tree.separating_triangle(bubble_id)
-        interior_vertex = tree.interior_vertex(bubble_id)
-        sums = {corner: graph.weight(corner, interior_vertex) for corner in triangle}
-        # Fold in the contributions of the children's interiors (they are
-        # also in this bubble's interior).
+        triangle = bubble.vertices & bubbles[bubble.parent].vertices
+        (interior,) = bubble.vertices - triangle
+        corners[bubble_id] = own = tuple(triangle)
+        a, b, c = own
+        # r[b]: the weight from each corner into b's interior, which holds
+        # the children's interiors too.
+        sums[bubble_id] = corner_sums = [
+            weight(a, interior), weight(b, interior), weight(c, interior)
+        ]
         for child_id in bubble.children:
-            child_sums = corner_sums.get(child_id, {})
-            for corner, value in child_sums.items():
-                if corner in sums:
-                    sums[corner] += value
-        corner_sums[bubble_id] = sums
-        vx, vy, vz = sorted(triangle)
-        in_value = sum(sums.values())
-        triangle_weight = (
-            graph.weight(vx, vy) + graph.weight(vx, vz) + graph.weight(vy, vz)
-        )
-        degree_sum = (
-            graph.weighted_degree(vx)
-            + graph.weighted_degree(vy)
-            + graph.weighted_degree(vz)
-        )
+            for corner, value in zip(corners[child_id], sums[child_id]):
+                if corner in triangle:
+                    corner_sums[own.index(corner)] += value
+        vx, vy, vz = sorted(own)
+        in_value = sum(corner_sums)
+        triangle_weight = weight(vx, vy) + weight(vx, vz) + weight(vy, vz)
+        degree_sum = degree(vx) + degree(vy) + degree(vz)
         out_value = degree_sum - in_value - 2.0 * triangle_weight
         in_values[bubble_id] = in_value
         out_values[bubble_id] = out_value

@@ -16,87 +16,47 @@ sorted order (intra-bubble nodes first, ordered by bubble and merge
 distance, then inter-bubble nodes ordered by merge distance), which keeps
 the hierarchy monotone and places every group root at height 1.
 
-The construction is array-native where it is hot:
+The levels are small (most subgroups hold one to three vertices, and a
+group holds a few dozen subgroups at 500 assets, about a hundred at 2000),
+so numpy only gathers and the linkage itself runs on plain lists:
 
 * each group's vertices are gathered from the APSP matrix once; its
   subgroups' own blocks are the intra-bubble distances and their segmented
-  maxima the inter-bubble ones (:func:`_linkage_blocks`);
-* a level of two clusters emits the single merge ``(0, 1, d)`` that
-  :func:`~repro.baselines.hac.linkage` returns for a 2 x 2 matrix,
-  including its ``ValueError`` on a non-finite ``d``, without building the
-  matrix (most subgroups hold one or two vertices);
-* every cluster counts the groups under it as clusters merge, so an
-  inter-group node's height is read off the merged cluster instead of
-  scanning its leaves.
+  maxima the inter-bubble ones (:func:`_group_blocks`), both handed over
+  as lists of rows; the inter-group maxima reduce every row to the groups
+  first, so that level gathers columns only (:func:`_inter_group_maxima`);
+* every level, whatever its size, runs :func:`_complete_linkage`, a
+  nearest-neighbour chain on those lists that emits exactly the merges of
+  :func:`repro.baselines.hac.linkage` (which stays the COMP/AVG baselines'
+  clusterer and the tests' oracle), including its ``ValueError`` on a
+  non-finite distance;
+* an inter-group merge's size is the number of groups under it, which is
+  that node's height, so no leaves are scanned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from math import inf, isfinite
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.hac import linkage
 from repro.core.assignment import AssignmentResult
 from repro.dendrogram.node import Dendrogram
 
+#: A linkage level's distances: a symmetric matrix as a list of rows.
+Rows = List[List[float]]
 
-@dataclass
-class _Cluster:
-    """A partially built cluster: its dendrogram node id and the number of
-    groups (converging bubbles) among its leaves."""
-
-    node_id: int
-    group_count: int = 1
-
-
-#: Elements one gather in :func:`_linkage_blocks` may hold (256 KiB of
+#: Elements one gather in :func:`_inter_group_maxima` may hold (256 KiB of
 #: float64).  The top level spans every vertex, where a single gather would
 #: be an ``n x n`` temporary, the largest of the fit.
 _GATHER_BUDGET = 1 << 15
 
 
-def _linkage_blocks(
-    members: Sequence[Sequence[int]], shortest_paths: np.ndarray
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Complete-linkage distances between vertex sets, and each set's own block.
-
-    Gathers the concatenated sets' rows (in runs of whole sets within
-    :data:`_GATHER_BUDGET`; a single run for all but the largest levels)
-    against all their columns.  Returns ``(maxima, own)``: ``maxima[i, j]``
-    is the largest distance from a row of set ``i`` to a column of set
-    ``j``, by a segmented ``np.maximum.reduceat`` over both axes, and
-    ``own[i]`` is set ``i``'s rows against its own columns (a copy, so no
-    run outlives its turn).  The APSP matrix can differ from its transpose in the last ulp,
-    so only the upper triangles (``i < j``) are the pairwise definition's
-    distances; :func:`_mirror_upper` makes the symmetric matrix.
-    """
-    k = len(members)
-    sizes = [len(vertices) for vertices in members]
+def _starts(members: Sequence[Sequence[int]]) -> Tuple[List[int], np.ndarray]:
+    """The concatenated vertex sets and the offset where each set starts."""
     order = [vertex for vertices in members for vertex in vertices]
-    starts = np.cumsum([0] + sizes[:-1])
-    row_budget = _GATHER_BUDGET // len(order)
-    maxima = np.empty((k, k), dtype=float)
-    own: List[np.ndarray] = []
-    first = 0
-    while first < k:
-        last, rows = first + 1, sizes[first]
-        while last < k and rows + sizes[last] <= row_budget:
-            rows += sizes[last]
-            last += 1
-        offset = int(starts[first])
-        block = shortest_paths[np.ix_(order[offset : offset + rows], order)]
-        maxima[first:last] = np.maximum.reduceat(
-            np.maximum.reduceat(block, starts[first:last] - offset, axis=0),
-            starts,
-            axis=1,
-        )
-        for index in range(first, last):
-            begin, end = int(starts[index]), int(starts[index]) + sizes[index]
-            own.append(block[begin - offset : end - offset, begin:end].copy())
-        first = last
-    return maxima, own
+    return order, np.cumsum([0] + [len(vertices) for vertices in members[:-1]])
 
 
 def _mirror_upper(maxima: np.ndarray) -> np.ndarray:
@@ -106,45 +66,114 @@ def _mirror_upper(maxima: np.ndarray) -> np.ndarray:
     return upper + upper.T
 
 
-def _run_level(
-    dendrogram: Dendrogram,
-    clusters: List[_Cluster],
-    maxima: np.ndarray,
-    level: str,
-    **metadata: object,
-) -> Tuple[_Cluster, List[Tuple[float, _Cluster]]]:
-    """Complete-linkage over ``clusters``, whose distances are the upper
-    triangle of ``maxima``; returns the root cluster and the ``(merge
-    distance, merged cluster)`` pairs of the internal nodes created."""
-    k = len(clusters)
-    if k == 1:
-        return clusters[0], []
-    if k == 2:
-        # The one merge ``linkage`` returns for a 2 x 2 matrix, and its error.
-        distance = maxima[0, 1]
-        if not np.isfinite(distance):
-            raise ValueError("distance matrix contains NaN or infinite entries")
-        merges = [(0, 1, distance, 2)]
-    else:
-        merges = linkage(_mirror_upper(maxima), method="complete")
-    # Local cluster ids: 0..k-1 are the input clusters, k+i is the i-th merge.
-    local: Dict[int, _Cluster] = {i: cluster for i, cluster in enumerate(clusters)}
-    created: List[Tuple[float, _Cluster]] = []
-    for index, (a, b, distance, _) in enumerate(merges):
-        left = local[int(a)]
-        right = local[int(b)]
-        node_id = dendrogram.merge(
-            left.node_id,
-            right.node_id,
-            height=float(distance),
-            distance=float(distance),
-            level=level,
-            **metadata,
+def _group_blocks(
+    members: Sequence[Sequence[int]], shortest_paths: np.ndarray
+) -> Tuple[Rows, List[Rows]]:
+    """Complete-linkage distances between a group's vertex sets, and each
+    set's own block, from one gather of the group's rows and columns.
+
+    Returns ``(maxima, blocks)`` as lists of rows: ``maxima[i][j]`` is the
+    largest distance from a row of set ``i`` to a column of set ``j``, by a
+    segmented ``np.maximum.reduceat`` over both axes, and ``blocks[i]`` is
+    set ``i``'s rows against its own columns.  The APSP matrix can differ
+    from its transpose in the last ulp, so only the upper triangles
+    (``i < j``) are the pairwise definition's distances: both come back as
+    the :func:`_mirror_upper` of those triangles.
+    """
+    order, starts = _starts(members)
+    block = shortest_paths[np.ix_(order, order)]
+    maxima = np.maximum.reduceat(np.maximum.reduceat(block, starts, axis=1), starts, axis=0)
+    # A set's own block lies on the diagonal, so its upper triangle is
+    # inside the gather's: one mirror serves every set.
+    block = _mirror_upper(block)
+    own = [
+        block[begin : begin + len(vertices), begin : begin + len(vertices)].tolist()
+        for begin, vertices in zip(starts.tolist(), members)
+    ]
+    return _mirror_upper(maxima).tolist(), own
+
+
+def _inter_group_maxima(members: Sequence[Sequence[int]], shortest_paths: np.ndarray) -> Rows:
+    """``maxima`` of :func:`_group_blocks` without the own blocks, for sets
+    that span most vertices (the groups).
+
+    Every row's largest distance to each set is reduced first, over whole
+    rows of the matrix in runs of at most :data:`_GATHER_BUDGET` gathered
+    elements, so only the columns are gathered; the sets' rows are then
+    picked out of that ``n x k`` array and reduced.  The maxima are the same
+    elements' maxima, so the floats are those of one gather.
+    """
+    order, starts = _starts(members)
+    num_rows = shortest_paths.shape[0]
+    run = max(1, _GATHER_BUDGET // len(order))
+    to_sets = np.empty((num_rows, len(members)), dtype=float)
+    for first in range(0, num_rows, run):
+        to_sets[first : first + run] = np.maximum.reduceat(
+            shortest_paths[first : first + run][:, order], starts, axis=1
         )
-        merged = _Cluster(node_id, left.group_count + right.group_count)
-        local[k + index] = merged
-        created.append((float(distance), merged))
-    return local[k + len(merges) - 1], created
+    return _mirror_upper(np.maximum.reduceat(to_sets[order], starts, axis=0)).tolist()
+
+
+def _complete_linkage(rows: Rows) -> List[Tuple[int, int, float, int]]:
+    """:func:`repro.baselines.hac.linkage` with ``method="complete"`` on lists.
+
+    ``rows`` is a symmetric ``k x k`` distance matrix with a zero diagonal,
+    as :func:`_mirror_upper` makes it; the rows are overwritten.  Returns
+    the merges ``(a, b, distance, size)`` in the order, and with the cluster
+    ids, that ``linkage`` gives for the same matrix: the nearest neighbour
+    is the first minimum over the active slots, the chain stops at its
+    previous element whenever that one is as close, and the merged row
+    keeps ``d_i`` unless ``d_j`` is larger.  A non-finite entry raises
+    ``linkage``'s ``ValueError``.
+    """
+    k = len(rows)
+    for slot, row in enumerate(rows):
+        if not all(map(isfinite, row)):
+            raise ValueError("distance matrix contains NaN or infinite entries")
+        row[slot] = inf
+    active = list(range(k))
+    labels = list(range(k))
+    sizes = [1] * k
+    merges: List[Tuple[int, int, float, int]] = []
+    chain: List[int] = []
+    for label in range(k, 2 * k - 1):
+        if not chain:
+            chain.append(active[0])
+        while True:
+            row = rows[chain[-1]]
+            candidate = min(active, key=row.__getitem__)
+            if len(chain) > 1 and row[chain[-2]] <= row[candidate]:
+                break
+            chain.append(candidate)
+        j = chain.pop()
+        i = chain.pop()
+        row_i, row_j = rows[i], rows[j]
+        size = sizes[i] + sizes[j]
+        merges.append((labels[i], labels[j], row_i[j], size))
+        active.remove(j)
+        # row_i[i] is inf, so slot i keeps its diagonal.
+        for slot in active:
+            if row_j[slot] > row_i[slot]:
+                row_i[slot] = rows[slot][i] = row_j[slot]
+        labels[i] = label
+        sizes[i] = size
+    return merges
+
+
+def _run_level(
+    dendrogram: Dendrogram, node_ids: List[int], rows: Rows, **metadata: object
+) -> Tuple[int, List[Tuple[float, int, int]]]:
+    """Complete linkage over the subtrees ``node_ids`` with distances
+    ``rows``; returns the root's node id and the ``(merge distance, node
+    id, clusters merged)`` of the internal nodes created, in order."""
+    created: List[Tuple[float, int, int]] = []
+    for a, b, distance, size in _complete_linkage(rows):
+        node_id = dendrogram.merge(
+            node_ids[a], node_ids[b], distance, distance, **metadata
+        )
+        node_ids.append(node_id)
+        created.append((distance, node_id, size))
+    return node_ids[-1], created
 
 
 def build_hierarchy(assignment: AssignmentResult, shortest_paths: np.ndarray) -> Dendrogram:
@@ -154,107 +183,47 @@ def build_hierarchy(assignment: AssignmentResult, shortest_paths: np.ndarray) ->
     graph under the dissimilarity weights; it provides both the linkage
     distances and (indirectly, through the assignment) the structure.
     """
-    num_vertices = len(assignment.group)
-    dendrogram = Dendrogram(num_vertices)
-
+    dendrogram = Dendrogram(len(assignment.group))
     groups = assignment.groups()
     subgroups = assignment.subgroups()
+    bubbles_of_group = {group_id: [] for group_id in groups}
+    for group_id, bubble_id in sorted(subgroups):
+        bubbles_of_group[group_id].append(bubble_id)
 
-    group_clusters: List[_Cluster] = []
-    # Height bookkeeping: per group, the internal nodes created at each level.
-    per_group_intra: Dict[int, List[Tuple[int, float, int]]] = {}
-    per_group_inter: Dict[int, List[Tuple[float, int]]] = {}
-
+    group_roots: List[int] = []
     for group_id in sorted(groups):
-        subgroup_clusters: List[_Cluster] = []
-        intra_records: List[Tuple[int, float, int]] = []
-        bubbles_in_group = sorted(
-            {bubble for (g, bubble) in subgroups if g == group_id}
-        )
-        members = [subgroups[(group_id, bubble_id)] for bubble_id in bubbles_in_group]
+        bubbles = bubbles_of_group[group_id]
+        members = [subgroups[(group_id, bubble_id)] for bubble_id in bubbles]
         # One gather per group: its subgroups' own blocks are the intra
         # level's distances, and their maxima the inter-bubble level's.
-        maxima, own = _linkage_blocks(members, shortest_paths)
-        for bubble_id, vertices, block in zip(bubbles_in_group, members, own):
+        maxima, own = _group_blocks(members, shortest_paths)
+        subgroup_roots: List[int] = []
+        intra: List[Tuple[int, float, int]] = []
+        for bubble_id, vertices, block in zip(bubbles, members, own):
             root, created = _run_level(
-                dendrogram,
-                [_Cluster(vertex) for vertex in vertices],
-                block,
-                level="intra",
-                group=group_id,
-                bubble=bubble_id,
+                dendrogram, list(vertices), block, level="intra", group=group_id, bubble=bubble_id
             )
-            for distance, merged in created:
-                intra_records.append((bubble_id, distance, merged.node_id))
-            subgroup_clusters.append(_Cluster(root.node_id))
-        group_root, inter_created = _run_level(
-            dendrogram,
-            subgroup_clusters,
-            maxima,
-            level="inter_bubble",
-            group=group_id,
+            intra.extend((bubble_id, distance, node_id) for distance, node_id, _ in created)
+            subgroup_roots.append(root)
+        group_root, inter = _run_level(
+            dendrogram, subgroup_roots, maxima, level="inter_bubble", group=group_id
         )
-        per_group_intra[group_id] = intra_records
-        per_group_inter[group_id] = [
-            (distance, merged.node_id) for distance, merged in inter_created
-        ]
-        group_clusters.append(_Cluster(group_root.node_id))
+        group_roots.append(group_root)
+        # The group's n_b - 1 nodes get the heights 1/(n_b-1), ..., 1/2, 1:
+        # intra nodes first (by bubble, then merge distance, then creation
+        # order), then inter-bubble nodes (by merge distance, then creation).
+        ordered = [node_id for _, _, node_id in sorted(intra)]
+        ordered += [node_id for _, node_id, _ in sorted(inter)]
+        for index, node_id in enumerate(ordered):
+            dendrogram.set_height(node_id, 1.0 / (len(ordered) - index))
 
-    final_root, inter_group_created = _run_level(
-        dendrogram,
-        group_clusters,
-        _linkage_blocks([groups[group_id] for group_id in sorted(groups)], shortest_paths)[0],
-        level="inter_group",
-    )
-
-    _assign_heights(
-        dendrogram,
-        groups,
-        per_group_intra,
-        per_group_inter,
-        inter_group_created,
-    )
+    maxima = _inter_group_maxima([groups[group_id] for group_id in sorted(groups)], shortest_paths)
+    _, inter_group = _run_level(dendrogram, group_roots, maxima, level="inter_group")
+    # An inter-group node's height is the number of groups (converging
+    # bubbles) under it: the clusters its merge joined.
+    for _, node_id, size in inter_group:
+        dendrogram.set_height(node_id, float(size))
 
     if not dendrogram.is_complete:
         raise RuntimeError("hierarchy construction did not produce a complete dendrogram")
     return dendrogram
-
-
-def _assign_heights(
-    dendrogram: Dendrogram,
-    groups: Dict[int, List[int]],
-    per_group_intra: Dict[int, List[Tuple[int, float, int]]],
-    per_group_inter: Dict[int, List[Tuple[float, int]]],
-    inter_group_created: List[Tuple[float, _Cluster]],
-) -> None:
-    """Re-assign dendrogram heights as described in Section V-D."""
-    # Nodes inside each group: intra nodes first (by bubble, then merge
-    # distance, then creation order), followed by inter-bubble nodes (by
-    # merge distance, then creation order).  They receive the heights
-    # 1/(n_b-1), 1/(n_b-2), ..., 1/2, 1 in that order.
-    for group_id, vertices in groups.items():
-        n_b = len(vertices)
-        if n_b <= 1:
-            continue
-        ordered: List[int] = []
-        intra = sorted(
-            per_group_intra.get(group_id, []),
-            key=lambda record: (record[0], record[1], record[2]),
-        )
-        ordered.extend(node_id for _, _, node_id in intra)
-        inter = sorted(
-            per_group_inter.get(group_id, []), key=lambda record: (record[0], record[1])
-        )
-        ordered.extend(node_id for _, node_id in inter)
-        if len(ordered) != n_b - 1:
-            raise RuntimeError(
-                f"group {group_id} has {len(ordered)} internal nodes, expected {n_b - 1}"
-            )
-        heights = [1.0 / (n_b - 1 - index) for index in range(n_b - 1)]
-        for node_id, height in zip(ordered, heights):
-            dendrogram.set_height(node_id, height)
-
-    # Inter-group nodes: height = number of converging bubbles (groups) in
-    # the node's descendants, which the merged clusters count.
-    for _, merged in inter_group_created:
-        dendrogram.set_height(merged.node_id, float(merged.group_count))

@@ -60,22 +60,24 @@ class Dendrogram:
 
         Returns the id of the new node.  ``distance`` defaults to ``height``.
         """
+        nodes = self._nodes
+        new_id = len(nodes)
         if left == right:
             raise ValueError("cannot merge a node with itself")
         for node_id in (left, right):
-            if not 0 <= node_id < len(self._nodes):
+            if not 0 <= node_id < new_id:
                 raise IndexError(f"unknown node id {node_id}")
-        new_id = len(self._nodes)
-        node = DendrogramNode(
-            id=new_id,
-            left=left,
-            right=right,
-            height=float(height),
-            distance=float(height if distance is None else distance),
-            size=self._nodes[left].size + self._nodes[right].size,
-            metadata=dict(metadata),
+        nodes.append(
+            DendrogramNode(
+                new_id,
+                left,
+                right,
+                float(height),
+                float(height if distance is None else distance),
+                nodes[left].size + nodes[right].size,
+                metadata,
+            )
         )
-        self._nodes.append(node)
         return new_id
 
     # -- queries -----------------------------------------------------------

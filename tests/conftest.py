@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,25 @@ def batched_tmfg(small_matrices):
     """Prefix-8 TMFG of the small data set."""
     similarity, _ = small_matrices
     return construct_tmfg(similarity, prefix=8, build_bubble_tree=True)
+
+
+def tie_heavy_series() -> Dict[str, np.ndarray]:
+    """Series matrices that make exact ties in every layer: quantised
+    values, duplicate and constant rows, the smallest size (``n=4``) and an
+    integer dtype."""
+    rng = np.random.default_rng(11)
+    base = rng.normal(size=(12, 16))
+    duplicated = base.copy()
+    duplicated[[4, 7]] = duplicated[0]
+    constant = base.copy()
+    constant[5] = 2.5
+    return {
+        "quantised": base.round(1),
+        "duplicate rows": duplicated,
+        "constant row": constant,
+        "n=4": rng.normal(size=(4, 6)).round(2),
+        "int": rng.integers(-3, 4, size=(10, 12)),
+    }
 
 
 def random_similarity_matrix(n: int, seed: int = 0) -> np.ndarray:

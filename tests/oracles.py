@@ -5,7 +5,8 @@ TMFG builder with its incremental bubble tree (Algorithm 2 as written),
 the per-face gain scan, the sort-based round selection, the pairwise
 complete-linkage matrix, the scalar Lance-Williams update, the per-vertex
 DBHT assignment through the priority write cells of the paper's Table I
-(:class:`WriteMin`/:class:`WriteMax`), the leaf scan behind the
+(:class:`WriteMin`/:class:`WriteMax`), the per-dict bubble-tree directions
+and the per-bubble DFS reachability, the leaf scan behind the
 inter-group heights, and three shortest-path references: an array-heap Dijkstra per source, the
 adjacency-list Dijkstra and SciPy's csgraph APSP.  Tests assert exact
 (byte-level) agreement with them.
@@ -404,6 +405,78 @@ def assign_vertices(
         converging_bubbles=list(converging),
         assigned_directly=assigned_directly,
     )
+
+
+def reference_directions(tree: BubbleTree, graph) -> DirectionResult:
+    """Algorithm 3 through per-bubble dicts: each bubble's corner sums are a
+    ``{corner: sum}`` dict in its separating triangle's iteration order,
+    re-derived through :meth:`BubbleTree.separating_triangle` and
+    :meth:`BubbleTree.interior_vertex` on every use."""
+    towards_child: Dict[int, bool] = {}
+    in_values: Dict[int, float] = {}
+    out_values: Dict[int, float] = {}
+    corner_sums: Dict[int, Dict[int, float]] = {}
+    for bubble_id in reversed(tree.topological_order()):
+        bubble = tree.bubble(bubble_id)
+        if bubble.parent is None:
+            continue
+        triangle = tree.separating_triangle(bubble_id)
+        interior_vertex = tree.interior_vertex(bubble_id)
+        sums = {corner: graph.weight(corner, interior_vertex) for corner in triangle}
+        for child_id in bubble.children:
+            for corner, value in corner_sums.get(child_id, {}).items():
+                if corner in sums:
+                    sums[corner] += value
+        corner_sums[bubble_id] = sums
+        vx, vy, vz = sorted(triangle)
+        in_value = sum(sums.values())
+        triangle_weight = graph.weight(vx, vy) + graph.weight(vx, vz) + graph.weight(vy, vz)
+        degree_sum = (
+            graph.weighted_degree(vx) + graph.weighted_degree(vy) + graph.weighted_degree(vz)
+        )
+        out_value = degree_sum - in_value - 2.0 * triangle_weight
+        in_values[bubble_id] = in_value
+        out_values[bubble_id] = out_value
+        towards_child[bubble_id] = in_value > out_value
+    return DirectionResult(towards_child, in_values, out_values)
+
+
+def dfs_converging_bubbles(directions: DirectionResult, tree: BubbleTree) -> List[int]:
+    """Bubbles whose out-degree is zero, by id."""
+    return [
+        bubble.id for bubble in tree.bubbles if directions.out_degree(tree, bubble.id) == 0
+    ]
+
+
+def dfs_reachable_converging_bubbles(
+    directions: DirectionResult, tree: BubbleTree
+) -> Dict[int, Set[int]]:
+    """One DFS per bubble along the directed edges (Lines 5–6 of Algorithm 4)."""
+    converging = set(dfs_converging_bubbles(directions, tree))
+
+    def directed_neighbors(bubble_id: int) -> List[int]:
+        bubble = tree.bubble(bubble_id)
+        result = []
+        if bubble.parent is not None and not directions.towards_child[bubble_id]:
+            result.append(bubble.parent)
+        result.extend(child for child in bubble.children if directions.towards_child[child])
+        return result
+
+    reach: Dict[int, Set[int]] = {}
+    for bubble in tree.bubbles:
+        visited = {bubble.id}
+        stack = [bubble.id]
+        found: Set[int] = set()
+        while stack:
+            current = stack.pop()
+            if current in converging:
+                found.add(current)
+            for neighbor in directed_neighbors(current):
+                if neighbor not in visited:
+                    visited.add(neighbor)
+                    stack.append(neighbor)
+        reach[bubble.id] = found
+    return reach
 
 
 def count_group_roots(

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.bubble_tree import BubbleTree
 from repro.core.dbht import dbht
-from repro.core.direction import compute_directions, compute_directions_bfs
+from repro.core.direction import DirectionResult, compute_directions, compute_directions_bfs
 from repro.core.tmfg import construct_tmfg
 from repro.graph.faces import triangle_key
 from repro.graph.weighted_graph import WeightedGraph
 from repro.parallel.cost_model import fit_cost
 
+from tests import oracles
 from tests.conftest import random_similarity_matrix
 from tests.oracles import IncrementalBubbleTree
 
@@ -181,3 +184,91 @@ class TestDirectedTreeProperties:
             + 4 * tree.num_bubbles
         )
         assert phase.span == (tree.height() + 1) + np.log2(similarity.shape[0])
+
+
+def _direction_bytes(directions: DirectionResult) -> list:
+    """Every key, flag and float (as hex) of a direction result, in order."""
+    return [
+        list(directions.towards_child.items()),
+        [(bubble_id, value.hex()) for bubble_id, value in directions.in_values.items()],
+        [(bubble_id, value.hex()) for bubble_id, value in directions.out_values.items()],
+    ]
+
+
+def _dyadic_similarity(n: int, seed: int) -> np.ndarray:
+    similarity = np.round(random_similarity_matrix(n, seed) * 4) / 4
+    np.fill_diagonal(similarity, 1.0)
+    return similarity
+
+
+class TestAgainstDictOracle:
+    """The flat-list post-order gives the per-dict oracle's bytes: same
+    corner order, same fold order, same builtin ``sum``.  The oracle runs on
+    this interpreter, whose ``sum`` may be the compensated one."""
+
+    def test_paper_example(self):
+        graph, tree = figure2_graph_and_tree()
+        assert _direction_bytes(compute_directions(tree, graph)) == _direction_bytes(
+            oracles.reference_directions(tree, graph)
+        )
+
+    @pytest.mark.parametrize("source", ["arrays", "graph"])
+    @pytest.mark.parametrize("prefix", [1, 5])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_similarity_matrix(60, seed=2),
+            lambda: random_similarity_matrix(200, seed=9),
+            lambda: _dyadic_similarity(50, seed=4),
+        ],
+        ids=["random60", "random200", "dyadic50"],
+    )
+    def test_fits_match_the_oracle_bytes(self, make, prefix, source):
+        result = construct_tmfg(make(), prefix=prefix)
+        graph = result if source == "arrays" else result.graph
+        assert _direction_bytes(compute_directions(result.bubble_tree, graph)) == (
+            _direction_bytes(oracles.reference_directions(result.bubble_tree, graph))
+        )
+
+    @pytest.mark.parametrize("prefix", [1, 8])
+    def test_correlations_match_the_oracle_bytes(self, medium_matrices, prefix):
+        # Correlations, where the order of a sum shows in the last ulp.
+        result = construct_tmfg(medium_matrices[0], prefix=prefix)
+        assert _direction_bytes(compute_directions(result.bubble_tree, result)) == (
+            _direction_bytes(oracles.reference_directions(result.bubble_tree, result))
+        )
+
+
+@st.composite
+def directed_bubble_trees(draw):
+    """A random rooted tree of dummy bubbles (any root id, any shape) with a
+    random direction on every edge."""
+    size = draw(st.integers(min_value=1, max_value=60))
+    order = draw(st.permutations(range(size)))
+    parents = [-1] * size
+    for position in range(1, size):
+        parents[order[position]] = order[draw(st.integers(0, position - 1))]
+    tree = BubbleTree([frozenset(range(4 * b, 4 * b + 4)) for b in range(size)], parents)
+    towards_child = {b: draw(st.booleans()) for b in range(size) if parents[b] >= 0}
+    return tree, DirectionResult(towards_child, {}, {})
+
+
+class TestReachabilityAgainstDFS:
+    @settings(max_examples=300, deadline=None)
+    @given(directed_bubble_trees())
+    def test_memoised_reach_sets_match_the_per_bubble_dfs(self, case):
+        tree, directions = case
+        assert directions.converging_bubbles(tree) == oracles.dfs_converging_bubbles(
+            directions, tree
+        )
+        reach = directions.reachable_converging_bubbles(tree)
+        assert list(reach) == list(range(tree.num_bubbles))
+        assert reach == oracles.dfs_reachable_converging_bubbles(directions, tree)
+
+    @pytest.mark.parametrize("prefix", [1, 5])
+    def test_fit_reach_sets_match_the_per_bubble_dfs(self, medium_matrices, prefix):
+        result = construct_tmfg(medium_matrices[0], prefix=prefix)
+        directions = compute_directions(result.bubble_tree, result)
+        assert directions.reachable_converging_bubbles(result.bubble_tree) == (
+            oracles.dfs_reachable_converging_bubbles(directions, result.bubble_tree)
+        )

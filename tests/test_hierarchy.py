@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.assignment import assign_vertices
 from repro.core.direction import compute_directions
 from repro.core import hierarchy
 from repro.baselines.hac import linkage
 from repro.core.hierarchy import (
-    _Cluster,
-    _linkage_blocks,
+    _complete_linkage,
+    _group_blocks,
+    _inter_group_maxima,
     _mirror_upper,
     _run_level,
     build_hierarchy,
@@ -214,17 +216,23 @@ def _partition(vertices, sizes, rng=None):
 
 
 def _max_linkage_matrix(members, shortest_paths):
-    return _mirror_upper(_linkage_blocks(members, shortest_paths)[0])
+    """The maxima of both gathers, which must agree, as one array."""
+    group_level = np.array(_group_blocks(members, shortest_paths)[0])
+    top_level = np.array(_inter_group_maxima(members, shortest_paths))
+    assert group_level.tobytes() == top_level.tobytes()
+    return top_level
 
 
 class TestMaxLinkageMatrix:
-    """One gather + ``reduceat`` equals the pairwise ``np.ix_`` loop exactly."""
+    """The group level's one gather + ``reduceat`` and the top level's
+    column-only runs equal the pairwise ``np.ix_`` loop exactly, mirrored
+    from the upper triangle."""
 
     @pytest.mark.parametrize("budget", [None, 600, 1])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_pairwise_oracle(self, hierarchy_inputs, monkeypatch, seed, budget):
-        # A small gather budget splits the rows into runs of whole sets
-        # (budget 1: one set per run), as the top level does at scale.
+        # A small gather budget splits the top level's rows into short runs
+        # (budget 1: one row per run), as it does at scale.
         if budget is not None:
             monkeypatch.setattr(hierarchy, "_GATHER_BUDGET", budget)
         _, shortest_paths, _ = hierarchy_inputs
@@ -237,16 +245,21 @@ class TestMaxLinkageMatrix:
     @pytest.mark.parametrize("budget", [None, 600, 1])
     def test_own_blocks_are_each_sets_distances(self, hierarchy_inputs, monkeypatch, budget):
         # The intra-bubble level reads each subgroup's own block out of its
-        # group's gather; it must be that subgroup's rows against its columns.
+        # group's gather; it must be that subgroup's rows against its
+        # columns, mirrored from the upper triangle.
         if budget is not None:
             monkeypatch.setattr(hierarchy, "_GATHER_BUDGET", budget)
         _, shortest_paths, _ = hierarchy_inputs
+        bumped = shortest_paths.copy()
+        lower = np.tril_indices(bumped.shape[0], -1)
+        bumped[lower] = np.nextafter(bumped[lower], np.inf)
         sizes = [4, 1, 3, 2, 25, 4]
-        members = _partition(range(shortest_paths.shape[0]), sizes, np.random.default_rng(3))
-        _, own = _linkage_blocks(members, shortest_paths)
+        members = _partition(range(bumped.shape[0]), sizes, np.random.default_rng(3))
+        _, own = _group_blocks(members, bumped)
         assert len(own) == len(members)
         for vertices, block in zip(members, own):
-            assert block.tobytes() == shortest_paths[np.ix_(vertices, vertices)].tobytes()
+            expected = _mirror_upper(bumped[np.ix_(vertices, vertices)])
+            assert np.array(block).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("budget", [None, 1])
     @pytest.mark.parametrize("shuffle", [False, True])
@@ -283,7 +296,7 @@ class TestTwoClusterLevel:
         maxima = np.array([[0.0, distance], [np.nextafter(distance, np.inf), 0.0]])
         dendrogram = Dendrogram(2)
         root, created = _run_level(
-            dendrogram, [_Cluster(1), _Cluster(0, group_count=2)], maxima, level="intra", group=5
+            dendrogram, [1, 0], _mirror_upper(maxima).tolist(), level="intra", group=5
         )
         expected = linkage(_mirror_upper(maxima), method="complete")
         assert expected.tolist() == [[0.0, 1.0, distance, 2.0]]
@@ -291,8 +304,8 @@ class TestTwoClusterLevel:
         assert (node.left, node.right) == (1, 0)
         assert node.distance == node.height == expected[0, 2]
         assert node.metadata == {"level": "intra", "group": 5}
-        assert created == [(expected[0, 2], root)]
-        assert (root.node_id, root.group_count) == (2, 3)
+        assert created == [(expected[0, 2], root, 2)]
+        assert root == 2
 
     @pytest.mark.parametrize("distance", [np.inf, np.nan])
     def test_non_finite_distance_raises_like_linkage(self, distance):
@@ -300,8 +313,52 @@ class TestTwoClusterLevel:
         with pytest.raises(ValueError) as expected:
             linkage(_mirror_upper(maxima), method="complete")
         with pytest.raises(ValueError) as raised:
-            _run_level(Dendrogram(2), [_Cluster(0), _Cluster(1)], maxima, level="intra")
+            _run_level(Dendrogram(2), [0, 1], _mirror_upper(maxima).tolist(), level="intra")
         assert str(raised.value) == str(expected.value)
+
+
+def _tie_heavy_block(k: int, seed: int, levels: int) -> np.ndarray:
+    """A symmetric ``k x k`` block of dyadic distances drawn from ``levels``
+    values (zero included), with a zero diagonal."""
+    rng = np.random.default_rng(seed)
+    return _mirror_upper(rng.integers(0, levels, size=(k, k)) / levels)
+
+
+class TestListChain:
+    """The list-based chain against ``hac.linkage`` on the same matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(min_value=3, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        levels=st.sampled_from([1, 2, 4, 8, 64]),
+    )
+    def test_merges_are_linkages_bytes(self, k, seed, levels):
+        block = _tie_heavy_block(k, seed, levels)
+        expected = linkage(block, method="complete")
+        merges = np.asarray(_complete_linkage(block.tolist()), dtype=float)
+        assert merges.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(min_value=3, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_non_finite_entry_raises_like_linkage(self, k, seed, bad):
+        block = _tie_heavy_block(k, seed, 4)
+        rng = np.random.default_rng(seed)
+        row = int(rng.integers(0, k - 1))
+        column = int(rng.integers(row + 1, k))
+        block[row, column] = block[column, row] = bad
+        with pytest.raises(ValueError) as expected:
+            linkage(block, method="complete")
+        with pytest.raises(ValueError) as raised:
+            _complete_linkage(block.tolist())
+        assert str(raised.value) == str(expected.value)
+
+    def test_one_cluster_has_no_merges(self):
+        assert _complete_linkage([[0.0]]) == []
 
 
 def test_inter_group_heights_add_the_groups_of_both_subtrees():

@@ -33,6 +33,7 @@ from repro.serve.fleet.supervisor import ReplicaInfo, ReplicaSupervisor
 from repro.serve.httpio import http_fetch
 from repro.serve.server import ClusteringServer
 from repro.serve.wire import WIRE_CONTENT_TYPE, encode_frame, encode_request
+from tests.conftest import tie_heavy_series
 
 MEMBERS = [f"replica-{i}" for i in range(4)]
 
@@ -549,6 +550,38 @@ class TestFleetIntegration:
             routed_binary = client.cluster(matrix, KMEANS, binary=True)
         assert _normalized(routed_json) == _normalized(direct_json)
         assert _normalized(routed_binary) == _normalized(direct_binary)
+
+    def test_tie_heavy_tmfg_dbht_fits_match_direct_fits(self, fleet):
+        """The default ``tmfg-dbht`` method on tie-heavy matrices serves the
+        same ``result`` bytes direct and through the fleet, on both
+        transports (the fleet's replicas default to kmeans, so the request
+        names the method)."""
+        config = {"method": "tmfg-dbht", "num_clusters": 2}
+        served = {}
+        with ClusteringServer(port=0).start_in_background() as direct:
+            for name, port in (("direct", direct.port), ("fleet", fleet.port)):
+                with ServeClient("127.0.0.1", port) as client:
+                    for case, matrix in tie_heavy_series().items():
+                        # tolist() keeps an int matrix's JSON numbers integral,
+                        # and the binary frame carries it as <i8.
+                        body = json.dumps({"matrix": matrix.tolist(), "config": config})
+                        as_json = client.request(
+                            "POST", "/cluster", body.encode(), {"Content-Type": "application/json"}
+                        )
+                        as_binary = client.request(
+                            "POST",
+                            "/cluster",
+                            encode_request(matrix, config),
+                            {"Content-Type": WIRE_CONTENT_TYPE, "Accept": WIRE_CONTENT_TYPE},
+                        )
+                        for transport, envelope in (("json", as_json), ("binary", as_binary)):
+                            result = _normalized(envelope)["result"]
+                            assert result["method"] == "tmfg-dbht", result
+                            served[name, case, transport] = json.dumps(result)
+        for (name, case, transport), payload in served.items():
+            if name == "fleet":
+                assert payload == served["direct", case, transport], (case, transport)
+                assert payload == served["fleet", case, "json"], (case, transport)
 
     def test_identical_requests_share_a_replica_and_hit_cache(self, fleet):
         matrix = _matrix(11)

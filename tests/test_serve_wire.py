@@ -28,6 +28,7 @@ from repro.serve import (
     WireFormatError,
     wire,
 )
+from tests.conftest import tie_heavy_series
 
 
 @pytest.fixture(autouse=True)
@@ -352,19 +353,7 @@ class TestBinaryTransportIntegration:
     ):
         """A JSON POST and a binary POST of one tie-heavy matrix look up one
         result-cache key and serve byte-identical ``result`` payloads."""
-        rng = np.random.default_rng(11)
-        base = rng.normal(size=(12, 16))
-        duplicated = base.copy()
-        duplicated[[4, 7]] = duplicated[0]
-        constant = base.copy()
-        constant[5] = 2.5
-        cases = {
-            "quantised": base.round(1),
-            "duplicate rows": duplicated,
-            "constant row": constant,
-            "n=4": rng.normal(size=(4, 6)).round(2),
-            "int": rng.integers(-3, 4, size=(10, 12)),
-        }
+        cases = tie_heavy_series()
         keys = []
         real_lookup = ClusteringServer._lookup
 
