@@ -28,7 +28,6 @@ Custom methods plug in with :func:`register_method`.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -40,7 +39,7 @@ from repro.datasets.similarity import (
     default_dissimilarity,
     similarity_and_dissimilarity,
 )
-from repro.obs.tracer import trace_span
+from repro.obs.tracer import collect_steps, trace_span
 
 
 class NotFittedError(ValueError):
@@ -150,14 +149,16 @@ class ClusteringEstimator:
 
         The result lands on ``result_``; with ``config.cache`` and a
         ``key`` from :meth:`lookup`, a clone of it is stored under ``key``.
+        Its ``step_seconds`` are its spans' (``"total"``: ``estimator.fit``,
+        closed before the store), replacing any that ``_fit`` set.
         """
         self.result_ = None
         caching = self.config.cache and key is not None
-        with trace_span(
+        with collect_steps() as steps, trace_span(
             "estimator.fit", method=self.method_id, cache="miss" if caching else "off"
         ) as probe:
-            start = time.perf_counter()
-            data, similarity, derived_dissimilarity = self._prepare(X)
+            with trace_span("fit.prepare"):
+                data, similarity, derived_dissimilarity = self._prepare(X)
             probe.set_attribute("n", int(np.asarray(X).shape[0]))
             if dissimilarity is not None:
                 if self.requires_raw_data:
@@ -167,13 +168,13 @@ class ClusteringEstimator:
                     )
                 derived_dissimilarity = np.asarray(dissimilarity, dtype=float)
             result = self._fit(data, similarity, derived_dissimilarity, **fit_params)
-            result.step_seconds.setdefault("total", time.perf_counter() - start)
-            if caching:
-                # Store a private clone so later caller mutations of the
-                # returned result can never alter what the cache serves.
-                get_result_cache(self.config.cache_dir).put(key, result.clone())
-            self.result_ = result
-            return self
+        result.step_seconds = steps
+        if caching:
+            # Store a private clone so later caller mutations of the
+            # returned result can never alter what the cache serves.
+            get_result_cache(self.config.cache_dir).put(key, result.clone())
+        self.result_ = result
+        return self
 
     def fit_predict(self, X: np.ndarray, y: Optional[np.ndarray] = None, **fit_params: Any) -> np.ndarray:
         """``fit(X)`` and return the flat labels."""
@@ -238,7 +239,6 @@ class TMFGClusterer(ClusteringEstimator):
             method=self.method_id,
             config=self.config,
             labels=None,
-            step_seconds=dict(pipeline.step_seconds),
             raw=pipeline,
             extras={
                 "edge_weight_sum": pipeline.tmfg.edge_weight_sum(),
@@ -279,17 +279,14 @@ class ClassicDBHTClusterer(ClusteringEstimator):
 
         if dissimilarity is None:
             dissimilarity = default_dissimilarity(similarity)
-        tmfg_start = time.perf_counter()
-        tmfg = construct_tmfg(similarity, prefix=1, build_bubble_tree=False)
-        tmfg_seconds = time.perf_counter() - tmfg_start
-        dbht_start = time.perf_counter()
-        classic = classic_dbht(tmfg.graph, dissimilarity)
-        dbht_seconds = time.perf_counter() - dbht_start
+        with trace_span("fit.tmfg", n=int(similarity.shape[0]), prefix=1):
+            tmfg = construct_tmfg(similarity, prefix=1, build_bubble_tree=False)
+        with trace_span("fit.dbht", n=tmfg.num_vertices):
+            classic = classic_dbht(tmfg.graph, dissimilarity)
         result = ClusterResult(
             method=self.method_id,
             config=self.config,
             labels=None,
-            step_seconds={"tmfg": tmfg_seconds, "dbht": dbht_seconds},
             raw=classic,
             extras={"edge_weight_sum": tmfg.edge_weight_sum()},
         )
@@ -392,7 +389,8 @@ def register_method(
 
     ``config_overrides`` are config fields the id pins (e.g.
     ``hac-average`` pins ``linkage="average"``); they win over the caller's
-    config, so an id always means the same method.
+    config, so an id always means the same method.  ``compute`` replaces
+    a custom ``_fit``'s ``step_seconds`` with its spans'.
     """
     _REGISTRY[name.lower()] = (estimator_cls, dict(config_overrides))
 

@@ -92,10 +92,8 @@ class ClusterResult:
 
     @property
     def seconds(self) -> float:
-        """Total wall-clock of the fit."""
-        if "total" in self.step_seconds:
-            return self.step_seconds["total"]
-        return float(sum(self.step_seconds.values()))
+        """Total wall-clock of the fit (``step_seconds["total"]``, else 0.0)."""
+        return self.step_seconds.get("total", 0.0)
 
     def cut(self, num_clusters: int) -> np.ndarray:
         """Flat clustering with ``num_clusters`` clusters (hierarchical methods)."""

@@ -12,15 +12,13 @@ DBHT dendrogram.  The phases match Fig. 5's runtime decomposition:
   to bubbles;
 * ``"hierarchy"`` — the three-level complete-linkage construction.
 
-(The ``"tmfg"`` phase is timed by :func:`repro.core.pipeline.tmfg_dbht`
-around TMFG construction.)
-
-Each phase also runs under a trace span (``fit.apsp``, ``fit.bubble_tree``,
+Each phase runs under a trace span (``fit.apsp``, ``fit.bubble_tree``,
 ``fit.hierarchy``; :func:`repro.core.pipeline.tmfg_dbht` opens
 ``fit.tmfg``), and ``fit.bubble_tree`` holds one child span per half
-(``fit.direction``, ``fit.assignment``), so a traced fit shows where its
-time went.  The two halves have no ``step_seconds`` key of their own:
-``"bubble-tree"`` covers both.  With tracing off the spans are the shared
+(``fit.direction``, ``fit.assignment``).  The spans are the fit's only
+clock: the estimator reads ``step_seconds`` off them
+(:func:`repro.obs.tracer.collect_steps`), and ``"bubble-tree"`` covers
+both halves.  Outside a traced or collected scope they are the shared
 no-op and cost nothing.
 
 The work and span of each phase are computed after the fit, from the
@@ -29,9 +27,7 @@ result, by :func:`repro.parallel.cost_model.fit_cost`.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +50,6 @@ class DBHTResult:
     assignment: AssignmentResult
     directions: DirectionResult
     shortest_paths: np.ndarray
-    step_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def num_vertices(self) -> int:
@@ -101,35 +96,26 @@ def run_dbht(
     """:func:`dbht` on a TMFG with a bubble tree and a dissimilarity matrix
     that is already validated."""
     tree: BubbleTree = tmfg.bubble_tree
-    step_seconds: Dict[str, float] = {}
-
     n = tmfg.num_vertices
-    start = time.perf_counter()
     with trace_span("fit.apsp", n=int(n)):
         # Shortest paths use the dissimilarity weights on the TMFG topology:
         # freeze the TMFG into CSR form once and swap in the dissimilarity
         # weights with a single fancy index (no per-edge rebuild).
         distance_graph = tmfg.csr().reweighted(dissimilarity)
         shortest_paths = all_pairs_shortest_paths(distance_graph)
-    step_seconds["apsp"] = time.perf_counter() - start
 
-    start = time.perf_counter()
     with trace_span("fit.bubble_tree", n=int(n)):
         with trace_span("fit.direction", n=int(n)):
             directions = compute_directions(tree, tmfg)
         with trace_span("fit.assignment", n=int(n)):
             assignment = assign_vertices(tree, directions, similarity, shortest_paths)
-    step_seconds["bubble-tree"] = time.perf_counter() - start
 
-    start = time.perf_counter()
     with trace_span("fit.hierarchy", n=int(n)):
         dendrogram = build_hierarchy(assignment, shortest_paths)
-    step_seconds["hierarchy"] = time.perf_counter() - start
 
     return DBHTResult(
         dendrogram=dendrogram,
         assignment=assignment,
         directions=directions,
         shortest_paths=shortest_paths,
-        step_seconds=step_seconds,
     )

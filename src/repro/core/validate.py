@@ -91,10 +91,4 @@ def validate_pipeline_result(result: PipelineResult) -> List[str]:
     """Validate a full TMFG + DBHT pipeline result; returns the checks run."""
     checks = validate_tmfg_result(result.tmfg)
     checks += validate_dbht_result(result.dbht, num_vertices=result.tmfg.graph.num_vertices)
-    expected_steps = {"tmfg", "apsp", "bubble-tree", "hierarchy"}
-    if set(result.step_seconds) != expected_steps:
-        raise ValidationError(
-            f"step timings {set(result.step_seconds)} do not match {expected_steps}"
-        )
-    checks.append("step timings cover all phases")
     return checks

@@ -10,12 +10,13 @@ qualitative comparison.
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.api.config import ClusteringConfig
+from repro.api.estimators import TMFGClusterer
 from repro.baselines.pmfg import construct_pmfg
 from repro.baselines.spectral import spectral_embedding
 from repro.core.pipeline import tmfg_dbht
@@ -214,18 +215,19 @@ def figure4_speedup(
 def figure5_breakdown(
     config: Optional[ExperimentConfig] = None, dataset_id: int = 6
 ) -> Dict[str, object]:
-    """Fig. 5: runtime decomposition (tmfg / apsp / bubble-tree / hierarchy)."""
+    """Fig. 5: the estimator's ``step_seconds`` over its four fit phases."""
     config = config or default_config()
     dataset = load_dataset(config, dataset_id)
     similarity, dissimilarity = similarity_and_dissimilarity(dataset.data)
+    steps = ("tmfg", "apsp", "bubble-tree", "hierarchy")
     rows = []
     for prefix in config.prefix_sizes:
-        result = tmfg_dbht(similarity, dissimilarity, prefix=prefix)
-        total = sum(result.step_seconds.values())
-        for step in ("tmfg", "apsp", "bubble-tree", "hierarchy"):
-            seconds = result.step_seconds.get(step, 0.0)
-            share = seconds / total if total > 0 else 0.0
-            rows.append((prefix, step, seconds, share))
+        estimator = TMFGClusterer(ClusteringConfig(prefix=prefix, precomputed=True))
+        step_seconds = estimator.fit(similarity, dissimilarity=dissimilarity).result_.step_seconds
+        total = sum(step_seconds[step] for step in steps)
+        for step in steps:
+            share = step_seconds[step] / total if total > 0 else 0.0
+            rows.append((prefix, step, step_seconds[step], share))
     return {
         "title": f"Figure 5: runtime breakdown per step ({UCR_LIKE_SPECS[dataset_id].name} stand-in)",
         "headers": ["prefix", "step", "seconds", "fraction"],
@@ -535,15 +537,14 @@ def scaling_with_data_size(
     one fit does not bend the fitted exponent.
     """
     config = config or default_config()
+    estimator = TMFGClusterer(ClusteringConfig(prefix=prefix, precomputed=True))
     rows = []
     for size in sizes:
         dataset = load_ucr_like(6, scale=size / UCR_LIKE_SPECS[6].num_objects, noise=config.noise, seed=config.seed)
         similarity, dissimilarity = similarity_and_dissimilarity(dataset.data)
-        elapsed = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            tmfg_dbht(similarity, dissimilarity, prefix=prefix)
-            elapsed = min(elapsed, time.perf_counter() - start)
+        elapsed = min(
+            estimator.fit(similarity, dissimilarity=dissimilarity).result_.seconds for _ in range(3)
+        )
         rows.append((dataset.num_objects, elapsed))
     log_n = np.log([n for n, _ in rows])
     log_t = np.log([t for _, t in rows])

@@ -111,6 +111,9 @@ def run_method(
     raw: object = None
 
     stream_match = _STREAM_TDBHT_PATTERN.match(name)
+    par_match = _PAR_TDBHT_PATTERN.match(name)
+    method_id: Optional[str] = None
+    prefix = 1
     if stream_match:
         prefix = int(stream_match.group(1))
         length = dataset.data.shape[1]
@@ -133,24 +136,7 @@ def run_method(
         extras["hop"] = hop
         extras["mean_drift_ari"] = stream_result.mean_drift_ari()
         extras["mean_drift_ami"] = stream_result.mean_drift_ami()
-        seconds = time.perf_counter() - start
-        ari = adjusted_rand_index(dataset.labels, labels)
-        ami = adjusted_mutual_information(dataset.labels, labels) if compute_ami else None
-        return MethodRun(
-            method=name,
-            dataset=dataset.name,
-            labels=np.asarray(labels),
-            seconds=seconds,
-            ari=ari,
-            ami=ami,
-            step_seconds=step_seconds,
-            extras=extras,
-        )
-
-    par_match = _PAR_TDBHT_PATTERN.match(name)
-    method_id: Optional[str] = None
-    prefix = 1
-    if par_match:
+    elif par_match:
         method_id = "tmfg-dbht"
         prefix = int(par_match.group(1))
     elif name == "PMFG":

@@ -20,7 +20,9 @@ Zero-cost-when-off is load-bearing: with no ambient span active,
 :func:`trace_span` returns the shared :data:`NOOP_SPAN` singleton — no
 object is allocated, every method on it is a no-op — so untraced
 requests pay only a ``ContextVar.get`` per instrumentation site and
-responses stay byte-identical.
+responses stay byte-identical.  A fit times itself with these spans:
+:func:`collect_steps` sums them into its ``step_seconds`` (on hidden,
+sink-less spans when untraced).
 
 Across HTTP hops the trace context rides in two headers
 (:data:`TRACE_ID_HEADER` / :data:`PARENT_SPAN_HEADER`); a client adds
@@ -35,16 +37,19 @@ import os
 import random
 import re
 import time
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "NOOP_SPAN",
     "PARENT_SPAN_HEADER",
+    "STEP_KEYS",
     "Span",
     "TRACE_ECHO_HEADER",
     "TRACE_ID_HEADER",
     "Tracer",
+    "collect_steps",
     "current_span",
     "new_span_id",
     "new_trace_id",
@@ -68,6 +73,17 @@ _ID_PATTERN = re.compile(r"[0-9a-fA-F][0-9a-fA-F-]{0,63}")
 _current_span: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar(
     "repro_current_span", default=None
 )
+
+#: Span kind -> ``step_seconds`` key: Fig. 5's four fit phases, the classic
+#: DBHT's one phase, the streaming similarity, and each scope's outer span.
+STEP_KEYS = {
+    "fit.tmfg": "tmfg", "fit.apsp": "apsp", "fit.bubble_tree": "bubble-tree",
+    "fit.hierarchy": "hierarchy", "fit.dbht": "dbht", "estimator.fit": "total",
+    "stream.similarity": "similarity", "stream.tick": "total",
+}
+
+#: The ``step_seconds`` dict of the innermost :func:`collect_steps` scope.
+_step_seconds: contextvars.ContextVar = contextvars.ContextVar("repro_steps", default=None)
 
 
 def new_trace_id() -> str:
@@ -96,7 +112,8 @@ def valid_trace_id(value: Optional[str]) -> Optional[str]:
 
 def current_span() -> Optional["Span"]:
     """The ambient span for this context, or ``None`` when untraced."""
-    return _current_span.get()
+    span = _current_span.get()
+    return None if span is None or span.tracer is _STEP_TRACER else span
 
 
 def trace_span(kind: str, **attributes: Any) -> "Span":
@@ -183,6 +200,10 @@ class Span:
             return
         self._ended = True
         self.duration_seconds = time.perf_counter() - self._start_clock
+        steps = _step_seconds.get() if self.kind in STEP_KEYS else None
+        if steps is not None:
+            key = STEP_KEYS[self.kind]
+            steps[key] = steps.get(key, 0.0) + self.duration_seconds
         self.tracer._finish(self)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -308,7 +329,7 @@ class Tracer:
         one is active, else roots a fresh trace.
         """
         if trace_id is None:
-            ambient = _current_span.get()
+            ambient = current_span()
             if ambient is not None:
                 trace_id = ambient.trace_id
                 if parent_id is None:
@@ -363,3 +384,24 @@ class Tracer:
                 bucket.append(span.to_dict())
         for sink in self._sinks:
             sink(span)
+
+
+#: The sink-less tracer of an untraced :func:`collect_steps` scope's spans,
+#: and the never-closed root those spans hang from.
+_STEP_TRACER = Tracer()
+_STEP_ROOT = Span(_STEP_TRACER, "steps", "0" * 16, None, {})
+
+
+@contextmanager
+def collect_steps() -> Iterator[Dict[str, float]]:
+    """Yield a ``step_seconds`` dict to which each :data:`STEP_KEYS` span
+    closed in this scope adds its duration (an inner scope hides its own);
+    untraced, they hang from a hidden root that :func:`current_span` skips."""
+    steps: Dict[str, float] = {}
+    token = _step_seconds.set(steps)
+    root = _current_span.set(_current_span.get() or _STEP_ROOT)
+    try:
+        yield steps
+    finally:
+        _current_span.reset(root)
+        _step_seconds.reset(token)

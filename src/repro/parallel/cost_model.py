@@ -19,7 +19,9 @@ scale better, exactly as in the paper.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -72,19 +74,20 @@ class WorkSpanTracker:
         """All recorded phases, in insertion order."""
         return list(self._phases.values())
 
+    # Totals are left folds from 0.0, not the builtin ``sum``: Python 3.12
+    # compensates ``sum`` over floats, which changes the last bits.
     @property
     def total_work(self) -> float:
-        return sum(phase.work for phase in self._phases.values())
+        return reduce(operator.add, (phase.work for phase in self._phases.values()), 0.0)
 
     @property
     def total_span(self) -> float:
-        return sum(phase.span for phase in self._phases.values())
+        return reduce(operator.add, (phase.span for phase in self._phases.values()), 0.0)
 
     def predicted_time(self, num_workers: int, span_overhead: float = 1.0) -> float:
         """Predicted total running time on ``num_workers`` processors."""
-        return sum(
-            phase.predicted_time(num_workers, span_overhead) for phase in self._phases.values()
-        )
+        times = (phase.predicted_time(num_workers, span_overhead) for phase in self._phases.values())
+        return reduce(operator.add, times, 0.0)
 
     def merge(self, other: "WorkSpanTracker") -> None:
         """Fold another tracker's phases into this one."""

@@ -20,7 +20,6 @@ window))`` on that tick's window.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
@@ -32,6 +31,7 @@ from repro.api.result import ClusterResult
 from repro.cache import matrix_fingerprint
 from repro.metrics.ami import adjusted_mutual_information
 from repro.metrics.ari import adjusted_rand_index
+from repro.obs.tracer import collect_steps, trace_span
 from repro.streaming.rolling import RollingCorrelation
 
 
@@ -39,10 +39,11 @@ from repro.streaming.rolling import RollingCorrelation
 class TickResult:
     """One streaming tick: the window, its clustering, and its timings.
 
-    ``step_seconds`` holds the per-phase wall-clock decomposition:
-    ``"similarity"`` (rolling update + matrix emission) plus the pipeline's
-    ``"tmfg"``/``"apsp"``/``"bubble-tree"``/``"hierarchy"`` phases and the
-    ``"total"``.  ``drift_ari``/``drift_ami`` compare this tick's flat cut
+    ``step_seconds`` holds the per-phase wall-clock decomposition, read off
+    the tick's spans: ``"similarity"`` (``stream.similarity``: rolling
+    update + matrix emission) plus the fit's ``"tmfg"``/``"apsp"``/
+    ``"bubble-tree"``/``"hierarchy"`` phases and the ``"total"``
+    (``stream.tick``).  ``drift_ari``/``drift_ami`` compare this tick's flat cut
     with the previous tick's (``None`` on the first tick).
 
     ``reused`` marks a short-circuited tick: the window's raw bytes
@@ -122,12 +123,7 @@ class StreamingResult:
         0 to those phases' means, which keeps the means honest about the
         actual per-tick cost of the stream.
         """
-        if not self.ticks:
-            return {}
-        keys: Dict[str, None] = {}
-        for tick in self.ticks:
-            for key in tick.step_seconds:
-                keys.setdefault(key)
+        keys = dict.fromkeys(key for tick in self.ticks for key in tick.step_seconds)
         return {
             key: float(np.mean([tick.step_seconds.get(key, 0.0) for tick in self.ticks]))
             for key in keys
@@ -233,7 +229,6 @@ class StreamingPipeline:
         num_assets, num_steps = self.returns.shape
         rolling = RollingCorrelation(num_assets, self.window)
         estimator = TMFGClusterer(self.config)
-        previous_labels: Optional[np.ndarray] = None
         # Tick short-circuit (behind config.cache): when the window's raw
         # bytes did not change since the previous tick — a flat market, a
         # repeated window — the previous clustering is reused without a
@@ -254,34 +249,34 @@ class StreamingPipeline:
                     break
             if self.max_ticks is not None and tick_index >= self.max_ticks:
                 break
-            tick_start = time.perf_counter()
-            rolling.push(self.returns[:, consumed : consumed + take])
-            consumed += take
-            fingerprint = (
-                matrix_fingerprint(rolling.window_data()) if short_circuit else None
-            )
-            reused = (
-                short_circuit
-                and previous_tick is not None
-                and fingerprint == previous_fingerprint
-            )
-            similarity = None if reused else rolling.correlation()
-            step_seconds = {"similarity": time.perf_counter() - tick_start}
-            if reused:
-                labels = previous_tick.labels.copy()
-                rounds = previous_tick.rounds
-            else:
-                result = estimator.fit(similarity).result_
-                labels = result.labels
-                rounds = result.raw.tmfg.rounds
-                step_seconds.update(
-                    {k: v for k, v in result.step_seconds.items() if k != "total"}
-                )
-            step_seconds["total"] = time.perf_counter() - tick_start
+            # The tick's spans close before it is yielded.
+            with collect_steps() as step_seconds, trace_span("stream.tick", tick=tick_index):
+                with trace_span("stream.similarity"):
+                    rolling.push(self.returns[:, consumed : consumed + take])
+                    consumed += take
+                    fingerprint = (
+                        matrix_fingerprint(rolling.window_data()) if short_circuit else None
+                    )
+                    reused = (
+                        short_circuit
+                        and previous_tick is not None
+                        and fingerprint == previous_fingerprint
+                    )
+                    similarity = None if reused else rolling.correlation()
+                if reused:
+                    labels = previous_tick.labels.copy()
+                    rounds = previous_tick.rounds
+                else:
+                    result = estimator.fit(similarity).result_
+                    labels = result.labels
+                    rounds = result.raw.tmfg.rounds
+                    step_seconds.update(
+                        {k: v for k, v in result.step_seconds.items() if k != "total"}
+                    )
             drift_ari = drift_ami = None
-            if previous_labels is not None:
-                drift_ari = adjusted_rand_index(previous_labels, labels)
-                drift_ami = adjusted_mutual_information(previous_labels, labels)
+            if previous_tick is not None:
+                drift_ari = adjusted_rand_index(previous_tick.labels, labels)
+                drift_ami = adjusted_mutual_information(previous_tick.labels, labels)
             tick = TickResult(
                 tick=tick_index,
                 start=consumed - self.window,
@@ -295,7 +290,6 @@ class StreamingPipeline:
                 reused=reused,
             )
             yield tick
-            previous_labels = labels
             previous_fingerprint = fingerprint
             previous_tick = tick
             tick_index += 1

@@ -196,11 +196,30 @@ class TestInstrumentationSites:
         # Everything shares the root's trace.
         assert len({event["trace_id"] for event in closed}) == 1
 
-    def test_untraced_fit_emits_nothing(self):
+    def test_untraced_fit_emits_nothing(self, monkeypatch):
         from repro.api.estimators import make_estimator
+        from repro.cache.store import ResultCache
 
         _tracer, closed = _collecting_tracer()
         make_estimator("tmfg-dbht", ClusteringConfig(num_clusters=2)).fit(_matrix(n=12))
+        assert closed == []
+        # The lookup runs outside the fit's step collector, so on a miss
+        # and on a hit its cache.get site gets the no-op span.
+        lookups = []
+        original_get = ResultCache.get
+
+        def probing_get(cache, key):
+            lookups.append(trace_span("probe") is NOOP_SPAN)
+            return original_get(cache, key)
+
+        monkeypatch.setattr(ResultCache, "get", probing_get)
+        estimator = make_estimator("tmfg-dbht", ClusteringConfig(num_clusters=2, cache=True))
+        miss = estimator.fit(_matrix(n=12)).result_
+        hit = estimator.fit(_matrix(n=12)).result_
+        assert lookups == [True, True]
+        assert list(miss.step_seconds) == ["tmfg", "apsp", "bubble-tree", "hierarchy", "total"]
+        assert hit.step_seconds == miss.step_seconds
+        assert current_span() is None and trace_span("after") is NOOP_SPAN
         assert closed == []
 
     def test_traced_fit_emits_phase_spans_as_children(self):
@@ -214,7 +233,7 @@ class TestInstrumentationSites:
             traced = make_estimator("tmfg-dbht", config).fit(series).result_
         by_kind = {event["kind"]: event for event in closed}
         fit_span = by_kind["estimator.fit"]["span_id"]
-        for kind in ("fit.tmfg", "fit.apsp", "fit.bubble_tree", "fit.hierarchy"):
+        for kind in ("fit.prepare", "fit.tmfg", "fit.apsp", "fit.bubble_tree", "fit.hierarchy"):
             assert by_kind[kind]["parent_id"] == fit_span, kind
         assert by_kind["kernel.apsp"]["parent_id"] == by_kind["fit.apsp"]["span_id"]
         for kind in ("fit.direction", "fit.assignment"):
@@ -236,11 +255,106 @@ class TestInstrumentationSites:
         for field in ("group", "bubble", "assigned_directly"):
             arrays = [getattr(result.raw.dbht.assignment, field) for result in (traced, untraced)]
             assert arrays[0].tobytes() == arrays[1].tobytes(), field
-        # Direction and assignment have spans but no step_seconds key of
-        # their own: "bubble-tree" covers both.
+        # Prepare, direction and assignment have spans but no step_seconds
+        # key of their own: "total" and "bubble-tree" cover them.
         assert set(traced.step_seconds) == set(untraced.step_seconds)
         assert {"tmfg", "apsp", "bubble-tree", "hierarchy"} <= set(untraced.step_seconds)
-        assert not {"direction", "assignment"} & set(untraced.step_seconds)
+        assert not {"prepare", "direction", "assignment"} & set(untraced.step_seconds)
+
+
+class TestOneClock:
+    """``step_seconds`` are read off the fit's spans: on a traced fit each
+    key equals its span's ``duration_seconds`` exactly."""
+
+    @staticmethod
+    def _traced(run):
+        tracer = Tracer()
+        spans = []
+        tracer.add_sink(spans.append)
+        with tracer.start_span("root"):
+            value = run()
+        by_kind = {span.kind: span for span in spans}
+        assert len(by_kind) == len(spans)  # one span per kind in one fit or tick
+        return value, by_kind
+
+    @pytest.mark.parametrize(
+        "method, keys",
+        [
+            ("tmfg-dbht", {"tmfg": "fit.tmfg", "apsp": "fit.apsp",
+                           "bubble-tree": "fit.bubble_tree",
+                           "hierarchy": "fit.hierarchy", "total": "estimator.fit"}),
+            ("classic-dbht", {"tmfg": "fit.tmfg", "dbht": "fit.dbht",
+                              "total": "estimator.fit"}),
+        ],
+    )
+    def test_fit_step_seconds_are_span_durations(self, method, keys):
+        from repro.api.estimators import make_estimator
+
+        def fit():
+            config = ClusteringConfig(num_clusters=3)
+            return make_estimator(method, config).fit(_matrix(n=14)).result_
+
+        traced, spans = self._traced(fit)
+        assert list(traced.step_seconds) == list(keys)
+        for key, kind in keys.items():
+            assert traced.step_seconds[key] == spans[kind].duration_seconds, key
+        assert list(fit().step_seconds) == list(keys)
+
+    def test_tick_step_seconds_are_span_durations(self):
+        from repro.streaming import StreamingPipeline
+
+        def tick():
+            returns = _matrix(n=14)
+            return next(StreamingPipeline(returns, window=30, num_clusters=3).iter_ticks())
+
+        keys = {"similarity": "stream.similarity", "tmfg": "fit.tmfg", "apsp": "fit.apsp",
+                "bubble-tree": "fit.bubble_tree", "hierarchy": "fit.hierarchy",
+                "total": "stream.tick"}
+        traced, spans = self._traced(tick)
+        assert list(traced.step_seconds) == list(keys)
+        for key, kind in keys.items():
+            assert traced.step_seconds[key] == spans[kind].duration_seconds, key
+        assert spans["estimator.fit"].parent_id == spans["stream.tick"].span_id
+        assert list(tick().step_seconds) == list(keys)
+
+    def test_untraced_scope_hides_its_spans_from_user_tracers(self, monkeypatch):
+        from repro.api import estimators
+        from repro.api.estimators import ClusteringEstimator, make_estimator, register_method
+        from repro.api.result import ClusterResult
+        from repro.obs.tracer import collect_steps
+
+        user_tracer, user_spans = Tracer(), []
+        user_tracer.add_sink(user_spans.append)
+
+        class TracingCustom(ClusteringEstimator):
+            method_id = "tracing-custom"
+
+            def _fit(self, data, similarity, dissimilarity):
+                assert current_span() is None
+                with trace_span("fit.tmfg"):
+                    with user_tracer.start_span("user.step"):
+                        pass
+                return ClusterResult(method=self.method_id, config=self.config,
+                                     labels=np.zeros(len(similarity), dtype=int),
+                                     step_seconds={"custom": 1.0})
+
+        monkeypatch.setattr(estimators, "_REGISTRY", dict(estimators._REGISTRY))
+        register_method("tracing-custom", TracingCustom)
+        result = make_estimator("tracing-custom", ClusteringConfig(precomputed=True)).fit(
+            np.eye(4)).result_
+        # The custom fit's own timings are replaced by its spans'.
+        assert list(result.step_seconds) == ["tmfg", "total"]
+        assert result.seconds == result.step_seconds["total"] > 0.0
+        # A user's span roots its own trace; it does not hang from the
+        # fit's hidden, never-recorded step spans.
+        assert len(user_spans) == 1 and user_spans[0].parent_id is None
+        with collect_steps() as steps:
+            assert current_span() is None
+            with trace_span("fit.apsp") as span:
+                assert span is not NOOP_SPAN
+        assert steps == {"apsp": span.duration_seconds}
+        assert current_span() is None and trace_span("after") is NOOP_SPAN
+        assert ClusterResult(method="x", config=ClusteringConfig(), labels=None).seconds == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +604,7 @@ class TestServerTracing:
         block = traced["trace"]
         assert valid_trace_id(block["trace_id"])
         kinds = [span["kind"] for span in block["spans"]]
-        for kind in ("serve.queue", "serve.batch_fit", "fit.tmfg",
+        for kind in ("serve.queue", "serve.batch_fit", "fit.prepare", "fit.tmfg",
                      "estimator.fit", "cache.get", "cache.put"):
             assert kind in kinds, f"missing {kind} in {kinds}"
         assert kinds.count("cache.get") == 1  # one lookup per request
@@ -498,6 +612,8 @@ class TestServerTracing:
         # The leader's compute half runs inside its flight's span.
         assert by_kind["estimator.fit"]["parent_id"] == by_kind["serve.batch_fit"]["span_id"]
         assert by_kind["estimator.fit"]["attributes"]["cache"] == "miss"
+        # The store runs after the fit's span closes, so "total" excludes it.
+        assert by_kind["cache.put"]["parent_id"] == by_kind["serve.batch_fit"]["span_id"]
         assert all(span["trace_id"] == block["trace_id"] for span in block["spans"])
         # The log additionally holds the server.request root (it closes
         # after the envelope is rendered, so it is log-only).
@@ -564,6 +680,38 @@ class TestServerTracing:
         finally:
             handle.stop()
         assert metrics["spans"] == {}
+
+    def test_untraced_miss_and_hit_record_no_span(self, tmp_path, monkeypatch):
+        # Tracing is on (a log and the metrics sink) but no request is
+        # sampled: the miss's fit times itself on private spans, which
+        # reach neither sink, and the lookups run on the no-op span.
+        from repro.cache.store import ResultCache
+
+        lookups = []
+        original_get = ResultCache.get
+
+        def probing_get(cache, key):
+            lookups.append(trace_span("probe") is NOOP_SPAN)
+            return original_get(cache, key)
+
+        monkeypatch.setattr(ResultCache, "get", probing_get)
+        log_path = tmp_path / "trace.jsonl"
+        _server, handle = self._start(trace_log=str(log_path), trace_sample=0.0)
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                miss = client.cluster(_matrix())
+                hit = client.cluster(_matrix())
+                metrics = client.metrics()
+        finally:
+            handle.stop()
+        assert lookups == [True, True]
+        assert metrics["cache"]["hits"] == 1 and metrics["cache"]["stores"] == 1
+        assert metrics["spans"] == {}
+        assert not log_path.exists() or load_trace_events(str(log_path)) == []
+        assert hit["result"] == miss["result"]
+        assert list(miss["result"]["step_seconds"]) == [
+            "tmfg", "apsp", "bubble-tree", "hierarchy", "total"
+        ]
 
     def test_body_decode_is_timed_on_the_request_span(self, tmp_path):
         log_path = str(tmp_path / "trace.jsonl")

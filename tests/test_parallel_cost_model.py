@@ -67,6 +67,16 @@ class TestWorkSpanTracker:
         assert tracker.total_work == 40
         assert tracker.total_span == 5
 
+    def test_totals_are_left_folds_from_zero(self):
+        # 1e16 + 1.0 rounds back to 1e16, so a left fold gives 0.0 where a
+        # compensated sum (the builtin sum on Python 3.12+) gives 1.0.
+        tracker = WorkSpanTracker()
+        for name, value in (("a", 1e16), ("b", 1.0), ("c", -1e16)):
+            tracker.add(name, value, value)
+        assert tracker.total_work == 0.0
+        assert tracker.total_span == 0.0
+        assert tracker.predicted_time(1, span_overhead=0.0) == 0.0
+
     def test_merge_combines_phases(self):
         first = WorkSpanTracker()
         first.add("a", 10, 1)

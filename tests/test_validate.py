@@ -95,13 +95,5 @@ class TestValidDBHT:
 class TestPipelineValidation:
     def test_full_pipeline_passes(self, pipeline_result):
         checks = validate_pipeline_result(pipeline_result)
-        assert "step timings cover all phases" in checks
+        assert "dendrogram is complete" in checks
         assert len(checks) >= 7
-
-    def test_missing_step_timing_detected(self, pipeline_result):
-        removed = pipeline_result.step_seconds.pop("apsp")
-        try:
-            with pytest.raises(ValidationError):
-                validate_pipeline_result(pipeline_result)
-        finally:
-            pipeline_result.step_seconds["apsp"] = removed
