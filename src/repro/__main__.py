@@ -4,6 +4,11 @@ The ``lint`` verb is dispatched before :mod:`repro.cli` is imported:
 the static-analysis engine is stdlib-only, and routing it early keeps
 ``python -m repro lint`` runnable on interpreters without numpy/scipy
 (the CI lint job installs no numerical dependencies at all).
+
+Every other verb goes through :mod:`repro.cli`, whose module scope is kept
+to what argument parsing and ``serve`` need: each ``repro serve`` process
+(direct server, fleet router, every replica) starts here, so whatever
+``repro.cli`` imports up front is paid on every cold start.
 """
 
 import sys

@@ -30,6 +30,13 @@ Three subcommands cover the library's main workflows without writing Python:
 ``figure``
     Re-run one of the paper's figure reproductions and print its rows.
 
+Module scope imports only what argument parsing and ``serve`` need.  Every
+``serve`` process (the direct server, the fleet router and each replica)
+starts as ``python -m repro``, so the figure harness, the streaming runner,
+the table formatters and the Newick export are imported inside the commands
+that use them: a serve process never loads the baselines, the AMI metric or
+scipy.
+
 Examples
 --------
 ::
@@ -51,34 +58,31 @@ import argparse
 import json
 import re
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro import __version__
 from repro.api.config import ClusteringConfig
 from repro.api.estimators import available_estimators, make_estimator
-from repro.dendrogram.export import to_newick
-from repro.experiments import figures
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import format_stream_ticks, format_table
-from repro.streaming.runner import StreamingPipeline
 
-FIGURE_ENTRY_POINTS: Dict[str, Callable[..., dict]] = {
-    "table2": figures.table2_datasets,
-    "fig1": figures.figure1_quality_vs_time,
-    "fig3": figures.figure3_runtime,
-    "fig4": figures.figure4_speedup,
-    "fig5": figures.figure5_breakdown,
-    "fig6": figures.figure6_prefix_quality,
-    "fig7": figures.figure7_edge_sum,
-    "fig8": figures.figure8_quality,
-    "fig9": figures.figure9_spectral_sensitivity,
-    "fig10": figures.figure10_stock_clusters,
-    "fig11": figures.figure11_market_cap,
-    "appendix": figures.appendix_prefix_example,
-    "speedup-factors": figures.speedup_factors,
-    "scaling": figures.scaling_with_data_size,
+#: Figure id -> name of its function in :mod:`repro.experiments.figures`,
+#: resolved by ``_command_figure`` (the module is not imported up front).
+FIGURE_ENTRY_POINTS: Dict[str, str] = {
+    "table2": "table2_datasets",
+    "fig1": "figure1_quality_vs_time",
+    "fig3": "figure3_runtime",
+    "fig4": "figure4_speedup",
+    "fig5": "figure5_breakdown",
+    "fig6": "figure6_prefix_quality",
+    "fig7": "figure7_edge_sum",
+    "fig8": "figure8_quality",
+    "fig9": "figure9_spectral_sensitivity",
+    "fig10": "figure10_stock_clusters",
+    "fig11": "figure11_market_cap",
+    "appendix": "appendix_prefix_example",
+    "speedup-factors": "speedup_factors",
+    "scaling": "scaling_with_data_size",
 }
 
 
@@ -211,6 +215,8 @@ def _command_cluster(args: argparse.Namespace) -> int:
     else:
         print(",".join(str(int(label)) for label in labels))
     if args.newick:
+        from repro.dendrogram.export import to_newick
+
         with open(args.newick, "w", encoding="utf-8") as handle:
             handle.write(to_newick(result.dendrogram) + "\n")
         print(f"wrote Newick tree to {args.newick}")
@@ -226,6 +232,9 @@ def _command_cluster(args: argparse.Namespace) -> int:
 
 
 def _command_stream(args: argparse.Namespace) -> int:
+    from repro.experiments.reporting import format_stream_ticks
+    from repro.streaming.runner import StreamingPipeline
+
     try:
         config = _config_from_args(args, ClusteringConfig(cache=True))
     except (ValueError, OSError) as error:
@@ -485,7 +494,11 @@ def _command_figure(args: argparse.Namespace) -> int:
     if args.name not in FIGURE_ENTRY_POINTS:
         print(f"unknown figure {args.name!r}; use `list-figures`", file=sys.stderr)
         return 2
-    entry_point = FIGURE_ENTRY_POINTS[args.name]
+    from repro.experiments import figures
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.reporting import format_table
+
+    entry_point = getattr(figures, FIGURE_ENTRY_POINTS[args.name])
     if args.name == "appendix":
         result = entry_point()
     else:
