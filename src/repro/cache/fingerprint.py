@@ -13,10 +13,15 @@ result and nothing else.  Two fingerprints are combined:
   identical matrix (same window, flat market tick, duplicated scenario)
   maps to the same one.
 
-Keys are hex digests (BLAKE2b), safe to use as file names for the on-disk
-tier.  :data:`FINGERPRINT_VERSION` is folded into every key so that a
-change to the hashing scheme invalidates old entries instead of silently
-colliding with them.
+Keys are SHA-256 hex digests (:func:`content_digest`, which the fleet
+ring's raw-body key uses too), safe to use as file names for the on-disk
+tier.  On CPUs with the SHA extensions (x86 ``sha_ni``) SHA-256 hashes a
+request matrix in about half the time BLAKE2b took.
+:data:`FINGERPRINT_VERSION` is folded into every key so that a change to
+the hashing scheme invalidates old entries instead of silently colliding
+with them.  Version 2 is SHA-256; version 1 was BLAKE2b-160, so disk
+entries written under it are never read again: an upgraded ``cache_dir``
+refits each job once, and its old ``.pkl`` files can be deleted.
 
 This module deliberately imports nothing from :mod:`repro.api` — configs
 are consumed through their ``to_dict()`` method — so the cache layer sits
@@ -54,11 +59,12 @@ FINGERPRINT_FIELDS = (
 )
 
 #: Bumped whenever the key derivation changes; folded into every key.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 
-def _digest() -> "hashlib._Hash":
-    return hashlib.blake2b(digest_size=20)
+def content_digest() -> "hashlib._Hash":
+    """A fresh hash object of the one digest every content key uses."""
+    return hashlib.sha256()
 
 
 def config_fingerprint(config: Any) -> str:
@@ -71,7 +77,7 @@ def config_fingerprint(config: Any) -> str:
     """
     payload: Dict[str, Any] = config if isinstance(config, dict) else config.to_dict()
     payload = {k: v for k, v in payload.items() if k not in CACHE_KNOB_FIELDS}
-    digest = _digest()
+    digest = content_digest()
     digest.update(json.dumps(payload, sort_keys=True, default=str).encode("utf-8"))
     return digest.hexdigest()
 
@@ -86,7 +92,7 @@ def matrix_fingerprint(matrix: np.ndarray) -> str:
     the same data agree.
     """
     array = np.asarray(matrix)
-    digest = _digest()
+    digest = content_digest()
     digest.update(array.dtype.str.encode("ascii"))
     digest.update(repr(array.shape).encode("ascii"))
     if array.flags.c_contiguous:
@@ -109,7 +115,7 @@ def result_cache_key(
     (``fit(X, dissimilarity=...)``); passing one changes the key, omitting
     it matches only fits that also omitted it.
     """
-    digest = _digest()
+    digest = content_digest()
     digest.update(f"repro-result-cache/v{FINGERPRINT_VERSION}".encode("ascii"))
     digest.update(config_fingerprint(config).encode("ascii"))
     digest.update(matrix_fingerprint(matrix).encode("ascii"))

@@ -346,6 +346,7 @@ def _command_serve_fleet(args: argparse.Namespace) -> int:
             _serve_replica_argv(args),
             args.host,
             args.port,
+            default_config=config,
             trace_log=router_trace_log,
             trace_sample=args.trace_sample,
         )
@@ -717,22 +718,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     list_methods.set_defaults(func=_command_list_methods)
 
-    # The lint verb is also dispatched pre-import by repro/__main__.py so
-    # `python -m repro lint` works without numpy; registering it here too
-    # keeps `repro.cli.main(["lint", ...])` and --help consistent.
-    from repro.analysis.cli import add_lint_arguments, run_lint_command
-
-    lint = subparsers.add_parser(
-        "lint", help="run the AST-based invariant checker over the source tree"
+    # Help text only: main() hands a lint argv to repro.analysis.cli
+    # before parsing (as repro/__main__.py does), so building this parser
+    # never imports the lint engine into a serve process.
+    subparsers.add_parser(
+        "lint",
+        help="run the AST-based invariant checker over the source tree",
+        add_help=False,
     )
-    add_lint_arguments(lint)
-    lint.set_defaults(func=run_lint_command)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["lint"]:
+        from repro.analysis.cli import main as lint_main
+
+        return lint_main(argv[1:])
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -533,19 +533,22 @@ def scaling_with_data_size(
 ) -> Dict[str, object]:
     """Runtime scaling exponent of PAR-TDBHT with the number of objects n.
 
-    Each size is timed as the best of three fits, so a host busy during
-    one fit does not bend the fitted exponent.
+    Every size's inputs are built first; then three rounds each fit every
+    size once, and a size's time is its best round.  A slow stretch of the
+    host therefore lands on all sizes alike instead of on one size's
+    repeats, and does not bend the fitted exponent.
     """
     config = config or default_config()
     estimator = TMFGClusterer(ClusteringConfig(prefix=prefix, precomputed=True))
-    rows = []
+    inputs = []
     for size in sizes:
         dataset = load_ucr_like(6, scale=size / UCR_LIKE_SPECS[6].num_objects, noise=config.noise, seed=config.seed)
-        similarity, dissimilarity = similarity_and_dissimilarity(dataset.data)
-        elapsed = min(
-            estimator.fit(similarity, dissimilarity=dissimilarity).result_.seconds for _ in range(3)
-        )
-        rows.append((dataset.num_objects, elapsed))
+        inputs.append((dataset.num_objects, *similarity_and_dissimilarity(dataset.data)))
+    seconds: List[List[float]] = [[] for _ in inputs]
+    for _round in range(3):
+        for (_n, similarity, dissimilarity), times in zip(inputs, seconds):
+            times.append(estimator.fit(similarity, dissimilarity=dissimilarity).result_.seconds)
+    rows = [(n, min(times)) for (n, _s, _d), times in zip(inputs, seconds)]
     log_n = np.log([n for n, _ in rows])
     log_t = np.log([t for _, t in rows])
     exponent = float(np.polyfit(log_n, log_t, 1)[0])

@@ -10,10 +10,11 @@ Two pieces:
   failover target), and a restarted replica gets its old keys back — the
   property that keeps per-replica LRU caches hot across restarts.
 * :func:`request_affinity_key` — the routing key of one ``POST /cluster``
-  body: the *content* fingerprint of its float64 matrix plus its config
-  payload, decoded by the replica's own decoder, so a JSON body and a
-  binary (``application/x-repro-matrix``) frame of one job share a
-  replica — and with it that replica's result-cache entry.
+  body: the *content* fingerprint of its float64 matrix plus the config a
+  replica would fit it with, decoded and merged by the replica's own
+  functions, so every body that shares a replica's result-cache entry
+  (a JSON body and a binary ``application/x-repro-matrix`` frame, a
+  method alias, a restated default) shares that replica.
 
 Everything here is pure and deterministic: no clocks, no randomness, no
 state — the ring is recomputed per request from the live member list, so
@@ -23,9 +24,11 @@ membership changes (crash, restart, drain) take effect immediately.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.cache.fingerprint import config_fingerprint, matrix_fingerprint
+from repro.api.config import ClusteringConfig
+from repro.cache.fingerprint import config_fingerprint, content_digest, matrix_fingerprint
+from repro.serve.server import merged_request_config
 from repro.serve.wire import decode_cluster_request
 
 
@@ -49,27 +52,37 @@ def rendezvous_rank(key: str, members: Sequence[str]) -> List[str]:
     return sorted(set(members), key=lambda member: (_score(key, member), member), reverse=True)
 
 
-def request_affinity_key(body: bytes, media_type: str = "") -> str:
+def request_affinity_key(
+    body: bytes, media_type: str = "", default_config: Optional[ClusteringConfig] = None
+) -> str:
     """The consistent-hash routing key of one ``POST /cluster`` body.
 
     The body is decoded by the replica's own decoder,
-    :func:`~repro.serve.wire.decode_cluster_request`, and keyed on the
-    identity the result cache keys on: the fingerprint of the float64
-    matrix plus the request's config payload.  So a JSON body, a ``<f8``
-    frame and an ``<i8`` frame of one matrix and config land on one
-    replica, whose in-memory cache then serves all three.  A body the
-    decoder refuses, which any replica answers with a 400, keys on its
-    raw bytes, as does a config nested too deep to fingerprint.  The key
-    fingerprints the whole matrix, so call it off the event loop.
+    :func:`~repro.serve.wire.decode_cluster_request`, and its config
+    overlay merged and normalised by the replica's own
+    :func:`~repro.serve.server.merged_request_config` onto
+    ``default_config`` (the fleet's default; ``ClusteringConfig()`` when
+    omitted).  The key is the fingerprint of the float64 matrix plus the
+    fields of that config that differ from the normalised default.  So any
+    two bodies that share a replica's result-cache entry share a key: a
+    JSON body and a ``<f8`` or ``<i8`` frame of one matrix, ``par-tdbht``
+    and ``tmfg-dbht``, ``{}`` and ``{"prefix": 1}``.  A ``{}`` overlay
+    keys alike under every default, so a caller that omits the default
+    still predicts the router's placement of such bodies.  A body the
+    replica refuses (its 400) keys on its raw bytes.  The key fingerprints
+    the whole matrix, so call it off the event loop.
     """
+    default = default_config if default_config is not None else ClusteringConfig()
     try:
         matrix, config_payload = decode_cluster_request(body, media_type)
-        return "content:" + matrix_fingerprint(matrix) + ":" + config_fingerprint(config_payload)
-    except (ValueError, RecursionError):
-        pass  # BadRequest is a ValueError
-    digest = hashlib.blake2b(digest_size=20)
-    digest.update(body)
-    return "raw:" + digest.hexdigest()
+        config = merged_request_config(default, config_payload).to_dict()
+        base = merged_request_config(default, {}).to_dict()
+    except ValueError:  # BadRequest is a ValueError
+        digest = content_digest()
+        digest.update(body)
+        return "raw:" + digest.hexdigest()
+    overlay = {name: value for name, value in config.items() if value != base[name]}
+    return "content:" + matrix_fingerprint(matrix) + ":" + config_fingerprint(overlay)
 
 
 def spread(keys: Sequence[str], members: Sequence[str]) -> Dict[str, int]:

@@ -5,13 +5,14 @@ replica pool look exactly like one ``repro serve`` daemon:
 
 * ``POST /cluster`` — the router reads the body, derives its affinity key
   off the event loop (:func:`~repro.serve.fleet.ring.request_affinity_key`
-  — the content fingerprint of the float64 matrix plus the config
-  payload, decoded by the replica's own decoder), ranks the *ready*
-  replicas with rendezvous hashing, and proxies the request bytes through
-  unmodified.  Identical jobs therefore always land on the same replica,
-  whatever their transport, which keeps that replica's in-memory result
-  cache hot — the fleet-level analogue of the cache-locality the single
-  process gets for free.
+  — the content fingerprint of the float64 matrix plus the config the
+  replica would fit it with, decoded and merged by the replica's own
+  functions), ranks the *ready* replicas with rendezvous hashing, and
+  proxies the request bytes through unmodified.  Every body that shares
+  a replica's result-cache entry therefore lands on that replica,
+  whatever its transport or config spelling, which keeps the replica's
+  in-memory result cache hot — the fleet-level analogue of the
+  cache-locality the single process gets for free.
 * **failover** — if the chosen replica fails mid-exchange (crashed, being
   restarted), the router retries once on the next ring node.  The retry
   is safe because a clustering POST is a deterministic pure computation
@@ -53,6 +54,7 @@ from http import HTTPStatus
 from typing import Any, Dict, Optional, Sequence, Set
 
 from repro import __version__
+from repro.api.config import ClusteringConfig
 from repro.obs.prometheus import merge_metrics_documents, render_prometheus
 from repro.obs.tracer import NOOP_SPAN, PARENT_SPAN_HEADER, TRACE_ID_HEADER
 from repro.serve.fleet.ring import rendezvous_rank, request_affinity_key
@@ -77,6 +79,10 @@ class FleetRouter(FrontDoor):
     host / port:
         Public bind address; port ``0`` picks an ephemeral port,
         published on :attr:`port` once listening.
+    default_config:
+        The default config the replicas start with (``ClusteringConfig()``
+        when omitted).  Request overlays are merged onto it to key each
+        body the way its replica keys its result cache.
     proxy_timeout:
         Bound on one router->replica exchange (covers the fit).
     failover_attempts:
@@ -108,6 +114,7 @@ class FleetRouter(FrontDoor):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
+        default_config: Optional[ClusteringConfig] = None,
         proxy_timeout: float = 300.0,
         failover_attempts: int = 2,
         no_replica_grace: float = 5.0,
@@ -119,6 +126,7 @@ class FleetRouter(FrontDoor):
             raise ValueError("failover_attempts must be at least 1")
         super().__init__(host, port, trace_log=trace_log, trace_sample=trace_sample)
         self.supervisor = supervisor
+        self.default_config = default_config
         self.proxy_timeout = proxy_timeout
         # In-flight proxied requests (replica fits included) must finish
         # before the pool is torn down: every admitted request is answered.
@@ -249,7 +257,11 @@ class FleetRouter(FrontDoor):
         with self._root_span(request) as root:
             # The key parses and fingerprints the whole matrix: off the loop.
             key = await self._loop.run_in_executor(
-                None, request_affinity_key, request.body, request.media_type
+                None,
+                request_affinity_key,
+                request.body,
+                request.media_type,
+                self.default_config,
             )
             grace_deadline = self._loop.time() + self.no_replica_grace
             for _attempt in range(self.failover_attempts):
@@ -345,6 +357,7 @@ def build_fleet(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
+    default_config: Optional[ClusteringConfig] = None,
     stagger_seconds: float = 0.25,
     backoff_base_seconds: float = 0.5,
     backoff_cap_seconds: float = 10.0,
@@ -360,7 +373,9 @@ def build_fleet(
 
     This is the one-stop constructor the CLI, the benchmark, and the
     tests use: ``build_fleet(4, ["--clusters", "3"]).run()`` is a whole
-    fleet behind one port.
+    fleet behind one port.  ``default_config`` is the config those
+    ``replica_argv`` flags build (the CLI passes the one it validated);
+    the router keys requests on it.
     """
     supervisor = ReplicaSupervisor(
         workers,
@@ -376,6 +391,7 @@ def build_fleet(
         supervisor,
         host,
         port,
+        default_config=default_config,
         proxy_timeout=proxy_timeout,
         no_replica_grace=no_replica_grace,
         ready_timeout=ready_timeout,

@@ -101,6 +101,35 @@ REQUEST_CONFIG_FIELDS = frozenset(
 )
 
 
+def merged_request_config(
+    default_config: ClusteringConfig, config_payload: Dict[str, Any]
+) -> ClusteringConfig:
+    """The config a replica fits one request with: ``config_payload``
+    (a request's partial overlay) merged onto ``default_config`` and
+    normalised through the estimator registry, so a method alias such as
+    ``par-tdbht`` and an overlay that restates a default value give the
+    config (and so the result-cache key) of their canonical form.
+
+    The server fits with it and the fleet ring keys bodies on it, so both
+    accept and identify requests alike.  Raises
+    :class:`~repro.serve.httpio.BadRequest` (a replica's 400) for an
+    operator-controlled or unknown field, an ill-typed value or an
+    unknown method id.
+    """
+    reserved = sorted(set(config_payload) - REQUEST_CONFIG_FIELDS)
+    if reserved:
+        raise _BadRequest(
+            f"config fields {reserved} are operator-controlled (or unknown) and "
+            f"cannot be set per request; allowed: {sorted(REQUEST_CONFIG_FIELDS)}"
+        )
+    try:
+        merged = default_config.merged(config_payload)
+        return make_estimator(merged.method, merged).config
+    except (TypeError, ValueError, RecursionError) as error:
+        # RecursionError: a value nested too deep for the type error's repr.
+        raise _BadRequest(f"bad 'config': {error}") from error
+
+
 def retry_after_hint(fit_p50_ms: float) -> float:
     """Fractional backoff (seconds) for a 429'd client.
 
@@ -242,10 +271,10 @@ class ClusteringServer(FrontDoor):
 
         Returns ``(started, estimator, key, hit)``: the ``perf_counter`` at
         executor start, the request's estimator (its config is the
-        registry-normalised one, so aliases such as ``par-tdbht`` share a
-        cache entry and a flight with their canonical id), the key from
-        its :meth:`~repro.api.estimators.ClusteringEstimator.lookup`, and
-        the cached result or ``None``.
+        :func:`merged_request_config` one, so aliases such as ``par-tdbht``
+        share a cache entry and a flight with their canonical id), the key
+        from its :meth:`~repro.api.estimators.ClusteringEstimator.lookup`,
+        and the cached result or ``None``.
         """
         started = time.perf_counter()
         estimator = make_estimator(config.method, config)
@@ -381,7 +410,7 @@ class ClusteringServer(FrontDoor):
         decode_started = time.perf_counter()
         try:
             matrix, config_payload = decode_cluster_request(request.body, request.media_type)
-            config = self._merged_request_config(config_payload)
+            config = merged_request_config(self.default_config, config_payload)
         except _BadRequest as error:
             return HTTPStatus.BAD_REQUEST, {"error": str(error)}, None
         finally:
@@ -460,17 +489,3 @@ class ClusteringServer(FrontDoor):
             # decoding reproduces the JSON envelope byte for byte.
             return HTTPStatus.OK, BinaryBody(encode_envelope(envelope), WIRE_CONTENT_TYPE), None
         return HTTPStatus.OK, envelope, None
-
-    def _merged_request_config(self, config_payload: Dict[str, Any]) -> ClusteringConfig:
-        """Overlay a request's (partial) config onto the server default."""
-        reserved = sorted(set(config_payload) - REQUEST_CONFIG_FIELDS)
-        if reserved:
-            raise _BadRequest(
-                f"config fields {reserved} are operator-controlled (or unknown) and "
-                f"cannot be set per request; allowed: {sorted(REQUEST_CONFIG_FIELDS)}"
-            )
-        try:
-            return self.default_config.merged(config_payload)
-        except (TypeError, ValueError, RecursionError) as error:
-            # RecursionError: a value nested too deep for the type error's repr.
-            raise _BadRequest(f"bad 'config': {error}") from error

@@ -19,6 +19,7 @@ import pytest
 from repro.api import ClusteringConfig, ClusteringEstimator, make_estimator
 from repro.cache import (
     CACHE_KNOB_FIELDS,
+    FINGERPRINT_VERSION,
     ResultCache,
     clear_result_caches,
     config_fingerprint,
@@ -105,6 +106,17 @@ class TestFingerprints:
         dis = np.sqrt(np.clip(2.0 * (1.0 - similarity), 0.0, None))
         assert result_cache_key(config, similarity) != result_cache_key(
             config, similarity, dis
+        )
+
+
+    def test_result_cache_key_is_pinned(self):
+        """The key of one fixed job, recorded: a digest or key-layout change
+        must bump FINGERPRINT_VERSION and re-record this on purpose."""
+        matrix = np.arange(12, dtype="<f8").reshape(3, 4) / 4
+        config = ClusteringConfig(num_clusters=2, prefix=3)
+        assert FINGERPRINT_VERSION == 2
+        assert result_cache_key(config, matrix) == (
+            "ed64eccc650c3b25b371ead9ae5add39c17443a1ffe10b14f5d167ebdf61cbcf"
         )
 
 

@@ -26,9 +26,10 @@ from repro.datasets.synthetic import make_time_series_dataset
 SRC_DIR = Path(repro.__file__).resolve().parent.parent
 
 #: Modules no serving process needs: the figure harness, the baselines, the
-#: streaming runner and the AMI metric (which drags in scipy.special and,
-#: through it, numpy.f2py).
+#: streaming runner, the AMI metric (which drags in scipy.special and,
+#: through it, numpy.f2py) and the lint engine.
 SERVING_MUST_NOT_IMPORT = (
+    "repro.analysis",
     "scipy",
     "numpy.f2py",
     "repro.experiments",
@@ -62,6 +63,9 @@ class TestServingImportGraph:
         probe = (
             "import json, sys\n"
             "import repro.cli, repro.serve.server, repro.serve.fleet\n"
+            # `lint` is a help-only subparser: building the parser must not
+            # import the lint engine.
+            "repro.cli.build_parser()\n"
             f"banned = {list(SERVING_MUST_NOT_IMPORT)!r}\n"
             "print(json.dumps([name for name in banned if name in sys.modules]))\n"
         )

@@ -25,14 +25,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.api.config import ClusteringConfig
+from repro.api.estimators import make_estimator
 from repro.cache.fingerprint import config_fingerprint, matrix_fingerprint
 from repro.serve import ServeClient, ServerError, build_fleet
 from repro.serve.fleet.ring import rendezvous_rank, request_affinity_key, spread
 from repro.serve.fleet.router import FleetRouter
 from repro.serve.fleet.supervisor import ReplicaInfo, ReplicaSupervisor
 from repro.serve.httpio import http_fetch
-from repro.serve.server import ClusteringServer
-from repro.serve.wire import WIRE_CONTENT_TYPE, encode_frame, encode_request
+from repro.serve.server import ClusteringServer, merged_request_config
+from repro.serve.wire import (
+    WIRE_CONTENT_TYPE,
+    decode_cluster_request,
+    encode_frame,
+    encode_request,
+)
 from tests.conftest import tie_heavy_series
 
 MEMBERS = [f"replica-{i}" for i in range(4)]
@@ -44,6 +51,42 @@ def _matrix(seed: int = 0, n: int = 24):
 
 
 KMEANS = {"num_clusters": 2, "method": "kmeans", "seed": 0}
+
+#: Fleet defaults the ring-vs-cache property keys bodies under.
+FLEET_DEFAULTS = (
+    ClusteringConfig(cache=True),
+    ClusteringConfig(num_clusters=11, cache=True),
+    ClusteringConfig(method="par-tdbht", prefix=2, cache=True),
+    ClusteringConfig(method="hac", linkage="average"),
+)
+
+#: ``(config overlay, spelling)`` pairs drawn from a small alphabet, so two
+#: draws often name one cache entry in different words.
+SPELLED_JOBS = st.tuples(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "method": st.sampled_from(["tmfg-dbht", "par-tdbht", "hac", "comp"]),
+            "num_clusters": st.sampled_from([None, 3, 11]),
+            "prefix": st.sampled_from([1, 2]),
+            "linkage": st.sampled_from(["complete", "average"]),
+        },
+    ),
+    st.sampled_from(["json", "<f8", "<i8"]),
+)
+
+
+def _request_body(ints, config, spelling):
+    """``(body, media_type)`` of one job: JSON, or a ``<f8``/``<i8`` frame."""
+    if spelling == "json":
+        return json.dumps({"matrix": ints.tolist(), "config": config}).encode(), "application/json"
+    return encode_request(ints.astype(spelling), config), WIRE_CONTENT_TYPE
+
+
+def _replica_cache_key(request, default):
+    """The result-cache key a replica started with ``default`` looks up."""
+    matrix, payload = decode_cluster_request(*request)
+    return ClusteringServer._lookup(matrix, merged_request_config(default, payload))[2]
 
 
 class TestRendezvousRing:
@@ -110,15 +153,19 @@ class TestAffinityKey:
             b'{"matrix": [[0, 1], [1]]}',
             b'{"matrix": [["a"]]}',
             b"[" * 2000 + b"]" * 2000,
+            # Decodable, but the replica refuses the config.
+            b'{"matrix": [[1.0, 2.0]], "config": {"cache": true}}',
+            b'{"matrix": [[1.0, 2.0]], "config": {"method": "no-such-method"}}',
+            b'{"matrix": [[1.0, 2.0]], "config": {"prefix": 0}}',
         ],
     )
     def test_undecodable_json_bodies_key_on_raw_bytes(self, body):
         assert request_affinity_key(body, "application/json").startswith("raw:")
 
     def test_config_too_deep_to_fingerprint_keys_on_raw_bytes(self):
-        # The body parses (nesting 1022 of 1024), but fingerprinting its
-        # config overruns the interpreter's recursion limit; any replica
-        # answers it with a 400 "bad 'config'".
+        # The body parses (nesting 1022 of 1024), but describing its
+        # ill-typed config overruns the interpreter's recursion limit; any
+        # replica answers it with a 400 "bad 'config'".
         body = b'{"matrix": [[1.0]], "config": {"prefix": ' + b"[" * 1020 + b"]" * 1020 + b"}}"
         assert request_affinity_key(body, "application/json").startswith("raw:")
 
@@ -175,14 +222,73 @@ class TestAffinityKey:
     )
     def test_accepted_bodies_key_on_matrix_and_config_fingerprints(self, matrix, config):
         # The routing key of every body a replica accepts, pinned to its
-        # formula: perfbench predicts the router's replica choice with it.
+        # formula: the float64 matrix fingerprint plus the fields of the
+        # registry-normalised merged config that differ from the default.
+        # perfbench predicts the router's replica choice with it.
+        merged = ClusteringConfig().merged(config)
+        fitted = make_estimator(merged.method, merged).config.to_dict()
+        default = ClusteringConfig().to_dict()
+        overlay = {name: value for name, value in fitted.items() if value != default[name]}
         expected = (
-            "content:" + matrix_fingerprint(matrix) + ":" + config_fingerprint(config)
+            "content:" + matrix_fingerprint(matrix) + ":" + config_fingerprint(overlay)
         )
         json_body = json.dumps({"matrix": matrix.tolist(), "config": config}).encode()
         assert request_affinity_key(json_body, "application/json") == expected
         frame = encode_request(matrix, config)
         assert request_affinity_key(frame, WIRE_CONTENT_TYPE) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ints=hnp.arrays(
+            np.int64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+            elements=st.integers(-3, 3),
+        ),
+        default=st.sampled_from(FLEET_DEFAULTS),
+        job_a=SPELLED_JOBS,
+        job_b=SPELLED_JOBS,
+    )
+    def test_bodies_sharing_a_cache_entry_share_a_ring_key(self, ints, default, job_a, job_b):
+        body_a = _request_body(ints, *job_a)
+        body_b = _request_body(ints, *job_b)
+        if _replica_cache_key(body_a, default) == _replica_cache_key(body_b, default):
+            assert request_affinity_key(*body_a, default) == request_affinity_key(*body_b, default)
+
+    @pytest.mark.parametrize(
+        "default, config_a, spelling_a, config_b, spelling_b",
+        [
+            (ClusteringConfig(cache=True), {}, "json", {"prefix": 1}, "json"),
+            (ClusteringConfig(cache=True), {"method": "par-tdbht"}, "<f8",
+             {"method": "tmfg-dbht"}, "<f8"),
+            (ClusteringConfig(num_clusters=11, cache=True), {"num_clusters": 11}, "<f8",
+             {}, "<f8"),
+            (ClusteringConfig(cache=True), {"prefix": 2}, "json", {"prefix": 2}, "<f8"),
+            (ClusteringConfig(cache=True), {}, "<i8", {}, "<f8"),
+        ],
+    )
+    def test_one_cache_entry_one_ring_key(
+        self, default, config_a, spelling_a, config_b, spelling_b
+    ):
+        ints = np.arange(12, dtype=np.int64).reshape(3, 4) % 5
+        body_a = _request_body(ints, config_a, spelling_a)
+        body_b = _request_body(ints, config_b, spelling_b)
+        assert _replica_cache_key(body_a, default) == _replica_cache_key(body_b, default)
+        key = request_affinity_key(*body_a, default)
+        assert key == request_affinity_key(*body_b, default)
+        assert key.startswith("content:")
+
+    def test_empty_overlay_keys_alike_under_every_default(self):
+        # perfbench's hot set omits the default yet predicts the router's
+        # placement of its {} bodies, whatever the fleet's flags.
+        body = encode_request(_matrix(5), {})
+        keys = {
+            request_affinity_key(body, WIRE_CONTENT_TYPE),
+            request_affinity_key(body, WIRE_CONTENT_TYPE, ClusteringConfig()),
+            request_affinity_key(
+                body, WIRE_CONTENT_TYPE, ClusteringConfig(num_clusters=11, cache=True)
+            ),
+        }
+        assert len(keys) == 1
 
     def test_binary_bodies_key_on_content(self):
         matrix = np.asarray(_matrix(3), dtype=float, order="C")
