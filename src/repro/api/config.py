@@ -59,10 +59,10 @@ class ClusteringConfig:
         Consult the content-addressed result cache (:mod:`repro.cache`)
         before fitting, keyed by this config's computation-relevant fields
         plus the input matrix's dtype/shape/bytes.  Hits return the stored
-        cold fit verbatim (labels, timings, artefacts), so enabling the
-        cache never changes results.  The streaming runner uses the same
-        fingerprints to skip ticks whose windowed correlation is
-        unchanged.
+        cold fit's answer verbatim (labels, timings, dendrogram; ``raw`` is
+        the dendrogram alone, on a miss as on a hit), so enabling the cache
+        never changes results.  The streaming runner uses the same
+        fingerprints to skip ticks whose windowed correlation is unchanged.
     cache_dir:
         Optional directory for the persistent cache tier (entries survive
         the process; corrupt or stale files degrade to misses).  Requires

@@ -147,9 +147,10 @@ class ClusteringEstimator:
     ) -> "ClusteringEstimator":
         """The compute-and-store half of :meth:`fit`: fit ``X`` uncached.
 
-        The result lands on ``result_``; with ``config.cache`` and a
-        ``key`` from :meth:`lookup`, a clone of it is stored under ``key``.
-        Its ``step_seconds`` are its spans' (``"total"``: ``estimator.fit``,
+        The result lands on ``result_``; with ``config.cache`` and a ``key``
+        from :meth:`lookup`, it keeps only the answer (``raw`` is the
+        dendrogram), as a hit does, and a clone is stored under ``key``.  Its
+        ``step_seconds`` are its spans' (``"total"``: ``estimator.fit``,
         closed before the store), replacing any that ``_fit`` set.
         """
         self.result_ = None
@@ -170,8 +171,9 @@ class ClusteringEstimator:
             result = self._fit(data, similarity, derived_dissimilarity, **fit_params)
         result.step_seconds = steps
         if caching:
-            # Store a private clone so later caller mutations of the
-            # returned result can never alter what the cache serves.
+            # The cache keeps the answer, not the fit's intermediates, in a
+            # private clone that caller mutations of result_ cannot reach.
+            result.raw = result.dendrogram
             get_result_cache(self.config.cache_dir).put(key, result.clone())
         self.result_ = result
         return self

@@ -3,10 +3,9 @@
 :class:`ClusterResult` subsumes what previously came back in three shapes —
 ``PipelineResult`` from ``tmfg_dbht``, ``ClassicDBHTResult`` from the
 baselines, and the streaming runner's per-tick payloads: flat labels, the
-per-step wall-clock decomposition, and lazy access to the heavyweight
-artefacts (dendrogram, bubble tree, filtered graph) through the ``raw``
-result object, which is kept verbatim so nothing the old entry points
-returned is lost.
+per-step wall-clock decomposition, and lazy access to the artefacts
+(dendrogram, bubble tree, filtered graph) through the ``raw`` result
+object, which an uncached fit keeps verbatim.
 
 ``to_dict``/``to_json`` emit the JSON-safe serving payload (labels,
 timings, the originating :class:`~repro.api.config.ClusteringConfig`),
@@ -52,10 +51,11 @@ class ClusterResult:
 
     ``labels`` is ``None`` when the config deferred the flat cut
     (``num_clusters=None`` on a hierarchical method); :meth:`cut` produces
-    cuts on demand.  ``raw`` holds the method's native result object
-    (``PipelineResult``, ``ClassicDBHTResult``, ``KMeansResult``, ...) so
-    every intermediate artefact stays reachable without widening this
-    class per method.
+    cuts on demand.  An uncached fit's ``raw`` holds the method's native
+    result object (``PipelineResult``, ``KMeansResult``, ...) so every
+    intermediate artefact stays reachable without widening this class per
+    method; a cached fit's (``config.cache``, hit or miss) is the answer's
+    bare :class:`~repro.dendrogram.node.Dendrogram`, or ``None``.
     """
 
     method: str
@@ -111,8 +111,8 @@ class ClusterResult:
         """A copy safe to hand to an independent caller.
 
         The labels array and the mutable dicts are copied so no caller can
-        corrupt another's (or the cache's) view; ``raw`` — the heavyweight
-        read-only artefacts — and the frozen config are shared.  Clones
+        corrupt another's (or the cache's) view; ``raw`` — the read-only
+        artefacts — and the frozen config are shared.  Clones
         serialize byte-identically to their source.
         """
         return ClusterResult(

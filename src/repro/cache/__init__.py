@@ -2,15 +2,16 @@
 
 Serving traffic is heavily repetitive — the same window re-requested,
 overlapping scenario sweeps, identical ticks after a flat market — so the
-library caches whole :class:`~repro.api.result.ClusterResult` objects
-under a stable fingerprint of *what determines them*: the
+library caches each fit's answer (a slim
+:class:`~repro.api.result.ClusterResult`) under a stable fingerprint of
+*what determines it*: the
 computation-relevant fields of the
 :class:`~repro.api.config.ClusteringConfig` plus the input matrix's
 dtype/shape/bytes (see :mod:`repro.cache.fingerprint`).
 
 A fit has one execution path, and every config field that can change its
 output is part of the key, so a cache hit returns exactly what a cold fit
-would have produced (it returns the stored cold fit, timings and all).
+would have produced (the stored cold fit's answer, timings and all).
 
 Entry points:
 

@@ -21,7 +21,7 @@ request matrix in about half the time BLAKE2b took.
 the hashing scheme invalidates old entries instead of silently colliding
 with them.  Version 2 is SHA-256; version 1 was BLAKE2b-160, so disk
 entries written under it are never read again: an upgraded ``cache_dir``
-refits each job once, and its old ``.pkl`` files can be deleted.
+refits each job once.
 
 This module deliberately imports nothing from :mod:`repro.api` — configs
 are consumed through their ``to_dict()`` method — so the cache layer sits

@@ -1,18 +1,19 @@
 """Content-addressed result cache: in-memory LRU tier + optional disk tier.
 
 :class:`ResultCache` maps the keys produced by
-:func:`repro.cache.fingerprint.result_cache_key` to cached values (in
-practice :class:`~repro.api.result.ClusterResult` objects, but the store is
-value-agnostic).  Lookups go memory first, then disk; disk hits are
-promoted into the memory tier.
+:func:`repro.cache.fingerprint.result_cache_key` to cached values (any
+value in memory; on disk, :class:`~repro.api.result.ClusterResult` answers
+without fit intermediates).  Lookups go memory first, then disk; disk hits
+are promoted into the memory tier.
 
 The disk tier is written for concurrent serving processes:
 
 * entries are written to a temp file in the cache directory and published
   with :func:`os.replace`, so readers never observe a partial entry;
-* every entry is a versioned envelope carrying the format version, the
-  library version, and its own key — a corrupt file, a foreign pickle, a
-  format bump, or a library upgrade all degrade to a *miss* (counted in
+* every entry is one ``<key>.json`` file (:func:`_encode`), read without
+  running code, whose envelope carries the format version, the library
+  version, and its own key — a corrupt or foreign file, a format bump, or
+  a library upgrade all degrade to a *miss* (counted in
   :attr:`CacheStats.disk_errors` / evicted from disk), never an exception.
 
 :func:`get_result_cache` hands out process-wide instances (one shared
@@ -22,30 +23,72 @@ fit and every served request in a process shares hits.
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
+import numpy as np
+
+from repro.dendrogram.node import Dendrogram
 from repro.obs.tracer import trace_span
 
 #: Envelope magic + format version; bump the version to invalidate disk entries.
 _ENTRY_MAGIC = "repro-result-cache"
-ENTRY_FORMAT_VERSION = 2
+ENTRY_FORMAT_VERSION = 3
 
 #: Default capacity of the in-memory LRU tier.
 DEFAULT_MAX_ENTRIES = 128
 
 
-def _library_version() -> str:
-    # Imported lazily: repro/__init__ imports the api layer, which may in
-    # turn import this module, so a top-level import would be cyclic.
-    from repro import __version__
+def _encode(key: str, result: Any) -> str:
+    """A ``ClusterResult``'s disk entry: the envelope, ``result.to_dict()``,
+    the labels' dtype and one ``[left, right, height, distance, metadata]``
+    row per internal dendrogram node (JSON floats round-trip exactly)."""
+    from repro import __version__  # lazily: the api layer imports this module
 
-    return __version__
+    tree = result.dendrogram
+    return json.dumps({
+        "magic": _ENTRY_MAGIC, "version": ENTRY_FORMAT_VERSION, "library": __version__, "key": key,
+        "result": result.to_dict(),
+        "labels_dtype": None if result.labels is None else result.labels.dtype.str,
+        "num_leaves": None if tree is None else tree.num_leaves,
+        "merges": [] if tree is None else [
+            [node.left, node.right, node.height, node.distance, node.metadata]
+            for node in tree.internal_nodes()
+        ],
+    })
+
+
+def _decode(key: str, text: bytes) -> Any:
+    """The ``ClusterResult`` of an :func:`_encode` entry for ``key``; raises
+    on anything else (malformed JSON, a stale or foreign envelope)."""
+    # Imported lazily: the api layer imports this module.
+    from repro import __version__
+    from repro.api.config import ClusteringConfig
+    from repro.api.result import ClusterResult
+
+    entry = json.loads(text)
+    envelope = [entry["magic"], entry["version"], entry["library"], entry["key"]]
+    if envelope != [_ENTRY_MAGIC, ENTRY_FORMAT_VERSION, __version__, key]:
+        raise ValueError(f"stale or foreign cache entry {envelope!r}")
+    payload, tree = entry["result"], None
+    if entry["num_leaves"] is not None:
+        tree = Dendrogram(entry["num_leaves"])
+        for left, right, height, distance, metadata in entry["merges"]:
+            tree.merge(left, right, height, distance, **metadata)
+    labels = payload["labels"]
+    return ClusterResult(
+        method=payload["method"],
+        config=ClusteringConfig.from_dict(payload["config"]),
+        labels=None if labels is None else np.asarray(labels, dtype=entry["labels_dtype"]),
+        step_seconds=payload["step_seconds"],
+        raw=tree,
+        extras=payload["extras"],
+    )
 
 
 @dataclass
@@ -76,15 +119,6 @@ class CacheStats:
         # Not a dataclass field: asdict()/repr/compare skip it, and the
         # owning ResultCache replaces it with the store lock the counter
         # mutations already run under.
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)  # locks do not pickle
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def snapshot(self) -> "CacheStats":
@@ -125,16 +159,12 @@ class ResultCache:
     ----------
     max_entries:
         Capacity of the in-memory tier; the least recently used entry is
-        evicted first.  Entries are counted, not sized: a cached
-        clustering result retains its ``raw`` pipeline artefacts
-        (shortest paths, graph, dendrogram — on the order of the n x n
-        input matrix each), so size ``max_entries`` to roughly
-        ``budget_bytes / (a few * n^2 * 8)`` for your largest ``n``.  The
-        disk tier is not size-bounded and grows by about one input matrix
-        per distinct job; point ``cache_dir`` at storage sized for that.
+        evicted first.  Entries are counted, not sized; a cached fit is
+        its answer (labels and dendrogram, O(n)), not the n x n
+        intermediates.  The disk tier is not size-bounded.
     cache_dir:
         Optional directory for the persistent tier (created on first
-        write).  Values stored there must be picklable.
+        write); values written there must be ``ClusterResult`` objects.
 
     Thread-safe: the memory tier is guarded by a lock, and disk writes are
     atomic write-then-rename, so concurrent readers/writers (including
@@ -216,62 +246,44 @@ class ResultCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    def clear(self) -> None:
-        """Drop the memory tier (disk entries are left in place)."""
-        with self._lock:
-            self._entries.clear()
-
     # -- disk tier ---------------------------------------------------------
 
     def _entry_path(self, key: str) -> str:
         assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, f"{key}.pkl")
+        return os.path.join(self.cache_dir, f"{key}.json")
 
     def _read_disk(self, key: str) -> Optional[Any]:
         path = self._entry_path(key)
         try:
             with open(path, "rb") as handle:
-                envelope = pickle.load(handle)
+                return _decode(key, handle.read())
         except FileNotFoundError:
             return None
         except Exception:
-            # Truncated, corrupt, or unreadable entry: a miss, not a crash.
+            # Truncated, corrupt, stale or foreign entry: a miss, not a crash.
             with self._lock:
                 self.stats.disk_errors += 1
             self._discard_disk(path)
             return None
-        if (
-            not isinstance(envelope, tuple)
-            or len(envelope) != 5
-            or envelope[0] != _ENTRY_MAGIC
-            or envelope[1] != ENTRY_FORMAT_VERSION
-            or envelope[2] != _library_version()
-            or envelope[3] != key
-        ):
-            # Stale format/version or a key collision with a foreign file.
-            with self._lock:
-                self.stats.disk_errors += 1
-            self._discard_disk(path)
-            return None
-        return envelope[4]
 
     def _write_disk(self, key: str, value: Any) -> None:
         path = self._entry_path(key)
-        envelope = (_ENTRY_MAGIC, ENTRY_FORMAT_VERSION, _library_version(), key, value)
         try:
+            text = _encode(key, value)
             os.makedirs(self.cache_dir, exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(
                 prefix=f".{key}.", suffix=".tmp", dir=self.cache_dir
             )
             try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                with os.fdopen(fd, "w", encoding="ascii") as handle:
+                    handle.write(text)
                 os.replace(tmp_path, path)
             except BaseException:
                 self._discard_disk(tmp_path)
                 raise
         except Exception:
-            # A full/read-only disk degrades persistence, not correctness.
+            # A full/read-only disk or an unencodable value degrades
+            # persistence, not correctness.
             with self._lock:
                 self.stats.disk_errors += 1
 

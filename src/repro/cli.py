@@ -532,8 +532,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=None,
         help="persist the content-addressed result cache under this directory "
-        "(hits across runs; corrupt/stale entries degrade to misses). Entries are "
-        "unpickled on read: only trusted users may write to this directory",
+        "(hits across runs; one JSON answer per entry, read without running code; "
+        "corrupt/stale entries degrade to misses)",
     )
     parser.add_argument(
         "--no-cache",

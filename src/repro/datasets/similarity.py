@@ -20,11 +20,19 @@ def correlation_matrix(data: np.ndarray) -> np.ndarray:
     ``data`` has one object (time series) per row.  Rows with zero variance
     are treated as uncorrelated with everything (correlation 0) instead of
     producing NaNs, so that degenerate synthetic series cannot poison the
-    filtered graph.
+    filtered graph.  The correlation is scale-invariant at every finite
+    input scale: a row whose largest magnitude lies outside
+    ``[2**-500, 2**500]`` (where squaring would overflow or underflow) is
+    first scaled by an exact power of two; other rows keep their bytes.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError("data must be a 2-D array with one series per row")
+    peaks = np.abs(data).max(axis=1, initial=0.0)
+    extreme = (peaks > 2.0**500) | ((peaks < 2.0**-500) & (peaks > 0))
+    if np.any(extreme):
+        data = data.copy()
+        data[extreme] = np.ldexp(data[extreme], -np.frexp(peaks[extreme])[1][:, None])
     centered = data - data.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
     safe_norms = np.where(norms > 0, norms, 1.0)

@@ -269,7 +269,7 @@ class StreamingPipeline:
                 else:
                     result = estimator.fit(similarity).result_
                     labels = result.labels
-                    rounds = result.raw.tmfg.rounds
+                    rounds = result.extras["rounds"]
                     step_seconds.update(
                         {k: v for k, v in result.step_seconds.items() if k != "total"}
                     )

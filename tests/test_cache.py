@@ -1,9 +1,9 @@
 """Tests for the content-addressed result cache and the estimator's use of it.
 
-Covers the cache tiers (LRU order, disk round-trip, corrupt/stale entries
-degrading to misses), fingerprint semantics, byte-identical cache hits
-through the estimator layer, its ``lookup``/``compute`` halves, and
-batches as estimator loops.
+Covers the cache tiers (LRU order, JSON disk round-trip, corrupt/stale/
+planted entries degrading to misses), fingerprint semantics, byte-identical
+cache hits through the estimator layer, its ``lookup``/``compute`` halves,
+and batches as estimator loops.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.api import ClusteringConfig, ClusteringEstimator, make_estimator
+from repro.api import ClusterResult, ClusteringConfig, ClusteringEstimator, make_estimator
 from repro.cache import (
     CACHE_KNOB_FIELDS,
     FINGERPRINT_VERSION,
@@ -30,6 +30,7 @@ from repro.cache import (
 from repro.cache.store import _ENTRY_MAGIC, ENTRY_FORMAT_VERSION
 from repro.datasets.similarity import similarity_and_dissimilarity
 from repro.datasets.synthetic import make_time_series_dataset
+from repro.dendrogram.node import Dendrogram
 
 
 @pytest.fixture(autouse=True)
@@ -53,6 +54,48 @@ def _config(**overrides):
     base = dict(precomputed=True, num_clusters=3, prefix=4, cache=True)
     base.update(overrides)
     return ClusteringConfig(**base)
+
+
+def _result(tag=0, num_leaves=6):
+    """A small answer of the shape the disk tier stores: labels, timings,
+    extras and a dendrogram whose heights differ from its distances."""
+    dendrogram = Dendrogram(num_leaves)
+    node = 0
+    for leaf in range(1, num_leaves):
+        node = dendrogram.merge(node, leaf, 0.1 * leaf, 1 / (leaf + 3 + tag), level="intra", group=tag)
+    return ClusterResult(
+        method="hac",
+        config=ClusteringConfig(num_clusters=2),
+        labels=np.arange(num_leaves, dtype=np.int32) % 2,
+        step_seconds={"total": 0.1 + tag},
+        raw=dendrogram,
+        extras={"tag": tag},
+    )
+
+
+def _nodes(dendrogram):
+    """Every node of a dendrogram, floats as hex: equal means identical."""
+    return [
+        (node.id, node.left, node.right, node.height.hex(), node.distance.hex(),
+         node.size, node.metadata)
+        for node in dendrogram.nodes
+    ]
+
+
+def _entry_file(cache_dir):
+    (name,) = os.listdir(cache_dir)
+    assert name.endswith(".json")
+    return os.path.join(cache_dir, name)
+
+
+class _Planted:
+    """A pickle that creates ``marker`` when it is unpickled."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
 
 
 class TestFingerprints:
@@ -151,56 +194,102 @@ class TestResultCacheLRU:
 class TestResultCacheDisk:
     def test_disk_round_trip_across_instances(self, tmp_path):
         first = ResultCache(cache_dir=str(tmp_path))
-        first.put("deadbeef", {"labels": [1, 2, 3]})
+        stored = _result()
+        first.put("deadbeef", stored)
         # A fresh instance (fresh memory tier) must hit via disk.
         second = ResultCache(cache_dir=str(tmp_path))
-        assert second.get("deadbeef") == {"labels": [1, 2, 3]}
+        loaded = second.get("deadbeef")
+        assert loaded.to_json() == stored.to_json()
+        assert loaded.labels.dtype == np.int32
+        assert _nodes(loaded.dendrogram) == _nodes(stored.dendrogram)
         assert second.stats.disk_hits == 1
         # ... and promote the entry into its memory tier.
         assert "deadbeef" in second
 
     def test_corrupted_entry_degrades_to_miss(self, tmp_path):
         cache = ResultCache(cache_dir=str(tmp_path))
-        cache.put("feedface", "value")
-        (path,) = [p for p in os.listdir(tmp_path) if p.endswith(".pkl")]
-        with open(tmp_path / path, "wb") as handle:
-            handle.write(b"\x80\x04 truncated garbage")
+        cache.put("feedface", _result())
+        path = _entry_file(tmp_path)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
         fresh = ResultCache(cache_dir=str(tmp_path))
         assert fresh.get("feedface") is None
         assert fresh.stats.disk_errors == 1
         assert fresh.stats.misses == 1
         # The bad file is pruned so it is not re-parsed forever.
-        assert not (tmp_path / path).exists()
+        assert not os.path.exists(path)
 
     def test_stale_format_version_degrades_to_miss(self, tmp_path):
-        cache = ResultCache(cache_dir=str(tmp_path))
-        cache.put("cafebabe", "value")
-        (path,) = [str(tmp_path / p) for p in os.listdir(tmp_path)]
+        """An entry whose envelope names another format version, magic,
+        library version or key is a counted miss, and is pruned."""
         from repro import __version__
 
-        envelope = (_ENTRY_MAGIC, ENTRY_FORMAT_VERSION + 1, __version__, "cafebabe", "value")
-        with open(path, "wb") as handle:
-            pickle.dump(envelope, handle)
-        fresh = ResultCache(cache_dir=str(tmp_path))
-        assert fresh.get("cafebabe") is None
-        assert fresh.stats.disk_errors == 1
+        cache = ResultCache(cache_dir=str(tmp_path))
+        cache.put("cafebabe", _result())
+        path = _entry_file(tmp_path)
+        with open(path, "rb") as handle:
+            entry = json.load(handle)
+        assert (entry["magic"], entry["version"], entry["library"], entry["key"]) == (
+            _ENTRY_MAGIC, ENTRY_FORMAT_VERSION, __version__, "cafebabe"
+        )
+        for field, stale in (("version", ENTRY_FORMAT_VERSION - 1), ("magic", "other"),
+                             ("library", "0.0.0"), ("key", "feedface")):
+            with open(path, "w") as handle:
+                json.dump(dict(entry, **{field: stale}), handle)
+            fresh = ResultCache(cache_dir=str(tmp_path))
+            assert fresh.get("cafebabe") is None, field
+            assert (fresh.stats.misses, fresh.stats.disk_errors) == (1, 1), field
+            assert not os.path.exists(path), field
+
+    @pytest.mark.parametrize("suffix", ["pkl", "json"])
+    def test_planted_pickle_never_runs(self, similarity, tmp_path, suffix):
+        """A pickle under an entry's key, in the old or the current file
+        name, is never unpickled: the fit misses, refits and stores."""
+        cache_dir, marker = tmp_path / "cache", tmp_path / "marker"
+        cache_dir.mkdir()
+        config = _config(cache_dir=str(cache_dir))
+        key = result_cache_key(config, similarity)
+        with open(cache_dir / f"{key}.{suffix}", "wb") as handle:
+            pickle.dump(_Planted(marker), handle)
+        result = make_estimator(config.method, config).fit(similarity).result_
+        assert not marker.exists()
+        stats = get_result_cache(str(cache_dir)).stats
+        assert (stats.hits, stats.misses, stats.stores) == (0, 1, 1)
+        assert stats.disk_errors == (1 if suffix == "json" else 0)
+        # The planted .json was pruned and replaced by the real entry.
+        with open(cache_dir / f"{key}.json", "rb") as handle:
+            assert json.load(handle)["result"] == result.to_dict()
 
     def test_disk_full_mid_write_leaves_no_partial_entry(self, tmp_path, monkeypatch):
-        real_dumps = pickle.dumps
+        real_fdopen = os.fdopen
 
-        def dump_until_full(obj, handle, protocol=None):
-            handle.write(real_dumps(obj, protocol)[:64])
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        class FillsUp:
+            """A file that takes 64 characters, then reports a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:64])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         cache = ResultCache(cache_dir=str(tmp_path))
+        stored = _result()
         with monkeypatch.context() as patch:
-            patch.setattr(pickle, "dump", dump_until_full)
-            cache.put("f00dcafe", {"labels": list(range(100))})  # must not raise
+            patch.setattr(os, "fdopen", lambda *args, **kwargs: FillsUp(real_fdopen(*args, **kwargs)))
+            cache.put("f00dcafe", stored)  # must not raise
         # The partly written temp file is removed and nothing is published.
         assert os.listdir(tmp_path) == []
         assert cache.stats.disk_errors == 1
         # The memory tier still serves the value.
-        assert cache.get("f00dcafe") == {"labels": list(range(100))}
+        assert cache.get("f00dcafe") is stored
         assert cache.stats.hits == 1
         # A fresh instance on the directory reads a miss, never a partial entry.
         fresh = ResultCache(cache_dir=str(tmp_path))
@@ -247,13 +336,35 @@ class TestEstimatorCacheIntegration:
         second = make_estimator(config.method, config).fit(similarity).result_
         assert np.all(second.labels >= 0)
 
-    def test_disk_tier_round_trips_cluster_results(self, similarity, tmp_path):
-        config = _config(cache_dir=str(tmp_path))
-        cold = make_estimator(config.method, config).fit(similarity).result_
+    @pytest.mark.parametrize(
+        "method, num_clusters",
+        [pytest.param(method, k, id=f"{short}-{k or 'N'}")
+         for method, short in (("tmfg-dbht", "tmfg"), ("pmfg-dbht", "pmfg"),
+                               ("classic-dbht", "seq"), ("hac-complete", "comp"),
+                               ("hac-average", "avg"))
+         for k in (3, None)]
+        + [pytest.param("kmeans", 3, id="kmeans-3"), pytest.param("spectral", 3, id="spec-3")],
+    )
+    def test_disk_tier_round_trips_cluster_results(self, tmp_path, method, num_clusters):
+        series = make_time_series_dataset(
+            num_objects=30, length=48, num_classes=3, noise=1.0, seed=5
+        ).data
+        config = _config(method=method, num_clusters=num_clusters, precomputed=False,
+                         cache_dir=str(tmp_path))
+        cold = make_estimator(method, config).fit(series).result_
         clear_result_caches()  # forget the memory tier, keep the files
-        warm = make_estimator(config.method, config).fit(similarity).result_
-        assert warm.to_json() == cold.to_json()
+        warm = make_estimator(method, config).fit(series).result_
         assert get_result_cache(str(tmp_path)).stats.disk_hits == 1
+        assert warm.to_json() == cold.to_json()
+        assert type(warm.raw) is type(cold.raw)  # a hit and a miss: one shape
+        if num_clusters is not None:
+            assert warm.labels.dtype == cold.labels.dtype
+        if cold.dendrogram is None:
+            assert method in ("kmeans", "spectral") and warm.dendrogram is None
+            return
+        assert _nodes(warm.dendrogram) == _nodes(cold.dendrogram)
+        for k in (2, 3, 5):
+            assert np.array_equal(warm.cut(k), cold.cut(k))
 
     def test_different_matrices_do_not_collide(self, similarity):
         config = _config()
@@ -343,6 +454,8 @@ class TestEstimatorHalves:
         assert stored is get_result_cache().get(key)  # not a clone
         assert stored is not estimator.result_  # the cache holds its own clone
         assert stored.to_json() == estimator.result_.to_json()
+        # Both hold the answer only: the dendrogram, not the pipeline.
+        assert isinstance(stored.raw, Dendrogram) and stored.raw is estimator.result_.raw
 
     def test_lookup_keys_the_float64_view(self):
         config = _config(precomputed=False)
@@ -498,15 +611,6 @@ class TestConcurrentAccess:
         assert final["stores"] == final["misses"]
         assert snapshots  # the readers actually raced the writers
 
-    def test_cache_stats_pickle_round_trip(self):
-        cache = ResultCache()
-        cache.put("k", 1)
-        cache.get("k")
-        restored = pickle.loads(pickle.dumps(cache.stats.snapshot()))
-        assert restored.hits == 1 and restored.stores == 1
-        # The restored copy grew a fresh lock and stays readable.
-        assert restored.as_dict()["hits"] == 1
-
 
 class TestBatchFrontDoorEdges:
     def test_fit_one_rejects_non_2d_input(self):
@@ -532,14 +636,14 @@ def _shared_cache_writer(cache_dir: str, worker_index: int, rounds: int, queue) 
         writer = ResultCache(max_entries=4, cache_dir=cache_dir)
         for i in range(rounds):
             key = f"fingerprint-{i % 3}"
-            value = {"key": key, "labels": list(range(50)), "round": i % 3}
-            writer._write_disk(key, value)
+            value = _result(tag=i % 3, num_leaves=50).to_json()
+            writer._write_disk(key, _result(tag=i % 3, num_leaves=50))
             # A fresh instance per read bypasses this process's in-memory
             # tier: the read must come from disk, mid-race.
             reader = ResultCache(max_entries=4, cache_dir=cache_dir)
             seen = reader.get(key)
-            if seen is not None and seen != value:
-                queue.put(("corrupt", worker_index, key, seen))
+            if seen is not None and seen.to_json() != value:
+                queue.put(("corrupt", worker_index, key, seen.to_json()))
                 return
         queue.put(("ok", worker_index))
     except Exception as error:  # pragma: no cover - surfaced in the parent
@@ -571,10 +675,10 @@ class TestCrossProcessDiskCache:
         # After the dust settles: each key readable, correct, and whole.
         survivor = ResultCache(max_entries=4, cache_dir=cache_dir)
         for i in range(3):
-            key = f"fingerprint-{i}"
-            assert survivor.get(key) == {
-                "key": key, "labels": list(range(50)), "round": i,
-            }
+            seen = survivor.get(f"fingerprint-{i}")
+            expected = _result(tag=i, num_leaves=50)
+            assert seen.to_json() == expected.to_json()
+            assert _nodes(seen.dendrogram) == _nodes(expected.dendrogram)
         # Atomic rename cleaned up after itself: no .tmp files left.
         leftovers = [name for name in os.listdir(cache_dir) if name.endswith(".tmp")]
         assert leftovers == []

@@ -124,7 +124,7 @@ class TestCacheFlags:
         clear_result_caches()
         assert main(args + ["--json", str(warm_json)]) == 0
         assert cold_json.read_bytes() == warm_json.read_bytes()
-        assert any(cache_dir.glob("*.pkl"))
+        assert any(cache_dir.glob("*.json"))
 
     def test_no_cache_disables_lookups(self, data_csv, tmp_path):
         from repro.cache import clear_result_caches, get_result_cache

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.api import TMFGClusterer
 from repro.datasets.similarity import (
     correlation_matrix,
     correlation_to_dissimilarity,
@@ -47,6 +51,42 @@ class TestCorrelation:
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(ValueError):
             correlation_matrix(np.arange(10))
+
+
+#: 10 series whose magnitudes lie in [2**-8, 4], so each row can be scaled by
+#: any 2**k with -1014 <= k <= 1021 and stay finite and normal.
+_SERIES = np.random.default_rng(3).normal(size=(10, 30))
+_SERIES = np.where(np.abs(_SERIES) < 2.0**-8, 2.0**-8, np.clip(_SERIES, -4, 4))
+
+
+class TestScaleInvariance:
+    """Pearson correlation does not depend on a row's scale, at any scale."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-1014, 1021), min_size=10, max_size=10))
+    def test_labels_invariant_under_per_row_powers_of_two(self, exponents):
+        reference = TMFGClusterer(num_clusters=3).fit(_SERIES).labels_
+        scaled = np.ldexp(_SERIES, np.asarray(exponents)[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            labels = TMFGClusterer(num_clusters=3).fit(scaled).labels_
+            correlation = correlation_matrix(scaled)
+        assert np.array_equal(labels, reference)
+        np.testing.assert_allclose(correlation, correlation_matrix(_SERIES), atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e-160, 1e-200, 1e-300])
+    def test_extreme_decimal_scales_keep_the_correlation(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            correlation = correlation_matrix(_SERIES * scale)
+        np.testing.assert_allclose(correlation, correlation_matrix(_SERIES), atol=1e-14)
+
+    def test_in_range_rows_keep_their_bytes(self):
+        """Rescaling one extreme row leaves every other entry bit-identical."""
+        mixed = _SERIES.copy()
+        mixed[0] *= 2.0**900
+        reference, correlation = correlation_matrix(_SERIES), correlation_matrix(mixed)
+        assert np.array_equal(correlation[1:, 1:], reference[1:, 1:])
 
 
 class TestDissimilarity:
